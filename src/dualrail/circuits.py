@@ -18,12 +18,20 @@ lines AND together; within a line ``||`` separates alternative ``&&``
 clauses, which is how a feed-forward acceptance set is written. Detection is
 destructive: a detected mode cannot appear later. Comments are not preserved
 by the formatter.
+
+One engine runs every program, the gates in ``protocols`` included, which
+build their IR in Python. It enumerates every detector outcome: consecutive
+``detect`` lines are one joint measurement; ``postselect`` flags the branches
+it rejects instead of dropping them, so they keep evolving; ``correct`` acts
+only on accepted branches. ``run_branches`` returns every branch,
+``execute`` only the survivors.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Union
 
 from . import measure, rails
@@ -549,19 +557,25 @@ def format(ir: CircuitIR) -> str:
 
 
 @dataclass
-class CircuitBranch:
-    """One surviving post-selection branch of a circuit run."""
+class Branch:
+    """One detector outcome of a run, keyed by outcome names.
+
+    ``accepted`` turns False at the first ``postselect`` whose predicate the
+    counts fail; the branch keeps evolving, but no ``correct`` touches it.
+    ``residual`` is None once every mode has been detected.
+    """
 
     counts: dict[str, int]
     probability: float
     residual: FockState | None
     residual_labels: tuple[str, ...]
     corrections: tuple[str, ...]
+    accepted: bool
 
 
 @dataclass
 class CircuitRunReport:
-    branches: list[CircuitBranch]
+    branches: list[Branch]
     survived_probability: float
     rejected_probability: float
 
@@ -570,142 +584,124 @@ def _predicate_holds(predicate: Predicate, counts: dict[str, int]) -> bool:
     return any(all(counts.get(name) == value for name, value in clause) for clause in predicate)
 
 
+# Validated once: every default ``bs`` of every run shares it.
+_HADAMARD = hadamard_bs()
+
+
 @dataclass
 class _Live:
-    state: FockState
+    state: FockState | None
     probability: float
-    counts: dict[str, int] = field(default_factory=dict)
-    live: list[int] = field(default_factory=list)  # original mode index per position
+    counts: dict[str, int]
+    live: list[int]  # original mode index per position
     corrections: tuple[str, ...] = ()
+    accepted: bool = True
 
-    def position(self, mode: int) -> int:
-        return self.live.index(mode)
+    def positions(self, modes: Iterable[int]) -> list[int]:
+        return [self.live.index(m) for m in modes]
 
 
-def execute(ir: CircuitIR) -> CircuitRunReport:
-    """Run a circuit over every detector outcome, then post-select.
+def run_branches(ir: CircuitIR) -> list[Branch]:
+    """Run a circuit over every detector outcome, rejected branches included.
 
-    Branch enumeration is exhaustive and deterministically ordered; the
-    probabilities of all enumerated branches sum to one, and post-selection
-    only moves weight from surviving to rejected.
+    A run of consecutive ``detect`` elements is one joint measurement, whose
+    outcomes are enumerated in order of their count tuples, so branches come
+    out in detection order. ``postselect`` flags the branches it rejects
+    instead of dropping them, and ``correct`` acts only on accepted branches.
+    The probabilities of all branches sum to the prepared state's squared norm.
     """
-    h = hadamard_bs()
-    branches = [
-        _Live(FockState.vacuum(ir.mode_count), 1.0, live=list(range(ir.mode_count)))
-    ]
-    rejected = 0.0
-
-    for element in ir.elements:
-        if isinstance(element, (PrepareKet, PrepareDualRail, PrepareBell)):
-            factor = _prepare_state(ir, element)
-            modes = _prepare_modes(ir, element)
-            branches = [
-                _Live(
-                    _inject(b.state, [b.position(m) for m in modes], factor),
-                    b.probability,
-                    b.counts,
-                    b.live,
-                    b.corrections,
-                )
-                for b in branches
-            ]
-        elif isinstance(element, ApplyBS):
-            u = (
-                h
-                if element.matrix is None
-                else ModeUnitary(
-                    [
-                        [element.matrix[0], element.matrix[1]],
-                        [element.matrix[2], element.matrix[3]],
-                    ]
-                )
-            )
-            branches = [
-                _Live(
-                    apply_mode_unitary(b.state, [b.position(m) for m in element.modes], u),
-                    b.probability,
-                    b.counts,
-                    b.live,
-                    b.corrections,
-                )
-                for b in branches
-            ]
-        elif isinstance(element, Detect):
-            grown: list[_Live] = []
-            for b in branches:
-                position = b.position(element.mode)
-                for outcome in measure.outcome_distribution(b.state, [position]):
-                    count = outcome.pattern.requirements[position]
-                    grown.append(
-                        _Live(
-                            outcome.residual,
-                            b.probability * outcome.probability,
-                            {**b.counts, element.name: count},
-                            [m for m in b.live if m != element.mode],
-                            b.corrections,
-                        )
-                    )
-            branches = grown
-        elif isinstance(element, PostSelect):
-            kept = []
-            for b in branches:
-                if _predicate_holds(element.predicate, b.counts):
-                    kept.append(b)
-                else:
-                    rejected += b.probability
-            branches = kept
-        elif isinstance(element, CorrectZ):
-            for b in branches:
-                if _predicate_holds(element.condition, b.counts):
-                    pair = DualRailQubit(b.position(element.rail1), b.position(element.rail0))
-                    b.state = rails.pauli_correction(b.state, pair, "Z")
-                    b.corrections = b.corrections + (
-                        f"Z on ({ir.label_of(element.rail1)}, {ir.label_of(element.rail0)})",
-                    )
-
-    survived = sum(b.probability for b in branches)
-    report_branches = [
-        CircuitBranch(
-            counts=dict(sorted(b.counts.items())),
-            probability=b.probability,
-            residual=b.state if b.live else None,
-            residual_labels=tuple(ir.label_of(m) for m in b.live),
-            corrections=b.corrections,
+    branches = [_Live(FockState.vacuum(ir.mode_count), 1.0, {}, list(range(ir.mode_count)))]
+    for joint, group in itertools.groupby(ir.elements, lambda e: isinstance(e, Detect)):
+        if joint:
+            detectors = tuple(group)
+            branches = [grown for b in branches for grown in _detect(b, detectors)]
+            continue
+        for element in group:
+            if isinstance(element, ApplyBS):
+                m = element.matrix
+                u = _HADAMARD if m is None else ModeUnitary([[m[0], m[1]], [m[2], m[3]]])
+                for b in branches:
+                    b.state = apply_mode_unitary(b.state, b.positions(element.modes), u)
+            elif isinstance(element, PostSelect):
+                for b in branches:
+                    b.accepted = b.accepted and _predicate_holds(element.predicate, b.counts)
+            elif isinstance(element, CorrectZ):
+                pair_modes = (element.rail1, element.rail0)
+                text = f"Z on ({ir.label_of(element.rail1)}, {ir.label_of(element.rail0)})"
+                for b in branches:
+                    if b.accepted and _predicate_holds(element.condition, b.counts):
+                        pair = DualRailQubit(*b.positions(pair_modes))
+                        b.state = rails.pauli_correction(b.state, pair, "Z")
+                        b.corrections = b.corrections + (text,)
+            else:
+                modes, terms = _preparation(ir, element)
+                for b in branches:
+                    b.state = _inject(b.state, b.positions(modes), terms)
+    return [
+        Branch(
+            b.counts,
+            b.probability,
+            b.state,
+            tuple(ir.label_of(m) for m in b.live),
+            b.corrections,
+            b.accepted,
         )
         for b in branches
     ]
-    report_branches.sort(key=lambda br: sorted(br.counts.items()))
-    return CircuitRunReport(report_branches, survived, rejected)
 
 
-def _prepare_modes(ir: CircuitIR, element: Element) -> tuple[int, ...]:
+def _detect(b: _Live, detectors: tuple[Detect, ...]) -> list[_Live]:
+    positions = b.positions(d.mode for d in detectors)
+    consumed = {d.mode for d in detectors}
+    live = [m for m in b.live if m not in consumed]
+    grown = []
+    for outcome in measure.outcome_distribution(b.state, positions):
+        req = outcome.pattern.requirements
+        counts = {**b.counts, **{d.name: req[p] for d, p in zip(detectors, positions)}}
+        probability = b.probability * outcome.probability
+        grown.append(_Live(outcome.residual, probability, counts, live, b.corrections, b.accepted))
+    return grown
+
+
+def execute(ir: CircuitIR) -> CircuitRunReport:
+    """Run a circuit and report the branches that pass every ``postselect``.
+
+    Survivors are listed sorted by outcome name, with their counts in name
+    order; the weight of the flagged branches is ``rejected_probability``.
+    """
+    branches = run_branches(ir)
+    survivors = [b for b in branches if b.accepted]
+    survived = sum(b.probability for b in survivors)
+    rejected = sum((b.probability for b in branches if not b.accepted), 0.0)
+    report = [replace(b, counts=dict(sorted(b.counts.items()))) for b in survivors]
+    report.sort(key=lambda br: list(br.counts.items()))
+    return CircuitRunReport(report, survived, rejected)
+
+
+def _preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Iterable]:
+    """The modes a preparation writes and its (sub-ket, amplitude) terms on them."""
     if isinstance(element, PrepareKet):
-        return tuple(range(ir.mode_count))
+        return range(ir.mode_count), element.terms
     if isinstance(element, PrepareDualRail):
-        return (element.rail1, element.rail0)
+        rails.require_normalized(LogicalAmplitudes(element.a0, element.a1))
+        return (element.rail1, element.rail0), (((0, 1), element.a0), ((1, 0), element.a1))
     if isinstance(element, PrepareBell):
-        return element.modes
+        bell = rails.bell_state(element.kind, DualRailQubit(0, 1), DualRailQubit(2, 3), 4)
+        return element.modes, bell.terms.items()
     raise TypeError(element)
 
 
-def _prepare_state(ir: CircuitIR, element: Element) -> FockState:
-    if isinstance(element, PrepareKet):
-        return FockState(ir.mode_count, list(element.terms))
-    if isinstance(element, PrepareDualRail):
-        q = LogicalAmplitudes(element.a0, element.a1)
-        return rails.encode(q, DualRailQubit(0, 1), 2)
-    if isinstance(element, PrepareBell):
-        return rails.bell_state(element.kind, DualRailQubit(0, 1), DualRailQubit(2, 3), 4)
-    raise TypeError(element)
+def _inject(state: FockState, positions: list[int], factor: Iterable) -> FockState:
+    """Write a prepared factor onto modes that are currently vacuum.
 
-
-def _inject(state: FockState, positions: list[int], factor: FockState) -> FockState:
-    """Write a prepared factor onto modes that are currently vacuum."""
+    State terms form the outer loop, so amplitudes multiply as in
+    ``FockState.tensor``.
+    """
     out: dict[tuple[int, ...], complex] = {}
     for ket, amp in state.terms.items():
         if any(ket[p] != 0 for p in positions):
             raise CircuitError("preparation targets a mode that is not vacuum")
-        for sub, sub_amp in factor.terms.items():
+        for sub, sub_amp in factor:
             new_ket = list(ket)
             for p, n in zip(positions, sub):
                 new_ket[p] = n

@@ -37,8 +37,13 @@ def _parse_amplitudes(text: str, what: str) -> LogicalAmplitudes:
         values = [float(p) for p in parts]
     except ValueError:
         raise UsageError(f"{what}: malformed number in {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{what}: non-finite number in {text!r}")
     q = LogicalAmplitudes(complex(values[0], values[1]), complex(values[2], values[3]))
-    norm = math.sqrt(q.norm_squared())
+    try:
+        norm = math.sqrt(q.norm_squared())
+    except OverflowError:  # finite amplitudes whose squares exceed the float range
+        norm = math.inf
     if norm == 0.0:
         raise UsageError(f"{what}: amplitudes are all zero")
     if abs(norm - 1.0) > 1e-6:
@@ -56,6 +61,8 @@ def _parse_bloch(text: str, what: str) -> LogicalAmplitudes:
         theta, phi = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"{what}: malformed number in {text!r}")
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise UsageError(f"{what}: non-finite angle in {text!r}")
     return LogicalAmplitudes.from_bloch(theta, phi)
 
 
@@ -100,14 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_qubit_args(p, "target", f"{_SQRT_HALF},0,{_SQRT_HALF},0")
     p.add_argument("--policy", choices=protocols.POLICIES, default="strict")
     p.add_argument("--json", action="store_true", help="emit the schema'd JSON report")
-    p.set_defaults(func=cmd_csign_destructive)
+    p.set_defaults(func=cmd_csign, gate=protocols.run_destructive_csign)
 
     p = sub.add_parser("csign-nondestructive", help="run the encoder-backed gate")
     _add_qubit_args(p, "control", "0,0,1,0")
     _add_qubit_args(p, "target", f"{_SQRT_HALF},0,{_SQRT_HALF},0")
     p.add_argument("--policy", choices=protocols.POLICIES, default="strict")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_csign_nondestructive)
+    p.set_defaults(func=cmd_csign, gate=protocols.run_nondestructive_csign)
 
     p = sub.add_parser("encoder", help="copy a qubit's basis states onto n qubits")
     _add_qubit_args(p, "input", f"{_SQRT_HALF},0,{_SQRT_HALF},0")
@@ -133,33 +140,18 @@ def _emit(report: reports.RunReport, as_json: bool) -> None:
     sys.stdout.write(report.to_json() if as_json else report.to_table())
 
 
-def cmd_csign_destructive(args: argparse.Namespace) -> int:
+def cmd_csign(args: argparse.Namespace) -> int:
     control = _qubit_option(args, "control")
     target = _qubit_option(args, "target")
     start = time.perf_counter()
-    result = protocols.run_destructive_csign(control, target, args.policy)
+    result = args.gate(control, target, args.policy)
     duration = time.perf_counter() - start
     inputs = {
         "control": _qubit_json(control),
         "target": _qubit_json(target),
         "policy": args.policy,
     }
-    _emit(reports.from_gate_run(result, "csign-destructive", inputs, duration), args.json)
-    return EXIT_OK
-
-
-def cmd_csign_nondestructive(args: argparse.Namespace) -> int:
-    control = _qubit_option(args, "control")
-    target = _qubit_option(args, "target")
-    start = time.perf_counter()
-    result = protocols.run_nondestructive_csign(control, target, args.policy)
-    duration = time.perf_counter() - start
-    inputs = {
-        "control": _qubit_json(control),
-        "target": _qubit_json(target),
-        "policy": args.policy,
-    }
-    _emit(reports.from_gate_run(result, "csign-nondestructive", inputs, duration), args.json)
+    _emit(reports.from_gate_run(result, args.command, inputs, duration), args.json)
     return EXIT_OK
 
 

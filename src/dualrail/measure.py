@@ -55,8 +55,6 @@ class BranchResult:
     probability: float
     residual: FockState | None
     kept_modes: tuple[int, ...]
-    correction_applied: str | None = None
-    accepted: bool = False
 
 
 def _validate_modes(state: FockState, modes: Sequence[int]) -> None:

@@ -27,9 +27,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measure, rails
-from .fock import FockState, equal_up_to_global_phase
-from .optics import ModeUnitary, apply_mode_unitary, hadamard_bs
+from . import rails
+from .circuits import (
+    ApplyBS,
+    Branch,
+    CircuitIR,
+    CorrectZ,
+    Detect,
+    Element,
+    PostSelect,
+    PrepareBell,
+    PrepareDualRail,
+    PrepareKet,
+    run_branches,
+)
 from .rails import DualRailQubit, LogicalAmplitudes
 
 POLICIES = ("strict", "feedforward")
@@ -289,33 +300,24 @@ def verify_a_matrix() -> CoefficientReport:
 
 
 # --------------------------------------------------------------------------
-# Photonic protocol runs
+# Photonic protocol runs: circuit programs on the interpreter in ``circuits``
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class GateBranch:
-    """One detector outcome of a protocol run, keyed by detector names."""
-
-    counts: dict[str, int]
-    probability: float
-    residual: FockState | None
-    corrections: tuple[str, ...]
-    accepted: bool
 
 
 @dataclass
 class GateRunResult:
     """Outcome summary of one protocol run.
 
-    ``output_logical`` holds the decoded logical amplitudes of the accepted
-    branches (they agree up to a global phase, checked), phase-aligned to
-    ``reference_logical``; None when nothing was accepted.
+    ``branches`` lists every detector outcome in detection order, rejected
+    ones with ``accepted=False``. ``output_logical`` holds the decoded
+    logical amplitudes of the accepted branches (they agree up to a global
+    phase, checked), phase-aligned to ``reference_logical``; None when
+    nothing was accepted.
     """
 
     gate: str
     policy: str
-    branches: list[GateBranch]
+    branches: list[Branch]
     accepted_probability: float
     output_logical: np.ndarray | None
     reference_logical: np.ndarray | None
@@ -359,6 +361,75 @@ def _collect_output(
     return out, _fidelity(reference, out)
 
 
+def _herald(d1: str, d2: str, policy: str, rail1: int, rail0: int) -> tuple[Element, ...]:
+    """Keep the singlet click (d1=1, d2=0); feed-forward also keeps the
+    other single click and repairs it with a Z on the pair (rail1, rail0)."""
+    singlet = ((d1, 1), (d2, 0))
+    if policy == "strict":
+        return (PostSelect((singlet,)),)
+    other = ((d1, 0), (d2, 1))
+    return PostSelect((singlet, other)), CorrectZ(rail1, rail0, (other,))
+
+
+def _destructive_stage(
+    control: DualRailQubit, target: DualRailQubit, policy: str
+) -> tuple[Element, ...]:
+    """Hadamard on the control, Bell mixer on (its arm 2', target rail 3), herald.
+
+    The Hadamard lists the control as (rail0, rail1) so the logical amplitude
+    vector (a0, a1) transforms by the matrix itself; the singlet herald lands
+    on the mixer's second slot, where D1 sits. The teleported target ends up
+    on (1', 4).
+    """
+    return (
+        ApplyBS((control.rail0, control.rail1), None),
+        ApplyBS((control.rail0, target.rail1), None),
+        Detect(target.rail1, "D1"),
+        Detect(control.rail0, "D2"),
+        *_herald("D1", "D2", policy, control.rail1, target.rail0),
+    )
+
+
+def _encoder_stage(n: int, policy: str) -> tuple[Element, ...]:
+    """Mixer on (last register mode, input rail1) and the Da1/Da2 herald.
+
+    The register holds modes 0..2n-1 and the input rails 2n, 2n+1; the
+    singlet lands on the second slot, where Da1 sits. The input's rail0
+    completes the last register pair.
+    """
+    return (
+        ApplyBS((2 * n - 1, 2 * n), None),
+        Detect(2 * n, "Da1"),
+        Detect(2 * n - 1, "Da2"),
+        *_herald("Da1", "Da2", policy, 2 * n - 2, 2 * n + 1),
+    )
+
+
+def _run_gate(
+    gate: str,
+    policy: str,
+    ir: CircuitIR,
+    pairs: list[DualRailQubit],
+    reference: np.ndarray | None,
+) -> GateRunResult:
+    """Run a gate program; decode the accepted residuals on ``pairs``."""
+    branches = run_branches(ir)
+    accepted = [b for b in branches if b.accepted]
+    decoded = [rails.decode_register(b.residual, pairs) for b in accepted]
+    output, fidelity = _collect_output(decoded, reference)
+    return GateRunResult(
+        gate=gate,
+        policy=policy,
+        branches=branches,
+        accepted_probability=sum((b.probability for b in accepted), 0.0),
+        output_logical=output,
+        reference_logical=reference,
+        fidelity_vs_reference=fidelity,
+        output_labels=branches[0].residual_labels,
+        detector_names=tuple(e.name for e in ir.elements if isinstance(e, Detect)),
+    )
+
+
 def run_destructive_csign(
     control: LogicalAmplitudes, target: LogicalAmplitudes, policy: str = "strict"
 ) -> GateRunResult:
@@ -375,52 +446,18 @@ def run_destructive_csign(
     _check_policy(policy)
     rails.require_normalized(control)
     rails.require_normalized(target)
-    h = hadamard_bs()
-
-    state = rails.encode(control, DualRailQubit(0, 1), 2).tensor(
-        rails.encode(target, DualRailQubit(0, 1), 2)
+    ir = CircuitIR(
+        4,
+        ("1'", "2'", "3", "4"),
+        (
+            PrepareDualRail(control.a0, control.a1, 0, 1),
+            PrepareDualRail(target.a0, target.a1, 2, 3),
+            *_destructive_stage(DualRailQubit(0, 1), DualRailQubit(2, 3), policy),
+        ),
     )
-    # Hadamard on the control pair: listed as (rail0, rail1) so the logical
-    # amplitude vector (a0, a1) transforms by the matrix itself.
-    state = apply_mode_unitary(state, [1, 0], h)
-    # Bell mixer on (2', 3): the singlet herald lands on the second slot.
-    state = apply_mode_unitary(state, [1, 2], h)
-
-    d1_mode, d2_mode = 2, 1
-    out_pair = DualRailQubit(0, 1)  # residual order (1', 4)
     expected = control.a0 * target.as_array() + control.a1 * (_Z @ target.as_array())
     reference = _normalize_or_none(expected)
-
-    branches: list[GateBranch] = []
-    decoded: list[np.ndarray] = []
-    accepted_probability = 0.0
-    for br in measure.outcome_distribution(state, [d1_mode, d2_mode]):
-        req = br.pattern.requirements
-        counts = {"D1": req[d1_mode], "D2": req[d2_mode]}
-        residual = br.residual
-        corrections: tuple[str, ...] = ()
-        accepted = counts == {"D1": 1, "D2": 0}
-        if policy == "feedforward" and counts == {"D1": 0, "D2": 1}:
-            accepted = True
-            residual = rails.pauli_correction(residual, out_pair, "Z")
-            corrections = ("Z on (1', 4)",)
-        if accepted:
-            accepted_probability += br.probability
-            decoded.append(rails.decode_register(residual, [out_pair]))
-        branches.append(GateBranch(counts, br.probability, residual, corrections, accepted))
-
-    output, fidelity = _collect_output(decoded, reference)
-    return GateRunResult(
-        gate="csign-destructive",
-        policy=policy,
-        branches=branches,
-        accepted_probability=accepted_probability,
-        output_logical=output,
-        reference_logical=reference,
-        fidelity_vs_reference=fidelity,
-        output_labels=("1'", "4"),
-        detector_names=("D1", "D2"),
-    )
+    return _run_gate("csign-destructive", policy, ir, [DualRailQubit(0, 1)], reference)
 
 
 def _pair_letter(i: int) -> str:
@@ -443,56 +480,24 @@ def run_quantum_encoder(
     if n_copies < 2:
         raise ValueError("the encoder needs at least two copies")
     n = n_copies
-    h = hadamard_bs()
 
     s = 1.0 / math.sqrt(2.0)
-    ancilla = FockState(2 * n, [((0, 1) * n, s), ((1, 0) * n, -s)])
-    state = ancilla.tensor(rails.encode(qubit, DualRailQubit(0, 1), 2))
-    # Mixer on (last register mode, input rail1): singlet lands on the
-    # second slot, which is where Da1 sits.
-    state = apply_mode_unitary(state, [2 * n - 1, 2 * n], h)
-    da1_mode, da2_mode = 2 * n, 2 * n - 1
+    register = (((0, 1) * n, s), ((1, 0) * n, -s))
+    input_terms = (((0, 1), qubit.a0), ((1, 0), qubit.a1))
+    product = tuple((r + q, ra * qa) for r, ra in register for q, qa in input_terms)
+    labels = [f"{_pair_letter(i)}{r}" for i in range(n) for r in (1, 2)] + ["1", "2"]
+    ir = CircuitIR(2 * n + 2, tuple(labels), (PrepareKet(product), *_encoder_stage(n, policy)))
 
-    # Residual keeps modes 0..2n-2 plus the input's rail0 at position 2n-1.
-    pairs = [DualRailQubit(2 * i, 2 * i + 1) for i in range(n)]
-    last_pair = pairs[-1]
     reference = np.zeros(2**n, dtype=complex)
     reference[0] = qubit.a0
     reference[-1] = qubit.a1
+    pairs = [DualRailQubit(2 * i, 2 * i + 1) for i in range(n)]
+    return _run_gate("quantum-encoder", policy, ir, pairs, reference)
 
-    labels = [f"{_pair_letter(i)}{r}" for i in range(n) for r in (1, 2)]
-    labels[-1] = "2"  # the input's surviving rail completes the last pair
 
-    branches: list[GateBranch] = []
-    decoded: list[np.ndarray] = []
-    accepted_probability = 0.0
-    for br in measure.outcome_distribution(state, [da1_mode, da2_mode]):
-        req = br.pattern.requirements
-        counts = {"Da1": req[da1_mode], "Da2": req[da2_mode]}
-        residual = br.residual
-        corrections: tuple[str, ...] = ()
-        accepted = counts == {"Da1": 1, "Da2": 0}
-        if policy == "feedforward" and counts == {"Da1": 0, "Da2": 1}:
-            accepted = True
-            residual = rails.pauli_correction(residual, last_pair, "Z")
-            corrections = (f"Z on ({labels[-2]}, {labels[-1]})",)
-        if accepted:
-            accepted_probability += br.probability
-            decoded.append(rails.decode_register(residual, pairs))
-        branches.append(GateBranch(counts, br.probability, residual, corrections, accepted))
-
-    output, fidelity = _collect_output(decoded, reference)
-    return GateRunResult(
-        gate="quantum-encoder",
-        policy=policy,
-        branches=branches,
-        accepted_probability=accepted_probability,
-        output_logical=output,
-        reference_logical=reference,
-        fidelity_vs_reference=fidelity,
-        output_labels=tuple(labels),
-        detector_names=("Da1", "Da2"),
-    )
+# One label per mode: the register's b1 rail, which the stage-1 correction
+# names, is the 1' arm of the destructive stage and of the output.
+_STAGE1_CORRECTION = {"Z on (1', 2)": "Z on (b1, 2)"}
 
 
 def run_nondestructive_csign(
@@ -509,56 +514,22 @@ def run_nondestructive_csign(
     _check_policy(policy)
     rails.require_normalized(control)
     rails.require_normalized(target)
-    h = hadamard_bs()
-    encoder = run_quantum_encoder(control, 2, policy)
-
-    reference = csign_reference() @ np.kron(control.as_array(), target.as_array())
-    control_pair = DualRailQubit(0, 1)  # (a1, a2) in the stage-2 residual
-    target_pair = DualRailQubit(2, 3)  # (1', 4) in the stage-2 residual
-
-    branches: list[GateBranch] = []
-    decoded: list[np.ndarray] = []
-    accepted_probability = 0.0
-    for stage1 in encoder.branches:
-        if stage1.residual is None:
-            branches.append(stage1)
-            continue
-        # Stage-1 residual modes are (a1, a2, b1, 2); target joins on (3, 4).
-        state = stage1.residual.tensor(rails.encode(target, DualRailQubit(0, 1), 2))
-        state = apply_mode_unitary(state, [3, 2], h)  # Hadamard on the (b1, 2) copy
-        state = apply_mode_unitary(state, [3, 4], h)  # Bell mixer on (2', 3)
-        d1_mode, d2_mode = 4, 3
-        for br in measure.outcome_distribution(state, [d1_mode, d2_mode]):
-            req = br.pattern.requirements
-            counts = dict(stage1.counts)
-            counts.update({"D1": req[d1_mode], "D2": req[d2_mode]})
-            residual = br.residual
-            corrections = stage1.corrections
-            stage2_accepted = {"D1": counts["D1"], "D2": counts["D2"]} == {"D1": 1, "D2": 0}
-            if (
-                policy == "feedforward"
-                and stage1.accepted
-                and (counts["D1"], counts["D2"]) == (0, 1)
-            ):
-                stage2_accepted = True
-                residual = rails.pauli_correction(residual, target_pair, "Z")
-                corrections = corrections + ("Z on (1', 4)",)
-            accepted = stage1.accepted and stage2_accepted
-            probability = stage1.probability * br.probability
-            if accepted:
-                accepted_probability += probability
-                decoded.append(rails.decode_register(residual, [control_pair, target_pair]))
-            branches.append(GateBranch(counts, probability, residual, corrections, accepted))
-
-    output, fidelity = _collect_output(decoded, reference)
-    return GateRunResult(
-        gate="csign-nondestructive",
-        policy=policy,
-        branches=branches,
-        accepted_probability=accepted_probability,
-        output_logical=output,
-        reference_logical=reference,
-        fidelity_vs_reference=fidelity,
-        output_labels=("a1", "a2", "1'", "4"),
-        detector_names=("Da1", "Da2", "D1", "D2"),
+    ir = CircuitIR(
+        8,
+        ("a1", "a2", "1'", "b2", "1", "2", "3", "4"),
+        (
+            # The n=2 register (|0101> - |1010>)/sqrt2 is the Bell state phi-.
+            PrepareBell("phi-", (0, 1, 2, 3)),
+            PrepareDualRail(control.a0, control.a1, 4, 5),
+            *_encoder_stage(2, policy),
+            # The target joins after the encoder's herald, as a fresh factor.
+            PrepareDualRail(target.a0, target.a1, 6, 7),
+            *_destructive_stage(DualRailQubit(2, 5), DualRailQubit(6, 7), policy),
+        ),
     )
+    reference = csign_reference() @ np.kron(control.as_array(), target.as_array())
+    pairs = [DualRailQubit(0, 1), DualRailQubit(2, 3)]
+    result = _run_gate("csign-nondestructive", policy, ir, pairs, reference)
+    for b in result.branches:
+        b.corrections = tuple(_STAGE1_CORRECTION.get(c, c) for c in b.corrections)
+    return result

@@ -13,8 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .circuits import CircuitRunReport
-from .fock import FockState
+from .circuits import Branch, CircuitRunReport
 from .protocols import GateRunResult
 
 SCHEMA_VERSION = 1
@@ -80,8 +79,14 @@ def _fmt_input(value: Any) -> str:
     return str(value)
 
 
-def _residual_lines(residual: FockState | None) -> list[str] | None:
-    return None if residual is None else residual.to_lines()
+def _branch_dict(br: Branch) -> dict[str, Any]:
+    return {
+        "counts": br.counts,
+        "probability": br.probability,
+        "residual": None if br.residual is None else br.residual.to_lines(),
+        "corrections": list(br.corrections),
+        "accepted": br.accepted,
+    }
 
 
 def _complex_pairs(vec: np.ndarray) -> list[list[float]]:
@@ -95,16 +100,6 @@ def _basis_labels(n_qubits: int) -> list[str]:
 def from_gate_run(
     result: GateRunResult, command: str, inputs: dict[str, Any], duration: float
 ) -> RunReport:
-    branches = [
-        {
-            "counts": br.counts,
-            "probability": br.probability,
-            "residual": _residual_lines(br.residual),
-            "corrections": list(br.corrections),
-            "accepted": br.accepted,
-        }
-        for br in result.branches
-    ]
     output = None
     if result.output_logical is not None:
         n_qubits = int(np.log2(len(result.output_logical)))
@@ -116,7 +111,7 @@ def from_gate_run(
     return RunReport(
         command=command,
         inputs=inputs,
-        branches=branches,
+        branches=[_branch_dict(br) for br in result.branches],
         accepted_probability=result.accepted_probability,
         output=output,
         fidelity_vs_reference=result.fidelity_vs_reference,
@@ -127,20 +122,10 @@ def from_gate_run(
 def from_circuit_run(
     result: CircuitRunReport, command: str, inputs: dict[str, Any], duration: float
 ) -> RunReport:
-    branches = [
-        {
-            "counts": br.counts,
-            "probability": br.probability,
-            "residual": _residual_lines(br.residual),
-            "corrections": list(br.corrections),
-            "accepted": True,  # only post-selection survivors are listed
-        }
-        for br in result.branches
-    ]
     return RunReport(
         command=command,
         inputs=inputs,
-        branches=branches,
+        branches=[_branch_dict(br) for br in result.branches],
         accepted_probability=result.survived_probability,
         output=None,
         fidelity_vs_reference=None,

@@ -76,12 +76,18 @@ class TestCsignDestructive:
             ("csign-destructive", "--control", "0,0,0,0"),
             ("csign-destructive", "--control", "1,0,1,0"),
             ("csign-destructive", "--control-bloch", "1"),
+            ("csign-destructive", "--control", "1e308,0,1e308,0"),
+            ("encoder", "--input-bloch", "inf,0"),
+            ("encoder", "--input", "nan,0,1,0"),
         ],
     )
     def test_bad_inputs_exit_2(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "error" in err
+        # One line, naming the option that carried the bad value.
+        option = argv[1].lstrip("-").removesuffix("-bloch")
+        assert err.count("\n") == 1 and f"{option}:" in err
 
     def test_near_normalized_input_warns_and_runs(self, capsys):
         code, out, err = run_cli(
@@ -211,8 +217,7 @@ def test_fig1_reproduces_the_destructive_defaults(capsys):
     gate = json.loads(gate_out)
     _, run_out, _ = run_cli(capsys, "run", str(dualrail.data_path("fig1.loc")), "--json")
     run = json.loads(run_out)
-    assert run["accepted_probability"] == pytest.approx(
-        gate["accepted_probability"], abs=1e-12
-    )
+    assert run["accepted_probability"] == gate["accepted_probability"]
     gate_branch = [b for b in gate["branches"] if b["accepted"]][0]
+    assert run["branches"][0]["probability"] == gate_branch["probability"]
     assert run["branches"][0]["residual"] == gate_branch["residual"]
