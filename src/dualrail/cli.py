@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 usage or input validation error, 3 circuit parse or
-validation error, 4 internal invariant violation.
+validation error, 4 internal invariant violation or any other unexpected
+error (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -118,7 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encoder", help="copy a qubit's basis states onto n qubits")
     _add_qubit_args(p, "input", f"{_SQRT_HALF},0,{_SQRT_HALF},0")
-    p.add_argument("--n", type=int, default=2, help="number of encoded copies (>= 2)")
+    p.add_argument(
+        "--n",
+        type=int,
+        default=2,
+        help=f"number of encoded copies (2 to {protocols.MAX_ENCODER_COPIES})",
+    )
     p.add_argument("--policy", choices=protocols.POLICIES, default="strict")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_encoder)
@@ -158,6 +164,8 @@ def cmd_csign(args: argparse.Namespace) -> int:
 def cmd_encoder(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise UsageError("--n must be at least 2")
+    if args.n > protocols.MAX_ENCODER_COPIES:
+        raise UsageError(f"--n must be at most {protocols.MAX_ENCODER_COPIES}")
     qubit = _qubit_option(args, "input")
     start = time.perf_counter()
     result = protocols.run_quantum_encoder(qubit, args.n, args.policy)
@@ -206,6 +214,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

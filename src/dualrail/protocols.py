@@ -22,8 +22,10 @@ The assignment is pinned by tests, not assumed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,28 +47,53 @@ from .rails import DualRailQubit, LogicalAmplitudes
 
 POLICIES = ("strict", "feedforward")
 
+# Dense 2^n vectors back the encoder's reference and decoded register; 2^20
+# amplitudes are 16 MB per vector.
+MAX_ENCODER_COPIES = 20
+
 # Bell states ordered to match the ancilla-amplitude indices 0, z, x, y.
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 COMPONENT_LABELS = ("0", "z", "x", "y")
 
-_I = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = {"0": _I, "I": _I, "z": _Z, "Z": _Z, "x": _X, "X": _X, "y": _Y, "Y": _Y}
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Freeze a shared module array; one in-place write would corrupt later gates."""
+    a.flags.writeable = False
+    return a
+
+
+_I = _read_only(np.eye(2, dtype=complex))
+_X = _read_only(np.array([[0, 1], [1, 0]], dtype=complex))
+_Y = _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
+_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=complex))
+PAULI = MappingProxyType(
+    {"0": _I, "I": _I, "z": _Z, "Z": _Z, "x": _X, "X": _X, "y": _Y, "Y": _Y}
+)
+
+# sigma_b @ sigma_i for every (outcome, component) pair of the gate table,
+# with sigma_b the Pauli labelled like the outcome's row.
+PAULI_PRODUCTS = MappingProxyType(
+    {
+        (outcome, component): _read_only(PAULI[blabel] @ PAULI[component])
+        for outcome, blabel in zip(BELL_LABELS, COMPONENT_LABELS)
+        for component in COMPONENT_LABELS
+    }
+)
 
 # Coefficient table as tabulated in the literature for the Bell-basis
 # rewrite below. It is documentation to be checked, never a data source:
 # verify_a_matrix() compares it against the first-principles derivation,
 # which is canonical everywhere else.
-LITERATURE_COEFFICIENTS = np.array(
-    [
-        [1, -1, 1, 1j],
-        [1, -1, -1j, -1],
-        [1, -1j, 1, 1],
-        [-1j, 1, 1, 1],
-    ],
-    dtype=complex,
+LITERATURE_COEFFICIENTS = _read_only(
+    np.array(
+        [
+            [1, -1, 1, 1j],
+            [1, -1, -1j, -1],
+            [1, -1j, 1, 1],
+            [-1j, 1, 1, 1],
+        ],
+        dtype=complex,
+    )
 )
 
 
@@ -149,6 +176,7 @@ def _projected_operator(outcome: str, component: str) -> np.ndarray:
     return np.array(cols, dtype=complex).T
 
 
+@functools.cache
 def derive_teleport_coefficients() -> np.ndarray:
     """First-principles 4x4 coefficient table a[b, i].
 
@@ -156,12 +184,15 @@ def derive_teleport_coefficients() -> np.ndarray:
     Pauli labels (I, z, x, y); column i over ancilla components. Defined by
     M_{b,i} = (a[b,i]/2) * sigma_b sigma_i, which the derivation also checks
     holds exactly.
+
+    The table is derived once per process, on the first call; every call
+    returns that same read-only array.
     """
     table = np.zeros((4, 4), dtype=complex)
-    for r, (outcome, blabel) in enumerate(zip(BELL_LABELS, COMPONENT_LABELS)):
+    for r, outcome in enumerate(BELL_LABELS):
         for c, component in enumerate(COMPONENT_LABELS):
             m = _projected_operator(outcome, component)
-            pauli_product = PAULI[blabel] @ PAULI[component]
+            pauli_product = PAULI_PRODUCTS[outcome, component]
             a = np.trace(pauli_product.conj().T @ m)
             if not np.allclose(m, (a / 2.0) * pauli_product, atol=1e-12):
                 raise SimulationInvariantError(
@@ -169,7 +200,7 @@ def derive_teleport_coefficients() -> np.ndarray:
                     "proportional to the Pauli product"
                 )
             table[r, c] = complex(np.round(a.real, 12) + 1j * np.round(a.imag, 12))
-    return table
+    return _read_only(table)
 
 
 def teleport_gate_table(u: BellAmplitudes, qubit: LogicalAmplitudes) -> list[TeleportRow]:
@@ -185,7 +216,7 @@ def teleport_gate_table(u: BellAmplitudes, qubit: LogicalAmplitudes) -> list[Tel
     table = derive_teleport_coefficients()
     amps = u.as_array()
     rows = []
-    for r, (outcome, blabel) in enumerate(zip(BELL_LABELS, COMPONENT_LABELS)):
+    for r, outcome in enumerate(BELL_LABELS):
         for c, component in enumerate(COMPONENT_LABELS):
             if abs(amps[c]) <= 1e-15:
                 continue
@@ -194,7 +225,7 @@ def teleport_gate_table(u: BellAmplitudes, qubit: LogicalAmplitudes) -> list[Tel
                     outcome=outcome,
                     component=component,
                     coefficient=amps[c] * table[r, c] / 2.0,
-                    operator=PAULI[blabel] @ PAULI[component],
+                    operator=PAULI_PRODUCTS[outcome, component],
                 )
             )
     return rows
@@ -479,6 +510,8 @@ def run_quantum_encoder(
     rails.require_normalized(qubit)
     if n_copies < 2:
         raise ValueError("the encoder needs at least two copies")
+    if n_copies > MAX_ENCODER_COPIES:
+        raise ValueError(f"the encoder supports at most {MAX_ENCODER_COPIES} copies")
     n = n_copies
 
     s = 1.0 / math.sqrt(2.0)

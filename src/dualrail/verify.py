@@ -118,10 +118,10 @@ def run_verification(seed: int = 0, samples: int = 50) -> VerifyReport:
     u = protocols.BellAmplitudes(1.0, 0.0, 0.0, 0.0)
     for _ in range(samples):
         qubit = _random_qubit(rng)
+        rows = {r.outcome: r for r in protocols.teleport_gate_table(u, qubit)}
         for outcome, (p, vec) in protocols.teleport_outcome_branches(u, qubit).items():
             worst_tele = max(worst_tele, abs(p - 0.25))
-            row = [r for r in protocols.teleport_gate_table(u, qubit) if r.outcome == outcome][0]
-            undone = row.operator.conj().T @ vec
+            undone = rows[outcome].operator.conj().T @ vec
             overlap = abs(np.vdot(qubit.as_array(), undone))
             worst_tele = max(worst_tele, abs(overlap - 1.0))
     record("teleportation identity (ancilla psi+)", worst_tele, 1e-12)

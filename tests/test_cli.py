@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -8,6 +9,7 @@ import dualrail
 from dualrail import cli
 
 S = 1.0 / math.sqrt(2.0)
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +140,12 @@ class TestOtherGateCommands:
         code, _, err = run_cli(capsys, "encoder", "--n", "1")
         assert code == 2 and "error" in err
 
+    def test_encoder_rejects_n_above_the_limit(self, capsys):
+        # The validation path only; the limit keeps dense 2^n vectors small.
+        code, out, err = run_cli(capsys, "encoder", "--n", "21")
+        assert code == 2 and out == ""
+        assert err == "error: --n must be at most 20\n"
+
 
 class TestRunCommand:
     def test_fig1(self, capsys):
@@ -200,9 +208,36 @@ class TestVerifyCommand:
         _, second, _ = run_cli(capsys, "verify", "--seed", "11", "--samples", "4")
         assert first == second
 
+    @pytest.mark.parametrize("seed, samples", [(0, 8), (1, 50)])
+    def test_matches_the_golden_text(self, capsys, seed, samples):
+        """The golden files were written by code that derived the coefficient
+        table on every call, so a cached table wrong from its first call
+        shows here, which two runs in one process cannot show."""
+        golden = (DATA / f"verify_seed{seed}_samples{samples}.txt").read_text()
+        code, out, _ = run_cli(capsys, "verify", "--seed", str(seed), "--samples", str(samples))
+        assert code == 0
+        assert out == golden
+
     def test_zero_samples_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--samples", "0")
         assert code == 2 and "samples" in err
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [RuntimeError("boom"), OverflowError("int too large"), RuntimeError("first\nsecond")],
+    ids=["runtime", "overflow", "multiline"],
+)
+def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"internal error: {type(exc).__name__}: ")
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_code():

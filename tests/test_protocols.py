@@ -7,6 +7,7 @@ from dualrail import measure
 from dualrail.fock import FockState, equal_up_to_global_phase
 from dualrail.optics import apply_mode_unitary, hadamard_bs
 from dualrail.protocols import (
+    MAX_ENCODER_COPIES,
     POLICIES,
     BellAmplitudes,
     SimulationInvariantError,
@@ -223,6 +224,12 @@ class TestQuantumEncoder:
     def test_too_few_copies_rejected(self, rng):
         with pytest.raises(ValueError, match="at least two"):
             run_quantum_encoder(random_qubit(rng), 1, "strict")
+
+    def test_too_many_copies_rejected_before_allocating(self, rng):
+        # Only the validation path: a valid n this large would need dense
+        # 2^n vectors.
+        with pytest.raises(ValueError, match="at most 20"):
+            run_quantum_encoder(random_qubit(rng), MAX_ENCODER_COPIES + 1, "strict")
 
 
 class TestNondestructiveGate:

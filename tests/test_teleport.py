@@ -15,6 +15,8 @@ from dualrail.protocols import (
     BELL_LABELS,
     COMPONENT_LABELS,
     LITERATURE_COEFFICIENTS,
+    PAULI,
+    PAULI_PRODUCTS,
     BellAmplitudes,
     derive_teleport_coefficients,
     teleport_gate_table,
@@ -22,6 +24,7 @@ from dualrail.protocols import (
     verify_a_matrix,
 )
 from dualrail.rails import LogicalAmplitudes
+from dualrail.verify import run_verification
 
 from conftest import random_qubit
 
@@ -197,3 +200,44 @@ class TestCoefficientReport:
     def test_unnormalized_ancilla_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             teleport_gate_table(BellAmplitudes(1.0, 1.0, 0.0, 0.0), LogicalAmplitudes.zero())
+
+
+class TestCachedTable:
+    """The table is derived once per process; the uncached derivation is the oracle."""
+
+    def test_cached_table_equals_a_fresh_derivation(self):
+        fresh = derive_teleport_coefficients.__wrapped__()
+        cached = derive_teleport_coefficients()
+        assert fresh is not cached
+        assert np.array_equal(fresh, cached)  # exact ==, entry for entry
+
+    def test_calls_share_one_read_only_array(self):
+        first = derive_teleport_coefficients()
+        assert derive_teleport_coefficients() is first
+        assert not first.flags.writeable
+
+    def test_cold_cache_gives_the_same_verify_text(self):
+        warm = run_verification(0, 8).to_text()
+        derive_teleport_coefficients.cache_clear()
+        assert derive_teleport_coefficients.cache_info().currsize == 0
+        assert run_verification(0, 8).to_text() == warm
+
+
+# Module arrays every gate reads; one in-place write would corrupt them all.
+SHARED_ARRAYS = {
+    **{f"PAULI[{k}]": PAULI[k] for k in "IXYZ"},
+    **{f"PAULI_PRODUCTS[{b},{i}]": m for (b, i), m in PAULI_PRODUCTS.items()},
+    "LITERATURE_COEFFICIENTS": LITERATURE_COEFFICIENTS,
+    "derive_teleport_coefficients()": derive_teleport_coefficients(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_ARRAYS))
+def test_shared_arrays_reject_in_place_writes(name):
+    array = SHARED_ARRAYS[name]
+    before = array.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        array *= -1
+    with pytest.raises(ValueError, match="read-only"):
+        array[0, 0] = 7
+    assert np.array_equal(array, before)
