@@ -3,7 +3,7 @@
 Line-oriented grammar, ``#`` starts a comment, modes are 1-based integers or
 declared labels::
 
-    modes <n> [labels <name> ...]
+    modes <n> [labels <name> ...]             # 1 <= n <= MAX_MODES (64)
     ket |n1,n2,...,nk> [amp <re> <im>]        # repeatable, terms are summed
     dualrail <a0_re> <a0_im> <a1_re> <a1_im> on <rail1> <rail0>
     bell <phi+|phi-|psi+|psi-> on <m1> <m2> <m3> <m4>
@@ -38,6 +38,11 @@ from . import measure, rails
 from .fock import FockState
 from .optics import ModeUnitary, apply_mode_unitary, hadamard_bs
 from .rails import DualRailQubit, LogicalAmplitudes
+
+# The widest ``modes`` declaration ``parse`` accepts. It bounds the memory a
+# program text can ask for, and it covers every program the package builds
+# itself: the encoder at its copy limit uses 2 * 20 + 2 = 42 modes.
+MAX_MODES = 64
 
 # A predicate in disjunctive normal form: OR over tuples of (name, count)
 # equalities that are ANDed together.
@@ -304,6 +309,8 @@ def parse(source: str) -> CircuitIR:
             count = p.take_int("mode count")
             if count <= 0:
                 raise ParseError(line_no, head.column, "mode count must be positive")
+            if count > MAX_MODES:
+                raise ParseError(line_no, head.column, f"mode count must be at most {MAX_MODES}")
             b.mode_count = count
             if not p.done():
                 p.take_literal("labels")

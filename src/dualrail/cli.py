@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 import time
+from typing import NoReturn
 
 from . import circuits, protocols, reports, verify
 from .rails import LeakageError, LogicalAmplitudes
@@ -25,11 +26,19 @@ class UsageError(Exception):
     pass
 
 
-def _parse_amplitudes(text: str, what: str) -> LogicalAmplitudes:
+class _Parser(argparse.ArgumentParser):
+    """Rejects a malformed command line with one stderr line and exit 2; the
+    stock parser also prints the usage, which can wrap over several lines."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
+
+
+def _parse_amplitudes(text: str, what: str, warnings: list[str]) -> LogicalAmplitudes:
     """Read ``a0_re,a0_im,a1_re,a1_im`` into a normalized qubit.
 
     Inputs must normalize within 1e-6; deviations above 1e-12 are rescaled
-    with a warning on stderr.
+    and noted in ``warnings``.
     """
     parts = text.split(",")
     if len(parts) != 4:
@@ -50,7 +59,7 @@ def _parse_amplitudes(text: str, what: str) -> LogicalAmplitudes:
     if abs(norm - 1.0) > 1e-6:
         raise UsageError(f"{what}: amplitudes are not normalized (norm {norm!r})")
     if abs(norm - 1.0) > 1e-12:
-        print(f"warning: renormalizing {what} (norm deviation {abs(norm-1.0):.2e})", file=sys.stderr)
+        warnings.append(f"renormalizing {what} (norm deviation {abs(norm-1.0):.2e})")
     return q.normalized()
 
 
@@ -67,11 +76,20 @@ def _parse_bloch(text: str, what: str) -> LogicalAmplitudes:
     return LogicalAmplitudes.from_bloch(theta, phi)
 
 
-def _qubit_option(args: argparse.Namespace, name: str) -> LogicalAmplitudes:
-    bloch = getattr(args, f"{name}_bloch")
-    if bloch is not None:
-        return _parse_bloch(bloch, name)
-    return _parse_amplitudes(getattr(args, name), name)
+def _qubit_options(args: argparse.Namespace, *names: str) -> list[LogicalAmplitudes]:
+    """Parse every named qubit option before warning, in one stderr line, about
+    the rescaled ones; a rejected option leaves its error as the only line."""
+    warnings: list[str] = []
+    qubits = []
+    for name in names:
+        bloch = getattr(args, f"{name}_bloch")
+        if bloch is not None:
+            qubits.append(_parse_bloch(bloch, name))
+        else:
+            qubits.append(_parse_amplitudes(getattr(args, name), name, warnings))
+    if warnings:
+        print("warning: " + "; ".join(warnings), file=sys.stderr)
+    return qubits
 
 
 def _qubit_json(q: LogicalAmplitudes) -> list[list[float]]:
@@ -97,7 +115,7 @@ _SQRT_HALF = "0.7071067811865476"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dualrail",
         description="Exact simulator for heralded dual-rail conditional sign-flip gates.",
     )
@@ -147,8 +165,7 @@ def _emit(report: reports.RunReport, as_json: bool) -> None:
 
 
 def cmd_csign(args: argparse.Namespace) -> int:
-    control = _qubit_option(args, "control")
-    target = _qubit_option(args, "target")
+    control, target = _qubit_options(args, "control", "target")
     start = time.perf_counter()
     result = args.gate(control, target, args.policy)
     duration = time.perf_counter() - start
@@ -166,7 +183,7 @@ def cmd_encoder(args: argparse.Namespace) -> int:
         raise UsageError("--n must be at least 2")
     if args.n > protocols.MAX_ENCODER_COPIES:
         raise UsageError(f"--n must be at most {protocols.MAX_ENCODER_COPIES}")
-    qubit = _qubit_option(args, "input")
+    (qubit,) = _qubit_options(args, "input")
     start = time.perf_counter()
     result = protocols.run_quantum_encoder(qubit, args.n, args.policy)
     duration = time.perf_counter() - start

@@ -29,8 +29,9 @@ class ModeUnitary:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        defect = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
-        if defect > UNITARY_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf/nan entries
+            defect = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
+        if not defect <= UNITARY_TOL:  # also rejects a nan defect
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         self.matrix = m
 

@@ -235,9 +235,16 @@ def teleport_outcome_branches(
     u: BellAmplitudes, qubit: LogicalAmplitudes
 ) -> dict[str, tuple[float, np.ndarray | None]]:
     """Collapse the gate table per outcome: branch probability and state."""
+    return collapse_teleport_rows(teleport_gate_table(u, qubit), qubit)
+
+
+def collapse_teleport_rows(
+    rows: list[TeleportRow], qubit: LogicalAmplitudes
+) -> dict[str, tuple[float, np.ndarray | None]]:
+    """Per outcome, the coherent sum of ``rows`` acting on ``qubit``: branch
+    probability and normalized state (None for a vanishing branch)."""
     vec = qubit.as_array()
     branches: dict[str, tuple[float, np.ndarray | None]] = {}
-    rows = teleport_gate_table(u, qubit)
     for outcome in BELL_LABELS:
         total = np.zeros(2, dtype=complex)
         for row in rows:

@@ -7,9 +7,11 @@ same numbers with the protocol's mode labels.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -43,7 +45,21 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
+        """The report as ``json.dumps(self.to_dict(), indent=2)`` plus a newline.
+
+        The output block, whose register lists grow as 2^n, is rendered in
+        linear passes and spliced over the document's ``"output": null``
+        line; that line is unique because JSON escapes every newline inside
+        a string. ``basis`` must hold strings and ``amplitudes`` pairs of
+        floats, as ``from_gate_run`` builds them.
+        """
+        doc = self.to_dict()
+        output = doc["output"]
+        if output is None:
+            return json.dumps(doc, indent=2) + "\n"
+        doc["output"] = None
+        head, _, tail = json.dumps(doc, indent=2).partition(_NULL_OUTPUT_LINE)
+        return f'{head}\n  "output": {_render_output(output)},\n{tail}\n'
 
     def to_table(self) -> str:
         lines = [f"command: {self.command}"]
@@ -89,12 +105,59 @@ def _branch_dict(br: Branch) -> dict[str, Any]:
     }
 
 
+_NULL_OUTPUT_LINE = '\n  "output": null,\n'
+
+# json spells the non-finite floats this way; float.__repr__ gives the keys.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# An amplitude pair is a two-item list at depth 3, inside the list at depth 2.
+_IN_PAIR = ",\n        "
+_BETWEEN_PAIRS = "\n      ],\n      [\n        "
+
+
+def _json_floats(values: Iterable[float]) -> list[str]:
+    texts = list(map(float.__repr__, values))
+    return list(map(_NONFINITE.get, texts, texts))
+
+
+def _json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """Already-encoded ``items`` laid out as ``json.dumps(indent=2)`` lays out
+    a list (or, with ``brackets="{}"``, an object) at nesting ``depth``."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _render_output(output: dict[str, Any]) -> str:
+    """``output`` as ``json.dumps(indent=2)`` renders it one level deep."""
+    fields = []
+    for key, value in output.items():
+        if key == "basis":
+            text = _json_block(list(map(encode_basestring_ascii, value)), 2)
+        elif key == "amplitudes" and value:
+            numbers = iter(_json_floats(itertools.chain.from_iterable(value)))
+            pairs = _BETWEEN_PAIRS.join(map(_IN_PAIR.join, zip(numbers, numbers)))
+            text = _json_block([_json_block([pairs], 3)], 2)
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n    ")
+        fields.append(f"{encode_basestring_ascii(key)}: {text}")
+    return _json_block(fields, 1, "{}")
+
+
 def _complex_pairs(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real) + 0.0, float(z.imag) + 0.0] for z in vec]
+    # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
+    return list(map(list, zip((vec.real + 0.0).tolist(), (vec.imag + 0.0).tolist())))
 
 
 def _basis_labels(n_qubits: int) -> list[str]:
-    return [format(i, f"0{n_qubits}b") for i in range(2**n_qubits)]
+    """``format(i, f"0{n_qubits}b")`` for every i, in order: each label is a
+    high-half label followed by a low-half one."""
+    high, low = (
+        list(map("".join, itertools.product("01", repeat=k)))
+        for k in (n_qubits // 2, n_qubits - n_qubits // 2)
+    )
+    return [h + l for h in high for l in low]
 
 
 def from_gate_run(

@@ -118,8 +118,9 @@ def run_verification(seed: int = 0, samples: int = 50) -> VerifyReport:
     u = protocols.BellAmplitudes(1.0, 0.0, 0.0, 0.0)
     for _ in range(samples):
         qubit = _random_qubit(rng)
-        rows = {r.outcome: r for r in protocols.teleport_gate_table(u, qubit)}
-        for outcome, (p, vec) in protocols.teleport_outcome_branches(u, qubit).items():
+        table = protocols.teleport_gate_table(u, qubit)
+        rows = {r.outcome: r for r in table}
+        for outcome, (p, vec) in protocols.collapse_teleport_rows(table, qubit).items():
             worst_tele = max(worst_tele, abs(p - 0.25))
             undone = rows[outcome].operator.conj().T @ vec
             overlap = abs(np.vdot(qubit.as_array(), undone))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dualrail
-from dualrail import circuits
+from dualrail import circuits, protocols
 from dualrail.circuits import (
     ApplyBS,
     CircuitError,
@@ -97,6 +97,14 @@ class TestParseErrors:
     def test_rejects(self, source, fragment):
         with pytest.raises(ParseError, match=fragment):
             parse(source)
+
+    def test_mode_count_is_bounded_before_anything_is_allocated(self):
+        with pytest.raises(ParseError, match=f"at most {circuits.MAX_MODES}"):
+            parse("modes 1000000000000\n")
+        parse(f"modes {circuits.MAX_MODES}\n")
+
+    def test_mode_bound_covers_the_widest_builtin_program(self):
+        assert circuits.MAX_MODES >= 2 * protocols.MAX_ENCODER_COPIES + 2
 
     def test_position_points_into_the_source(self):
         source = "modes 2\nbs 1 oops\n"

@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 import dualrail
-from dualrail import cli
+from dualrail import circuits, cli
 
 S = 1.0 / math.sqrt(2.0)
 DATA = Path(__file__).parent / "data"
@@ -91,6 +91,24 @@ class TestCsignDestructive:
         option = argv[1].lstrip("-").removesuffix("-bloch")
         assert err.count("\n") == 1 and f"{option}:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--control", "1.0000001,0,0,0", "--target", ""),
+            ("--control", "1.0000001,0,0,0", "--target", "1.0000001,0,0,0"),
+            ("--policy", "bogus"),
+            ("--control", "-1,0,0,0"),
+        ],
+        ids=["warning-then-error", "two-warnings", "argparse-choice", "argparse-dash-value"],
+    )
+    def test_stderr_is_at_most_one_line(self, capsys, argv):
+        try:
+            code, _, err = run_cli(capsys, "csign-destructive", *argv)
+        except SystemExit as exc:  # argparse's own rejections
+            code, err = exc.code, capsys.readouterr().err
+        assert code in (0, 2)
+        assert err.count("\n") == 1
+
     def test_near_normalized_input_warns_and_runs(self, capsys):
         code, out, err = run_cli(
             capsys, "csign-destructive", "--control", "0,0,1.0000000001,0", "--json"
@@ -164,6 +182,14 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", str(bad))
         assert code == 3
         assert "line 2" in err
+
+    def test_mode_count_above_the_limit_exits_3(self, capsys, tmp_path):
+        # The validation path only: nothing of this width is ever allocated.
+        wide = tmp_path / "wide.loc"
+        wide.write_text("modes 1000000000000\n")
+        code, out, err = run_cli(capsys, "run", str(wide))
+        assert code == 3 and out == ""
+        assert err == f"error: line 1, column 1: mode count must be at most {circuits.MAX_MODES}\n"
 
     def test_semantic_error_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.loc"

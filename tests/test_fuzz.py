@@ -1,0 +1,147 @@
+"""Bounded fuzzing of the two ways into the program: CLI argv and ``.loc`` text.
+
+Every input must either succeed or fail with a documented exit code (2 usage,
+3 parse, 4 internal) and at most one stderr line, never with a traceback.
+"""
+
+import contextlib
+import io
+import math
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dualrail import cli, circuits, protocols
+
+EXIT_CODES = {0, 2, 3, 4}
+
+# Numerals as float reprs, and literals that overflow or underflow on reading.
+numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "-0.0", "1", "-1", "0.6", "0.8", "5e-324", "1e300", "1e308"]),
+    st.sampled_from(["1e999", "-1e400", "1e-999"]),
+)
+
+
+def csv(k: int):
+    return st.lists(numbers, min_size=k, max_size=k).map(",".join)
+
+
+# Values that look like what each option expects, values close to valid ones,
+# and arbitrary text.
+near_normalized = st.tuples(st.floats(0, 6.3), st.floats(-1e-5, 1e-5)).map(
+    lambda t: f"{math.cos(t[0]) + t[1]!r},0,{math.sin(t[0])!r},0"
+)
+free_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+qubit_values = st.one_of(csv(4), csv(2), csv(3), near_normalized, free_text)
+bloch_values = st.one_of(csv(2), csv(4), free_text)
+n_values = st.one_of(
+    st.integers(-2, 8).map(str),
+    st.sampled_from([str(protocols.MAX_ENCODER_COPIES + 1), "10" * 20, "-0", "2.5", "0x3"]),
+    free_text,
+)
+policy_values = st.one_of(st.sampled_from(protocols.POLICIES), free_text)
+
+OPTIONS = {
+    "csign-destructive": ("control", "target"),
+    "csign-nondestructive": ("control", "target"),
+    "encoder": ("input",),
+}
+
+
+@st.composite
+def gate_argv(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    choices = [("--policy", policy_values)]
+    for name in OPTIONS[command]:
+        choices += [(f"--{name}", qubit_values), (f"--{name}-bloch", bloch_values)]
+    if command == "encoder":
+        choices.append(("--n", n_values))
+    argv = [command]
+    for option, values in draw(st.lists(st.sampled_from(choices), max_size=4)):
+        value = draw(values)
+        # The ``=`` form carries values that start with '-'.
+        argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects malformed argv this way
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_documented_failure(code: int, err: str) -> None:
+    assert code in EXIT_CODES, (code, err)
+    assert err.count("\n") <= 1 and "\n" not in err.rstrip("\n"), err
+    assert "Traceback" not in err
+
+
+@given(argv=gate_argv())
+@settings(max_examples=200, deadline=None)
+def test_gate_argv_fails_with_one_documented_line(argv):
+    assert_documented_failure(*run_main(argv))
+
+
+# --------------------------------------------------------------------------
+# .loc programs built from the grammar's statements
+# --------------------------------------------------------------------------
+
+names = st.sampled_from(["a", "b", "D1", "x_2", "h", "on", "phi+"])
+
+
+@st.composite
+def loc_program(draw):
+    count = draw(st.one_of(st.integers(1, 6), st.sampled_from([0, -1, circuits.MAX_MODES + 1])))
+    labels = [f"m{i}" for i in range(max(count, 0))] if draw(st.booleans()) else []
+    mode = st.one_of(
+        st.integers(0, max(count, 0) + 1).map(str),
+        st.sampled_from(labels) if labels else st.integers(1, 2).map(str),
+        names,
+    )
+    amp = lambda: f"{draw(numbers)} {draw(numbers)}"
+    clause = lambda: " && ".join(
+        f"{draw(names)} == {draw(st.integers(-1, 3))}" for _ in range(draw(st.integers(1, 2)))
+    )
+    predicate = lambda: " || ".join(clause() for _ in range(draw(st.integers(1, 2))))
+
+    def ket():
+        occ = ",".join(str(draw(st.integers(0, 3))) for _ in range(draw(st.integers(1, 6))))
+        return f"ket |{occ}>" + (f" amp {amp()}" if draw(st.booleans()) else "")
+
+    def bs():
+        line = f"bs {draw(mode)} {draw(mode)}"
+        form = draw(st.sampled_from(["", " matrix h", "matrix"]))
+        if form == "matrix":
+            return line + " matrix " + " ".join(amp() for _ in range(4))
+        return line + form
+
+    statements = {
+        "ket": ket,
+        "dualrail": lambda: f"dualrail {amp()} {amp()} on {draw(mode)} {draw(mode)}",
+        "bell": lambda: f"bell {draw(st.sampled_from(['phi+', 'phi-', 'psi+', 'psi-', 'psi']))} on "
+        + " ".join(draw(mode) for _ in range(4)),
+        "bs": bs,
+        "detect": lambda: f"detect {draw(mode)} as {draw(names)}",
+        "postselect": lambda: f"postselect {predicate()}",
+        "correct": lambda: f"correct z on {draw(mode)} {draw(mode)} if {predicate()}",
+        "junk": lambda: draw(free_text),
+    }
+    lines = [f"modes {count}" + (" labels " + " ".join(labels) if labels else "")]
+    for kind in draw(st.lists(st.sampled_from(sorted(statements)), max_size=8)):
+        lines.append(statements[kind]())
+    return "\n".join(lines) + "\n"
+
+
+@given(source=loc_program())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_loc_text_fails_with_one_documented_line(tmp_path_factory, source):
+    path = tmp_path_factory.getbasetemp() / "fuzz.loc"
+    path.write_text(source, encoding="utf-8")
+    assert_documented_failure(*run_main(["run", str(path)]))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,14 @@ class TestModeUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             ModeUnitary([[1, 0], [0, 2]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300], ids=["nan", "inf", "overflow"])
+    def test_rejects_non_finite_products_without_warning(self, bad):
+        # A nan defect used to compare as "not above the tolerance".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not unitary"):
+                ModeUnitary([[bad, 0], [0, 1]])
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
