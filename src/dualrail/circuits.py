@@ -4,7 +4,8 @@ Line-oriented grammar, ``#`` starts a comment, modes are 1-based integers or
 declared labels::
 
     modes <n> [labels <name> ...]             # 1 <= n <= MAX_MODES (64)
-    ket |n1,n2,...,nk> [amp <re> <im>]        # repeatable, terms are summed
+    ket |n1,n2,...,nk> [amp <re> <im>]        # repeatable, terms sum to norm 1
+                                              # n1 + ... + nk <= MAX_PHOTONS (64)
     dualrail <a0_re> <a0_im> <a1_re> <a1_im> on <rail1> <rail0>
     bell <phi+|phi-|psi+|psi-> on <m1> <m2> <m3> <m4>
     bs <m1> <m2> [matrix h | matrix <8 reals row-major re im>]
@@ -29,6 +30,7 @@ only on accepted branches. ``run_branches`` returns every branch,
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import re
 from dataclasses import dataclass, replace
@@ -43,6 +45,12 @@ from .rails import DualRailQubit, LogicalAmplitudes
 # program text can ask for, and it covers every program the package builds
 # itself: the encoder at its copy limit uses 2 * 20 + 2 = 42 modes.
 MAX_MODES = 64
+
+# The most photons one ``ket`` term may hold. Beam splitters scale each term
+# by sqrt(n!) factors, which overflow a float past 170 photons; the limit
+# stays well below that and covers every program the package builds itself:
+# the encoder at its copy limit holds 20 + 1 = 21 photons per term.
+MAX_PHOTONS = 64
 
 # A predicate in disjunctive normal form: OR over tuples of (name, count)
 # equalities that are ANDed together.
@@ -233,6 +241,7 @@ class _ProgramBuilder:
         self.elements: list[Element] = []
         self.ket_terms: list[tuple[tuple[int, ...], complex]] = []
         self.ket_position: int | None = None
+        self.ket_where = (0, 0)  # line and column of the first ket term
         self.saw_operation = False
 
     def mode_ref(self, p: _LineParser, what: str = "mode") -> int:
@@ -344,15 +353,22 @@ def parse(source: str) -> CircuitIR:
                 )
             if any(n < 0 for n in occ):
                 raise ParseError(line_no, tok.column, "negative photon count", tok.text)
+            if sum(occ) > MAX_PHOTONS:
+                raise ParseError(
+                    line_no, tok.column, f"a ket may hold at most {MAX_PHOTONS} photons", tok.text
+                )
             amp = 1.0 + 0j
             if not p.done():
-                p.take_literal("amp")
+                amp_tok = p.take_literal("amp")
                 amp = complex(p.take_float("amp real part"), p.take_float("amp imaginary part"))
+                if not cmath.isfinite(amp):
+                    raise ParseError(line_no, amp_tok.column, "ket amplitude must be finite")
             p.expect_end()
             if b.saw_operation:
                 raise ParseError(line_no, head.column, "ket terms must come before operations")
             if b.ket_position is None:
                 b.ket_position = len(b.elements)
+                b.ket_where = (line_no, head.column)
             b.ket_terms.append((occ, amp))
             continue
 
@@ -365,7 +381,7 @@ def parse(source: str) -> CircuitIR:
             p.expect_end()
             if rail1 == rail0:
                 raise ParseError(line_no, head.column, "rail modes must be distinct")
-            if abs(abs(a0) ** 2 + abs(a1) ** 2 - 1.0) > 1e-6:
+            if not _normalized((a0, a1)):
                 raise ParseError(line_no, head.column, "dualrail amplitudes are not normalized")
             b.elements.append(PrepareDualRail(a0, a1, rail1, rail0))
             continue
@@ -449,7 +465,20 @@ def parse(source: str) -> CircuitIR:
     b.finish_kets()
     ir = CircuitIR(b.mode_count, b.labels, tuple(b.elements))
     _validate(ir)
+    if b.ket_terms:
+        summed: dict[tuple[int, ...], complex] = {}
+        for occ, amp in b.ket_terms:
+            summed[occ] = summed.get(occ, 0j) + amp
+        if not _normalized(summed.values()):
+            raise ParseError(*b.ket_where, "ket amplitudes are not normalized")
     return ir
+
+
+def _normalized(amplitudes: Iterable[complex]) -> bool:
+    """Whether the squared norm is within 1e-6 of 1; false if it overflows or is nan."""
+    # Not abs(a) ** 2: abs and ** raise OverflowError where these products give inf.
+    norm_squared = sum(a.real * a.real + a.imag * a.imag for a in amplitudes)
+    return abs(norm_squared - 1.0) <= 1e-6
 
 
 def _validate(ir: CircuitIR) -> None:

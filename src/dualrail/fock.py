@@ -8,8 +8,10 @@ imposed beyond sparsity itself.
 
 from __future__ import annotations
 
+import cmath
 import math
-from typing import Iterable, Mapping, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 # Stored amplitudes below this modulus are dropped. This keeps exact-
 # cancellation residue out of the sparse maps; all protocol amplitudes are
@@ -25,6 +27,17 @@ class PhaseMatch(NamedTuple):
 
     equal: bool
     phase: complex | None
+
+
+def occupation_getter(positions: Sequence[int]) -> Callable[[Occupation], Occupation]:
+    """A function returning the tuple of a ket's photon counts at ``positions``.
+
+    ``operator.itemgetter`` returns a bare count for one position and takes
+    no empty list, so those two cases slice the ket instead.
+    """
+    if len(positions) >= 2:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
 class FockState:
@@ -49,23 +62,21 @@ class FockState:
             pairs = terms
 
         acc: dict[Occupation, complex] = {}
-        seen_any = False
         for occ, amp in pairs:
-            seen_any = True
-            ket = tuple(int(n) for n in occ)
+            ket = tuple(map(int, occ))
             if len(ket) != mode_count:
                 raise ValueError(
                     f"occupation vector {ket} has length {len(ket)}, "
                     f"expected {mode_count}"
                 )
-            if any(n < 0 for n in ket):
+            if min(ket) < 0:  # ket is not empty: mode_count is positive
                 raise ValueError(f"negative photon count in {ket}")
             a = complex(amp)
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+            if not cmath.isfinite(a):
                 raise ValueError(f"non-finite amplitude {a} for ket {ket}")
             acc[ket] = acc.get(ket, 0j) + a
 
-        if not seen_any:
+        if not acc:  # every pair either raised or added a key
             raise ValueError("at least one term is required")
         pruned = {k: v for k, v in acc.items() if abs(v) > PRUNE_TOL}
         if not pruned:

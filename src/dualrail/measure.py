@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .fock import FockState
+from .fock import FockState, occupation_getter
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,17 @@ def project_detection(state: FockState, pattern: DetectionPattern) -> BranchResu
     _validate_modes(state, pattern.modes)
     required = pattern.requirements
     kept = tuple(m for m in range(state.mode_count) if m not in required)
+    measured = occupation_getter(pattern.modes)
+    counts = tuple(required.values())
+    rest_of = occupation_getter(kept)
 
     residual_terms: dict[tuple[int, ...], complex] = {}
     weight = 0.0
     for ket, amp in state.terms.items():
-        if any(ket[m] != c for m, c in required.items()):
+        if measured(ket) != counts:
             continue
         weight += abs(amp) ** 2
-        rest = tuple(ket[m] for m in kept)
+        rest = rest_of(ket)
         residual_terms[rest] = residual_terms.get(rest, 0j) + amp
 
     if weight == 0.0 or not residual_terms:
@@ -104,7 +107,7 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
     if len(set(modes)) != len(modes):
         raise ValueError(f"duplicate detector modes in {modes}")
     _validate_modes(state, modes)
-    outcomes = sorted({tuple(ket[m] for m in modes) for ket in state.terms})
+    outcomes = sorted(set(map(occupation_getter(modes), state.terms)))
     return [
         project_detection(state, DetectionPattern(zip(modes, counts)))
         for counts in outcomes

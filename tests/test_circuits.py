@@ -92,6 +92,11 @@ class TestParseErrors:
             ("modes 2\ncorrect z on 1 2\n", "'if'"),
             ("modes 2\ncorrect x on 1 2 if a == 1\n", "only 'correct z'"),
             ("modes 1\nket |1> ?\n", "unrecognized"),
+            ("modes 2\nket |1,0> amp 1e999 0\n", "must be finite"),
+            ("modes 2\nket |1,0> amp 2 0\n", "ket amplitudes are not normalized"),
+            ("modes 2\nket |1,0>\nket |0,1>\nbs 1 2\n", "ket amplitudes are not normalized"),
+            ("modes 2\nket |1,0> amp 1e300 1e300\n", "ket amplitudes are not normalized"),
+            ("modes 2\ndualrail 1e300 1e300 0 0 on 1 2\n", "not normalized"),
         ],
     )
     def test_rejects(self, source, fragment):
@@ -105,6 +110,22 @@ class TestParseErrors:
 
     def test_mode_bound_covers_the_widest_builtin_program(self):
         assert circuits.MAX_MODES >= 2 * protocols.MAX_ENCODER_COPIES + 2
+
+    def test_photon_bound_is_checked_per_ket_term(self):
+        parse(f"modes 2\nket |{circuits.MAX_PHOTONS},0>\n")
+        with pytest.raises(ParseError, match=f"at most {circuits.MAX_PHOTONS} photons") as err:
+            parse(f"modes 2\nket |{circuits.MAX_PHOTONS + 1},0>\n")
+        assert (err.value.line, err.value.column) == (2, 5)
+
+    def test_photon_bound_covers_the_encoder_and_stays_below_overflow(self):
+        # The encoder's register holds one photon per copy, its input one more.
+        assert circuits.MAX_PHOTONS >= protocols.MAX_ENCODER_COPIES + 1
+        # sqrt(n!) of a term's photon total must stay a finite float.
+        assert math.isfinite(math.sqrt(math.factorial(circuits.MAX_PHOTONS)))
+
+    def test_ket_terms_are_summed_before_the_norm_check(self):
+        ir = parse("modes 2\nket |1,0> amp 0.5 0\nket |1,0> amp 0.5 0\n")
+        assert circuits.execute(ir).survived_probability == 1.0
 
     def test_position_points_into_the_source(self):
         source = "modes 2\nbs 1 oops\n"
@@ -233,10 +254,9 @@ def random_program(rng: np.random.Generator) -> circuits.CircuitIR:
         kets = set()
         for _ in range(int(rng.integers(1, 4))):
             kets.add(tuple(int(rng.integers(0, 2)) for _ in range(mode_count)))
-        terms = tuple(
-            (ket, complex(round(rng.normal(), 6), round(rng.normal(), 6))) for ket in kets
-        )
-        elements.append(PrepareKet(terms))
+        amps = [complex(round(rng.normal(), 6), round(rng.normal(), 6)) for _ in kets]
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))  # parse requires a unit norm
+        elements.append(PrepareKet(tuple((ket, a / norm) for ket, a in zip(kets, amps))))
         free = []
     else:
         rng.shuffle(free)

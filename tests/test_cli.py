@@ -191,6 +191,24 @@ class TestRunCommand:
         assert code == 3 and out == ""
         assert err == f"error: line 1, column 1: mode count must be at most {circuits.MAX_MODES}\n"
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                "modes 2\nket |200,0>\nbs 1 2\n",
+                f"line 2, column 5: a ket may hold at most {circuits.MAX_PHOTONS} photons"
+                " (at '|200,0>')",
+            ),
+            ("modes 2\nket |1,0> amp 2 0\ndetect 1 as a\n", "line 2, column 1: ket amplitudes are not normalized"),
+            ("modes 2\nket |1,0> amp 1e300 1e300\ndetect 1 as a\n", "line 2, column 1: ket amplitudes are not normalized"),
+        ],
+    )
+    def test_unphysical_ket_exits_3_with_one_line(self, capsys, tmp_path, source, message):
+        bad = tmp_path / "bad.loc"
+        bad.write_text(source)
+        code, out, err = run_cli(capsys, "run", str(bad))
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     def test_semantic_error_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.loc"
         bad.write_text("modes 2\nket |1,0>\ndetect 1 as a\nbs 1 2\n")

@@ -1,0 +1,194 @@
+"""The fast inner loops against their reference implementations, bit for bit.
+
+``reference_kernels`` holds the loops as they were before record-and-replay
+expansion, itemgetter projections and the leaner ``FockState`` checks. The
+fast paths must agree on key order, on every bit of every amplitude and
+probability, and on every exception type and message.
+"""
+
+import itertools
+import math
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_kernels as ref
+from dualrail import measure
+from dualrail.fock import FockState
+from dualrail.measure import DetectionPattern
+from dualrail.optics import ModeUnitary, apply_mode_unitary, hadamard_bs
+
+from conftest import random_unitary
+
+S = 1.0 / math.sqrt(2.0)
+
+
+def bits(terms: dict) -> list:
+    """Keys in order with the exact bits of each amplitude."""
+    return [(k, struct.pack("<dd", v.real, v.imag)) for k, v in terms.items()]
+
+
+def assert_same_branches(fast: list, slow: list) -> None:
+    assert len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        assert a.pattern == b.pattern
+        assert a.kept_modes == b.kept_modes
+        assert struct.pack("<d", a.probability) == struct.pack("<d", b.probability)
+        assert (a.residual is None) == (b.residual is None)
+        if a.residual is not None:
+            assert a.residual.mode_count == b.residual.mode_count
+            assert bits(a.residual.terms) == bits(b.residual.terms)
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def sector(modes: int, photons: int) -> list:
+    return [k for k in itertools.product(range(photons + 1), repeat=modes) if sum(k) == photons]
+
+
+@st.composite
+def states(draw):
+    """Sparse or dense states of 1-7 modes and up to 5 photons per ket."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = draw(st.integers(1, 7))
+    photons = draw(st.integers(0, 5))
+    if draw(st.booleans()) and math.comb(modes + photons - 1, photons) <= 126:
+        kets = sector(modes, photons)
+    else:
+        kets = {
+            tuple(int(n) for n in rng.multinomial(int(rng.integers(0, photons + 1)), [1 / modes] * modes))
+            for _ in range(draw(st.integers(1, 12)))
+        }
+    kind = draw(st.sampled_from(["normal", "equal", "signed-zero"]))
+    if kind == "normal":
+        amps = [complex(rng.normal(), rng.normal()) for _ in kets]
+    elif kind == "equal":  # exact cancellations, e.g. Hong-Ou-Mandel on |1,1>
+        amps = [complex(S * (-1) ** i, 0.0) for i in range(len(kets))]
+    else:
+        amps = [complex(-0.0, float(rng.choice([-1.0, 1.0]))) for _ in kets]
+    return FockState(modes, dict(zip(kets, amps)))
+
+
+@st.composite
+def elements(draw, modes: int):
+    """Listed modes and a unitary on them: Hadamard, random, permutation or phase."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, min(modes, 5)))
+    listed = [int(m) for m in rng.permutation(modes)[:k]]
+    kind = draw(st.sampled_from(["hadamard", "random", "permutation"]))
+    if kind == "hadamard" and k == 2:
+        return listed, hadamard_bs()
+    if kind == "permutation" or k == 1:  # zero entries; k == 1 is a phase
+        matrix = np.zeros((k, k), dtype=complex)
+        for row, col in enumerate(rng.permutation(k)):
+            matrix[row, col] = np.exp(1j * rng.uniform(0, 2 * math.pi))
+        return listed, ModeUnitary(matrix)
+    return listed, ModeUnitary(random_unitary(rng, k))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_apply_mode_unitary_matches_the_reference(data):
+    state = data.draw(states())
+    listed, u = data.draw(elements(state.mode_count))
+    slow = outcome(ref.apply_mode_unitary, state, listed, u)
+    fast = outcome(apply_mode_unitary, state, listed, u)
+    if isinstance(slow, tuple):  # every term cancelled
+        assert fast == slow
+        return
+    assert fast.mode_count == slow.mode_count
+    assert bits(fast.terms) == bits(slow.terms)
+
+    detectors = data.draw(st.lists(st.sampled_from(range(state.mode_count)), min_size=1, unique=True))
+    assert_same_branches(
+        measure.outcome_distribution(fast, detectors), ref.outcome_distribution(slow, detectors)
+    )
+
+
+@given(state=states(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_project_detection_matches_the_reference(state, data):
+    # Arbitrary patterns, including ones that match nothing, measure every
+    # mode or leave one mode behind.
+    modes = data.draw(st.lists(st.sampled_from(range(state.mode_count)), min_size=1, unique=True))
+    pattern = DetectionPattern({m: data.draw(st.integers(0, 3)) for m in modes})
+    assert_same_branches(
+        [measure.project_detection(state, pattern)], [ref.project_detection(state, pattern)]
+    )
+
+
+@given(state=states())
+@settings(max_examples=50, deadline=None)
+def test_fock_state_construction_matches_the_reference(state):
+    # Duplicate kets are summed and near-cancelled ones pruned.
+    pairs = list(state.terms.items())
+    pairs += [(ket, -amp * (1 - 2**-52)) for ket, amp in pairs[::2]]
+    pairs += [(list(ket), amp) for ket, amp in pairs[1::3]]
+    slow = outcome(ref.ReferenceFockState, state.mode_count, pairs)
+    fast = outcome(FockState, state.mode_count, pairs)
+    if isinstance(slow, tuple):  # every term cancelled
+        assert fast == slow
+        return
+    assert bits(fast.terms) == bits(slow.terms)
+
+
+@pytest.mark.parametrize(
+    "mode_count, terms",
+    [
+        (0, [((), 1.0)]),
+        (-1, [((1,), 1.0)]),
+        (2, []),
+        (2, {}),
+        (2, [((1,), 1.0)]),
+        (2, [((1, 0, 0), 1.0)]),
+        (2, [((1, -1), 1.0)]),
+        (2, [((1, 0), 1.0), ((-2, 3), 1.0)]),
+        (2, [((1, 0), float("nan"))]),
+        (2, [((1, 0), complex(1.0, float("inf")))]),
+        (2, [((1, 0), float("-inf"))]),
+        (2, [((1, 0), 1.0), ((1, 0), -1.0)]),
+        (2, [((1, 0), 1e-15)]),
+        (2, [(("a", 0), 1.0)]),
+        (2, [((None, 0), 1.0)]),
+        (2, [(5, 1.0)]),
+        (2, [((1, 0), "x")]),
+        (2, [((1, 0), None)]),
+        (2, [((1, 0),)]),
+        (2, [(1, 0)]),
+    ],
+)
+def test_invalid_fock_states_fail_like_the_reference(mode_count, terms):
+    expected = outcome(ref.ReferenceFockState, mode_count, terms)
+    assert isinstance(expected, tuple)
+    assert outcome(FockState, mode_count, terms) == expected
+
+
+def test_expansion_programs_do_not_outlive_their_kets():
+    # A dense 6-mode unitary gives every ket a local occupation of its own,
+    # so keeping every recorded program until the call returns would show as
+    # a peak many times the reference's.
+    rng = np.random.default_rng(6)
+    kets = sector(6, 4)
+    state = FockState(6, {k: complex(rng.normal(), rng.normal()) for k in kets})
+    u = ModeUnitary(random_unitary(rng, 6))
+
+    def peak(apply) -> int:
+        apply(state, range(6), u)  # warm-up: lazy imports, interned objects
+        tracemalloc.start()
+        try:
+            apply(state, range(6), u)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(apply_mode_unitary) <= 2 * peak(ref.apply_mode_unitary)
