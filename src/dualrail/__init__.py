@@ -10,13 +10,12 @@ the same optical layouts as data.
 
 from importlib import resources
 
-from .circuits import CircuitIR, ParseError, execute, parse
+from .circuits import CircuitIR, ParseError, RunResult, execute, parse
 from .fock import FockState, PhaseMatch, equal_up_to_global_phase
 from .measure import BranchResult, DetectionPattern, outcome_distribution, project_detection
 from .optics import ModeUnitary, apply_mode_unitary, hadamard_bs
 from .protocols import (
     BellAmplitudes,
-    GateRunResult,
     csign_reference,
     run_destructive_csign,
     run_nondestructive_csign,
@@ -44,12 +43,12 @@ __all__ = [
     "DetectionPattern",
     "DualRailQubit",
     "FockState",
-    "GateRunResult",
     "LeakageError",
     "LogicalAmplitudes",
     "ModeUnitary",
     "ParseError",
     "PhaseMatch",
+    "RunResult",
     "apply_mode_unitary",
     "bell_state",
     "csign_reference",

@@ -9,6 +9,7 @@ declared labels::
     dualrail <a0_re> <a0_im> <a1_re> <a1_im> on <rail1> <rail0>
     bell <phi+|phi-|psi+|psi-> on <m1> <m2> <m3> <m4>
     bs <m1> <m2> [matrix h | matrix <8 reals row-major re im>]
+                                              # outputs at most MAX_TERMS (2**16) terms
     detect <mode> as <name>
     postselect <clause> [|| <clause> ...]      # clause: <name> == <int> [&& ...]
     correct z on <rail1> <rail0> if <clause> [|| <clause> ...]
@@ -24,8 +25,8 @@ One engine runs every program, the gates in ``protocols`` included, which
 build their IR in Python. It enumerates every detector outcome: consecutive
 ``detect`` lines are one joint measurement; ``postselect`` flags the branches
 it rejects instead of dropping them, so they keep evolving; ``correct`` acts
-only on accepted branches. ``run_branches`` returns every branch,
-``execute`` only the survivors.
+only on accepted branches. ``run_branches`` returns every branch;
+``execute`` tallies them into a ``RunResult`` and keeps only the survivors.
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ import cmath
 import itertools
 import re
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, Union
+
+import numpy as np
 
 from . import measure, rails
 from .fock import FockState
@@ -51,6 +55,12 @@ MAX_MODES = 64
 # stays well below that and covers every program the package builds itself:
 # the encoder at its copy limit holds 20 + 1 = 21 photons per term.
 MAX_PHOTONS = 64
+
+# The most terms one beam splitter may output, summed over the live branches.
+# Checked before the splitter runs, it bounds the time and memory a program
+# text can ask for. Every program the package builds itself stays below 100,
+# and perfbench's wide-states inputs hold up to 1,716 terms.
+MAX_TERMS = 2**16
 
 # A predicate in disjunctive normal form: OR over tuples of (name, count)
 # equalities that are ANDed together.
@@ -610,10 +620,29 @@ class Branch:
 
 
 @dataclass
-class CircuitRunReport:
+class RunResult:
+    """The branches of one run and the weight it accepted and rejected.
+
+    Both probabilities are summed over the branches in detection order. A
+    gate also decodes its accepted residuals: ``output_logical`` holds their
+    logical amplitudes (they agree up to a global phase, checked), aligned
+    to the gate's reference, ``fidelity_vs_reference`` their squared overlap
+    with it and ``output_labels`` the residuals' mode labels. A ``.loc`` run
+    leaves these three at their defaults; the first two stay None when a
+    gate accepts nothing.
+    """
+
     branches: list[Branch]
-    survived_probability: float
+    accepted_probability: float
     rejected_probability: float
+    output_logical: np.ndarray | None = None
+    fidelity_vs_reference: float | None = None
+    output_labels: tuple[str, ...] = ()
+
+    @property
+    def survived_probability(self) -> float:
+        # Read by perfbench/workloads.py; ROADMAP item 2 removes it.
+        return self.accepted_probability
 
 
 def _predicate_holds(predicate: Predicate, counts: dict[str, int]) -> bool:
@@ -656,8 +685,15 @@ def run_branches(ir: CircuitIR) -> list[Branch]:
             if isinstance(element, ApplyBS):
                 m = element.matrix
                 u = _HADAMARD if m is None else ModeUnitary([[m[0], m[1]], [m[2], m[3]]])
-                for b in branches:
-                    b.state = apply_mode_unitary(b.state, b.positions(element.modes), u)
+                positions = [b.positions(element.modes) for b in branches]
+                bound = _term_bound(branches, positions)
+                if bound > MAX_TERMS:
+                    p, q = map(ir.label_of, element.modes)
+                    raise CircuitError(
+                        f"bs {p} {q} could output {bound} terms, above the limit of {MAX_TERMS}"
+                    )
+                for b, pq in zip(branches, positions):
+                    b.state = apply_mode_unitary(b.state, pq, u)
             elif isinstance(element, PostSelect):
                 for b in branches:
                     b.accepted = b.accepted and _predicate_holds(element.predicate, b.counts)
@@ -686,6 +722,19 @@ def run_branches(ir: CircuitIR) -> list[Branch]:
     ]
 
 
+def _term_bound(branches: list[_Live], positions: list[list[int]]) -> int:
+    """An upper bound on the terms a beam splitter outputs over ``branches``.
+
+    A ket with n photons on the splitter's two modes yields at most n + 1
+    output kets, so the bound is integer work over the input kets.
+    """
+    bound = 0
+    for b, (p, q) in zip(branches, positions):
+        kets = b.state.terms
+        bound += len(kets) + sum(map(itemgetter(p), kets)) + sum(map(itemgetter(q), kets))
+    return bound
+
+
 def _detect(b: _Live, detectors: tuple[Detect, ...]) -> list[_Live]:
     positions = b.positions(d.mode for d in detectors)
     consumed = {d.mode for d in detectors}
@@ -699,8 +748,8 @@ def _detect(b: _Live, detectors: tuple[Detect, ...]) -> list[_Live]:
     return grown
 
 
-def execute(ir: CircuitIR) -> CircuitRunReport:
-    """Run a circuit and report the branches that pass every ``postselect``.
+def execute(ir: CircuitIR) -> RunResult:
+    """Run a circuit and keep only the branches that pass every ``postselect``.
 
     Survivors are listed sorted by outcome name, with their counts in name
     order; the weight of the flagged branches is ``rejected_probability``.
@@ -711,7 +760,7 @@ def execute(ir: CircuitIR) -> CircuitRunReport:
     rejected = sum((b.probability for b in branches if not b.accepted), 0.0)
     report = [replace(b, counts=dict(sorted(b.counts.items()))) for b in survivors]
     report.sort(key=lambda br: list(br.counts.items()))
-    return CircuitRunReport(report, survived, rejected)
+    return RunResult(report, survived, rejected)
 
 
 def _preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Iterable]:

@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 import time
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from . import circuits, protocols, reports, verify
 from .rails import LeakageError, LogicalAmplitudes
@@ -160,22 +160,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: reports.RunReport, as_json: bool) -> None:
-    sys.stdout.write(report.to_json() if as_json else report.to_table())
+def _report(args: argparse.Namespace, inputs: dict, run: Callable[[], circuits.RunResult]) -> int:
+    """Time ``run``, then write its report as a table or, with ``--json``, as JSON."""
+    start = time.perf_counter()
+    result = run()
+    duration = time.perf_counter() - start
+    report = reports.from_run(result, args.command, inputs, duration)
+    sys.stdout.write(report.to_json() if args.json else report.to_table())
+    return EXIT_OK
 
 
 def cmd_csign(args: argparse.Namespace) -> int:
     control, target = _qubit_options(args, "control", "target")
-    start = time.perf_counter()
-    result = args.gate(control, target, args.policy)
-    duration = time.perf_counter() - start
     inputs = {
         "control": _qubit_json(control),
         "target": _qubit_json(target),
         "policy": args.policy,
     }
-    _emit(reports.from_gate_run(result, args.command, inputs, duration), args.json)
-    return EXIT_OK
+    return _report(args, inputs, lambda: args.gate(control, target, args.policy))
 
 
 def cmd_encoder(args: argparse.Namespace) -> int:
@@ -184,12 +186,8 @@ def cmd_encoder(args: argparse.Namespace) -> int:
     if args.n > protocols.MAX_ENCODER_COPIES:
         raise UsageError(f"--n must be at most {protocols.MAX_ENCODER_COPIES}")
     (qubit,) = _qubit_options(args, "input")
-    start = time.perf_counter()
-    result = protocols.run_quantum_encoder(qubit, args.n, args.policy)
-    duration = time.perf_counter() - start
     inputs = {"input": _qubit_json(qubit), "n": args.n, "policy": args.policy}
-    _emit(reports.from_gate_run(result, "encoder", inputs, duration), args.json)
-    return EXIT_OK
+    return _report(args, inputs, lambda: protocols.run_quantum_encoder(qubit, args.n, args.policy))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -198,14 +196,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    start = time.perf_counter()
-    result = circuits.execute(ir)
-    duration = time.perf_counter() - start
-    _emit(reports.from_circuit_run(result, "run", {"path": args.path}, duration), args.json)
-    return EXIT_OK
+    return _report(args, {"path": args.path}, lambda: circuits.execute(ir))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     if args.samples <= 0:
         raise UsageError("--samples must be positive")
     report = verify.run_verification(args.seed, args.samples)

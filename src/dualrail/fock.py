@@ -140,14 +140,6 @@ class FockState:
         return f"FockState({self.mode_count}, {{{', '.join(self.to_lines())}}})"
 
 
-def distance(a: FockState, b: FockState) -> float:
-    """2-norm of the amplitude difference, over the union of kets."""
-    if a.mode_count != b.mode_count:
-        raise ValueError("mode counts differ")
-    kets = set(a.terms) | set(b.terms)
-    return math.sqrt(sum(abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) ** 2 for k in kets))
-
-
 def equal_up_to_global_phase(a: FockState, b: FockState, tol: float = 1e-9) -> PhaseMatch:
     """Whether a unit-modulus lambda exists with ||a - lambda*b|| <= tol.
 

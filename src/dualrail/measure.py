@@ -112,38 +112,3 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
         project_detection(state, DetectionPattern(zip(modes, counts)))
         for counts in outcomes
     ]
-
-
-def project_onto_state(
-    state: FockState, modes: Sequence[int], reference: FockState
-) -> tuple[float, FockState | None]:
-    """Project the listed modes onto a reference state (e.g. a Bell state).
-
-    Returns the branch probability and the normalized residual on the other
-    modes; the reference is read with its mode i matching ``modes[i]``.
-    """
-    modes = [int(m) for m in modes]
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"duplicate modes in {modes}")
-    _validate_modes(state, modes)
-    if reference.mode_count != len(modes):
-        raise ValueError("reference state width does not match the listed modes")
-    if abs(reference.norm_squared() - 1.0) > 1e-9:
-        raise ValueError("reference state must be normalized")
-
-    kept = tuple(m for m in range(state.mode_count) if m not in set(modes))
-    residual_terms: dict[tuple[int, ...], complex] = {}
-    for ket, amp in state.terms.items():
-        part = tuple(ket[m] for m in modes)
-        ref_amp = reference.terms.get(part)
-        if ref_amp is None:
-            continue
-        rest = tuple(ket[m] for m in kept)
-        residual_terms[rest] = residual_terms.get(rest, 0j) + ref_amp.conjugate() * amp
-
-    weight = sum(abs(v) ** 2 for v in residual_terms.values())
-    if weight == 0.0 or not kept:
-        return weight, None
-    scale = 1.0 / math.sqrt(weight)
-    residual = FockState(len(kept), {k: v * scale for k, v in residual_terms.items()})
-    return weight, residual

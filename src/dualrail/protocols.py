@@ -32,7 +32,6 @@ import numpy as np
 from . import rails
 from .circuits import (
     ApplyBS,
-    Branch,
     CircuitIR,
     CorrectZ,
     Detect,
@@ -41,6 +40,7 @@ from .circuits import (
     PrepareBell,
     PrepareDualRail,
     PrepareKet,
+    RunResult,
     run_branches,
 )
 from .rails import DualRailQubit, LogicalAmplitudes
@@ -231,13 +231,6 @@ def teleport_gate_table(u: BellAmplitudes, qubit: LogicalAmplitudes) -> list[Tel
     return rows
 
 
-def teleport_outcome_branches(
-    u: BellAmplitudes, qubit: LogicalAmplitudes
-) -> dict[str, tuple[float, np.ndarray | None]]:
-    """Collapse the gate table per outcome: branch probability and state."""
-    return collapse_teleport_rows(teleport_gate_table(u, qubit), qubit)
-
-
 def collapse_teleport_rows(
     rows: list[TeleportRow], qubit: LogicalAmplitudes
 ) -> dict[str, tuple[float, np.ndarray | None]]:
@@ -342,28 +335,6 @@ def verify_a_matrix() -> CoefficientReport:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class GateRunResult:
-    """Outcome summary of one protocol run.
-
-    ``branches`` lists every detector outcome in detection order, rejected
-    ones with ``accepted=False``. ``output_logical`` holds the decoded
-    logical amplitudes of the accepted branches (they agree up to a global
-    phase, checked), phase-aligned to ``reference_logical``; None when
-    nothing was accepted.
-    """
-
-    gate: str
-    policy: str
-    branches: list[Branch]
-    accepted_probability: float
-    output_logical: np.ndarray | None
-    reference_logical: np.ndarray | None
-    fidelity_vs_reference: float | None
-    output_labels: tuple[str, ...]
-    detector_names: tuple[str, ...]
-
-
 def _align_phase(vec: np.ndarray, reference: np.ndarray | None) -> np.ndarray:
     if reference is not None:
         overlap = np.vdot(reference, vec)
@@ -444,33 +415,26 @@ def _encoder_stage(n: int, policy: str) -> tuple[Element, ...]:
 
 
 def _run_gate(
-    gate: str,
-    policy: str,
-    ir: CircuitIR,
-    pairs: list[DualRailQubit],
-    reference: np.ndarray | None,
-) -> GateRunResult:
+    ir: CircuitIR, pairs: list[DualRailQubit], reference: np.ndarray | None
+) -> RunResult:
     """Run a gate program; decode the accepted residuals on ``pairs``."""
     branches = run_branches(ir)
     accepted = [b for b in branches if b.accepted]
     decoded = [rails.decode_register(b.residual, pairs) for b in accepted]
     output, fidelity = _collect_output(decoded, reference)
-    return GateRunResult(
-        gate=gate,
-        policy=policy,
-        branches=branches,
-        accepted_probability=sum((b.probability for b in accepted), 0.0),
-        output_logical=output,
-        reference_logical=reference,
-        fidelity_vs_reference=fidelity,
-        output_labels=branches[0].residual_labels,
-        detector_names=tuple(e.name for e in ir.elements if isinstance(e, Detect)),
+    return RunResult(
+        branches,
+        sum((b.probability for b in accepted), 0.0),
+        sum((b.probability for b in branches if not b.accepted), 0.0),
+        output,
+        fidelity,
+        branches[0].residual_labels,
     )
 
 
 def run_destructive_csign(
     control: LogicalAmplitudes, target: LogicalAmplitudes, policy: str = "strict"
-) -> GateRunResult:
+) -> RunResult:
     """Heralded sign flip that consumes the control qubit.
 
     Control rails are modes (1, 2), target rails (3, 4). The Hadamard beam
@@ -495,7 +459,7 @@ def run_destructive_csign(
     )
     expected = control.a0 * target.as_array() + control.a1 * (_Z @ target.as_array())
     reference = _normalize_or_none(expected)
-    return _run_gate("csign-destructive", policy, ir, [DualRailQubit(0, 1)], reference)
+    return _run_gate(ir, [DualRailQubit(0, 1)], reference)
 
 
 def _pair_letter(i: int) -> str:
@@ -504,7 +468,7 @@ def _pair_letter(i: int) -> str:
 
 def run_quantum_encoder(
     qubit: LogicalAmplitudes, n_copies: int = 2, policy: str = "strict"
-) -> GateRunResult:
+) -> RunResult:
     """Copy the basis states of a qubit onto an n-qubit entangled register.
 
     The register starts in (|0101...01> - |1010...10>)/sqrt2 on 2n modes; the
@@ -532,7 +496,7 @@ def run_quantum_encoder(
     reference[0] = qubit.a0
     reference[-1] = qubit.a1
     pairs = [DualRailQubit(2 * i, 2 * i + 1) for i in range(n)]
-    return _run_gate("quantum-encoder", policy, ir, pairs, reference)
+    return _run_gate(ir, pairs, reference)
 
 
 # One label per mode: the register's b1 rail, which the stage-1 correction
@@ -542,7 +506,7 @@ _STAGE1_CORRECTION = {"Z on (1', 2)": "Z on (b1, 2)"}
 
 def run_nondestructive_csign(
     control: LogicalAmplitudes, target: LogicalAmplitudes, policy: str = "strict"
-) -> GateRunResult:
+) -> RunResult:
     """Sign flip that preserves the control, via the quantum encoder.
 
     The control is doubled onto the register pairs (a1, a2) and (b1, 2); the
@@ -569,7 +533,7 @@ def run_nondestructive_csign(
     )
     reference = csign_reference() @ np.kron(control.as_array(), target.as_array())
     pairs = [DualRailQubit(0, 1), DualRailQubit(2, 3)]
-    result = _run_gate("csign-nondestructive", policy, ir, pairs, reference)
+    result = _run_gate(ir, pairs, reference)
     for b in result.branches:
         b.corrections = tuple(_STAGE1_CORRECTION.get(c, c) for c in b.corrections)
     return result

@@ -15,8 +15,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .circuits import Branch, CircuitRunReport
-from .protocols import GateRunResult
+from .circuits import Branch, RunResult
 
 SCHEMA_VERSION = 1
 
@@ -51,7 +50,7 @@ class RunReport:
         linear passes and spliced over the document's ``"output": null``
         line; that line is unique because JSON escapes every newline inside
         a string. ``basis`` must hold strings and ``amplitudes`` pairs of
-        floats, as ``from_gate_run`` builds them.
+        floats, as ``from_run`` builds them.
         """
         doc = self.to_dict()
         output = doc["output"]
@@ -160,9 +159,10 @@ def _basis_labels(n_qubits: int) -> list[str]:
     return [h + l for h in high for l in low]
 
 
-def from_gate_run(
-    result: GateRunResult, command: str, inputs: dict[str, Any], duration: float
+def from_run(
+    result: RunResult, command: str, inputs: dict[str, Any], duration: float
 ) -> RunReport:
+    """The report of a gate or ``.loc`` run; only a gate's has an output block."""
     output = None
     if result.output_logical is not None:
         n_qubits = int(np.log2(len(result.output_logical)))
@@ -182,15 +182,5 @@ def from_gate_run(
     )
 
 
-def from_circuit_run(
-    result: CircuitRunReport, command: str, inputs: dict[str, Any], duration: float
-) -> RunReport:
-    return RunReport(
-        command=command,
-        inputs=inputs,
-        branches=[_branch_dict(br) for br in result.branches],
-        accepted_probability=result.survived_probability,
-        output=None,
-        fidelity_vs_reference=None,
-        duration_seconds=duration,
-    )
+# perfbench/tracer.py wraps these names; ROADMAP item 2 removes them.
+from_gate_run = from_circuit_run = from_run

@@ -6,6 +6,10 @@ expansion, ``project_detection``/``outcome_distribution`` with per-ket
 generator scans, and the ``FockState`` constructor with generator-based
 validation. The fast paths must reproduce them bit for bit: same keys in the
 same order, same float bits, same exceptions and messages.
+
+The module also holds helpers that only the tests call: the amplitude
+distance between two states, projection onto a reference state, and the
+per-outcome collapse of the teleportation gate table.
 """
 
 from __future__ import annotations
@@ -13,9 +17,13 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from dualrail.fock import PRUNE_TOL, FockState
 from dualrail.measure import BranchResult, DetectionPattern, _validate_modes
 from dualrail.optics import ModeUnitary
+from dualrail.protocols import BellAmplitudes, collapse_teleport_rows, teleport_gate_table
+from dualrail.rails import LogicalAmplitudes
 
 
 class ReferenceFockState(FockState):
@@ -132,3 +140,58 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
         project_detection(state, DetectionPattern(zip(modes, counts)))
         for counts in outcomes
     ]
+
+
+# --------------------------------------------------------------------------
+# Helpers only the tests call
+# --------------------------------------------------------------------------
+
+
+def distance(a: FockState, b: FockState) -> float:
+    """2-norm of the amplitude difference, over the union of kets."""
+    if a.mode_count != b.mode_count:
+        raise ValueError("mode counts differ")
+    kets = set(a.terms) | set(b.terms)
+    return math.sqrt(sum(abs(a.terms.get(k, 0j) - b.terms.get(k, 0j)) ** 2 for k in kets))
+
+
+def project_onto_state(
+    state: FockState, modes: Sequence[int], reference: FockState
+) -> tuple[float, FockState | None]:
+    """Project the listed modes onto a reference state (e.g. a Bell state).
+
+    Returns the branch probability and the normalized residual on the other
+    modes; the reference is read with its mode i matching ``modes[i]``.
+    """
+    modes = [int(m) for m in modes]
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"duplicate modes in {modes}")
+    _validate_modes(state, modes)
+    if reference.mode_count != len(modes):
+        raise ValueError("reference state width does not match the listed modes")
+    if abs(reference.norm_squared() - 1.0) > 1e-9:
+        raise ValueError("reference state must be normalized")
+
+    kept = tuple(m for m in range(state.mode_count) if m not in set(modes))
+    residual_terms: dict[tuple[int, ...], complex] = {}
+    for ket, amp in state.terms.items():
+        part = tuple(ket[m] for m in modes)
+        ref_amp = reference.terms.get(part)
+        if ref_amp is None:
+            continue
+        rest = tuple(ket[m] for m in kept)
+        residual_terms[rest] = residual_terms.get(rest, 0j) + ref_amp.conjugate() * amp
+
+    weight = sum(abs(v) ** 2 for v in residual_terms.values())
+    if weight == 0.0 or not kept:
+        return weight, None
+    scale = 1.0 / math.sqrt(weight)
+    residual = FockState(len(kept), {k: v * scale for k, v in residual_terms.items()})
+    return weight, residual
+
+
+def teleport_outcome_branches(
+    u: BellAmplitudes, qubit: LogicalAmplitudes
+) -> dict[str, tuple[float, np.ndarray | None]]:
+    """Collapse the gate table per outcome: branch probability and state."""
+    return collapse_teleport_rows(teleport_gate_table(u, qubit), qubit)

@@ -20,12 +20,12 @@ from dualrail.protocols import (
     run_quantum_encoder,
     csign_reference,
     teleport_gate_table,
-    teleport_outcome_branches,
     verify_a_matrix,
 )
 from dualrail.rails import DualRailQubit, LogicalAmplitudes, decode_register
 
 from conftest import random_fock_state, random_qubit, random_unitary
+from reference_kernels import teleport_outcome_branches
 from test_circuits import random_program
 
 S = 1.0 / math.sqrt(2.0)

@@ -125,7 +125,7 @@ class TestParseErrors:
 
     def test_ket_terms_are_summed_before_the_norm_check(self):
         ir = parse("modes 2\nket |1,0> amp 0.5 0\nket |1,0> amp 0.5 0\n")
-        assert circuits.execute(ir).survived_probability == 1.0
+        assert circuits.execute(ir).accepted_probability == 1.0
 
     def test_position_points_into_the_source(self):
         source = "modes 2\nbs 1 oops\n"
@@ -179,7 +179,7 @@ class TestExecution:
             "detect 2 as b\n"
         )
         report = circuits.execute(parse(source))
-        assert report.survived_probability + report.rejected_probability == pytest.approx(1.0)
+        assert report.accepted_probability + report.rejected_probability == pytest.approx(1.0)
         assert report.rejected_probability == 0.0
 
     def test_postselect_moves_weight_to_rejected(self):
@@ -190,7 +190,7 @@ class TestExecution:
             "postselect a == 1\n"
         )
         report = circuits.execute(parse(source))
-        assert report.survived_probability == pytest.approx(0.5, abs=1e-12)
+        assert report.accepted_probability == pytest.approx(0.5, abs=1e-12)
         assert report.rejected_probability == pytest.approx(0.5, abs=1e-12)
 
     def test_correction_applies_conditionally(self):
@@ -205,6 +205,39 @@ class TestExecution:
         branch = report.branches[0]
         assert branch.corrections == ("Z on (3, 4)",)
         assert branch.residual.amplitude((1, 0)) == pytest.approx(-1.0)
+
+    def test_term_bound_is_summed_over_branches_before_the_splitter_runs(self, monkeypatch):
+        # Detecting mode 3 leaves |3,0> (c = 0) and |0,0> (c = 3): the splitter
+        # can output 3 + 1 and 0 + 1 kets, 5 in all.
+        source = f"modes 3\nket |3,0,0> amp {S} 0\nket |0,0,3> amp {S} 0\ndetect 3 as c\nbs 1 2\n"
+        monkeypatch.setattr(circuits, "MAX_TERMS", 5)
+        circuits.execute(parse(source))
+        monkeypatch.setattr(circuits, "MAX_TERMS", 4)
+        monkeypatch.setattr(circuits, "apply_mode_unitary", None)  # a call would raise
+        with pytest.raises(CircuitError, match="bs 1 2 could output 5 terms, above the limit of 4"):
+            circuits.execute(parse(source))
+
+    def test_term_bound_covers_every_builtin_program(self, monkeypatch):
+        bounds = []
+        term_bound = circuits._term_bound
+
+        def record(branches, positions):
+            bounds.append(term_bound(branches, positions))
+            return bounds[-1]
+
+        monkeypatch.setattr(circuits, "_term_bound", record)
+        qubits = [LogicalAmplitudes.zero(), LogicalAmplitudes.one(), LogicalAmplitudes(S, S)]
+        for policy in protocols.POLICIES:
+            for control in qubits:
+                for target in qubits:
+                    run_destructive_csign(control, target, policy)
+                    run_nondestructive_csign(control, target, policy)
+            for n in range(2, protocols.MAX_ENCODER_COPIES + 1):
+                protocols.run_quantum_encoder(LogicalAmplitudes(S, S), n, policy)
+        for name in ("fig1.loc", "fig2.loc"):
+            circuits.execute(circuits.load(str(dualrail.data_path(name))))
+        assert 0 < max(bounds) < 100
+        assert 64 * max(bounds) <= circuits.MAX_TERMS
 
 
 class TestShippedCircuits:
@@ -228,7 +261,7 @@ class TestShippedCircuits:
             LogicalAmplitudes.one(), LogicalAmplitudes(S, S), "feedforward"
         )
         accepted = {tuple(sorted(b.counts.items())): b for b in run.branches if b.accepted}
-        assert report.survived_probability == pytest.approx(0.25, abs=1e-12)
+        assert report.accepted_probability == pytest.approx(0.25, abs=1e-12)
         assert len(report.branches) == len(accepted) == 4
         for branch in report.branches:
             want = accepted[tuple(sorted(branch.counts.items()))]

@@ -209,6 +209,17 @@ class TestRunCommand:
         code, out, err = run_cli(capsys, "run", str(bad))
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
+    def test_term_count_above_the_limit_exits_3_with_one_line(self, capsys, tmp_path):
+        # Ten photons pushed twice down a chain of splitters on nine modes; run
+        # unbounded, this builds 43,753 terms.
+        chain = "".join(f"bs {m} {m + 1}\n" for m in range(1, 9))
+        wide = tmp_path / "wide.loc"
+        wide.write_text(f"modes 9\nket |5,5,0,0,0,0,0,0,0>\n{chain}{chain}detect 1 as a\n")
+        code, out, err = run_cli(capsys, "run", str(wide))
+        assert (code, out) == (3, "")
+        limit = circuits.MAX_TERMS
+        assert err == f"error: bs 1 2 could output 82184 terms, above the limit of {limit}\n"
+
     def test_semantic_error_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.loc"
         bad.write_text("modes 2\nket |1,0>\ndetect 1 as a\nbs 1 2\n")
@@ -265,6 +276,10 @@ class TestVerifyCommand:
     def test_zero_samples_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--samples", "0")
         assert code == 2 and "samples" in err
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: --seed must be non-negative\n")
 
 
 @pytest.mark.parametrize(

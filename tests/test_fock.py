@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualrail.fock import FockState, distance, equal_up_to_global_phase
+from dualrail.fock import FockState, equal_up_to_global_phase
 
 from conftest import random_fock_state
+from reference_kernels import distance
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 

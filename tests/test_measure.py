@@ -7,10 +7,10 @@ from dualrail.measure import (
     DetectionPattern,
     outcome_distribution,
     project_detection,
-    project_onto_state,
 )
 
 from conftest import random_fock_state
+from reference_kernels import project_onto_state
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 

@@ -4,28 +4,29 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualrail.fock import FockState, distance
+from dualrail.fock import FockState
 from dualrail.optics import ModeUnitary, apply_mode_unitary, hadamard_bs
 
 from conftest import random_fock_state, random_unitary
+from reference_kernels import distance
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 # Independent oracle: the transition amplitude of a linear element is the
-# permanent of the unitary with rows/columns repeated by occupation.
+# permanent of the unitary with rows/columns repeated by occupation
+# (Scheel, quant-ph/0406127), computed by Ryser's formula
+#   Per(A) = (-1)^n sum over column subsets S of (-1)^|S| prod_i sum_{j in S} A[i, j].
 def _permanent(mat: np.ndarray) -> complex:
     n = mat.shape[0]
-    if n == 0:
-        return 1.0 + 0j
     total = 0j
-    for perm in itertools.permutations(range(n)):
-        p = 1.0 + 0j
-        for i, j in enumerate(perm):
-            p *= mat[i, j]
-        total += p
-    return complex(total)
+    for size in range(1, n + 1):
+        for cols in itertools.combinations(range(n), size):
+            total += (-1) ** size * np.prod(mat[:, list(cols)].sum(axis=1))
+    return complex((-1) ** n * total) if n else 1.0 + 0j
 
 
 def oracle_amplitude(u: np.ndarray, occ_in, occ_out) -> complex:
@@ -179,3 +180,57 @@ class TestApply:
             apply_mode_unitary(s, [0, 5], hadamard_bs())
         with pytest.raises(ValueError, match="2-mode"):
             apply_mode_unitary(s, [0], hadamard_bs())
+
+
+def test_ryser_matches_the_permutation_sum(rng):
+    for n in range(5):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        by_definition = sum(
+            math.prod(a[i, j] for i, j in enumerate(perm))
+            for perm in itertools.permutations(range(n))
+        )
+        assert _permanent(a) == pytest.approx(by_definition, abs=1e-12)
+
+
+def _sector(mode_count: int, photons: int) -> list[tuple[int, ...]]:
+    return [
+        occ
+        for occ in itertools.product(range(photons + 1), repeat=mode_count)
+        if sum(occ) == photons
+    ]
+
+
+@st.composite
+def transitions(draw):
+    """A basis ket and a random, permutation or Hadamard element on some of its modes."""
+    mode_count = draw(st.integers(1, 5))
+    ket = draw(st.sampled_from(_sector(mode_count, draw(st.integers(0, 5)))))
+    k = draw(st.integers(1, mode_count))
+    modes = draw(st.permutations(range(mode_count)))[:k]
+    kind = draw(st.sampled_from(["random", "permutation", "hadamard"]))
+    if kind == "random":
+        u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), k)
+    elif kind == "permutation":
+        u = np.eye(k, dtype=complex)[draw(st.permutations(range(k)))]
+    else:
+        u = np.fft.fft(np.eye(k)) / math.sqrt(k)  # complex Hadamard; the real one at k = 2
+    return ket, modes, u
+
+
+@given(transitions())
+@settings(max_examples=150, deadline=None)
+def test_every_transition_amplitude_matches_the_permanent(transition):
+    """<t|U|s> = Per(U[t, s]) / sqrt(prod s! prod t!) for every output ket t
+    of the input's sector; spectator modes keep their photons."""
+    ket, modes, u = transition
+    got = apply_mode_unitary(FockState.ket(ket), modes, ModeUnitary(u))
+    occ_in = [ket[m] for m in modes]
+    expected = {}
+    for occ_out in _sector(len(modes), sum(occ_in)):
+        out = list(ket)
+        for m, n in zip(modes, occ_out):
+            out[m] = n
+        expected[tuple(out)] = oracle_amplitude(u, occ_in, occ_out)
+    assert set(got.terms) <= set(expected)
+    for out, amp in expected.items():
+        assert abs(got.amplitude(out) - amp) <= 1e-12

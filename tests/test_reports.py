@@ -61,7 +61,7 @@ QUBITS = [
 def test_gate_reports_match_the_oracle(gate, policy):
     for control in QUBITS:
         for target in QUBITS:
-            report = reports.from_gate_run(gate(control, target, policy), "gate", {}, 0.5)
+            report = reports.from_run(gate(control, target, policy), "gate", {}, 0.5)
             assert report.to_json() == oracle(report)
 
 
@@ -69,14 +69,14 @@ def test_gate_reports_match_the_oracle(gate, policy):
 def test_encoder_reports_match_the_oracle(policy):
     for n in range(2, 17):
         result = protocols.run_quantum_encoder(QUBITS[1], n, policy)
-        report = reports.from_gate_run(result, "encoder", {"n": n}, 1e-3)
+        report = reports.from_run(result, "encoder", {"n": n}, 1e-3)
         assert report.to_json() == oracle(report)
 
 
 @pytest.mark.parametrize("name", ["fig1.loc", "fig2.loc"])
 def test_circuit_reports_match_the_oracle(name):
     result = circuits.execute(circuits.load(str(dualrail.data_path(name))))
-    report = reports.from_circuit_run(result, "run", {"path": name}, 2e-4)
+    report = reports.from_run(result, "run", {"path": name}, 2e-4)
     assert report.to_json() == oracle(report)
 
 
@@ -108,10 +108,8 @@ def test_any_output_block_matches_the_oracle(entries, mode_labels):
 @settings(max_examples=40, deadline=None)
 def test_register_lists_match_the_elementwise_build(n, pool):
     vec = np.resize(np.array(pool, dtype=float), 2 ** (n + 1)).view(complex)
-    result = protocols.GateRunResult(
-        "gate", "strict", [], 1.0, vec, None, None, ("1", "2"), ()
-    )
-    output = reports.from_gate_run(result, "gate", {}, 0.0).output
+    result = circuits.RunResult([], 1.0, 0.0, vec, None, ("1", "2"))
+    output = reports.from_run(result, "gate", {}, 0.0).output
     assert output["basis"] == [format(i, f"0{n}b") for i in range(2**n)]
     # repr tells -0.0 from 0.0 and compares nan with nan.
     expected = [[float(z.real) + 0.0, float(z.imag) + 0.0] for z in vec]

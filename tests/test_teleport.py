@@ -20,13 +20,13 @@ from dualrail.protocols import (
     BellAmplitudes,
     derive_teleport_coefficients,
     teleport_gate_table,
-    teleport_outcome_branches,
     verify_a_matrix,
 )
 from dualrail.rails import LogicalAmplitudes
 from dualrail.verify import run_verification
 
 from conftest import random_qubit
+from reference_kernels import teleport_outcome_branches
 
 S = 1.0 / math.sqrt(2.0)
 
