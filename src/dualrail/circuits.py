@@ -25,8 +25,9 @@ One engine runs every program, the gates in ``protocols`` included, which
 build their IR in Python. It enumerates every detector outcome: consecutive
 ``detect`` lines are one joint measurement; ``postselect`` flags the branches
 it rejects instead of dropping them, so they keep evolving; ``correct`` acts
-only on accepted branches. ``run_branches`` returns every branch;
-``execute`` tallies them into a ``RunResult`` and keeps only the survivors.
+only on accepted branches. ``run_branches`` returns every branch and the
+accepted and rejected weight as one ``RunResult``; ``execute`` keeps only
+its survivors.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from . import measure, rails
 from .fock import FockState
 from .optics import ModeUnitary, apply_mode_unitary, hadamard_bs
-from .rails import DualRailQubit, LogicalAmplitudes
+from .rails import DualRailQubit, LogicalAmplitudes, is_normalized
 
 # The widest ``modes`` declaration ``parse`` accepts. It bounds the memory a
 # program text can ask for, and it covers every program the package builds
@@ -391,7 +392,7 @@ def parse(source: str) -> CircuitIR:
             p.expect_end()
             if rail1 == rail0:
                 raise ParseError(line_no, head.column, "rail modes must be distinct")
-            if not _normalized((a0, a1)):
+            if not is_normalized((a0, a1)):
                 raise ParseError(line_no, head.column, "dualrail amplitudes are not normalized")
             b.elements.append(PrepareDualRail(a0, a1, rail1, rail0))
             continue
@@ -479,16 +480,9 @@ def parse(source: str) -> CircuitIR:
         summed: dict[tuple[int, ...], complex] = {}
         for occ, amp in b.ket_terms:
             summed[occ] = summed.get(occ, 0j) + amp
-        if not _normalized(summed.values()):
+        if not is_normalized(summed.values()):
             raise ParseError(*b.ket_where, "ket amplitudes are not normalized")
     return ir
-
-
-def _normalized(amplitudes: Iterable[complex]) -> bool:
-    """Whether the squared norm is within 1e-6 of 1; false if it overflows or is nan."""
-    # Not abs(a) ** 2: abs and ** raise OverflowError where these products give inf.
-    norm_squared = sum(a.real * a.real + a.imag * a.imag for a in amplitudes)
-    return abs(norm_squared - 1.0) <= 1e-6
 
 
 def _validate(ir: CircuitIR) -> None:
@@ -608,13 +602,14 @@ class Branch:
 
     ``accepted`` turns False at the first ``postselect`` whose predicate the
     counts fail; the branch keeps evolving, but no ``correct`` touches it.
-    ``residual`` is None once every mode has been detected.
+    ``residual`` is None once every mode has been detected; ``modes`` holds
+    the circuit mode at each of its positions.
     """
 
     counts: dict[str, int]
     probability: float
     residual: FockState | None
-    residual_labels: tuple[str, ...]
+    modes: tuple[int, ...]
     corrections: tuple[str, ...]
     accepted: bool
 
@@ -653,29 +648,22 @@ def _predicate_holds(predicate: Predicate, counts: dict[str, int]) -> bool:
 _HADAMARD = hadamard_bs()
 
 
-@dataclass
-class _Live:
-    state: FockState | None
-    probability: float
-    counts: dict[str, int]
-    live: list[int]  # original mode index per position
-    corrections: tuple[str, ...] = ()
-    accepted: bool = True
-
-    def positions(self, modes: Iterable[int]) -> list[int]:
-        return [self.live.index(m) for m in modes]
+def _positions(b: Branch, modes: Iterable[int]) -> list[int]:
+    return [b.modes.index(m) for m in modes]
 
 
-def run_branches(ir: CircuitIR) -> list[Branch]:
+def run_branches(ir: CircuitIR) -> RunResult:
     """Run a circuit over every detector outcome, rejected branches included.
 
     A run of consecutive ``detect`` elements is one joint measurement, whose
     outcomes are enumerated in order of their count tuples, so branches come
     out in detection order. ``postselect`` flags the branches it rejects
     instead of dropping them, and ``correct`` acts only on accepted branches.
-    The probabilities of all branches sum to the prepared state's squared norm.
+    The probabilities of all branches sum to the prepared state's squared
+    norm; the result splits that sum into accepted and rejected weight.
     """
-    branches = [_Live(FockState.vacuum(ir.mode_count), 1.0, {}, list(range(ir.mode_count)))]
+    vacuum = FockState.vacuum(ir.mode_count)
+    branches = [Branch({}, 1.0, vacuum, tuple(range(ir.mode_count)), (), True)]
     for joint, group in itertools.groupby(ir.elements, lambda e: isinstance(e, Detect)):
         if joint:
             detectors = tuple(group)
@@ -685,7 +673,7 @@ def run_branches(ir: CircuitIR) -> list[Branch]:
             if isinstance(element, ApplyBS):
                 m = element.matrix
                 u = _HADAMARD if m is None else ModeUnitary([[m[0], m[1]], [m[2], m[3]]])
-                positions = [b.positions(element.modes) for b in branches]
+                positions = [_positions(b, element.modes) for b in branches]
                 bound = _term_bound(branches, positions)
                 if bound > MAX_TERMS:
                     p, q = map(ir.label_of, element.modes)
@@ -693,36 +681,33 @@ def run_branches(ir: CircuitIR) -> list[Branch]:
                         f"bs {p} {q} could output {bound} terms, above the limit of {MAX_TERMS}"
                     )
                 for b, pq in zip(branches, positions):
-                    b.state = apply_mode_unitary(b.state, pq, u)
+                    b.residual = apply_mode_unitary(b.residual, pq, u)
             elif isinstance(element, PostSelect):
                 for b in branches:
                     b.accepted = b.accepted and _predicate_holds(element.predicate, b.counts)
             elif isinstance(element, CorrectZ):
                 pair_modes = (element.rail1, element.rail0)
-                text = f"Z on ({ir.label_of(element.rail1)}, {ir.label_of(element.rail0)})"
+                r1, r0 = map(ir.label_of, pair_modes)
                 for b in branches:
                     if b.accepted and _predicate_holds(element.condition, b.counts):
-                        pair = DualRailQubit(*b.positions(pair_modes))
-                        b.state = rails.pauli_correction(b.state, pair, "Z")
-                        b.corrections = b.corrections + (text,)
+                        pair = DualRailQubit(*_positions(b, pair_modes))
+                        try:
+                            b.residual = rails.pauli_correction(b.residual, pair, "Z")
+                        except rails.LeakageError as exc:
+                            raise CircuitError(f"correct z on {r1} {r0}: {exc}") from None
+                        b.corrections = b.corrections + (f"Z on ({r1}, {r0})",)
             else:
                 modes, terms = _preparation(ir, element)
                 for b in branches:
-                    b.state = _inject(b.state, b.positions(modes), terms)
-    return [
-        Branch(
-            b.counts,
-            b.probability,
-            b.state,
-            tuple(ir.label_of(m) for m in b.live),
-            b.corrections,
-            b.accepted,
-        )
-        for b in branches
-    ]
+                    b.residual = _inject(b.residual, _positions(b, modes), terms)
+    return RunResult(
+        branches,
+        sum((b.probability for b in branches if b.accepted), 0.0),
+        sum((b.probability for b in branches if not b.accepted), 0.0),
+    )
 
 
-def _term_bound(branches: list[_Live], positions: list[list[int]]) -> int:
+def _term_bound(branches: list[Branch], positions: list[list[int]]) -> int:
     """An upper bound on the terms a beam splitter outputs over ``branches``.
 
     A ket with n photons on the splitter's two modes yields at most n + 1
@@ -730,21 +715,22 @@ def _term_bound(branches: list[_Live], positions: list[list[int]]) -> int:
     """
     bound = 0
     for b, (p, q) in zip(branches, positions):
-        kets = b.state.terms
+        kets = b.residual.terms
         bound += len(kets) + sum(map(itemgetter(p), kets)) + sum(map(itemgetter(q), kets))
     return bound
 
 
-def _detect(b: _Live, detectors: tuple[Detect, ...]) -> list[_Live]:
-    positions = b.positions(d.mode for d in detectors)
-    consumed = {d.mode for d in detectors}
-    live = [m for m in b.live if m not in consumed]
+def _detect(b: Branch, detectors: tuple[Detect, ...]) -> list[Branch]:
+    positions = _positions(b, (d.mode for d in detectors))
     grown = []
-    for outcome in measure.outcome_distribution(b.state, positions):
+    for outcome in measure.outcome_distribution(b.residual, positions):
         req = outcome.pattern.requirements
         counts = {**b.counts, **{d.name: req[p] for d, p in zip(detectors, positions)}}
         probability = b.probability * outcome.probability
-        grown.append(_Live(outcome.residual, probability, counts, live, b.corrections, b.accepted))
+        modes = tuple(b.modes[k] for k in outcome.kept_modes)
+        grown.append(
+            Branch(counts, probability, outcome.residual, modes, b.corrections, b.accepted)
+        )
     return grown
 
 
@@ -754,13 +740,12 @@ def execute(ir: CircuitIR) -> RunResult:
     Survivors are listed sorted by outcome name, with their counts in name
     order; the weight of the flagged branches is ``rejected_probability``.
     """
-    branches = run_branches(ir)
-    survivors = [b for b in branches if b.accepted]
-    survived = sum(b.probability for b in survivors)
-    rejected = sum((b.probability for b in branches if not b.accepted), 0.0)
-    report = [replace(b, counts=dict(sorted(b.counts.items()))) for b in survivors]
-    report.sort(key=lambda br: list(br.counts.items()))
-    return RunResult(report, survived, rejected)
+    result = run_branches(ir)
+    survivors = [
+        replace(b, counts=dict(sorted(b.counts.items()))) for b in result.branches if b.accepted
+    ]
+    survivors.sort(key=lambda br: list(br.counts.items()))
+    return replace(result, branches=survivors)
 
 
 def _preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Iterable]:

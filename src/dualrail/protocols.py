@@ -128,9 +128,6 @@ class BellAmplitudes:
     def as_array(self) -> np.ndarray:
         return np.array([self.u0, self.uz, self.ux, self.uy], dtype=complex)
 
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.as_array()) ** 2))
-
 
 @dataclass
 class TeleportRow:
@@ -210,7 +207,7 @@ def teleport_gate_table(u: BellAmplitudes, qubit: LogicalAmplitudes) -> list[Tel
     sharing an outcome add coherently. With a single nonzero component the
     operators reduce to single Paulis: standard teleportation corrections.
     """
-    if abs(u.norm_squared() - 1.0) > 1e-6:
+    if not rails.is_normalized((u.u0, u.uz, u.ux, u.uy)):
         raise ValueError("Bell amplitudes must be normalized")
     rails.require_normalized(qubit)
     table = derive_teleport_coefficients()
@@ -418,18 +415,11 @@ def _run_gate(
     ir: CircuitIR, pairs: list[DualRailQubit], reference: np.ndarray | None
 ) -> RunResult:
     """Run a gate program; decode the accepted residuals on ``pairs``."""
-    branches = run_branches(ir)
-    accepted = [b for b in branches if b.accepted]
-    decoded = [rails.decode_register(b.residual, pairs) for b in accepted]
-    output, fidelity = _collect_output(decoded, reference)
-    return RunResult(
-        branches,
-        sum((b.probability for b in accepted), 0.0),
-        sum((b.probability for b in branches if not b.accepted), 0.0),
-        output,
-        fidelity,
-        branches[0].residual_labels,
-    )
+    result = run_branches(ir)
+    decoded = [rails.decode_register(b.residual, pairs) for b in result.branches if b.accepted]
+    result.output_logical, result.fidelity_vs_reference = _collect_output(decoded, reference)
+    result.output_labels = tuple(map(ir.label_of, result.branches[0].modes))
+    return result
 
 
 def run_destructive_csign(

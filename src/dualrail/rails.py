@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -82,9 +82,17 @@ class LogicalAmplitudes:
         return LogicalAmplitudes(self.a0 / n, self.a1 / n)
 
 
+def is_normalized(amplitudes: Iterable[complex]) -> bool:
+    """Whether the squared norm is within 1e-6 of 1; false if it overflows or is nan."""
+    # Not abs(a) ** 2: abs and ** raise OverflowError where these products
+    # give inf, and numpy scalars would warn.
+    norm_squared = sum(z.real * z.real + z.imag * z.imag for z in map(complex, amplitudes))
+    return abs(norm_squared - 1.0) <= 1e-6
+
+
 def require_normalized(q: LogicalAmplitudes) -> None:
-    if abs(q.norm_squared() - 1.0) > 1e-6:
-        raise ValueError(f"logical amplitudes are not normalized: |.|^2 = {q.norm_squared()}")
+    if not is_normalized((q.a0, q.a1)):
+        raise ValueError("logical amplitudes are not normalized")
 
 
 def encode(q: LogicalAmplitudes, placement: DualRailQubit, total_modes: int) -> FockState:

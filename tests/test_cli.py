@@ -226,6 +226,32 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", str(bad))
         assert code == 3
 
+    def test_correct_on_a_pair_that_is_not_a_qubit_exits_3_with_one_line(
+        self, capsys, tmp_path
+    ):
+        # Modes 1 and 3 are rails of two different qubits: no term holds
+        # exactly one photon on the pair.
+        bad = tmp_path / "bad.loc"
+        bad.write_text(
+            "modes 4\ndualrail 0.6 0 0.8 0 on 1 2\ndualrail 0 0 1 0 on 3 4\n"
+            "detect 2 as x\ncorrect z on 1 3 if x == 0\n"
+        )
+        code, out, err = run_cli(capsys, "run", str(bad))
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: correct z on 1 3: Pauli correction outside the dual-rail subspace"
+            " (leakage weight 1.000e+00)\n"
+        )
+
+    def test_zero_survivors_report_a_float_probability(self, capsys, tmp_path):
+        never = tmp_path / "never.loc"
+        never.write_text("modes 2\nket |1,0>\ndetect 1 as a\npostselect a == 5\n")
+        code, out, _ = run_cli(capsys, "run", str(never), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["branches"] == []
+        assert type(doc["accepted_probability"]) is float and doc["accepted_probability"] == 0.0
+
 
 class TestJsonSchema:
     @pytest.mark.parametrize(

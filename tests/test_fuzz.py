@@ -1,17 +1,21 @@
 """Bounded fuzzing of the two ways into the program: CLI argv and ``.loc`` text.
 
 Every input must either succeed or fail with a documented exit code (2 usage,
-3 parse, 4 internal) and at most one stderr line, never with a traceback.
+3 parse, 4 internal) and at most one stderr line, never with a traceback. A
+``.loc`` file that can be read never exits 2 or 4, and a valid program's
+branches account for all of its prepared weight.
 """
 
-import contextlib
-import io
+import cmath
+import json
 import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dualrail import cli, circuits, protocols
+from dualrail import circuits, protocols
+
+from cli_corpus import run
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -67,18 +71,8 @@ def gate_argv(draw):
     return argv
 
 
-def run_main(argv: list[str]) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects malformed argv this way
-            code = exc.code
-    return code, err.getvalue()
-
-
-def assert_documented_failure(code: int, err: str) -> None:
-    assert code in EXIT_CODES, (code, err)
+def assert_documented_failure(code: int, err: str, codes=EXIT_CODES) -> None:
+    assert code in codes, (code, err)
     assert err.count("\n") <= 1 and "\n" not in err.rstrip("\n"), err
     assert "Traceback" not in err
 
@@ -86,7 +80,8 @@ def assert_documented_failure(code: int, err: str) -> None:
 @given(argv=gate_argv())
 @settings(max_examples=200, deadline=None)
 def test_gate_argv_fails_with_one_documented_line(argv):
-    assert_documented_failure(*run_main(argv))
+    code, _, err = run(argv)
+    assert_documented_failure(code, err)
 
 
 # --------------------------------------------------------------------------
@@ -144,4 +139,105 @@ def loc_program(draw):
 def test_loc_text_fails_with_one_documented_line(tmp_path_factory, source):
     path = tmp_path_factory.getbasetemp() / "fuzz.loc"
     path.write_text(source, encoding="utf-8")
-    assert_documented_failure(*run_main(["run", str(path)]))
+    code, _, err = run(["run", str(path)])
+    assert_documented_failure(code, err, {0, 3})
+
+
+# --------------------------------------------------------------------------
+# Valid .loc programs, which reach the engine
+# --------------------------------------------------------------------------
+
+
+def unit_vector(draw, k: int) -> list[complex]:
+    radii = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+    phases = draw(st.lists(st.floats(0.0, 6.3), min_size=k, max_size=k))
+    norm = math.sqrt(sum(r * r for r in radii))
+    return [cmath.rect(r / norm, phi) for r, phi in zip(radii, phases)]
+
+
+def amp_text(z: complex) -> str:
+    return f"{z.real!r} {z.imag!r}"
+
+
+@st.composite
+def valid_loc_program(draw):
+    """A program that passes ``parse``, with the squared norm of its preparations.
+
+    Preparations come first, on distinct modes; then beam splitters on live
+    modes, detections with fresh names, and ``postselect``/``correct`` over
+    bound names. A ``correct`` may name any two live modes, so its pair need
+    not hold a qubit.
+    """
+    count = draw(st.integers(2, 6))
+    lines = [f"modes {count}"]
+    factors = []  # the amplitudes of each preparation
+    if draw(st.integers(0, 2)) == 0:
+        kets = draw(
+            st.lists(
+                st.tuples(*[st.integers(0, 2)] * count), min_size=1, max_size=3, unique=True
+            )
+        )
+        factors.append(unit_vector(draw, len(kets)))
+        for occ, z in zip(kets, factors[0]):
+            lines.append(f"ket |{','.join(map(str, occ))}> amp {amp_text(z)}")
+    else:
+        free = draw(st.permutations(range(1, count + 1)))
+        while len(free) >= 2 and draw(st.integers(0, 3)) > 0:
+            if len(free) >= 4 and draw(st.booleans()):
+                kind = draw(st.sampled_from(["phi+", "phi-", "psi+", "psi-"]))
+                lines.append(f"bell {kind} on {' '.join(map(str, free[:4]))}")
+                factors.append([math.sqrt(0.5)] * 2)
+                free = free[4:]
+            else:
+                factors.append(unit_vector(draw, 2))
+                a0, a1 = map(amp_text, factors[-1])
+                lines.append(f"dualrail {a0} {a1} on {free[0]} {free[1]}")
+                free = free[2:]
+    norm_squared = math.prod(sum(abs(z) ** 2 for z in factor) for factor in factors)
+
+    live = list(range(1, count + 1))
+    bound: list[str] = []
+
+    def predicate() -> str:
+        clauses = []
+        for _ in range(draw(st.integers(1, 2))):
+            names = draw(st.lists(st.sampled_from(bound), min_size=1, max_size=2, unique=True))
+            clauses.append(" && ".join(f"{n} == {draw(st.integers(0, 2))}" for n in names))
+        return " || ".join(clauses)
+
+    for _ in range(draw(st.integers(1, 8))):
+        kinds = ["detect"] * bool(live) + ["bs"] * (len(live) >= 2)
+        kinds += ["postselect"] * bool(bound) + ["correct"] * (len(live) >= 2 and bool(bound))
+        if not kinds:
+            break
+        kind = draw(st.sampled_from(kinds))
+        if kind == "detect":
+            mode = draw(st.sampled_from(live))
+            live.remove(mode)
+            bound.append(f"d{len(bound)}")
+            lines.append(f"detect {mode} as {bound[-1]}")
+        elif kind == "postselect":
+            lines.append(f"postselect {predicate()}")
+        else:
+            p, q = draw(st.permutations(live))[:2]
+            if kind == "bs":
+                lines.append(f"bs {p} {q}")
+            else:
+                lines.append(f"correct z on {p} {q} if {predicate()}")
+    return "\n".join(lines) + "\n", norm_squared
+
+
+@given(program=valid_loc_program())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_valid_programs_run_or_exit_3_and_account_for_all_weight(tmp_path_factory, program):
+    source, norm_squared = program
+    path = tmp_path_factory.getbasetemp() / "valid.loc"
+    path.write_text(source, encoding="utf-8")
+    code, out, err = run(["run", str(path), "--json"])
+    assert_documented_failure(code, err, {0, 3})
+    if code == 0:
+        reported = json.loads(out)["accepted_probability"]
+        result = circuits.execute(circuits.parse(source))
+        assert type(reported) is float and reported == result.accepted_probability
+        total = result.accepted_probability + result.rejected_probability
+        assert math.isclose(total, norm_squared, rel_tol=0.0, abs_tol=1e-12), source

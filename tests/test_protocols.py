@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dualrail.protocols import (
     run_destructive_csign,
     run_nondestructive_csign,
     run_quantum_encoder,
+    teleport_gate_table,
 )
 from dualrail.rails import DualRailQubit, LogicalAmplitudes, decode_register, encode
 
@@ -331,3 +333,26 @@ def test_policies_constant():
 
 def test_invariant_error_is_a_runtime_error():
     assert issubclass(SimulationInvariantError, RuntimeError)
+
+
+HUGE = LogicalAmplitudes(1e200, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_destructive_csign(HUGE, LogicalAmplitudes.zero()),
+        lambda: run_nondestructive_csign(LogicalAmplitudes.zero(), HUGE),
+        lambda: run_quantum_encoder(HUGE, 2),
+        lambda: encode(HUGE, DualRailQubit(0, 1), 2),
+        lambda: teleport_gate_table(BellAmplitudes(1e200, 0, 0, 0), LogicalAmplitudes.zero()),
+        lambda: teleport_gate_table(BellAmplitudes(1.0, 0, 0, 0), HUGE),
+    ],
+    ids=["destructive", "nondestructive", "encoder", "encode", "table-ancilla", "table-qubit"],
+)
+def test_overflowing_amplitudes_are_rejected_without_a_warning(call):
+    # Squaring 1e200 overflows: abs(a) ** 2 raises OverflowError, numpy warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="normalized"):
+            call()
