@@ -52,7 +52,7 @@ def _parse_amplitudes(text: str, what: str, warnings: list[str]) -> LogicalAmpli
     q = LogicalAmplitudes(complex(values[0], values[1]), complex(values[2], values[3]))
     try:
         norm = math.sqrt(q.norm_squared())
-    except OverflowError:  # finite amplitudes whose squares exceed the float range
+    except ValueError:  # finite amplitudes whose squares exceed the float range
         norm = math.inf
     if norm == 0.0:
         raise UsageError(f"{what}: amplitudes are all zero")

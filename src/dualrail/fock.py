@@ -49,6 +49,14 @@ class FockState:
     Construction sums duplicate kets, validates occupation vectors and
     amplitude finiteness, and prunes terms below ``PRUNE_TOL``. A state with
     no surviving term (e.g. exact cancellation of all inputs) is rejected.
+
+    The package's one internal constructor, ``_trusted``, builds the states
+    it derives from another valid state: linear-optical outputs, detection
+    residuals, per-outcome sub-states and Pauli corrections. Their kets are
+    tuples of non-negative ints of the right length, each listed once, with
+    complex amplitudes, so it skips the ket conversion, the length and sign
+    checks and the duplicate sum. It keeps the finiteness check and the
+    prune, so both constructors give the same state or the same error.
     """
 
     __slots__ = ("mode_count", "terms")
@@ -85,6 +93,25 @@ class FockState:
         self.terms = pruned
 
     @classmethod
+    def _trusted(cls, mode_count: int, terms: dict[Occupation, complex]) -> FockState:
+        """A state on ``terms``, whose kets must already be valid and distinct.
+
+        Takes ownership of ``terms``. Raises the public constructor's error
+        for a non-finite amplitude or for a state whose terms all prune away.
+        """
+        if not all(map(cmath.isfinite, terms.values())):
+            ket, amp = next((k, a) for k, a in terms.items() if not cmath.isfinite(a))
+            raise ValueError(f"non-finite amplitude {amp} for ket {ket}")
+        if not min(map(abs, terms.values()), default=0.0) > PRUNE_TOL:
+            terms = {k: v for k, v in terms.items() if abs(v) > PRUNE_TOL}
+            if not terms:
+                raise ValueError("all terms vanished (exact cancellation)")
+        state = cls.__new__(cls)
+        state.mode_count = mode_count
+        state.terms = terms
+        return state
+
+    @classmethod
     def ket(cls, occ: Iterable[int], amp: complex = 1.0) -> FockState:
         """Single-ket state |n1,...,nk> with the given amplitude."""
         ket = tuple(int(n) for n in occ)
@@ -110,7 +137,10 @@ class FockState:
         return FockState(self.mode_count + other.mode_count, out)
 
     def norm_squared(self) -> float:
-        return sum(abs(v) ** 2 for v in self.terms.values())
+        try:
+            return sum(abs(v) ** 2 for v in self.terms.values())
+        except OverflowError:
+            raise ValueError("squared norm of the state overflows a float") from None
 
     def scaled(self, factor: complex) -> FockState:
         return FockState(self.mode_count, {k: factor * v for k, v in self.terms.items()})

@@ -79,12 +79,15 @@ def project_detection(state: FockState, pattern: DetectionPattern) -> BranchResu
 
     residual_terms: dict[tuple[int, ...], complex] = {}
     weight = 0.0
-    for ket, amp in state.terms.items():
-        if measured(ket) != counts:
-            continue
-        weight += abs(amp) ** 2
-        rest = rest_of(ket)
-        residual_terms[rest] = residual_terms.get(rest, 0j) + amp
+    try:
+        for ket, amp in state.terms.items():
+            if measured(ket) != counts:
+                continue
+            weight += abs(amp) ** 2
+            rest = rest_of(ket)
+            residual_terms[rest] = residual_terms.get(rest, 0j) + amp
+    except OverflowError:
+        raise ValueError("branch probability overflows a float") from None
 
     if weight == 0.0 or not residual_terms:
         return BranchResult(pattern, 0.0, None, kept)
@@ -92,7 +95,9 @@ def project_detection(state: FockState, pattern: DetectionPattern) -> BranchResu
         # Whole state measured: the branch keeps its probability, nothing remains.
         return BranchResult(pattern, weight, None, kept)
     scale = 1.0 / math.sqrt(weight)
-    residual = FockState(len(kept), {k: v * scale for k, v in residual_terms.items()})
+    # + 0j turns the -0.0 a product can underflow to into 0.0, as the public
+    # constructor's sum does, so every stored zero is positive.
+    residual = FockState._trusted(len(kept), {k: v * scale + 0j for k, v in residual_terms.items()})
     return BranchResult(pattern, weight, residual, kept)
 
 
@@ -102,13 +107,25 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
     Only outcomes with support in the state appear; their probabilities sum
     to the state norm. Branches are ordered by count tuple, so enumeration is
     deterministic regardless of evaluation order.
+
+    One pass groups the kets by their counts on the listed modes, keeping
+    the state's ket order within each group. Each outcome is then projected
+    from its own group's sub-state, which holds exactly the kets a
+    projection of the whole state would keep, in the same order, so every
+    sum runs in the same order and each branch is bit for bit the one
+    ``project_detection(state, pattern)`` gives.
     """
     modes = [int(m) for m in detector_modes]
     if len(set(modes)) != len(modes):
         raise ValueError(f"duplicate detector modes in {modes}")
     _validate_modes(state, modes)
-    outcomes = sorted(set(map(occupation_getter(modes), state.terms)))
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
+    for counts, (ket, amp) in zip(map(occupation_getter(modes), state.terms), state.terms.items()):
+        groups.setdefault(counts, {})[ket] = amp
     return [
-        project_detection(state, DetectionPattern(zip(modes, counts)))
-        for counts in outcomes
+        project_detection(
+            FockState._trusted(state.mode_count, groups[counts]),
+            DetectionPattern(zip(modes, counts)),
+        )
+        for counts in sorted(groups)
     ]

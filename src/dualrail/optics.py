@@ -115,7 +115,7 @@ def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -
         for (mono, scale), coeff in zip(outputs, coeffs):
             key = place(ket + mono)
             out[key] = out.get(key, 0j) + coeff * scale
-    return FockState(n, out)
+    return FockState._trusted(n, out)
 
 
 def _record_expansion(local: tuple[int, ...], columns: list[tuple[list, list]]) -> tuple:

@@ -73,7 +73,10 @@ class LogicalAmplitudes:
         return np.array([self.a0, self.a1], dtype=complex)
 
     def norm_squared(self) -> float:
-        return abs(self.a0) ** 2 + abs(self.a1) ** 2
+        try:
+            return abs(self.a0) ** 2 + abs(self.a1) ** 2
+        except OverflowError:
+            raise ValueError("squared norm of the logical amplitudes overflows a float") from None
 
     def normalized(self) -> LogicalAmplitudes:
         n = math.sqrt(self.norm_squared())
@@ -132,25 +135,28 @@ def decode_register(state: FockState, pairs: Sequence[DualRailQubit]) -> np.ndar
 
     amps = np.zeros(2 ** len(pairs), dtype=complex)
     leakage = 0.0
-    for ket, amp in state.terms.items():
-        if any(ket[m] != 0 for m in rest):
-            leakage += abs(amp) ** 2
-            continue
-        index = 0
-        ok = True
-        for p in pairs:
-            bits = (ket[p.rail1], ket[p.rail0])
-            if bits == (0, 1):
-                index = index * 2
-            elif bits == (1, 0):
-                index = index * 2 + 1
-            else:
-                ok = False
-                break
-        if not ok:
-            leakage += abs(amp) ** 2
-            continue
-        amps[index] += amp
+    try:
+        for ket, amp in state.terms.items():
+            if any(ket[m] != 0 for m in rest):
+                leakage += abs(amp) ** 2
+                continue
+            index = 0
+            ok = True
+            for p in pairs:
+                bits = (ket[p.rail1], ket[p.rail0])
+                if bits == (0, 1):
+                    index = index * 2
+                elif bits == (1, 0):
+                    index = index * 2 + 1
+                else:
+                    ok = False
+                    break
+            if not ok:
+                leakage += abs(amp) ** 2
+                continue
+            amps[index] += amp
+    except OverflowError:  # a finite amplitude squared past the float range
+        leakage = math.inf
     if leakage > LEAK_TOL:
         raise LeakageError("state leaks outside the dual-rail subspace", leakage)
     return amps
@@ -202,11 +208,14 @@ def pauli_correction(state: FockState, placement: DualRailQubit, which: str) -> 
     for m in placement.modes:
         if not 0 <= m < state.mode_count:
             raise ValueError(f"mode {m} out of range for {state.mode_count} modes")
-    leakage = sum(
-        abs(amp) ** 2
-        for ket, amp in state.terms.items()
-        if (ket[placement.rail1], ket[placement.rail0]) not in ((0, 1), (1, 0))
-    )
+    try:
+        leakage = sum(
+            abs(amp) ** 2
+            for ket, amp in state.terms.items()
+            if (ket[placement.rail1], ket[placement.rail0]) not in ((0, 1), (1, 0))
+        )
+    except OverflowError:  # a finite amplitude squared past the float range
+        leakage = math.inf
     if leakage > LEAK_TOL:
         raise LeakageError("Pauli correction outside the dual-rail subspace", leakage)
     if which == "I":
@@ -226,4 +235,4 @@ def pauli_correction(state: FockState, placement: DualRailQubit, which: str) -> 
             out[key] = out.get(key, 0j) + amp
         else:  # Y: |0>_L -> i|1>_L, |1>_L -> -i|0>_L
             out[key] = out.get(key, 0j) + (-1j * amp if is_one else 1j * amp)
-    return FockState(state.mode_count, out)
+    return FockState._trusted(state.mode_count, out)

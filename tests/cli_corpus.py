@@ -10,7 +10,10 @@ lines. Run it once per checkout and diff the outputs::
     PYTHONPATH=/path/to/other/checkout/src python tests/cli_corpus.py > old.txt
     diff old.txt new.txt
 
-Pytest does not collect this file. The deck takes a few seconds.
+Pytest does not collect this file, but ``tests/test_cli.py`` runs the deck
+(about 2 s) and compares each line with ``tests/data/cli_corpus.txt``.
+After an intended change of CLI text, regenerate that file with the first
+command above and say which lines changed and why.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import re
 import shlex
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 import dualrail
 from dualrail import cli
@@ -97,7 +101,8 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def main() -> None:
+def lines() -> Iterator[str]:
+    """One ``<sha256> <exit code> <argv>`` line per command of the deck."""
     data = str(Path(str(dualrail.data_path("fig1.loc"))).parent)
     with tempfile.TemporaryDirectory() as scratch:
         for name, source in PROGRAMS.items():
@@ -110,8 +115,9 @@ def main() -> None:
             code, out, err = run(argv)
             text = out + "\0" + err
             digest = hashlib.sha256(strip(DURATION.sub(r"\1<t>", text)).encode()).hexdigest()
-            print(digest, code, strip(shlex.join(argv)))
+            yield f"{digest} {code} {strip(shlex.join(argv))}"
 
 
 if __name__ == "__main__":
-    main()
+    for line in lines():
+        print(line)

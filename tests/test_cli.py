@@ -8,6 +8,8 @@ import pytest
 import dualrail
 from dualrail import circuits, cli
 
+import cli_corpus
+
 S = 1.0 / math.sqrt(2.0)
 DATA = Path(__file__).parent / "data"
 
@@ -341,3 +343,12 @@ def test_fig1_reproduces_the_destructive_defaults(capsys):
     gate_branch = [b for b in gate["branches"] if b["accepted"]][0]
     assert run["branches"][0]["probability"] == gate_branch["probability"]
     assert run["branches"][0]["residual"] == gate_branch["residual"]
+
+
+def test_cli_text_matches_the_committed_corpus():
+    # SHA-256 of stdout and stderr, exit code and argv for about 250 commands.
+    expected = (DATA / "cli_corpus.txt").read_text(encoding="utf-8").splitlines()
+    actual = list(cli_corpus.lines())
+    assert [line.split(" ", 2)[2] for line in actual] == [line.split(" ", 2)[2] for line in expected]
+    for got, want in zip(actual, expected):
+        assert got == want

@@ -1,26 +1,34 @@
 """The fast inner loops against their reference implementations, bit for bit.
 
 ``reference_kernels`` holds the loops as they were before record-and-replay
-expansion, itemgetter projections and the leaner ``FockState`` checks. The
-fast paths must agree on key order, on every bit of every amplitude and
-probability, and on every exception type and message.
+expansion, itemgetter projections, the leaner ``FockState`` checks and the
+one-pass outcome scan. The fast paths must agree on key order, on every bit
+of every amplitude and probability, and on every exception type and message.
+So must ``FockState._trusted`` and the public constructor, on every state
+the package builds with the former.
 """
 
+import ast
 import itertools
 import math
 import struct
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
+import dualrail
 from dualrail import measure
 from dualrail.fock import FockState
 from dualrail.measure import DetectionPattern
 from dualrail.optics import ModeUnitary, apply_mode_unitary, hadamard_bs
+from dualrail.rails import DualRailQubit, pauli_correction
 
 from conftest import random_unitary
 
@@ -171,6 +179,120 @@ def test_invalid_fock_states_fail_like_the_reference(mode_count, terms):
     expected = outcome(ref.ReferenceFockState, mode_count, terms)
     assert isinstance(expected, tuple)
     assert outcome(FockState, mode_count, terms) == expected
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_outcome_distribution_matches_the_reference_on_many_outcomes(data):
+    # Dense sectors in shuffled ket order: each detector set sees up to
+    # dozens of outcomes, whose kets interleave in the state.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    modes, photons = data.draw(st.sampled_from([(3, 6), (4, 5), (5, 4), (6, 3), (5, 5)]))
+    kets = sector(modes, photons)
+    state = FockState(
+        modes, {kets[i]: complex(rng.normal(), rng.normal()) for i in rng.permutation(len(kets))}
+    )
+    detectors = data.draw(st.lists(st.sampled_from(range(modes)), min_size=1, unique=True))
+    assert_same_branches(
+        measure.outcome_distribution(state, detectors), ref.outcome_distribution(state, detectors)
+    )
+
+
+@st.composite
+def extreme_states(draw):
+    """``states()`` as drawn or rescaled to the edges of the float range."""
+    state = draw(states())
+    kind = draw(st.sampled_from(["plain", "tiny", "huge", "largest", "subnormal"]))
+    edge = {
+        "plain": lambda v: v,
+        "tiny": lambda v: v * 3e-14,  # near PRUNE_TOL: elements prune terms
+        "huge": lambda v: v / abs(v) * 1e200,  # squares overflow
+        "largest": lambda v: math.copysign(sys.float_info.max, v.real),  # sums overflow
+        # Moduli of at least 3 keep every weight above 4, so scaling a
+        # residual by 1/sqrt(weight) < 1/2 takes -5e-324 to -0.0.
+        "subnormal": lambda v: complex(-5e-324, 3.0 + abs(v)),
+    }[kind]
+    built = outcome(FockState, state.mode_count, {k: edge(v) for k, v in state.terms.items()})
+    assume(not isinstance(built, tuple))  # e.g. every term pruned
+    return built
+
+
+@given(state=extreme_states(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_trusted_construction_matches_the_public_constructor(state, data):
+    # Every state the package builds through _trusted, rebuilt by both
+    # constructors: same keys in the same order, same bits, same errors.
+    trusted = FockState._trusted
+    built = []
+
+    def record(mode_count, terms):
+        built.append((mode_count, dict(terms)))
+        return trusted(mode_count, terms)
+
+    listed, u = data.draw(elements(state.mode_count))
+    if data.draw(st.booleans()):  # unitary to 1e-12, but takes the largest float to inf
+        u = ModeUnitary(np.diag([1 + 4e-13] + [1.0] * (u.dim - 1)))
+    detectors = data.draw(st.lists(st.sampled_from(range(state.mode_count)), min_size=1, unique=True))
+    pattern = DetectionPattern({m: data.draw(st.integers(0, 3)) for m in detectors})
+    # A qubit on modes 0 and 1 ahead of the state, so every ket is dual-rail there.
+    qubit = FockState(2, {(0, 1): data.draw(st.sampled_from([S, 1.0, 1e200])), (1, 0): -S})
+    register = outcome(qubit.tensor, state)
+    with mock.patch.object(FockState, "_trusted", record):
+        outcome(apply_mode_unitary, state, listed, u)
+        outcome(measure.project_detection, state, pattern)
+        outcome(measure.outcome_distribution, state, detectors)
+        if not isinstance(register, tuple):
+            for which in "XYZ":
+                outcome(pauli_correction, register, DualRailQubit(0, 1), which)
+    for mode_count, terms in built:
+        fast = outcome(trusted, mode_count, dict(terms))
+        slow = outcome(FockState, mode_count, terms)
+        if isinstance(slow, tuple):
+            assert fast == slow
+        else:
+            assert type(fast) is FockState and fast.mode_count == slow.mode_count
+            assert bits(fast.terms) == bits(slow.terms)
+
+
+def test_an_overflowing_splitter_output_is_still_rejected():
+    # The slightly non-unitary entry takes the largest float to inf; a
+    # fast path that only pruned would keep the inf as an amplitude.
+    state = FockState(2, {(1, 0): sys.float_info.max})
+    u = ModeUnitary([[1 + 4e-13, 0], [0, 1]])
+    with pytest.raises(ValueError) as info:
+        apply_mode_unitary(state, [0, 1], u)
+    assert str(info.value) == "non-finite amplitude (inf+nanj) for ket (1, 0)"
+
+
+# Where FockState._trusted may be called: each builds a state from another
+# valid state, never from .loc text, argv or a library caller's terms.
+TRUSTED_CALLERS = {
+    ("optics", "apply_mode_unitary"),
+    ("measure", "project_detection"),
+    ("measure", "outcome_distribution"),
+    ("rails", "pauli_correction"),
+}
+
+
+def trusted_references() -> set:
+    """(module, enclosing function) of each name or attribute ``_trusted`` in ``src``."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if "_trusted" in (getattr(node, "attr", None), getattr(node, "id", None)):
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in Path(dualrail.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+def test_trusted_construction_is_reached_only_from_internal_states():
+    assert trusted_references() == TRUSTED_CALLERS
 
 
 def test_expansion_programs_do_not_outlive_their_kets():

@@ -17,7 +17,8 @@ from dualrail.protocols import (
     run_quantum_encoder,
     teleport_gate_table,
 )
-from dualrail.rails import DualRailQubit, LogicalAmplitudes, decode_register, encode
+from dualrail.measure import outcome_distribution
+from dualrail.rails import DualRailQubit, LogicalAmplitudes, decode_register, encode, pauli_correction
 
 from conftest import random_qubit
 from reference_kernels import project_onto_state, teleport_outcome_branches
@@ -356,3 +357,41 @@ def test_overflowing_amplitudes_are_rejected_without_a_warning(call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="normalized"):
             call()
+
+
+BIG_STATE = FockState(1, {(1,): 1e200})
+LEAKING = FockState(3, {(0, 1, 0): 1.0, (1, 1, 0): 1e200})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (BIG_STATE.norm_squared, "squared norm of the state overflows a float"),
+        (BIG_STATE.normalized, "squared norm of the state overflows a float"),
+        (
+            lambda: equal_up_to_global_phase(BIG_STATE, BIG_STATE),
+            "squared norm of the state overflows a float",
+        ),
+        (
+            lambda: outcome_distribution(FockState(2, {(1, 0): 1e200, (0, 1): 1.0}), [0]),
+            "branch probability overflows a float",
+        ),
+        (HUGE.normalized, "squared norm of the logical amplitudes overflows a float"),
+        (
+            lambda: decode_register(LEAKING, [DualRailQubit(0, 1)]),
+            "state leaks outside the dual-rail subspace (leakage weight inf)",
+        ),
+        (
+            lambda: pauli_correction(LEAKING, DualRailQubit(0, 1), "X"),
+            "Pauli correction outside the dual-rail subspace (leakage weight inf)",
+        ),
+    ],
+    ids=["norm_squared", "normalized", "phase", "outcomes", "logical", "decode", "pauli"],
+)
+def test_squares_that_overflow_raise_a_one_line_value_error(call, message):
+    # The amplitudes are finite, but abs(a) ** 2 raises OverflowError on them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            call()
+    assert str(info.value) == message
