@@ -37,7 +37,7 @@ import itertools
 import re
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -362,8 +362,6 @@ def parse(source: str) -> CircuitIR:
                 raise ParseError(
                     line_no, tok.column, f"ket has {len(occ)} modes, expected {b.mode_count}"
                 )
-            if any(n < 0 for n in occ):
-                raise ParseError(line_no, tok.column, "negative photon count", tok.text)
             if sum(occ) > MAX_PHOTONS:
                 raise ParseError(
                     line_no, tok.column, f"a ket may hold at most {MAX_PHOTONS} photons", tok.text
@@ -486,18 +484,25 @@ def parse(source: str) -> CircuitIR:
 
 
 def _validate(ir: CircuitIR) -> None:
+    span = range(ir.mode_count)
     prepared: set[int] = set()
     used: set[int] = set()
     detected: set[int] = set()
     bound: set[str] = set()
 
-    def require_live(modes: Iterable[int], what: str) -> None:
-        for m in modes:
+    def require_live(modes: Sequence[int], what: str) -> None:
+        for i, m in enumerate(modes):
+            if m not in span:
+                raise CircuitError(f"{what} mode {m + 1} out of range for {ir.mode_count} modes")
+            if modes.index(m) < i:
+                raise CircuitError(f"{what} lists mode {m + 1} twice")
             if m in detected:
                 raise CircuitError(f"{what} uses mode {m + 1}, already consumed by a detector")
 
-    def prepare(modes: Iterable[int], what: str) -> None:
+    def prepare(modes: Sequence[int], what: str) -> None:
         for m in modes:
+            if m not in span:
+                raise CircuitError(f"{what} mode {m + 1} out of range for {ir.mode_count} modes")
             if m in prepared:
                 raise CircuitError(f"{what} prepares mode {m + 1} twice")
             if m in used:
@@ -513,6 +518,9 @@ def _validate(ir: CircuitIR) -> None:
 
     for element in ir.elements:
         if isinstance(element, PrepareKet):
+            for occ, _ in element.terms:
+                if len(occ) != ir.mode_count:
+                    raise CircuitError(f"ket {occ} has {len(occ)} modes, expected {ir.mode_count}")
             prepare(range(ir.mode_count), "ket")
         elif isinstance(element, PrepareDualRail):
             prepare((element.rail1, element.rail0), "dualrail")
@@ -602,14 +610,13 @@ class Branch:
 
     ``accepted`` turns False at the first ``postselect`` whose predicate the
     counts fail; the branch keeps evolving, but no ``correct`` touches it.
-    ``residual`` is None once every mode has been detected; ``modes`` holds
-    the circuit mode at each of its positions.
+    ``residual`` is None once every mode has been detected; its modes are
+    the run's ``RunResult.output_labels``.
     """
 
     counts: dict[str, int]
     probability: float
     residual: FockState | None
-    modes: tuple[int, ...]
     corrections: tuple[str, ...]
     accepted: bool
 
@@ -618,13 +625,13 @@ class Branch:
 class RunResult:
     """The branches of one run and the weight it accepted and rejected.
 
-    Both probabilities are summed over the branches in detection order. A
-    gate also decodes its accepted residuals: ``output_logical`` holds their
-    logical amplitudes (they agree up to a global phase, checked), aligned
-    to the gate's reference, ``fidelity_vs_reference`` their squared overlap
-    with it and ``output_labels`` the residuals' mode labels. A ``.loc`` run
-    leaves these three at their defaults; the first two stay None when a
-    gate accepts nothing.
+    Both probabilities are summed over the branches in detection order.
+    ``output_labels`` labels the circuit mode at each residual position, the
+    same for every branch. A gate also decodes its accepted residuals:
+    ``output_logical`` holds their logical amplitudes (they agree up to a
+    global phase, checked), aligned to the gate's reference, and
+    ``fidelity_vs_reference`` their squared overlap with it. Both stay None
+    for a ``.loc`` run and for a gate that accepts nothing.
     """
 
     branches: list[Branch]
@@ -648,10 +655,6 @@ def _predicate_holds(predicate: Predicate, counts: dict[str, int]) -> bool:
 _HADAMARD = hadamard_bs()
 
 
-def _positions(b: Branch, modes: Iterable[int]) -> list[int]:
-    return [b.modes.index(m) for m in modes]
-
-
 def run_branches(ir: CircuitIR) -> RunResult:
     """Run a circuit over every detector outcome, rejected branches included.
 
@@ -661,36 +664,39 @@ def run_branches(ir: CircuitIR) -> RunResult:
     instead of dropping them, and ``correct`` acts only on accepted branches.
     The probabilities of all branches sum to the prepared state's squared
     norm; the result splits that sum into accepted and rejected weight.
+    A hand-built ``CircuitIR`` is validated first, as ``parse`` validates.
     """
-    vacuum = FockState.vacuum(ir.mode_count)
-    branches = [Branch({}, 1.0, vacuum, tuple(range(ir.mode_count)), (), True)]
+    _validate(ir)
+    live = tuple(range(ir.mode_count))  # every branch's circuit mode at each position
+    branches = [Branch({}, 1.0, FockState.vacuum(ir.mode_count), (), True)]
     for joint, group in itertools.groupby(ir.elements, lambda e: isinstance(e, Detect)):
         if joint:
             detectors = tuple(group)
-            branches = [grown for b in branches for grown in _detect(b, detectors)]
+            positions = [live.index(d.mode) for d in detectors]
+            branches = [grown for b in branches for grown in _detect(b, detectors, positions)]
+            live = tuple(m for k, m in enumerate(live) if k not in positions)
             continue
         for element in group:
             if isinstance(element, ApplyBS):
                 m = element.matrix
                 u = _HADAMARD if m is None else ModeUnitary([[m[0], m[1]], [m[2], m[3]]])
-                positions = [_positions(b, element.modes) for b in branches]
-                bound = _term_bound(branches, positions)
+                pq = [live.index(mode) for mode in element.modes]
+                bound = _term_bound(branches, pq)
                 if bound > MAX_TERMS:
                     p, q = map(ir.label_of, element.modes)
                     raise CircuitError(
                         f"bs {p} {q} could output {bound} terms, above the limit of {MAX_TERMS}"
                     )
-                for b, pq in zip(branches, positions):
+                for b in branches:
                     b.residual = apply_mode_unitary(b.residual, pq, u)
             elif isinstance(element, PostSelect):
                 for b in branches:
                     b.accepted = b.accepted and _predicate_holds(element.predicate, b.counts)
             elif isinstance(element, CorrectZ):
-                pair_modes = (element.rail1, element.rail0)
-                r1, r0 = map(ir.label_of, pair_modes)
+                pair = DualRailQubit(live.index(element.rail1), live.index(element.rail0))
+                r1, r0 = ir.label_of(element.rail1), ir.label_of(element.rail0)
                 for b in branches:
                     if b.accepted and _predicate_holds(element.condition, b.counts):
-                        pair = DualRailQubit(*_positions(b, pair_modes))
                         try:
                             b.residual = rails.pauli_correction(b.residual, pair, "Z")
                         except rails.LeakageError as exc:
@@ -698,39 +704,38 @@ def run_branches(ir: CircuitIR) -> RunResult:
                         b.corrections = b.corrections + (f"Z on ({r1}, {r0})",)
             else:
                 modes, terms = _preparation(ir, element)
+                positions = [live.index(mode) for mode in modes]
                 for b in branches:
-                    b.residual = _inject(b.residual, _positions(b, modes), terms)
+                    b.residual = _inject(b.residual, positions, terms)
     return RunResult(
         branches,
         sum((b.probability for b in branches if b.accepted), 0.0),
         sum((b.probability for b in branches if not b.accepted), 0.0),
+        output_labels=tuple(map(ir.label_of, live)),
     )
 
 
-def _term_bound(branches: list[Branch], positions: list[list[int]]) -> int:
-    """An upper bound on the terms a beam splitter outputs over ``branches``.
+def _term_bound(branches: list[Branch], positions: list[int]) -> int:
+    """An upper bound on the terms a splitter on positions [p, q] outputs over ``branches``.
 
     A ket with n photons on the splitter's two modes yields at most n + 1
     output kets, so the bound is integer work over the input kets.
     """
+    p, q = positions
     bound = 0
-    for b, (p, q) in zip(branches, positions):
+    for b in branches:
         kets = b.residual.terms
         bound += len(kets) + sum(map(itemgetter(p), kets)) + sum(map(itemgetter(q), kets))
     return bound
 
 
-def _detect(b: Branch, detectors: tuple[Detect, ...]) -> list[Branch]:
-    positions = _positions(b, (d.mode for d in detectors))
+def _detect(b: Branch, detectors: tuple[Detect, ...], positions: list[int]) -> list[Branch]:
     grown = []
     for outcome in measure.outcome_distribution(b.residual, positions):
         req = outcome.pattern.requirements
         counts = {**b.counts, **{d.name: req[p] for d, p in zip(detectors, positions)}}
         probability = b.probability * outcome.probability
-        modes = tuple(b.modes[k] for k in outcome.kept_modes)
-        grown.append(
-            Branch(counts, probability, outcome.residual, modes, b.corrections, b.accepted)
-        )
+        grown.append(Branch(counts, probability, outcome.residual, b.corrections, b.accepted))
     return grown
 
 
@@ -762,15 +767,13 @@ def _preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Iterab
 
 
 def _inject(state: FockState, positions: list[int], factor: Iterable) -> FockState:
-    """Write a prepared factor onto modes that are currently vacuum.
+    """Write a prepared factor onto modes that are vacuum (``_validate`` checks).
 
-    State terms form the outer loop, so amplitudes multiply as in
-    ``FockState.tensor``.
+    State terms form the outer loop; each amplitude is the state's times the
+    factor's, in that order.
     """
     out: dict[tuple[int, ...], complex] = {}
     for ket, amp in state.terms.items():
-        if any(ket[p] != 0 for p in positions):
-            raise CircuitError("preparation targets a mode that is not vacuum")
         for sub, sub_amp in factor:
             new_ket = list(ket)
             for p, n in zip(positions, sub):

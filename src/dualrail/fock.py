@@ -40,6 +40,17 @@ def occupation_getter(positions: Sequence[int]) -> Callable[[Occupation], Occupa
     return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
+def checked_modes(mode_count: int, modes: Iterable[int]) -> list[int]:
+    """``modes`` as ints, each in range(mode_count) and listed once, else ``ValueError``."""
+    modes = [int(m) for m in modes]
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"duplicate modes in {modes}")
+    for m in modes:
+        if not 0 <= m < mode_count:
+            raise ValueError(f"mode {m} out of range for {mode_count} modes")
+    return modes
+
+
 class FockState:
     """Multimode bosonic pure state, stored sparsely.
 
@@ -86,7 +97,10 @@ class FockState:
 
         if not acc:  # every pair either raised or added a key
             raise ValueError("at least one term is required")
-        pruned = {k: v for k, v in acc.items() if abs(v) > PRUNE_TOL}
+        try:
+            pruned = {k: v for k, v in acc.items() if abs(v) > PRUNE_TOL}
+        except OverflowError:  # a finite amplitude whose modulus passes the float range
+            raise ValueError("amplitude modulus overflows a float") from None
         if not pruned:
             raise ValueError("all terms vanished (exact cancellation)")
         self.mode_count = mode_count
@@ -102,7 +116,11 @@ class FockState:
         if not all(map(cmath.isfinite, terms.values())):
             ket, amp = next((k, a) for k, a in terms.items() if not cmath.isfinite(a))
             raise ValueError(f"non-finite amplitude {amp} for ket {ket}")
-        if not min(map(abs, terms.values()), default=0.0) > PRUNE_TOL:
+        try:
+            smallest = min(map(abs, terms.values()), default=0.0)
+        except OverflowError:
+            raise ValueError("amplitude modulus overflows a float") from None
+        if not smallest > PRUNE_TOL:
             terms = {k: v for k, v in terms.items() if abs(v) > PRUNE_TOL}
             if not terms:
                 raise ValueError("all terms vanished (exact cancellation)")
@@ -127,14 +145,6 @@ class FockState:
     def items(self) -> list[tuple[Occupation, complex]]:
         """Terms in canonical (lexicographic ket) order."""
         return sorted(self.terms.items())
-
-    def tensor(self, other: FockState) -> FockState:
-        """Juxtapose registers: modes of ``other`` are appended after ours."""
-        out: dict[Occupation, complex] = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                out[ka + kb] = va * vb
-        return FockState(self.mode_count + other.mode_count, out)
 
     def norm_squared(self) -> float:
         try:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .fock import FockState, occupation_getter
+from .fock import FockState, checked_modes, occupation_getter
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,6 @@ class BranchResult:
     kept_modes: tuple[int, ...]
 
 
-def _validate_modes(state: FockState, modes: Sequence[int]) -> None:
-    for m in modes:
-        if not 0 <= m < state.mode_count:
-            raise ValueError(f"mode {m} out of range for {state.mode_count} modes")
-
-
 def project_detection(state: FockState, pattern: DetectionPattern) -> BranchResult:
     """Project onto the given photon counts; consume the measured modes.
 
@@ -70,10 +64,9 @@ def project_detection(state: FockState, pattern: DetectionPattern) -> BranchResu
     A pattern matching nothing yields an explicit empty branch (probability
     0, residual None) so acceptance policies can be total over patterns.
     """
-    _validate_modes(state, pattern.modes)
+    measured = occupation_getter(checked_modes(state.mode_count, pattern.modes))
     required = pattern.requirements
     kept = tuple(m for m in range(state.mode_count) if m not in required)
-    measured = occupation_getter(pattern.modes)
     counts = tuple(required.values())
     rest_of = occupation_getter(kept)
 
@@ -115,10 +108,7 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
     sum runs in the same order and each branch is bit for bit the one
     ``project_detection(state, pattern)`` gives.
     """
-    modes = [int(m) for m in detector_modes]
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"duplicate detector modes in {modes}")
-    _validate_modes(state, modes)
+    modes = checked_modes(state.mode_count, detector_modes)
     groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
     for counts, (ket, amp) in zip(map(occupation_getter(modes), state.terms), state.terms.items()):
         groups.setdefault(counts, {})[ket] = amp

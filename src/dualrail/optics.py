@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import FockState, occupation_getter
+from .fock import FockState, checked_modes, occupation_getter
 
 UNITARY_TOL = 1e-12
 
@@ -72,12 +72,7 @@ def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -
     exact sqrt(n!) normalization, so photon number per term and the state
     norm are both preserved. Untouched modes pass through unchanged.
     """
-    modes = [int(m) for m in modes]
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"duplicate modes in {modes}")
-    for m in modes:
-        if not 0 <= m < state.mode_count:
-            raise ValueError(f"mode {m} out of range for {state.mode_count} modes")
+    modes = checked_modes(state.mode_count, modes)
     if u.dim != len(modes):
         raise ValueError(f"unitary is {u.dim}-mode but {len(modes)} modes were listed")
 

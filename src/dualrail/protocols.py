@@ -418,7 +418,6 @@ def _run_gate(
     result = run_branches(ir)
     decoded = [rails.decode_register(b.residual, pairs) for b in result.branches if b.accepted]
     result.output_logical, result.fidelity_vs_reference = _collect_output(decoded, reference)
-    result.output_labels = tuple(map(ir.label_of, result.branches[0].modes))
     return result
 
 
@@ -436,6 +435,7 @@ def run_destructive_csign(
     with a Z, doubling the acceptance.
     """
     _check_policy(policy)
+    # Not redundant with the run's check: numpy would first warn computing the reference.
     rails.require_normalized(control)
     rails.require_normalized(target)
     ir = CircuitIR(

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock import FockState
+from .fock import FockState, checked_modes
 
 # Weight outside the one-photon-per-pair subspace above this is reported as
 # leakage instead of being silently renormalized: post-selected branches in
@@ -101,9 +101,7 @@ def require_normalized(q: LogicalAmplitudes) -> None:
 def encode(q: LogicalAmplitudes, placement: DualRailQubit, total_modes: int) -> FockState:
     """Place a logical qubit on its rail pair; every other mode is vacuum."""
     require_normalized(q)
-    for m in placement.modes:
-        if not 0 <= m < total_modes:
-            raise ValueError(f"mode {m} out of range for {total_modes} modes")
+    checked_modes(total_modes, placement.modes)
     terms = []
     if q.a0 != 0:
         ket = [0] * total_modes
@@ -123,15 +121,8 @@ def decode_register(state: FockState, pairs: Sequence[DualRailQubit]) -> np.ndar
     and nothing anywhere else; offending weight raises ``LeakageError``. The
     first pair is the most significant bit of the returned index.
     """
-    used: list[int] = []
-    for p in pairs:
-        used.extend(p.modes)
-    if len(set(used)) != len(used):
-        raise ValueError("qubit pairs share a mode")
-    for m in used:
-        if not 0 <= m < state.mode_count:
-            raise ValueError(f"mode {m} out of range for {state.mode_count} modes")
-    rest = [m for m in range(state.mode_count) if m not in set(used)]
+    used = set(checked_modes(state.mode_count, (m for p in pairs for m in p.modes)))
+    rest = [m for m in range(state.mode_count) if m not in used]
 
     amps = np.zeros(2 ** len(pairs), dtype=complex)
     leakage = 0.0
@@ -205,9 +196,7 @@ def pauli_correction(state: FockState, placement: DualRailQubit, which: str) -> 
     """
     if which not in ("I", "X", "Z", "Y"):
         raise ValueError(f"unknown Pauli label {which!r}")
-    for m in placement.modes:
-        if not 0 <= m < state.mode_count:
-            raise ValueError(f"mode {m} out of range for {state.mode_count} modes")
+    checked_modes(state.mode_count, placement.modes)
     try:
         leakage = sum(
             abs(amp) ** 2

@@ -7,20 +7,22 @@ generator scans, and the ``FockState`` constructor with generator-based
 validation. The fast paths must reproduce them bit for bit: same keys in the
 same order, same float bits, same exceptions and messages.
 
-The module also holds helpers that only the tests call: the amplitude
-distance between two states, projection onto a reference state, and the
-per-outcome collapse of the teleportation gate table.
+The module also holds helpers that only the tests call: the tensor product
+and amplitude distance of two states, projection onto a reference state,
+the per-outcome collapse of the teleportation gate table, and transition
+amplitudes as permanents, an oracle that shares no method with ``optics``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from dualrail.fock import PRUNE_TOL, FockState
-from dualrail.measure import BranchResult, DetectionPattern, _validate_modes
+from dualrail.fock import PRUNE_TOL, FockState, checked_modes
+from dualrail.measure import BranchResult, DetectionPattern
 from dualrail.optics import ModeUnitary
 from dualrail.protocols import BellAmplitudes, collapse_teleport_rows, teleport_gate_table
 from dualrail.rails import LogicalAmplitudes
@@ -107,7 +109,7 @@ def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -
 
 
 def project_detection(state: FockState, pattern: DetectionPattern) -> BranchResult:
-    _validate_modes(state, pattern.modes)
+    checked_modes(state.mode_count, pattern.modes)
     required = pattern.requirements
     kept = tuple(m for m in range(state.mode_count) if m not in required)
 
@@ -134,7 +136,7 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
     modes = [int(m) for m in detector_modes]
     if len(set(modes)) != len(modes):
         raise ValueError(f"duplicate detector modes in {modes}")
-    _validate_modes(state, modes)
+    checked_modes(state.mode_count, modes)
     outcomes = sorted({tuple(ket[m] for m in modes) for ket in state.terms})
     return [
         project_detection(state, DetectionPattern(zip(modes, counts)))
@@ -145,6 +147,15 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
 # --------------------------------------------------------------------------
 # Helpers only the tests call
 # --------------------------------------------------------------------------
+
+
+def tensor(a: FockState, b: FockState) -> FockState:
+    """Juxtapose registers: the modes of ``b`` are appended after those of ``a``."""
+    out: dict[tuple[int, ...], complex] = {}
+    for ka, va in a.terms.items():
+        for kb, vb in b.terms.items():
+            out[ka + kb] = va * vb
+    return FockState(a.mode_count + b.mode_count, out)
 
 
 def distance(a: FockState, b: FockState) -> float:
@@ -166,7 +177,7 @@ def project_onto_state(
     modes = [int(m) for m in modes]
     if len(set(modes)) != len(modes):
         raise ValueError(f"duplicate modes in {modes}")
-    _validate_modes(state, modes)
+    checked_modes(state.mode_count, modes)
     if reference.mode_count != len(modes):
         raise ValueError("reference state width does not match the listed modes")
     if abs(reference.norm_squared() - 1.0) > 1e-9:
@@ -195,3 +206,38 @@ def teleport_outcome_branches(
 ) -> dict[str, tuple[float, np.ndarray | None]]:
     """Collapse the gate table per outcome: branch probability and state."""
     return collapse_teleport_rows(teleport_gate_table(u, qubit), qubit)
+
+
+# Independent oracle: the transition amplitude of a linear element is the
+# permanent of the unitary with rows/columns repeated by occupation
+# (Scheel, quant-ph/0406127), computed by Ryser's formula
+#   Per(A) = (-1)^n sum over column subsets S of (-1)^|S| prod_i sum_{j in S} A[i, j].
+def permanent(mat: np.ndarray) -> complex:
+    n = mat.shape[0]
+    total = 0j
+    for size in range(1, n + 1):
+        for cols in itertools.combinations(range(n), size):
+            total += (-1) ** size * np.prod(mat[:, list(cols)].sum(axis=1))
+    return complex((-1) ** n * total) if n else 1.0 + 0j
+
+
+def oracle_amplitude(u: np.ndarray, occ_in, occ_out) -> complex:
+    """<occ_out| U |occ_in> = Per(U[occ_out, occ_in]) / sqrt(prod occ_in! prod occ_out!)."""
+    if sum(occ_in) != sum(occ_out):
+        return 0j
+    rows = [i for i, m in enumerate(occ_out) for _ in range(m)]
+    cols = [j for j, n in enumerate(occ_in) for _ in range(n)]
+    norm = math.sqrt(
+        math.prod(math.factorial(n) for n in occ_in)
+        * math.prod(math.factorial(m) for m in occ_out)
+    )
+    return permanent(u[np.ix_(rows, cols)]) / norm
+
+
+def sector(mode_count: int, photons: int) -> list[tuple[int, ...]]:
+    """Every occupation of ``mode_count`` modes holding ``photons`` photons."""
+    return [
+        occ
+        for occ in itertools.product(range(photons + 1), repeat=mode_count)
+        if sum(occ) == photons
+    ]

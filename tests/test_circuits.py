@@ -92,6 +92,7 @@ class TestParseErrors:
             ("modes 2\ncorrect z on 1 2\n", "'if'"),
             ("modes 2\ncorrect x on 1 2 if a == 1\n", "only 'correct z'"),
             ("modes 1\nket |1> ?\n", "unrecognized"),
+            ("modes 2\nket |-1,0>\n", r"unrecognized character \(at '\|'\)"),
             ("modes 2\nket |1,0> amp 1e999 0\n", "must be finite"),
             ("modes 2\nket |1,0> amp 2 0\n", "ket amplitudes are not normalized"),
             ("modes 2\nket |1,0>\nket |0,1>\nbs 1 2\n", "ket amplitudes are not normalized"),
@@ -155,6 +156,29 @@ class TestParseErrors:
     def test_ket_after_operation(self):
         with pytest.raises(ParseError, match="before operations"):
             parse("modes 2\nket |1,0>\nbs 1 2\nket |0,1>\n")
+
+
+ONE_PHOTON = PrepareKet((((1, 0), 1.0 + 0j),))
+
+
+class TestHandBuiltPrograms:
+    """``run_branches`` validates a ``CircuitIR`` that ``parse`` never saw."""
+
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ((PrepareDualRail(0, 1, 0, 0),), "dualrail prepares mode 1 twice"),
+            ((PrepareKet((((1,), 1.0 + 0j),)),), r"ket \(1,\) has 1 modes, expected 2"),
+            ((ONE_PHOTON, PostSelect(((("a", 1),),))), "postselect references unbound outcome 'a'"),
+            ((ONE_PHOTON, ApplyBS((0, 2), None)), "bs mode 3 out of range for 2 modes"),
+            ((ONE_PHOTON, ApplyBS((1, 1), None)), "bs lists mode 2 twice"),
+            ((ONE_PHOTON, Detect(0, "a"), ApplyBS((0, 1), None)), "bs uses mode 1, already consumed"),
+        ],
+        ids=["repeated-rail", "short-ket", "unbound-name", "out-of-range", "repeated", "detected"],
+    )
+    def test_each_fault_raises_a_circuit_error(self, elements, message):
+        with pytest.raises(CircuitError, match=message):
+            circuits.run_branches(circuits.CircuitIR(2, None, elements))
 
 
 class TestExecution:

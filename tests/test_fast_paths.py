@@ -236,7 +236,7 @@ def test_trusted_construction_matches_the_public_constructor(state, data):
     pattern = DetectionPattern({m: data.draw(st.integers(0, 3)) for m in detectors})
     # A qubit on modes 0 and 1 ahead of the state, so every ket is dual-rail there.
     qubit = FockState(2, {(0, 1): data.draw(st.sampled_from([S, 1.0, 1e200])), (1, 0): -S})
-    register = outcome(qubit.tensor, state)
+    register = outcome(ref.tensor, qubit, state)
     with mock.patch.object(FockState, "_trusted", record):
         outcome(apply_mode_unitary, state, listed, u)
         outcome(measure.project_detection, state, pattern)

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualrail.fock import FockState, equal_up_to_global_phase
+from dualrail.fock import FockState, checked_modes, equal_up_to_global_phase
+from dualrail.measure import DetectionPattern, outcome_distribution, project_detection
+from dualrail.optics import apply_mode_unitary, hadamard_bs
+from dualrail.rails import DualRailQubit, LogicalAmplitudes, decode_register, encode, pauli_correction
 
 from conftest import random_fock_state
-from reference_kernels import distance
+from reference_kernels import distance, tensor
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -54,12 +57,12 @@ class TestAlgebra:
     def test_tensor_of_basis_kets(self):
         left = FockState.ket((1, 0))
         right = FockState.ket((0, 1))
-        assert left.tensor(right).terms == {(1, 0, 0, 1): 1.0 + 0j}
+        assert tensor(left, right).terms == {(1, 0, 0, 1): 1.0 + 0j}
 
     def test_tensor_distributes(self):
         alpha, beta = 0.6, 0.8j
         q = FockState(2, {(0, 1): alpha, (1, 0): beta})
-        out = q.tensor(FockState.ket((0, 1)))
+        out = tensor(q, FockState.ket((0, 1)))
         assert out.amplitude((0, 1, 0, 1)) == pytest.approx(alpha)
         assert out.amplitude((1, 0, 0, 1)) == pytest.approx(beta)
 
@@ -128,15 +131,15 @@ def fock_states(draw, modes=None):
 @given(a=fock_states(), b=fock_states(), c=fock_states())
 @settings(max_examples=60)
 def test_tensor_is_associative(a, b, c):
-    left = a.tensor(b).tensor(c)
-    right = a.tensor(b.tensor(c))
+    left = tensor(tensor(a, b), c)
+    right = tensor(a, tensor(b, c))
     assert distance(left, right) < 1e-12
 
 
 @given(a=fock_states(), b=fock_states())
 @settings(max_examples=60)
 def test_norm_is_multiplicative_under_tensor(a, b):
-    assert a.tensor(b).norm_squared() == pytest.approx(
+    assert tensor(a, b).norm_squared() == pytest.approx(
         a.norm_squared() * b.norm_squared(), abs=1e-12
     )
 
@@ -158,3 +161,47 @@ def test_roundtrip_is_lossless_above_prune_tolerance(rng):
         s = random_fock_state(rng, 4)
         rebuilt = FockState(s.mode_count, dict(s.items()))
         assert distance(s, rebuilt) == 0.0
+
+
+TWO_MODES = FockState(2, {(1, 0): 1.0})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: apply_mode_unitary(TWO_MODES, [0, 5], hadamard_bs()),
+        lambda: outcome_distribution(TWO_MODES, [5]),
+        lambda: project_detection(TWO_MODES, DetectionPattern({5: 0})),
+        lambda: encode(LogicalAmplitudes.zero(), DualRailQubit(0, 5), 2),
+        lambda: decode_register(TWO_MODES, [DualRailQubit(0, 5)]),
+        lambda: pauli_correction(TWO_MODES, DualRailQubit(0, 5), "Z"),
+    ],
+    ids=["apply", "outcomes", "project", "encode", "decode", "pauli"],
+)
+def test_every_kernel_reports_a_mode_out_of_range_alike(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == "mode 5 out of range for 2 modes"
+
+
+@pytest.mark.parametrize(
+    "call, listed",
+    [
+        (lambda: apply_mode_unitary(TWO_MODES, [1, 1], hadamard_bs()), "[1, 1]"),
+        (lambda: outcome_distribution(TWO_MODES, [1, 1]), "[1, 1]"),
+        (
+            lambda: decode_register(TWO_MODES, [DualRailQubit(0, 1), DualRailQubit(1, 0)]),
+            "[0, 1, 1, 0]",
+        ),
+    ],
+    ids=["apply", "outcomes", "decode"],
+)
+def test_every_kernel_reports_a_repeated_mode_alike(call, listed):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"duplicate modes in {listed}"
+
+
+def test_checked_modes_returns_ints():
+    assert checked_modes(3, (np.int64(2), 0)) == [2, 0]
+    assert all(type(m) is int for m in checked_modes(3, (np.int64(2), 0)))

@@ -11,34 +11,9 @@ from dualrail.fock import FockState
 from dualrail.optics import ModeUnitary, apply_mode_unitary, hadamard_bs
 
 from conftest import random_fock_state, random_unitary
-from reference_kernels import distance
+from reference_kernels import distance, oracle_amplitude, permanent, sector
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-
-# Independent oracle: the transition amplitude of a linear element is the
-# permanent of the unitary with rows/columns repeated by occupation
-# (Scheel, quant-ph/0406127), computed by Ryser's formula
-#   Per(A) = (-1)^n sum over column subsets S of (-1)^|S| prod_i sum_{j in S} A[i, j].
-def _permanent(mat: np.ndarray) -> complex:
-    n = mat.shape[0]
-    total = 0j
-    for size in range(1, n + 1):
-        for cols in itertools.combinations(range(n), size):
-            total += (-1) ** size * np.prod(mat[:, list(cols)].sum(axis=1))
-    return complex((-1) ** n * total) if n else 1.0 + 0j
-
-
-def oracle_amplitude(u: np.ndarray, occ_in, occ_out) -> complex:
-    if sum(occ_in) != sum(occ_out):
-        return 0j
-    rows = [i for i, m in enumerate(occ_out) for _ in range(m)]
-    cols = [j for j, n in enumerate(occ_in) for _ in range(n)]
-    norm = math.sqrt(
-        math.prod(math.factorial(n) for n in occ_in)
-        * math.prod(math.factorial(m) for m in occ_out)
-    )
-    return _permanent(u[np.ix_(rows, cols)]) / norm
 
 
 def oracle_apply(u: np.ndarray, state: FockState, modes) -> FockState:
@@ -189,22 +164,14 @@ def test_ryser_matches_the_permutation_sum(rng):
             math.prod(a[i, j] for i, j in enumerate(perm))
             for perm in itertools.permutations(range(n))
         )
-        assert _permanent(a) == pytest.approx(by_definition, abs=1e-12)
-
-
-def _sector(mode_count: int, photons: int) -> list[tuple[int, ...]]:
-    return [
-        occ
-        for occ in itertools.product(range(photons + 1), repeat=mode_count)
-        if sum(occ) == photons
-    ]
+        assert permanent(a) == pytest.approx(by_definition, abs=1e-12)
 
 
 @st.composite
 def transitions(draw):
     """A basis ket and a random, permutation or Hadamard element on some of its modes."""
     mode_count = draw(st.integers(1, 5))
-    ket = draw(st.sampled_from(_sector(mode_count, draw(st.integers(0, 5)))))
+    ket = draw(st.sampled_from(sector(mode_count, draw(st.integers(0, 5)))))
     k = draw(st.integers(1, mode_count))
     modes = draw(st.permutations(range(mode_count)))[:k]
     kind = draw(st.sampled_from(["random", "permutation", "hadamard"]))
@@ -226,7 +193,7 @@ def test_every_transition_amplitude_matches_the_permanent(transition):
     got = apply_mode_unitary(FockState.ket(ket), modes, ModeUnitary(u))
     occ_in = [ket[m] for m in modes]
     expected = {}
-    for occ_out in _sector(len(modes), sum(occ_in)):
+    for occ_out in sector(len(modes), sum(occ_in)):
         out = list(ket)
         for m, n in zip(modes, occ_out):
             out[m] = n

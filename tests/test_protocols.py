@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -21,7 +22,7 @@ from dualrail.measure import outcome_distribution
 from dualrail.rails import DualRailQubit, LogicalAmplitudes, decode_register, encode, pauli_correction
 
 from conftest import random_qubit
-from reference_kernels import project_onto_state, teleport_outcome_branches
+from reference_kernels import project_onto_state, teleport_outcome_branches, tensor
 
 S = 1.0 / math.sqrt(2.0)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -29,7 +30,7 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 def build_pre_mixer_state(control: LogicalAmplitudes, target: LogicalAmplitudes) -> FockState:
     """Control and target through the first splitter only (modes 1',2',3,4)."""
-    state = encode(control, DualRailQubit(0, 1), 2).tensor(encode(target, DualRailQubit(0, 1), 2))
+    state = tensor(encode(control, DualRailQubit(0, 1), 2), encode(target, DualRailQubit(0, 1), 2))
     return apply_mode_unitary(state, [1, 0], hadamard_bs())
 
 
@@ -361,6 +362,8 @@ def test_overflowing_amplitudes_are_rejected_without_a_warning(call):
 
 BIG_STATE = FockState(1, {(1,): 1e200})
 LEAKING = FockState(3, {(0, 1, 0): 1.0, (1, 1, 0): 1e200})
+# Finite, but abs() of it overflows once a splitter mixes two of them.
+NEAR_MAX = 1.7e308 * cmath.exp(0.25j * cmath.pi)
 
 
 @pytest.mark.parametrize(
@@ -385,11 +388,24 @@ LEAKING = FockState(3, {(0, 1, 0): 1.0, (1, 1, 0): 1e200})
             lambda: pauli_correction(LEAKING, DualRailQubit(0, 1), "X"),
             "Pauli correction outside the dual-rail subspace (leakage weight inf)",
         ),
+        (
+            lambda: FockState(1, {(1,): complex(1.5e308, 1.5e308)}),
+            "amplitude modulus overflows a float",
+        ),
+        (
+            lambda: apply_mode_unitary(
+                FockState(2, {(1, 0): NEAR_MAX, (0, 1): NEAR_MAX}), [0, 1], hadamard_bs()
+            ),
+            "amplitude modulus overflows a float",
+        ),
     ],
-    ids=["norm_squared", "normalized", "phase", "outcomes", "logical", "decode", "pauli"],
+    ids=[
+        "norm_squared", "normalized", "phase", "outcomes", "logical", "decode", "pauli",
+        "construct", "splitter",
+    ],
 )
 def test_squares_that_overflow_raise_a_one_line_value_error(call, message):
-    # The amplitudes are finite, but abs(a) ** 2 raises OverflowError on them.
+    # The amplitudes are finite, but abs(a) ** 2, or abs(a), raises OverflowError on them.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as info:
