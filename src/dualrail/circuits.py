@@ -525,8 +525,14 @@ def _validate(ir: CircuitIR) -> None:
         elif isinstance(element, PrepareDualRail):
             prepare((element.rail1, element.rail0), "dualrail")
         elif isinstance(element, PrepareBell):
+            if len(element.modes) != 4:
+                raise CircuitError(f"bell needs 4 modes, got {len(element.modes)}")
             prepare(element.modes, "bell")
         elif isinstance(element, ApplyBS):
+            if len(element.modes) != 2:
+                raise CircuitError(f"bs needs 2 modes, got {len(element.modes)}")
+            if element.matrix is not None and len(element.matrix) != 4:
+                raise CircuitError(f"bs matrix needs 4 entries, got {len(element.matrix)}")
             require_live(element.modes, "bs")
             used.update(element.modes)
         elif isinstance(element, Detect):

@@ -4,10 +4,17 @@ Detectors are ideal and destructive: measured modes are consumed and removed
 from the residual state, which keeps downstream mode indices dense. Each
 branch carries the original indices of the surviving modes so labels stay
 traceable.
+
+A projection's setup depends on its pattern and mode count, not on the
+state, so ``_pattern`` and ``_projection`` memoize it across branches and
+calls, 256 entries each: a gate repeats a few dozen patterns, while a wide
+state's outnumber any bound. An invalid pattern raises and is not stored.
+Every outcome is still projected through ``project_detection``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -64,12 +71,7 @@ def project_detection(state: FockState, pattern: DetectionPattern) -> BranchResu
     A pattern matching nothing yields an explicit empty branch (probability
     0, residual None) so acceptance policies can be total over patterns.
     """
-    measured = occupation_getter(checked_modes(state.mode_count, pattern.modes))
-    required = pattern.requirements
-    kept = tuple(m for m in range(state.mode_count) if m not in required)
-    counts = tuple(required.values())
-    rest_of = occupation_getter(kept)
-
+    measured, counts, kept, rest_of = _projection(state.mode_count, pattern)
     residual_terms: dict[tuple[int, ...], complex] = {}
     weight = 0.0
     try:
@@ -94,6 +96,20 @@ def project_detection(state: FockState, pattern: DetectionPattern) -> BranchResu
     return BranchResult(pattern, weight, residual, kept)
 
 
+@functools.lru_cache(maxsize=256)
+def _projection(mode_count: int, pattern: DetectionPattern) -> tuple:
+    """(measured-count getter, required counts, kept modes, kept-count getter) of a projection."""
+    measured = occupation_getter(checked_modes(mode_count, pattern.modes))
+    required = pattern.requirements
+    kept = tuple(m for m in range(mode_count) if m not in required)
+    return measured, tuple(required.values()), kept, occupation_getter(kept)
+
+
+@functools.lru_cache(maxsize=256)
+def _pattern(modes: tuple[int, ...], counts: tuple[int, ...]) -> DetectionPattern:
+    return DetectionPattern(zip(modes, counts))
+
+
 def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> list[BranchResult]:
     """All photon-count outcomes on the listed modes, as disjoint branches.
 
@@ -108,14 +124,14 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
     sum runs in the same order and each branch is bit for bit the one
     ``project_detection(state, pattern)`` gives.
     """
-    modes = checked_modes(state.mode_count, detector_modes)
+    modes = tuple(checked_modes(state.mode_count, detector_modes))
     groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
     for counts, (ket, amp) in zip(map(occupation_getter(modes), state.terms), state.terms.items()):
         groups.setdefault(counts, {})[ket] = amp
     return [
         project_detection(
             FockState._trusted(state.mode_count, groups[counts]),
-            DetectionPattern(zip(modes, counts)),
+            _pattern(modes, counts),
         )
         for counts in sorted(groups)
     ]

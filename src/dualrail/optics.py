@@ -7,15 +7,23 @@ photon ordered like the listed modes, this makes the one-photon sector
 transform as c -> U c, so the logical-gate picture and the Fock picture
 agree by construction.
 
-``apply_mode_unitary`` records and replays. Kets with the same photon counts
-on the listed modes (the same local occupation) expand through the same
-monomials, so the expansion is recorded once per local occupation as a
-program of (source, target, coefficient) steps and replayed on each ket's
-amplitude with list indexing instead of tuple slicing and dict hashing.
-Replay repeats the floating-point operations of a direct expansion in the
-same order (amp / sqrt(prod n!), then 0j + ... sums, then * sqrt(prod q!)),
-and results are scattered in input-ket order, so output keys, their order
-and every amplitude bit equal the direct expansion's. A program is dropped
+``apply_mode_unitary`` takes one of two paths, chosen by the unitary, and
+both give output keys, their order and every amplitude bit equal to a direct
+creation-operator expansion's (amp / sqrt(prod n!), then 0j + ... sums, then
+* sqrt(prod q!), scattered in input-ket order).
+
+A 2-mode unitary with no zero entry (every default ``bs``, the gates' splitters
+and a random 2 x 2) is expanded in closed form: with (f0, f1) its column j,
+each creation operator takes the coefficients c of the monomials (m - i, i)
+to 0j + c[0]*f0, then 0j + c[i-1]*f1 + c[i]*f0, then 0j + c[-1]*f1, the
+sums a recorded program would run, so nothing is recorded.
+
+Every other element (k = 1, k >= 3, or a 2-mode unitary with a zero entry)
+records and replays. Kets with the same photon counts on the listed modes
+(the same local occupation) expand through the same monomials, so the
+expansion is recorded once per local occupation as a program of (source,
+target, coefficient) steps and replayed on each ket's amplitude with list
+indexing instead of tuple slicing and dict hashing. A program is dropped
 after the last ket that uses it, so a dense k-mode input, whose kets each
 have a local occupation of their own, holds one program at a time.
 """
@@ -23,7 +31,7 @@ have a local occupation of their own, holds one program at a time.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -77,23 +85,57 @@ def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -
         raise ValueError(f"unitary is {u.dim}-mode but {len(modes)} modes were listed")
 
     n = state.mode_count
-    # Column j of U as its nonzero rows r and entries U[r, j] (Python complex).
-    columns = []
-    for col in u.matrix.T.tolist():
-        rows = [r for r, c in enumerate(col) if c != 0]
-        columns.append((rows, [col[r] for r in rows]))
-    locals_ = list(map(occupation_getter(modes), state.terms))
-    last = {local: i for i, local in enumerate(locals_)}  # each program's last ket
     # An output ket is the input ket with its listed modes overwritten by
     # the output local occupation, read from ket + local in one gather.
     positions = list(range(n))
     for r, m in enumerate(modes):
         positions[m] = n + r
     place = occupation_getter(positions)
+    locals_ = map(occupation_getter(modes), state.terms)
+    columns = u.matrix.T.tolist()  # column j of U, as Python complex
+    expand = _expand_pairs if len(columns) == 2 and all(map(all, columns)) else _replay_programs
+    return FockState._trusted(n, expand(state.terms, locals_, columns, place))
 
+
+def _expand_pairs(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict:
+    """Each ket's expansion, summed, in closed form (a 2-mode unitary, no zero entry)."""
+    plans: dict[tuple[int, ...], tuple] = {}  # (sqrt(a! b!), outputs) per local occupation
+    out: dict[tuple[int, ...], complex] = {}
+    for (ket, amp), local in zip(terms.items(), locals_):
+        plan = plans.get(local)
+        if plan is None:
+            a, b = local
+            monos = [(a + b - i, i) for i in range(a + b + 1)]
+            plan = plans[local] = (
+                math.sqrt(math.factorial(a) * math.factorial(b)),
+                [(mono, math.sqrt(math.factorial(mono[0]) * math.factorial(mono[1]))) for mono in monos],
+            )
+        norm, outputs = plan
+        coeffs = [amp / norm]
+        for (f0, f1), count in zip(columns, local):
+            for _ in range(count):
+                x = coeffs[0]
+                grown = [0j + x * f0]
+                for y in coeffs[1:]:  # x, y = c[i-1], c[i]
+                    grown.append(0j + x * f1 + y * f0)
+                    x = y
+                grown.append(0j + x * f1)
+                coeffs = grown
+        for (mono, scale), coeff in zip(outputs, coeffs):
+            key = place(ket + mono)
+            out[key] = out.get(key, 0j) + coeff * scale
+    return out
+
+
+def _replay_programs(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict:
+    """Each ket's expansion, summed, replaying one program per local occupation."""
+    # Column j of U as its nonzero rows r and entries U[r, j].
+    columns = [([r for r, c in enumerate(col) if c != 0], [c for c in col if c != 0]) for col in columns]
+    locals_ = list(locals_)
+    last = {local: i for i, local in enumerate(locals_)}  # each program's last ket
     programs: dict[tuple[int, ...], tuple] = {}
     out: dict[tuple[int, ...], complex] = {}
-    for i, ((ket, amp), local) in enumerate(zip(state.terms.items(), locals_)):
+    for i, ((ket, amp), local) in enumerate(zip(terms.items(), locals_)):
         program = programs.get(local)
         if program is None:
             program = programs[local] = _record_expansion(local, columns)
@@ -110,7 +152,7 @@ def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -
         for (mono, scale), coeff in zip(outputs, coeffs):
             key = place(ket + mono)
             out[key] = out.get(key, 0j) + coeff * scale
-    return FockState._trusted(n, out)
+    return out
 
 
 def _record_expansion(local: tuple[int, ...], columns: list[tuple[list, list]]) -> tuple:

@@ -172,6 +172,7 @@ def bell_state(
     modes = pair_a.modes + pair_b.modes
     if len(set(modes)) != 4:
         raise ValueError("Bell state needs four distinct modes")
+    checked_modes(total_modes, modes)
     sign = 1.0 if kind.endswith("+") else -1.0
     if kind.startswith("phi"):
         left, right = ("0", "0"), ("1", "1")

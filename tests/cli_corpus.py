@@ -35,7 +35,9 @@ QUBITS = ("1,0,0,0", "0,0,1,0", f"{S},0,{S},0", "0.6,0,0,0.8")
 POLICIES = ("strict", "feedforward")
 
 # Written to the scratch directory: no branch survives the first, the second
-# corrects a pair that holds no qubit and the third does not parse.
+# corrects a pair that holds no qubit, the third does not parse and the
+# fourth puts multi-photon kets through a default, a full and a zero-entry
+# (phased swap) splitter.
 PROGRAMS = {
     "zero_survivors.loc": "modes 2\nket |1,0>\ndetect 1 as a\npostselect a == 5\n",
     "leakage.loc": (
@@ -43,6 +45,11 @@ PROGRAMS = {
         "detect 2 as x\ncorrect z on 1 3 if x == 0\n"
     ),
     "parse_error.loc": "modes 2\nbs 1 nope\n",
+    "splitters.loc": (
+        "modes 3\nket |1,1,0> amp 0.6 0\nket |2,1,0> amp 0 0.8\nbs 1 2\n"
+        "bs 2 3 matrix 0.6 0 0 0.8 0 0.8 0.6 0\nbs 1 3 matrix 0 0 0 1 -1 0 0 0\n"
+        "detect 1 as a\ndetect 2 as b\n"
+    ),
 }
 
 USAGE_ERRORS = (

@@ -180,6 +180,19 @@ class TestHandBuiltPrograms:
         with pytest.raises(CircuitError, match=message):
             circuits.run_branches(circuits.CircuitIR(2, None, elements))
 
+    @pytest.mark.parametrize(
+        "element, message",
+        [
+            (PrepareBell("phi+", (0, 1, 2)), r"^bell needs 4 modes, got 3$"),
+            (ApplyBS((0, 1, 2), None), r"^bs needs 2 modes, got 3$"),
+            (ApplyBS((0, 1), (1, 0, 0)), r"^bs matrix needs 4 entries, got 3$"),
+        ],
+        ids=["three-mode-bell", "three-mode-bs", "three-entry-matrix"],
+    )
+    def test_each_element_arity_fault_raises_a_circuit_error(self, element, message):
+        with pytest.raises(CircuitError, match=message):
+            circuits.run_branches(circuits.CircuitIR(3, None, (element,)))
+
 
 class TestExecution:
     def test_prepare_and_detect_everything(self):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 import dualrail
-from dualrail import measure
+from dualrail import measure, optics
 from dualrail.fock import FockState
 from dualrail.measure import DetectionPattern
 from dualrail.optics import ModeUnitary, apply_mode_unitary, hadamard_bs
@@ -256,12 +256,47 @@ def test_trusted_construction_matches_the_public_constructor(state, data):
 
 def test_an_overflowing_splitter_output_is_still_rejected():
     # The slightly non-unitary entry takes the largest float to inf; a
-    # fast path that only pruned would keep the inf as an amplitude.
+    # fast path that only pruned would keep the inf as an amplitude. The
+    # diagonal matrix is replayed, the full one expanded in closed form.
     state = FockState(2, {(1, 0): sys.float_info.max})
-    u = ModeUnitary([[1 + 4e-13, 0], [0, 1]])
-    with pytest.raises(ValueError) as info:
-        apply_mode_unitary(state, [0, 1], u)
-    assert str(info.value) == "non-finite amplitude (inf+nanj) for ket (1, 0)"
+    for matrix in ([[1 + 4e-13, 0], [0, 1]], [[1 + 4e-13, 1e-7], [-1e-7, 1 + 4e-13]]):
+        with pytest.raises(ValueError) as info:
+            apply_mode_unitary(state, [0, 1], ModeUnitary(matrix))
+        assert str(info.value) == "non-finite amplitude (inf+nanj) for ket (1, 0)"
+
+
+@pytest.mark.parametrize("photons", range(9))
+def test_two_mode_closed_form_matches_the_reference_on_every_occupation(photons):
+    # Every local occupation up to 8 photons, with a spectator mode, so each
+    # sqrt(a! b!) and each monomial scale of the closed form is exercised.
+    rng = np.random.default_rng(photons)
+    kets = sector(3, photons)
+    state = FockState(3, {k: complex(rng.normal(), rng.normal()) for k in kets})
+    for u in (hadamard_bs(), ModeUnitary(random_unitary(rng, 2))):
+        for listed in ([0, 1], [2, 0]):
+            fast = apply_mode_unitary(state, listed, u)
+            assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
+
+
+def test_only_splitters_with_a_zero_entry_record_a_program():
+    state = FockState(3, {(2, 1, 0): 0.6, (1, 1, 1): 0.8j})
+    full = [hadamard_bs(), ModeUnitary(random_unitary(np.random.default_rng(2), 2))]
+    zero_entry = [ModeUnitary([[0, 1j], [-1, 0]]), ModeUnitary([[1, 0], [0, -1]])]
+    for u, records in [(u, False) for u in full] + [(u, True) for u in zero_entry]:
+        with mock.patch.object(optics, "_record_expansion", wraps=optics._record_expansion) as spy:
+            apply_mode_unitary(state, [0, 1], u)
+        assert spy.called is records
+
+
+def test_detection_memos_are_bounded_and_do_not_keep_errors():
+    assert measure._pattern.cache_info().maxsize == 256
+    assert measure._projection.cache_info().maxsize == 256
+    state = FockState(2, {(1, 0): 1.0})
+    for call, args, message in [
+        (measure.project_detection, (state, DetectionPattern({5: 1})), "mode 5 out of range for 2 modes"),
+        (measure._pattern, ((0, 0), (1, 1)), "duplicate modes in detection pattern ((0, 1), (0, 1))"),
+    ]:
+        assert outcome(call, *args) == outcome(call, *args) == (ValueError, message)
 
 
 # Where FockState._trusted may be called: each builds a state from another

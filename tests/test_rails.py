@@ -104,6 +104,11 @@ class TestBellStates:
         with pytest.raises(ValueError, match="distinct"):
             bell_state("phi+", DualRailQubit(0, 1), DualRailQubit(1, 2), 4)
 
+    @pytest.mark.parametrize("pair_a, mode", [(DualRailQubit(-1, 0), -1), (DualRailQubit(9, 0), 9)])
+    def test_out_of_range_mode_rejected(self, pair_a, mode):
+        with pytest.raises(ValueError, match=f"^mode {mode} out of range for 4 modes$"):
+            bell_state("phi+", pair_a, DualRailQubit(1, 2), 4)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown Bell state"):
             bell_state("omega", DualRailQubit(0, 1), DualRailQubit(2, 3), 4)
