@@ -3,6 +3,14 @@
 The JSON form is versioned (``schema_version`` 1) and validates against the
 shipped schema in ``data/run_report.schema.json``. The table form shows the
 same numbers with the protocol's mode labels.
+
+A decoded register has 2^n entries, most of them zero for the paper's
+circuits (the encoder's a0|0...0> + a1|1...1> has two nonzero entries).
+``from_run`` gives every zero entry one shared ``(0.0, 0.0)`` pair and builds
+a pair only for the nonzero ones. Both renderers format each distinct pair
+object once and lay out the 2^n references to its text in C-level list and
+join steps, so the cost of a report grows with its distinct amplitudes, plus
+one pass over the basis labels and the text itself.
 """
 
 from __future__ import annotations
@@ -11,7 +19,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable
+from operator import is_not
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -46,11 +55,13 @@ class RunReport:
     def to_json(self) -> str:
         """The report as ``json.dumps(self.to_dict(), indent=2)`` plus a newline.
 
-        The output block, whose register lists grow as 2^n, is rendered in
-        linear passes and spliced over the document's ``"output": null``
-        line; that line is unique because JSON escapes every newline inside
-        a string. ``basis`` must hold strings and ``amplitudes`` pairs of
-        floats, as ``from_run`` builds them.
+        The output block, whose register lists grow as 2^n, is rendered as
+        pieces that refer to its basis labels and to one text per distinct
+        ``amplitudes`` pair object (objects, not values, so a hand-built
+        ``[-0.0, 0.0]`` keeps its sign). One join splices them over the
+        document's ``"output": null`` line, which is unique because JSON
+        escapes every newline inside a string. ``basis`` must hold strings
+        and ``amplitudes`` pairs of floats, as ``from_run`` builds them.
         """
         doc = self.to_dict()
         output = doc["output"]
@@ -58,7 +69,7 @@ class RunReport:
             return json.dumps(doc, indent=2) + "\n"
         doc["output"] = None
         head, _, tail = json.dumps(doc, indent=2).partition(_NULL_OUTPUT_LINE)
-        return f'{head}\n  "output": {_render_output(output)},\n{tail}\n'
+        return "".join([head, '\n  "output": ', *_render_output(output), ",\n", tail, "\n"])
 
     def to_table(self) -> str:
         lines = [f"command: {self.command}"]
@@ -80,12 +91,25 @@ class RunReport:
             carriers = self.output.get("mode_labels")
             suffix = f" on modes {', '.join(carriers)}" if carriers else ""
             lines.append(f"decoded output (logical basis){suffix}:")
-            for label, (re, im) in zip(self.output["basis"], self.output["amplitudes"]):
-                lines.append(f"  |{label}>: ({re:+.12f}, {im:+.12f})")
+            # One row per basis label with a pair, as zip pairs them: a
+            # "\n  |" piece, the label and the pair's text.
+            basis, pairs = self.output["basis"], self.output["amplitudes"]
+            count = min(len(basis), len(pairs))
+            if count:
+                rows = ["\n  |"] * (3 * count)
+                rows[0] = "  |"
+                rows[1::3] = basis[:count]
+                rows[2::3] = _texts_by_object(pairs[:count], _table_pair)
+                lines.append("".join(rows))
         if self.fidelity_vs_reference is not None:
             lines.append(f"fidelity vs reference: {self.fidelity_vs_reference:.12f}")
         lines.append(f"duration: {self.duration_seconds:.3f} s")
         return "\n".join(lines) + "\n"
+
+
+def _table_pair(pair: list[float]) -> str:
+    re, im = pair
+    return f">: ({re:+.12f}, {im:+.12f})"
 
 
 def _fmt_input(value: Any) -> str:
@@ -109,9 +133,8 @@ _NULL_OUTPUT_LINE = '\n  "output": null,\n'
 # json spells the non-finite floats this way; float.__repr__ gives the keys.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# An amplitude pair is a two-item list at depth 3, inside the list at depth 2.
-_IN_PAIR = ",\n        "
-_BETWEEN_PAIRS = "\n      ],\n      [\n        "
+# The ASCII characters json writes as they are: all printable ones but '"' and '\\'.
+_UNESCAPED = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 
 
 def _json_floats(values: Iterable[float]) -> list[str]:
@@ -119,34 +142,90 @@ def _json_floats(values: Iterable[float]) -> list[str]:
     return list(map(_NONFINITE.get, texts, texts))
 
 
-def _json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
-    """Already-encoded ``items`` laid out as ``json.dumps(indent=2)`` lays out
-    a list (or, with ``brackets="{}"``, an object) at nesting ``depth``."""
+def _json_block(items: list[str], depth: int, brackets: str = "[]", quote: str = "") -> list[str]:
+    """Pieces that join to the already-encoded ``items``, each wrapped in
+    ``quote``, laid out as ``json.dumps(indent=2)`` lays out a list (or, with
+    ``brackets="{}"``, an object) at nesting ``depth``. The pieces refer to
+    the items rather than copy them."""
     if not items:
-        return brackets
+        return [brackets]
     pad = "\n" + "  " * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+    pieces = [quote + "," + pad + quote] * (2 * len(items) + 1)
+    pieces[1::2] = items
+    pieces[0] = brackets[0] + pad + quote
+    pieces[-1] = quote + "\n" + "  " * depth + brackets[1]
+    return pieces
 
 
-def _render_output(output: dict[str, Any]) -> str:
-    """``output`` as ``json.dumps(indent=2)`` renders it one level deep."""
-    fields = []
+def _json_strings(items: list[str], depth: int) -> list[str]:
+    """``_json_block`` of the JSON strings of ``items``. When no item holds a
+    character json escapes, which one pass over their concatenation shows,
+    each item is its own JSON text between quotes."""
+    joined = "".join(items)
+    if joined.isascii() and not joined.encode("ascii").translate(None, _UNESCAPED):
+        return _json_block(items, depth, quote='"')
+    return _json_block(list(map(encode_basestring_ascii, items)), depth)
+
+
+def _texts_by_object(items: list[Any], render: Callable[[Any], str]) -> list[str]:
+    """``render(item)`` for every item, called once per distinct object.
+
+    Objects are told apart by identity, never by value. A run of one object
+    costs one list repeat, so a register of a few nonzero pairs among shared
+    zero pairs is laid out in a few C-level steps.
+    """
+    ends = [*itertools.compress(range(1, len(items)), map(is_not, items[1:], items)), len(items)]
+    texts: dict[int, str] = {}
+    out: list[str] = []
+    start = 0
+    for end in ends:
+        item = items[start]
+        text = texts.get(id(item))
+        if text is None:
+            text = texts[id(item)] = render(item)
+        out += [text] * (end - start)
+        start = end
+    return out
+
+
+def _render_pair(pair: list[float]) -> str:
+    return "".join(_json_block(_json_floats(pair), 3))
+
+
+def _render_output(output: dict[str, Any]) -> list[str]:
+    """Pieces that join to ``output`` as ``json.dumps(indent=2)`` renders it
+    one level deep."""
+    pieces: list[str] = []
     for key, value in output.items():
         if key == "basis":
-            text = _json_block(list(map(encode_basestring_ascii, value)), 2)
-        elif key == "amplitudes" and value:
-            numbers = iter(_json_floats(itertools.chain.from_iterable(value)))
-            pairs = _BETWEEN_PAIRS.join(map(_IN_PAIR.join, zip(numbers, numbers)))
-            text = _json_block([_json_block([pairs], 3)], 2)
+            block = _json_strings(value, 2)
+        elif key == "amplitudes":
+            block = _json_block(_texts_by_object(value, _render_pair), 2)
         else:
-            text = json.dumps(value, indent=2).replace("\n", "\n    ")
-        fields.append(f"{encode_basestring_ascii(key)}: {text}")
-    return _json_block(fields, 1, "{}")
+            block = [json.dumps(value, indent=2).replace("\n", "\n    ")]
+        pieces += [",\n    ", encode_basestring_ascii(key), ": "]
+        pieces += block
+    if not pieces:
+        return ["{}"]
+    pieces[0] = "{\n    "
+    pieces.append("\n  }")
+    return pieces
 
 
-def _complex_pairs(vec: np.ndarray) -> list[list[float]]:
-    # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
-    return list(map(list, zip((vec.real + 0.0).tolist(), (vec.imag + 0.0).tolist())))
+# Every zero register entry shares this pair, so only nonzero entries cost a build.
+_ZERO_PAIR = (0.0, 0.0)
+
+
+def _complex_pairs(vec: np.ndarray) -> list[tuple[float, float]]:
+    # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is;
+    # flatnonzero counts nan as nonzero.
+    pairs = [_ZERO_PAIR] * len(vec)
+    index = np.flatnonzero(vec)
+    values = vec[index]
+    nonzero = zip((values.real + 0.0).tolist(), (values.imag + 0.0).tolist())
+    for i, pair in zip(index.tolist(), nonzero):
+        pairs[i] = pair
+    return pairs
 
 
 def _basis_labels(n_qubits: int) -> list[str]:

@@ -85,6 +85,10 @@ def deck(data: str, scratch: str) -> list[list[str]]:
             for form in ([], ["--json"]):
                 argv = ["encoder", "--input", f"{S},0,0,{S}", "--n", str(n), "--policy", policy]
                 commands.append(argv + form)
+    # Signed zeros and a negative amplitude in the largest register of the deck.
+    for form in ([], ["--json"]):
+        argv = ["encoder", "--input", "0.6,-0.0,0,-0.8", "--n", "16", "--policy", "feedforward"]
+        commands.append(argv + form)
     paths = [f"{data}/fig1.loc", f"{data}/fig2.loc"]
     paths += [f"{scratch}/{name}" for name in PROGRAMS] + [f"{scratch}/missing.loc"]
     for path in paths:

@@ -5,7 +5,9 @@ These are the per-term loops ``dualrail`` ran before its fast paths:
 expansion, ``project_detection``/``outcome_distribution`` with per-ket
 generator scans, and the ``FockState`` constructor with generator-based
 validation. The fast paths must reproduce them bit for bit: same keys in the
-same order, same float bits, same exceptions and messages.
+same order, same float bits, same exceptions and messages. The same holds
+for the dense register report: one list per entry of the decoded register,
+every float formatted where it stands.
 
 The module also holds helpers that only the tests call: the tensor product
 and amplitude distance of two states, projection onto a reference state,
@@ -16,11 +18,15 @@ amplitudes as permanents, an oracle that shares no method with ``optics``.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from dualrail import reports
+from dualrail.circuits import RunResult
 from dualrail.fock import PRUNE_TOL, FockState, checked_modes
 from dualrail.measure import BranchResult, DetectionPattern
 from dualrail.optics import ModeUnitary
@@ -142,6 +148,94 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
         project_detection(state, DetectionPattern(zip(modes, counts)))
         for counts in outcomes
     ]
+
+
+def complex_pairs(vec: np.ndarray) -> list[list[float]]:
+    # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
+    return list(map(list, zip((vec.real + 0.0).tolist(), (vec.imag + 0.0).tolist())))
+
+
+def dense_report(
+    result: RunResult, command: str, inputs: dict, duration: float
+) -> reports.RunReport:
+    """``reports.from_run`` with a list of its own for every register entry."""
+    report = reports.from_run(result, command, inputs, duration)
+    if report.output is not None:
+        report.output["amplitudes"] = complex_pairs(result.output_logical)
+    return report
+
+
+_NULL_OUTPUT_LINE = '\n  "output": null,\n'
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# An amplitude pair is a two-item list at depth 3, inside the list at depth 2.
+_IN_PAIR = ",\n        "
+_BETWEEN_PAIRS = "\n      ],\n      [\n        "
+
+
+def _json_floats(values: Iterable[float]) -> list[str]:
+    texts = list(map(float.__repr__, values))
+    return list(map(_NONFINITE.get, texts, texts))
+
+
+def _json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _render_output(output: dict) -> str:
+    fields = []
+    for key, value in output.items():
+        if key == "basis":
+            text = _json_block(list(map(encode_basestring_ascii, value)), 2)
+        elif key == "amplitudes" and value:
+            numbers = iter(_json_floats(itertools.chain.from_iterable(value)))
+            pairs = _BETWEEN_PAIRS.join(map(_IN_PAIR.join, zip(numbers, numbers)))
+            text = _json_block([_json_block([pairs], 3)], 2)
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n    ")
+        fields.append(f"{encode_basestring_ascii(key)}: {text}")
+    return _json_block(fields, 1, "{}")
+
+
+def report_to_json(report: reports.RunReport) -> str:
+    """``RunReport.to_json`` formatting every float of every register pair."""
+    doc = report.to_dict()
+    output = doc["output"]
+    if output is None:
+        return json.dumps(doc, indent=2) + "\n"
+    doc["output"] = None
+    head, _, tail = json.dumps(doc, indent=2).partition(_NULL_OUTPUT_LINE)
+    return f'{head}\n  "output": {_render_output(output)},\n{tail}\n'
+
+
+def report_to_table(report: reports.RunReport) -> str:
+    """``RunReport.to_table`` formatting one register line per entry."""
+    lines = [f"command: {report.command}"]
+    for key, value in report.inputs.items():
+        lines.append(f"  {key}: {json.dumps(value) if isinstance(value, list) else value}")
+    lines.append("branches:")
+    lines.append(f"  {'outcome':28} {'probability':>12}  {'accepted':8} corrections")
+    for br in report.branches:
+        counts = " ".join(f"{k}={v}" for k, v in br["counts"].items())
+        corrections = ", ".join(br["corrections"]) or "-"
+        mark = "yes" if br["accepted"] else "no"
+        lines.append(f"  {counts:28} {br['probability']:>12.10f}  {mark:8} {corrections}")
+        if br["residual"] is not None:
+            for text in br["residual"]:
+                lines.append(f"      {text}")
+    lines.append(f"accepted probability: {report.accepted_probability:.12f}")
+    if report.output is not None:
+        carriers = report.output.get("mode_labels")
+        suffix = f" on modes {', '.join(carriers)}" if carriers else ""
+        lines.append(f"decoded output (logical basis){suffix}:")
+        for label, (re, im) in zip(report.output["basis"], report.output["amplitudes"]):
+            lines.append(f"  |{label}>: ({re:+.12f}, {im:+.12f})")
+    if report.fidelity_vs_reference is not None:
+        lines.append(f"fidelity vs reference: {report.fidelity_vs_reference:.12f}")
+    lines.append(f"duration: {report.duration_seconds:.3f} s")
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
