@@ -16,16 +16,15 @@ A 2-mode unitary with no zero entry (every default ``bs``, the gates' splitters
 and a random 2 x 2) is expanded in closed form: with (f0, f1) its column j,
 each creation operator takes the coefficients c of the monomials (m - i, i)
 to 0j + c[0]*f0, then 0j + c[i-1]*f1 + c[i]*f0, then 0j + c[-1]*f1, the
-sums a recorded program would run, so nothing is recorded.
+sums the direct expansion runs on those monomials.
 
 Every other element (k = 1, k >= 3, or a 2-mode unitary with a zero entry)
-records and replays. Kets with the same photon counts on the listed modes
-(the same local occupation) expand through the same monomials, so the
-expansion is recorded once per local occupation as a program of (source,
-target, coefficient) steps and replayed on each ket's amplitude with list
-indexing instead of tuple slicing and dict hashing. A program is dropped
-after the last ket that uses it, so a dense k-mode input, whose kets each
-have a local occupation of their own, holds one program at a time.
+is expanded directly: each ket's monomials are kept in a dict, keyed by
+output occupation, and grown one creation operator at a time over the
+nonzero entries of its column.
+
+From 171 photons on the listed modes, some sqrt(prod n!) passes the float
+range, and either path raises a one-line ``ValueError``.
 """
 
 from __future__ import annotations
@@ -93,8 +92,12 @@ def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -
     place = occupation_getter(positions)
     locals_ = map(occupation_getter(modes), state.terms)
     columns = u.matrix.T.tolist()  # column j of U, as Python complex
-    expand = _expand_pairs if len(columns) == 2 and all(map(all, columns)) else _replay_programs
-    return FockState._trusted(n, expand(state.terms, locals_, columns, place))
+    expand = _expand_pairs if len(columns) == 2 and all(map(all, columns)) else _expand_direct
+    try:
+        terms = expand(state.terms, locals_, columns, place)
+    except OverflowError:  # math.sqrt of an int prod n! past the float range
+        raise ValueError("more than 170 photons on the listed modes: sqrt(n!) overflows a float") from None
+    return FockState._trusted(n, terms)
 
 
 def _expand_pairs(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict:
@@ -127,55 +130,23 @@ def _expand_pairs(terms: dict, locals_: Iterable, columns: list, place: Callable
     return out
 
 
-def _replay_programs(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict:
-    """Each ket's expansion, summed, replaying one program per local occupation."""
+def _expand_direct(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict:
+    """Each ket's expansion, summed, one creation operator at a time."""
     # Column j of U as its nonzero rows r and entries U[r, j].
-    columns = [([r for r, c in enumerate(col) if c != 0], [c for c in col if c != 0]) for col in columns]
-    locals_ = list(locals_)
-    last = {local: i for i, local in enumerate(locals_)}  # each program's last ket
-    programs: dict[tuple[int, ...], tuple] = {}
+    columns = [[(r, c) for r, c in enumerate(col) if c != 0] for col in columns]
+    vacuum = (0,) * len(columns)
     out: dict[tuple[int, ...], complex] = {}
-    for i, ((ket, amp), local) in enumerate(zip(terms.items(), locals_)):
-        program = programs.get(local)
-        if program is None:
-            program = programs[local] = _record_expansion(local, columns)
-        if last[local] == i:
-            del programs[local]
-        norm, steps, outputs = program
-        coeffs = [amp / norm]
-        for size, factors, targets in steps:
-            grown = [0j] * size
-            for coeff, fanout in zip(coeffs, targets):
-                for t, c in zip(fanout, factors):
-                    grown[t] += coeff * c
-            coeffs = grown
-        for (mono, scale), coeff in zip(outputs, coeffs):
+    for (ket, amp), local in zip(terms.items(), locals_):
+        monos = {vacuum: amp / math.sqrt(math.prod(map(math.factorial, local)))}
+        for column, count in zip(columns, local):
+            for _ in range(count):
+                grown: dict[tuple[int, ...], complex] = {}
+                for mono, coeff in monos.items():
+                    for r, c in column:
+                        key = mono[:r] + (mono[r] + 1,) + mono[r + 1 :]
+                        grown[key] = grown.get(key, 0j) + coeff * c
+                monos = grown
+        for mono, coeff in monos.items():
             key = place(ket + mono)
-            out[key] = out.get(key, 0j) + coeff * scale
+            out[key] = out.get(key, 0j) + coeff * math.sqrt(math.prod(map(math.factorial, mono)))
     return out
-
-
-def _record_expansion(local: tuple[int, ...], columns: list[tuple[list, list]]) -> tuple:
-    """The creation-operator expansion of one local occupation, as a program.
-
-    Expands prod_j (sum_r U[r,j] a_r^dag)^{n_j} one creation operator at a
-    time, tracking monomials as output occupation tuples. A step is recorded
-    as (size, factors, targets): monomial s of the previous step adds
-    ``coeff[s] * factors[i]`` to monomial ``targets[s][i]`` of this one, in
-    the order the sums run, so replaying it on any amplitude repeats the same
-    floating-point operations. Returns (sqrt(prod n_j!), steps, outputs),
-    where outputs are (output occupation, sqrt(prod q!)) in insertion order.
-    """
-    index: dict[tuple[int, ...], int] = {(0,) * len(columns): 0}
-    steps = []
-    for (rows, factors), n in zip(columns, local):
-        for _ in range(n):
-            grown: dict[tuple[int, ...], int] = {}
-            targets = [
-                [grown.setdefault(mono[:r] + (mono[r] + 1,) + mono[r + 1 :], len(grown)) for r in rows]
-                for mono in index
-            ]
-            steps.append((len(grown), factors, targets))
-            index = grown
-    outputs = [(mono, math.sqrt(math.prod(map(math.factorial, mono)))) for mono in index]
-    return math.sqrt(math.prod(map(math.factorial, local))), steps, outputs

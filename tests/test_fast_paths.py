@@ -1,11 +1,13 @@
 """The fast inner loops against their reference implementations, bit for bit.
 
-``reference_kernels`` holds the loops as they were before record-and-replay
+``reference_kernels`` holds the loops as they were before the closed-form
 expansion, itemgetter projections, the leaner ``FockState`` checks and the
-one-pass outcome scan. The fast paths must agree on key order, on every bit
-of every amplitude and probability, and on every exception type and message.
-So must ``FockState._trusted`` and the public constructor, on every state
-the package builds with the former.
+one-pass outcome scan. The fast paths, and the direct expansion of every
+element the closed form does not cover, must agree on key order, on every
+bit of every amplitude and probability, and on every exception type and
+message (except past 170 photons, where the reference's sqrt(n!) raises a
+bare ``OverflowError``). So must ``FockState._trusted`` and the public constructor, on
+every state the package builds with the former.
 """
 
 import ast
@@ -257,7 +259,7 @@ def test_trusted_construction_matches_the_public_constructor(state, data):
 def test_an_overflowing_splitter_output_is_still_rejected():
     # The slightly non-unitary entry takes the largest float to inf; a
     # fast path that only pruned would keep the inf as an amplitude. The
-    # diagonal matrix is replayed, the full one expanded in closed form.
+    # diagonal matrix is expanded directly, the full one in closed form.
     state = FockState(2, {(1, 0): sys.float_info.max})
     for matrix in ([[1 + 4e-13, 0], [0, 1]], [[1 + 4e-13, 1e-7], [-1e-7, 1 + 4e-13]]):
         with pytest.raises(ValueError) as info:
@@ -278,14 +280,37 @@ def test_two_mode_closed_form_matches_the_reference_on_every_occupation(photons)
             assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
 
 
-def test_only_splitters_with_a_zero_entry_record_a_program():
+@pytest.mark.parametrize("photons", range(7))
+def test_direct_expansion_matches_the_reference_on_every_occupation(photons):
+    # Every local occupation up to 6 photons of a 3-mode sector, through each
+    # kind of element the closed form leaves out, so each sqrt(prod n!) and
+    # each monomial scale of the direct expansion is exercised.
+    rng = np.random.default_rng(photons)
+    kets = sector(3, photons)
+    state = FockState(3, {k: complex(rng.normal(), rng.normal()) for k in kets})
+    for listed, u in [
+        ([2, 0], ModeUnitary([[0, 1j], [-1, 0]])),
+        ([1], ModeUnitary([[1j]])),
+        ([2, 0, 1], ModeUnitary(random_unitary(rng, 3))),
+    ]:
+        fast = apply_mode_unitary(state, listed, u)
+        assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
+
+
+def test_only_elements_outside_the_closed_form_expand_directly():
     state = FockState(3, {(2, 1, 0): 0.6, (1, 1, 1): 0.8j})
-    full = [hadamard_bs(), ModeUnitary(random_unitary(np.random.default_rng(2), 2))]
-    zero_entry = [ModeUnitary([[0, 1j], [-1, 0]]), ModeUnitary([[1, 0], [0, -1]])]
-    for u, records in [(u, False) for u in full] + [(u, True) for u in zero_entry]:
-        with mock.patch.object(optics, "_record_expansion", wraps=optics._record_expansion) as spy:
-            apply_mode_unitary(state, [0, 1], u)
-        assert spy.called is records
+    rng = np.random.default_rng(2)
+    closed_form = [([0, 1], hadamard_bs()), ([0, 1], ModeUnitary(random_unitary(rng, 2)))]
+    direct = [
+        ([0, 1], ModeUnitary([[0, 1j], [-1, 0]])),
+        ([0, 1], ModeUnitary([[1, 0], [0, -1]])),
+        ([2], ModeUnitary([[1j]])),
+        ([0, 1, 2], ModeUnitary(random_unitary(rng, 3))),
+    ]
+    for (listed, u), expands in [(e, False) for e in closed_form] + [(e, True) for e in direct]:
+        with mock.patch.object(optics, "_expand_direct", wraps=optics._expand_direct) as spy:
+            apply_mode_unitary(state, listed, u)
+        assert spy.called is expands
 
 
 def test_detection_memos_are_bounded_and_do_not_keep_errors():
@@ -331,9 +356,9 @@ def test_trusted_construction_is_reached_only_from_internal_states():
 
 
 def test_expansion_programs_do_not_outlive_their_kets():
-    # A dense 6-mode unitary gives every ket a local occupation of its own,
-    # so keeping every recorded program until the call returns would show as
-    # a peak many times the reference's.
+    # A dense 6-mode unitary gives every ket a local occupation of its own
+    # and hundreds of monomials; keeping any per-ket expansion until the call
+    # returns would show as a peak many times the reference's.
     rng = np.random.default_rng(6)
     kets = sector(6, 4)
     state = FockState(6, {k: complex(rng.normal(), rng.normal()) for k in kets})

@@ -156,6 +156,20 @@ class TestApply:
         with pytest.raises(ValueError, match="2-mode"):
             apply_mode_unitary(s, [0], hadamard_bs())
 
+    @pytest.mark.parametrize(
+        "modes, matrix",
+        [([0, 1], hadamard_bs().matrix), ([0, 1, 2], np.eye(3)), ([0, 1], [[0, 1], [1, 0]])],
+        ids=["closed-form", "three-mode", "zero-entry"],
+    )
+    def test_too_many_photons_fail_in_one_line(self, modes, matrix):
+        # 200! passes the float range; 170 photons still expand.
+        u = ModeUnitary(matrix)
+        with pytest.raises(ValueError) as err:
+            apply_mode_unitary(FockState.ket((200, 0, 0)), modes, u)
+        assert str(err.value) == "more than 170 photons on the listed modes: sqrt(n!) overflows a float"
+        assert err.value.__cause__ is None and err.value.__suppress_context__
+        assert apply_mode_unitary(FockState.ket((170, 0, 0)), modes, u).norm_squared() > 0
+
 
 def test_ryser_matches_the_permutation_sum(rng):
     for n in range(5):
