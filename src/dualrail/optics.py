@@ -23,8 +23,11 @@ is expanded directly: each ket's monomials are kept in a dict, keyed by
 output occupation, and grown one creation operator at a time over the
 nonzero entries of its column.
 
-From 171 photons on the listed modes, some sqrt(prod n!) passes the float
-range, and either path raises a one-line ``ValueError``.
+If some sqrt(prod n!) passes the float range, either path raises a one-line
+``ValueError``. That needs more than 170 photons on the listed modes, and
+from 171 photons it always happens for a 2-mode unitary with no zero entry,
+whose outputs include (171, 0); a sparse element such as a phase may still
+expand 171 photons split as (86, 85).
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ passing run means it SURVIVED. The tier-1 check of this list itself is left
 out, since it fails on any mutated copy. The unmutated copy runs first and
 must pass. Run from the repository root::
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py 1 7        # mutants by number
+    python tests/mutants.py
 
 It prints one line per mutant and the kill rate, and exits 1 if a mutant
 survived. ``test_boundaries.py`` checks in tier-1 that every snippet still
@@ -134,8 +133,7 @@ def run_tier1(mutant: Mutant | None) -> tuple[str | None, float]:
     return (failed or [f"pytest exit code {done.returncode}"])[0], seconds
 
 
-def main(argv: list[str]) -> int:
-    chosen = [int(a) for a in argv] or list(range(1, len(MUTANTS) + 1))
+def main() -> int:
     start = time.perf_counter()
     failed, seconds = run_tier1(None)
     print(f"baseline    {seconds:6.1f} s  {failed or 'passed'}", flush=True)
@@ -143,15 +141,14 @@ def main(argv: list[str]) -> int:
         print("the unmutated copy fails tier-1; no mutant can be judged")
         return 2
     killed = 0
-    for number in chosen:
-        mutant = MUTANTS[number - 1]
+    for number, mutant in enumerate(MUTANTS, 1):
         failed, seconds = run_tier1(mutant)
         killed += failed is not None
         print(f"{number:>2} {'KILLED' if failed else 'SURVIVED':<8} {seconds:6.1f} s  {mutant.path}: {mutant.breaks}")
         print(f"   {failed or 'every test passed'}", flush=True)
-    print(f"kill rate {killed}/{len(chosen)} ({100 * killed / len(chosen):.0f} %) in {time.perf_counter() - start:.0f} s")
-    return 0 if killed == len(chosen) else 1
+    print(f"kill rate {killed}/{len(MUTANTS)} ({100 * killed / len(MUTANTS):.0f} %) in {time.perf_counter() - start:.0f} s")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -170,6 +170,11 @@ class TestApply:
         assert err.value.__cause__ is None and err.value.__suppress_context__
         assert apply_mode_unitary(FockState.ket((170, 0, 0)), modes, u).norm_squared() > 0
 
+    def test_a_sparse_element_expands_171_photons_that_stay_split(self):
+        # Only the output (86, 85) arises, and sqrt(86! 85!) fits in a float.
+        s = FockState.ket((86, 85))
+        assert apply_mode_unitary(s, [0, 1], ModeUnitary(np.eye(2))).amplitude((86, 85)) == pytest.approx(1)
+
 
 def test_ryser_matches_the_permutation_sum(rng):
     for n in range(5):
