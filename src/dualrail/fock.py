@@ -117,7 +117,7 @@ class FockState:
             ket, amp = next((k, a) for k, a in terms.items() if not cmath.isfinite(a))
             raise ValueError(f"non-finite amplitude {amp} for ket {ket}")
         try:
-            smallest = min(map(abs, terms.values()), default=0.0)
+            smallest = min(map(abs, terms.values())) if terms else 0.0
         except OverflowError:
             raise ValueError("amplitude modulus overflows a float") from None
         if not smallest > PRUNE_TOL:

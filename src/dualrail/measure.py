@@ -7,9 +7,11 @@ traceable.
 
 A projection's setup depends on its pattern and mode count, not on the
 state, so ``_pattern`` and ``_projection`` memoize it across branches and
-calls, 256 entries each: a gate repeats a few dozen patterns, while a wide
-state's outnumber any bound. An invalid pattern raises and is not stored.
-Every outcome is still projected through ``project_detection``.
+calls, and ``_detectors`` memoizes an outcome enumeration's checked modes and
+counts getter per (mode count, detector modes). Each keeps 256 entries: a
+gate repeats a few dozen patterns, while a wide state's outnumber any bound.
+An invalid pattern or mode list raises and is not stored. Every outcome is
+still projected through ``project_detection``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .fock import FockState, checked_modes, occupation_getter
 
@@ -106,6 +108,13 @@ def _projection(mode_count: int, pattern: DetectionPattern) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
+def _detectors(mode_count: int, modes: tuple) -> tuple[tuple[int, ...], Callable]:
+    """(checked detector modes, their counts getter) of an outcome enumeration."""
+    modes = tuple(checked_modes(mode_count, modes))
+    return modes, occupation_getter(modes)
+
+
+@functools.lru_cache(maxsize=256)
 def _pattern(modes: tuple[int, ...], counts: tuple[int, ...]) -> DetectionPattern:
     return DetectionPattern(zip(modes, counts))
 
@@ -124,9 +133,9 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
     sum runs in the same order and each branch is bit for bit the one
     ``project_detection(state, pattern)`` gives.
     """
-    modes = tuple(checked_modes(state.mode_count, detector_modes))
+    modes, counts_of = _detectors(state.mode_count, tuple(detector_modes))
     groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
-    for counts, (ket, amp) in zip(map(occupation_getter(modes), state.terms), state.terms.items()):
+    for counts, (ket, amp) in zip(map(counts_of, state.terms), state.terms.items()):
         groups.setdefault(counts, {})[ket] = amp
     return [
         project_detection(

@@ -28,10 +28,26 @@ If some sqrt(prod n!) passes the float range, either path raises a one-line
 from 171 photons it always happens for a 2-mode unitary with no zero entry,
 whose outputs include (171, 0); a sparse element such as a phase may still
 expand 171 photons split as (86, 85).
+
+Before a unitary on 3 or more modes is expanded, the outputs it could give
+are bounded by integer work, C(N + k - 1, k - 1) per ket with N photons on
+the k listed modes; a bound above ``MAX_EXPANSION_TERMS`` raises a one-line
+``ValueError`` at once.
+
+Setup that depends only on the element, the listed modes or a ket's local
+occupation is done once, not per call or per branch. ``ModeUnitary`` keeps a
+read-only copy of its matrix and works out at construction its columns as
+Python complex numbers and whether it takes the closed form. ``_layout``
+memoizes the checked modes and the two occupation getters per (mode count,
+listed modes), and ``_pair_plan`` the closed form's sqrt(a! b!) and output
+scales per local occupation (a, b); each keeps 256 entries, and an invalid
+mode list raises and is not stored.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -40,26 +56,38 @@ import numpy as np
 from .fock import FockState, checked_modes, occupation_getter
 
 UNITARY_TOL = 1e-12
+# Most output terms a unitary on 3 or more modes may expand to, summed over
+# the input kets. An output term holds about 200 bytes, so the limit keeps an
+# expansion near 220 MB.
+MAX_EXPANSION_TERMS = 2**20
 
 
 class ModeUnitary:
-    """Unitary matrix of a linear-optical element on ``dim`` modes."""
+    """Unitary matrix of a linear-optical element on ``dim`` modes.
 
-    __slots__ = ("matrix",)
+    ``matrix`` is a read-only copy of the given matrix, so the caller's array
+    stays writable and the columns and closed-form test worked out here from
+    it cannot drift from it.
+    """
+
+    __slots__ = ("matrix", "_columns", "_closed_form")
 
     def __init__(self, matrix) -> None:
-        m = np.asarray(matrix, dtype=complex)
+        m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         with np.errstate(over="ignore", invalid="ignore"):  # inf/nan entries
             defect = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
         if not defect <= UNITARY_TOL:  # also rejects a nan defect
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+        m.flags.writeable = False
         self.matrix = m
+        self._columns = m.T.tolist()  # column j of U, as Python complex
+        self._closed_form = len(self._columns) == 2 and all(map(all, self._columns))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self._columns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ModeUnitary({self.matrix.tolist()})"
@@ -82,41 +110,66 @@ def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -
     exact sqrt(n!) normalization, so photon number per term and the state
     norm are both preserved. Untouched modes pass through unchanged.
     """
-    modes = checked_modes(state.mode_count, modes)
-    if u.dim != len(modes):
-        raise ValueError(f"unitary is {u.dim}-mode but {len(modes)} modes were listed")
-
-    n = state.mode_count
-    # An output ket is the input ket with its listed modes overwritten by
-    # the output local occupation, read from ket + local in one gather.
-    positions = list(range(n))
-    for r, m in enumerate(modes):
-        positions[m] = n + r
-    place = occupation_getter(positions)
-    locals_ = map(occupation_getter(modes), state.terms)
-    columns = u.matrix.T.tolist()  # column j of U, as Python complex
-    expand = _expand_pairs if len(columns) == 2 and all(map(all, columns)) else _expand_direct
+    listed, local_of, place = _layout(state.mode_count, tuple(modes))
+    if u.dim != listed:
+        raise ValueError(f"unitary is {u.dim}-mode but {listed} modes were listed")
+    if listed >= 3:
+        _check_output_bound(state.terms, local_of, listed)
+    expand = _expand_pairs if u._closed_form else _expand_direct
     try:
-        terms = expand(state.terms, locals_, columns, place)
+        terms = expand(state.terms, map(local_of, state.terms), u._columns, place)
     except OverflowError:  # math.sqrt of an int prod n! past the float range
         raise ValueError("more than 170 photons on the listed modes: sqrt(n!) overflows a float") from None
-    return FockState._trusted(n, terms)
+    return FockState._trusted(state.mode_count, terms)
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(mode_count: int, modes: tuple) -> tuple[int, Callable, Callable]:
+    """(number of listed modes, local-occupation getter, output-ket placer) of an element.
+
+    An output ket is the input ket with its listed modes overwritten by the
+    output local occupation, read from ket + local in one gather.
+    """
+    modes = checked_modes(mode_count, modes)
+    positions = list(range(mode_count))
+    for r, m in enumerate(modes):
+        positions[m] = mode_count + r
+    return len(modes), occupation_getter(modes), occupation_getter(positions)
+
+
+def _check_output_bound(terms: dict, local_of: Callable, k: int) -> None:
+    """Refuse a k-mode expansion that could output more than ``MAX_EXPANSION_TERMS`` terms.
+
+    A ket with N photons on the k listed modes yields at most C(N+k-1, k-1)
+    output kets, so the bound is integer work over the input kets.
+    """
+    photons = collections.Counter(map(sum, map(local_of, terms)))
+    bound = sum(math.comb(n + k - 1, k - 1) * kets for n, kets in photons.items())
+    if bound > MAX_EXPANSION_TERMS:
+        raise ValueError(
+            f"a {k}-mode unitary could output {bound} terms, above the limit of {MAX_EXPANSION_TERMS}"
+        )
+
+
+@functools.lru_cache(maxsize=256)
+def _pair_plan(local: tuple[int, int]) -> tuple[float, tuple]:
+    """(sqrt(a! b!), ((mono, sqrt(mono[0]! mono[1]!)), ...)) of the local occupation (a, b).
+
+    The monomials are (a + b - i, i) for i = 0 .. a + b, in that order.
+    """
+    a, b = local
+    monos = [(a + b - i, i) for i in range(a + b + 1)]
+    return (
+        math.sqrt(math.factorial(a) * math.factorial(b)),
+        tuple((mono, math.sqrt(math.factorial(mono[0]) * math.factorial(mono[1]))) for mono in monos),
+    )
 
 
 def _expand_pairs(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict:
     """Each ket's expansion, summed, in closed form (a 2-mode unitary, no zero entry)."""
-    plans: dict[tuple[int, ...], tuple] = {}  # (sqrt(a! b!), outputs) per local occupation
     out: dict[tuple[int, ...], complex] = {}
     for (ket, amp), local in zip(terms.items(), locals_):
-        plan = plans.get(local)
-        if plan is None:
-            a, b = local
-            monos = [(a + b - i, i) for i in range(a + b + 1)]
-            plan = plans[local] = (
-                math.sqrt(math.factorial(a) * math.factorial(b)),
-                [(mono, math.sqrt(math.factorial(mono[0]) * math.factorial(mono[1]))) for mono in monos],
-            )
-        norm, outputs = plan
+        norm, outputs = _pair_plan(local)
         coeffs = [amp / norm]
         for (f0, f1), count in zip(columns, local):
             for _ in range(count):

@@ -5,7 +5,9 @@ copies ``src``, ``tests``, ``perfbench`` and ``pyproject.toml`` to a temporary
 directory, applies the replacement there, and runs tier-1 with ``pytest -x``.
 A failing run KILLED the mutant, and the first failing test is named; a
 passing run means it SURVIVED. The tier-1 check of this list itself is left
-out, since it fails on any mutated copy. The unmutated copy runs first and
+out, since it fails on any mutated copy. The runs fix ``--hypothesis-seed=0``,
+so a mutant that only a ``@given`` test catches gets the same verdict on every
+run; tier-1 itself keeps drawing fresh examples. The unmutated copy runs first and
 must pass. Run from the repository root::
 
     python tests/mutants.py
@@ -99,6 +101,42 @@ MUTANTS = [
         "return ModeUnitary([[s, -s], [s, s]])",
         "the gates' splitter is the transposed Hadamard",
     ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "_layout(state.mode_count, tuple(modes))",
+        "_layout(state.mode_count, tuple(sorted(modes)))",
+        "the element memo ignores the order of the listed modes",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "norm, outputs = _pair_plan(local)",
+        "norm, outputs = _pair_plan((sum(local), 0))",
+        "the plan memo is keyed on the photon total, not the local occupation",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "m = np.array(matrix, dtype=complex)",
+        "m = np.asarray(matrix, dtype=complex)",
+        "ModeUnitary freezes the caller's complex array instead of a copy",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "grown.append(0j + x * f1 + y * f0)",
+        "grown.append(0j + x * f0 + y * f1)",
+        "the closed form's middle sums take f0 and f1 swapped",
+    ),
+    Mutant(
+        "src/dualrail/protocols.py",
+        "ApplyBS((control.rail0, target.rail1), None),",
+        "ApplyBS((target.rail1, control.rail0), None),",
+        "the destructive gate's Bell mixer lists its modes swapped",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "if listed >= 3:",
+        "if listed >= 4:",
+        "a 3-mode unitary expands without the output-size pre-check",
+    ),
 ]
 
 
@@ -120,7 +158,10 @@ def run_tier1(mutant: Mutant | None) -> tuple[str | None, float]:
             target.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
         start = time.perf_counter()
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect", LIST_CHECK],
+            [
+                sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                "--hypothesis-seed=0", "--deselect", LIST_CHECK,
+            ],
             cwd=tmp,
             env={**os.environ, "PYTHONPATH": str(Path(tmp, "src"))},
             capture_output=True,

@@ -8,11 +8,12 @@ benchmark. The tracer's targets are read from its source, not imported.
 import ast
 import importlib
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import dualrail
-from dualrail import circuits, protocols
+from dualrail import circuits, measure, protocols
 from dualrail.rails import LogicalAmplitudes
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -53,3 +54,21 @@ def test_gate_results_keep_the_fields_the_benchmark_checks():
     assert result.fidelity_vs_reference == pytest.approx(1.0, abs=1e-12)
     # Feed-forward keeps two clicks at each of the two heralds.
     assert sum(branch.accepted for branch in result.branches) == 4
+
+
+def test_a_gate_run_reaches_every_kernel_the_benchmark_traces():
+    # The tracer counts the gates workload's optics and measure layers by
+    # wrapping these module attributes; a run that went round them would
+    # leave those layers empty.
+    targets = [
+        (circuits, "apply_mode_unitary"),
+        (measure, "outcome_distribution"),
+        (measure, "project_detection"),
+    ]
+    spies = [mock.patch.object(owner, name, wraps=getattr(owner, name)) for owner, name in targets]
+    with spies[0] as apply, spies[1] as outcomes, spies[2] as project:
+        result = protocols.run_nondestructive_csign(
+            LogicalAmplitudes.one(), LogicalAmplitudes.one(), "feedforward"
+        )
+    assert result.accepted_probability == pytest.approx(0.25, abs=1e-12)
+    assert apply.called and outcomes.called and project.called

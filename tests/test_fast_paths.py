@@ -324,6 +324,50 @@ def test_detection_memos_are_bounded_and_do_not_keep_errors():
         assert outcome(call, *args) == outcome(call, *args) == (ValueError, message)
 
 
+def test_element_and_outcome_memos_are_bounded_and_do_not_keep_errors():
+    assert optics._layout.cache_info().maxsize == 256
+    assert optics._pair_plan.cache_info().maxsize == 256
+    assert measure._detectors.cache_info().maxsize == 256
+    state = FockState(2, {(1, 0): 1.0})
+    for call, args, message in [
+        (apply_mode_unitary, (state, [0, 5], hadamard_bs()), "mode 5 out of range for 2 modes"),
+        (apply_mode_unitary, (state, [1, 1], hadamard_bs()), "duplicate modes in [1, 1]"),
+        (apply_mode_unitary, (state, [0], hadamard_bs()), "unitary is 2-mode but 1 modes were listed"),
+        (measure.outcome_distribution, (state, [5]), "mode 5 out of range for 2 modes"),
+        (measure.outcome_distribution, (state, [1, 1]), "duplicate modes in [1, 1]"),
+    ]:
+        assert outcome(call, *args) == outcome(call, *args) == (ValueError, message)
+
+
+def test_a_reversed_listing_after_a_cached_one_matches_the_reference():
+    # The element memo is keyed on the listing in order: [1, 0] must not
+    # reuse the layout of [0, 1], for splitters and for outcome enumeration.
+    rng = np.random.default_rng(10)
+    state = FockState(3, {k: complex(rng.normal(), rng.normal()) for k in sector(3, 3)})
+    for u in [hadamard_bs(), ModeUnitary(random_unitary(rng, 2)), ModeUnitary([[0, 1j], [-1, 0]])]:
+        for listed in ([0, 1], [1, 0]):
+            fast = apply_mode_unitary(state, listed, u)
+            assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
+    for listed in ([0, 2], [2, 0]):
+        assert_same_branches(
+            measure.outcome_distribution(state, listed), ref.outcome_distribution(state, listed)
+        )
+
+
+def test_mode_unitary_keeps_a_read_only_copy_of_its_matrix():
+    given_matrix = np.array(hadamard_bs().matrix)
+    u = ModeUnitary(given_matrix)
+    with pytest.raises(ValueError, match="read-only"):
+        u.matrix[0, 0] = 1.0
+    assert given_matrix.flags.writeable
+    given_matrix[0, 0] = 1.0  # the caller's array is its own
+    assert u.matrix[0, 0] == S and u.matrix is not given_matrix
+    state = FockState(2, {(1, 1): 1.0})
+    assert bits(apply_mode_unitary(state, [0, 1], u).terms) == bits(
+        apply_mode_unitary(state, [0, 1], hadamard_bs()).terms
+    )
+
+
 # Where FockState._trusted may be called: each builds a state from another
 # valid state, never from .loc text, argv or a library caller's terms.
 TRUSTED_CALLERS = {

@@ -1,14 +1,16 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualrail import optics
 from dualrail.fock import FockState
-from dualrail.optics import ModeUnitary, apply_mode_unitary, hadamard_bs
+from dualrail.optics import MAX_EXPANSION_TERMS, ModeUnitary, apply_mode_unitary, hadamard_bs
 
 from conftest import random_fock_state, random_unitary
 from reference_kernels import distance, oracle_amplitude, permanent, sector
@@ -174,6 +176,52 @@ class TestApply:
         # Only the output (86, 85) arises, and sqrt(86! 85!) fits in a float.
         s = FockState.ket((86, 85))
         assert apply_mode_unitary(s, [0, 1], ModeUnitary(np.eye(2))).amplitude((86, 85)) == pytest.approx(1)
+
+
+
+def no_expansion(terms, *rest):
+    """Stands in for the direct expansion, so only the pre-check's verdict is tested."""
+    return dict(terms)
+
+
+class TestOutputBound:
+    def test_a_64_mode_ket_of_64_photons_is_refused_at_once(self):
+        state = FockState.ket((64,) + (0,) * 63)
+        with pytest.raises(ValueError) as err:
+            apply_mode_unitary(state, range(64), ModeUnitary(np.eye(64)))
+        assert str(err.value) == (
+            f"a 64-mode unitary could output {math.comb(127, 63)} terms, "
+            f"above the limit of {MAX_EXPANSION_TERMS}"
+        )
+
+    def test_the_bound_sums_over_kets_and_admits_its_limit(self):
+        # 2 photons on 3 listed modes give at most C(4, 2) = 6 outputs, 1 photon 3.
+        state = FockState(4, {(2, 0, 0, 1): 0.6, (0, 1, 0, 0): 0.8})
+        u = ModeUnitary(random_unitary(np.random.default_rng(3), 3))
+        with mock.patch.object(optics, "MAX_EXPANSION_TERMS", 9):
+            assert apply_mode_unitary(state, [2, 0, 1], u).norm_squared() == pytest.approx(1.0)
+        with mock.patch.object(optics, "MAX_EXPANSION_TERMS", 8):
+            message = "^a 3-mode unitary could output 9 terms, above the limit of 8$"
+            with pytest.raises(ValueError, match=message):
+                apply_mode_unitary(state, [2, 0, 1], u)
+
+    def test_two_mode_elements_are_not_bounded_here(self):
+        with mock.patch.object(optics, "MAX_EXPANSION_TERMS", 0):
+            assert apply_mode_unitary(FockState.ket((3, 1)), [0, 1], hadamard_bs()).terms
+
+    @given(k=st.integers(3, 64), photons=st.lists(st.integers(0, 64), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_the_pre_check_refuses_exactly_the_expansions_past_the_limit(self, k, photons):
+        # Ket i holds photons[i] on the first listed mode and i on an unlisted
+        # one, so the kets are distinct; nothing is expanded either way.
+        state = FockState(k + 1, {(n,) + (0,) * (k - 1) + (i,): 1.0 for i, n in enumerate(photons)})
+        bound = sum(math.comb(n + k - 1, k - 1) for n in photons)
+        with mock.patch.object(optics, "_expand_direct", no_expansion):
+            if bound > MAX_EXPANSION_TERMS:
+                with pytest.raises(ValueError, match=f"^a {k}-mode unitary could output {bound} terms"):
+                    apply_mode_unitary(state, range(k), ModeUnitary(np.eye(k)))
+            else:
+                assert apply_mode_unitary(state, range(k), ModeUnitary(np.eye(k))).terms == state.terms
 
 
 def test_ryser_matches_the_permutation_sum(rng):
