@@ -12,7 +12,7 @@ from importlib import resources
 
 from .circuits import CircuitIR, ParseError, RunResult, execute, parse
 from .fock import FockState, PhaseMatch, equal_up_to_global_phase
-from .measure import BranchResult, DetectionPattern, outcome_distribution, project_detection
+from .measure import BranchResult, outcome_distribution, project_detection
 from .optics import ModeUnitary, apply_mode_unitary, hadamard_bs
 from .protocols import (
     BellAmplitudes,
@@ -40,7 +40,6 @@ __all__ = [
     "BellAmplitudes",
     "BranchResult",
     "CircuitIR",
-    "DetectionPattern",
     "DualRailQubit",
     "FockState",
     "LeakageError",

@@ -736,10 +736,10 @@ def _term_bound(branches: list[Branch], positions: list[int]) -> int:
 
 
 def _detect(b: Branch, detectors: tuple[Detect, ...], positions: list[int]) -> list[Branch]:
+    names = [d.name for d in detectors]
     grown = []
     for outcome in measure.outcome_distribution(b.residual, positions):
-        req = outcome.pattern.requirements
-        counts = {**b.counts, **{d.name: req[p] for d, p in zip(detectors, positions)}}
+        counts = {**b.counts, **dict(zip(names, outcome.counts))}
         probability = b.probability * outcome.probability
         grown.append(Branch(counts, probability, outcome.residual, b.corrections, b.accepted))
     return grown

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 # Stored amplitudes below this modulus are dropped. This keeps exact-
@@ -40,9 +40,21 @@ def occupation_getter(positions: Sequence[int]) -> Callable[[Occupation], Occupa
     return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
+def as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, else a one-line ``ValueError`` naming ``what``.
+
+    ``operator.index`` takes ints and integer types such as numpy's, and
+    rejects floats and strings instead of truncating or parsing them.
+    """
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"expected integer {what}, got {values!r}") from None
+
+
 def checked_modes(mode_count: int, modes: Iterable[int]) -> list[int]:
     """``modes`` as ints, each in range(mode_count) and listed once, else ``ValueError``."""
-    modes = [int(m) for m in modes]
+    modes = list(as_ints(modes, "modes"))
     if len(set(modes)) != len(modes):
         raise ValueError(f"duplicate modes in {modes}")
     for m in modes:
@@ -82,7 +94,7 @@ class FockState:
 
         acc: dict[Occupation, complex] = {}
         for occ, amp in pairs:
-            ket = tuple(map(int, occ))
+            ket = as_ints(occ, "photon counts")
             if len(ket) != mode_count:
                 raise ValueError(
                     f"occupation vector {ket} has length {len(ket)}, "
@@ -132,7 +144,7 @@ class FockState:
     @classmethod
     def ket(cls, occ: Iterable[int], amp: complex = 1.0) -> FockState:
         """Single-ket state |n1,...,nk> with the given amplitude."""
-        ket = tuple(int(n) for n in occ)
+        ket = as_ints(occ, "photon counts")
         return cls(len(ket), [(ket, amp)])
 
     @classmethod
@@ -140,7 +152,7 @@ class FockState:
         return cls(mode_count, [((0,) * mode_count, 1.0)])
 
     def amplitude(self, occ: Iterable[int]) -> complex:
-        return self.terms.get(tuple(int(n) for n in occ), 0j)
+        return self.terms.get(as_ints(occ, "photon counts"), 0j)
 
     def items(self) -> list[tuple[Occupation, complex]]:
         """Terms in canonical (lexicographic ket) order."""

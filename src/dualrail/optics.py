@@ -41,7 +41,9 @@ Python complex numbers and whether it takes the closed form. ``_layout``
 memoizes the checked modes and the two occupation getters per (mode count,
 listed modes), and ``_pair_plan`` the closed form's sqrt(a! b!) and output
 scales per local occupation (a, b); each keeps 256 entries, and an invalid
-mode list raises and is not stored.
+mode list raises and is not stored. The listed modes are converted to ints
+before ``_layout`` is looked up, so a float such as 1.0, which hashes like 1,
+is rejected whether or not 1 is cached.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .fock import FockState, checked_modes, occupation_getter
+from .fock import FockState, as_ints, checked_modes, occupation_getter
 
 UNITARY_TOL = 1e-12
 # Most output terms a unitary on 3 or more modes may expand to, summed over
@@ -110,7 +112,7 @@ def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -
     exact sqrt(n!) normalization, so photon number per term and the state
     norm are both preserved. Untouched modes pass through unchanged.
     """
-    listed, local_of, place = _layout(state.mode_count, tuple(modes))
+    listed, local_of, place = _layout(state.mode_count, as_ints(modes, "modes"))
     if u.dim != listed:
         raise ValueError(f"unitary is {u.dim}-mode but {listed} modes were listed")
     if listed >= 3:

@@ -103,8 +103,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "_layout(state.mode_count, tuple(modes))",
-        "_layout(state.mode_count, tuple(sorted(modes)))",
+        '_layout(state.mode_count, as_ints(modes, "modes"))',
+        '_layout(state.mode_count, tuple(sorted(as_ints(modes, "modes"))))',
         "the element memo ignores the order of the listed modes",
     ),
     Mutant(
@@ -136,6 +136,24 @@ MUTANTS = [
         "if listed >= 3:",
         "if listed >= 4:",
         "a 3-mode unitary expands without the output-size pre-check",
+    ),
+    Mutant(
+        "src/dualrail/measure.py",
+        "counts_of, kept, rest_of = _setup(state.mode_count, modes)",
+        "counts_of, kept, rest_of = _setup(state.mode_count, tuple(sorted(modes)))",
+        "a projection reads the counts in mode order, not in listed order",
+    ),
+    Mutant(
+        "src/dualrail/measure.py",
+        "if min(counts) < 0:",
+        "if min(counts) < -1:",
+        "a count of -1 projects onto nothing instead of raising",
+    ),
+    Mutant(
+        "src/dualrail/measure.py",
+        "for counts in sorted(groups)",
+        "for counts in groups",
+        "outcomes come in the state's ket order, not sorted by counts",
     ),
 ]
 

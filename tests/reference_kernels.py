@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
@@ -28,7 +29,7 @@ import numpy as np
 from dualrail import reports
 from dualrail.circuits import RunResult
 from dualrail.fock import PRUNE_TOL, FockState, checked_modes
-from dualrail.measure import BranchResult, DetectionPattern
+from dualrail.measure import BranchResult
 from dualrail.optics import ModeUnitary
 from dualrail.protocols import BellAmplitudes, collapse_teleport_rows, teleport_gate_table
 from dualrail.rails import LogicalAmplitudes
@@ -51,7 +52,10 @@ class ReferenceFockState(FockState):
         seen_any = False
         for occ, amp in pairs:
             seen_any = True
-            ket = tuple(int(n) for n in occ)
+            try:
+                ket = tuple(operator.index(n) for n in occ)
+            except TypeError:
+                raise ValueError(f"expected integer photon counts, got {occ!r}") from None
             if len(ket) != mode_count:
                 raise ValueError(
                     f"occupation vector {ket} has length {len(ket)}, "
@@ -114,9 +118,10 @@ def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -
     return ReferenceFockState(state.mode_count, out)
 
 
-def project_detection(state: FockState, pattern: DetectionPattern) -> BranchResult:
-    checked_modes(state.mode_count, pattern.modes)
-    required = pattern.requirements
+def project_detection(state: FockState, modes: Sequence[int], counts: Sequence[int]) -> BranchResult:
+    checked_modes(state.mode_count, modes)
+    counts = tuple(counts)
+    required = dict(zip(modes, counts))
     kept = tuple(m for m in range(state.mode_count) if m not in required)
 
     residual_terms: dict[tuple[int, ...], complex] = {}
@@ -129,13 +134,13 @@ def project_detection(state: FockState, pattern: DetectionPattern) -> BranchResu
         residual_terms[rest] = residual_terms.get(rest, 0j) + amp
 
     if weight == 0.0 or not residual_terms:
-        return BranchResult(pattern, 0.0, None, kept)
+        return BranchResult(counts, 0.0, None, kept)
     if not kept:
         # Whole state measured: the branch keeps its probability, nothing remains.
-        return BranchResult(pattern, weight, None, kept)
+        return BranchResult(counts, weight, None, kept)
     scale = 1.0 / math.sqrt(weight)
     residual = ReferenceFockState(len(kept), {k: v * scale for k, v in residual_terms.items()})
-    return BranchResult(pattern, weight, residual, kept)
+    return BranchResult(counts, weight, residual, kept)
 
 
 def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> list[BranchResult]:
@@ -145,7 +150,7 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
     checked_modes(state.mode_count, modes)
     outcomes = sorted({tuple(ket[m] for m in modes) for ket in state.terms})
     return [
-        project_detection(state, DetectionPattern(zip(modes, counts)))
+        project_detection(state, modes, counts)
         for counts in outcomes
     ]
 

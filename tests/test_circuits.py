@@ -243,6 +243,12 @@ class TestExecution:
         assert branch.corrections == ("Z on (3, 4)",)
         assert branch.residual.amplitude((1, 0)) == pytest.approx(-1.0)
 
+    def test_a_joint_detect_maps_each_name_to_its_own_modes_count(self):
+        # Listed in descending mode order, so listed order and mode order differ.
+        source = f"modes 3\nket |2,0,1> amp {S} 0\nket |1,1,0> amp {S} 0\ndetect 3 as c\ndetect 1 as a\n"
+        report = circuits.execute(parse(source))
+        assert [b.counts for b in report.branches] == [{"a": 1, "c": 0}, {"a": 2, "c": 1}]
+
     def test_term_bound_is_summed_over_branches_before_the_splitter_runs(self, monkeypatch):
         # Detecting mode 3 leaves |3,0> (c = 0) and |0,0> (c = 3): the splitter
         # can output 3 + 1 and 0 + 1 kets, 5 in all.
@@ -391,3 +397,8 @@ def test_shipped_files_roundtrip():
     for name in ("fig1.loc", "fig2.loc"):
         ir = parse(dualrail.data_path(name).read_text())
         assert parse(circuits.format(ir)) == ir
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in dualrail.__all__ if not hasattr(dualrail, name)]
+    assert missing == []

@@ -28,7 +28,6 @@ import reference_kernels as ref
 import dualrail
 from dualrail import measure, optics
 from dualrail.fock import FockState
-from dualrail.measure import DetectionPattern
 from dualrail.optics import ModeUnitary, apply_mode_unitary, hadamard_bs
 from dualrail.rails import DualRailQubit, pauli_correction
 
@@ -45,7 +44,7 @@ def bits(terms: dict) -> list:
 def assert_same_branches(fast: list, slow: list) -> None:
     assert len(fast) == len(slow)
     for a, b in zip(fast, slow):
-        assert a.pattern == b.pattern
+        assert a.counts == b.counts
         assert a.kept_modes == b.kept_modes
         assert struct.pack("<d", a.probability) == struct.pack("<d", b.probability)
         assert (a.residual is None) == (b.residual is None)
@@ -128,12 +127,12 @@ def test_apply_mode_unitary_matches_the_reference(data):
 @given(state=states(), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_project_detection_matches_the_reference(state, data):
-    # Arbitrary patterns, including ones that match nothing, measure every
+    # Arbitrary counts, including ones that match nothing, measure every
     # mode or leave one mode behind.
     modes = data.draw(st.lists(st.sampled_from(range(state.mode_count)), min_size=1, unique=True))
-    pattern = DetectionPattern({m: data.draw(st.integers(0, 3)) for m in modes})
+    counts = [data.draw(st.integers(0, 3)) for _ in modes]
     assert_same_branches(
-        [measure.project_detection(state, pattern)], [ref.project_detection(state, pattern)]
+        [measure.project_detection(state, modes, counts)], [ref.project_detection(state, modes, counts)]
     )
 
 
@@ -235,13 +234,13 @@ def test_trusted_construction_matches_the_public_constructor(state, data):
     if data.draw(st.booleans()):  # unitary to 1e-12, but takes the largest float to inf
         u = ModeUnitary(np.diag([1 + 4e-13] + [1.0] * (u.dim - 1)))
     detectors = data.draw(st.lists(st.sampled_from(range(state.mode_count)), min_size=1, unique=True))
-    pattern = DetectionPattern({m: data.draw(st.integers(0, 3)) for m in detectors})
+    counts = [data.draw(st.integers(0, 3)) for _ in detectors]
     # A qubit on modes 0 and 1 ahead of the state, so every ket is dual-rail there.
     qubit = FockState(2, {(0, 1): data.draw(st.sampled_from([S, 1.0, 1e200])), (1, 0): -S})
     register = outcome(ref.tensor, qubit, state)
     with mock.patch.object(FockState, "_trusted", record):
         outcome(apply_mode_unitary, state, listed, u)
-        outcome(measure.project_detection, state, pattern)
+        outcome(measure.project_detection, state, detectors, counts)
         outcome(measure.outcome_distribution, state, detectors)
         if not isinstance(register, tuple):
             for which in "XYZ":
@@ -314,12 +313,16 @@ def test_only_elements_outside_the_closed_form_expand_directly():
 
 
 def test_detection_memos_are_bounded_and_do_not_keep_errors():
-    assert measure._pattern.cache_info().maxsize == 256
-    assert measure._projection.cache_info().maxsize == 256
+    assert measure._setup.cache_info().maxsize == 256
     state = FockState(2, {(1, 0): 1.0})
+    project = measure.project_detection
     for call, args, message in [
-        (measure.project_detection, (state, DetectionPattern({5: 1})), "mode 5 out of range for 2 modes"),
-        (measure._pattern, ((0, 0), (1, 1)), "duplicate modes in detection pattern ((0, 1), (0, 1))"),
+        (project, (state, [0], [1, 0]), "2 photon counts given for 1 detector modes"),
+        (project, (state, [0, 1], [1, -1]), "negative photon count in (1, -1)"),
+        (project, (state, [], []), "detection needs at least one mode"),
+        (project, (state, [1, 1], [0, 0]), "duplicate modes in [1, 1]"),
+        (project, (state, [5], [1]), "mode 5 out of range for 2 modes"),
+        (measure.outcome_distribution, (state, []), "detection needs at least one mode"),
     ]:
         assert outcome(call, *args) == outcome(call, *args) == (ValueError, message)
 
@@ -327,7 +330,6 @@ def test_detection_memos_are_bounded_and_do_not_keep_errors():
 def test_element_and_outcome_memos_are_bounded_and_do_not_keep_errors():
     assert optics._layout.cache_info().maxsize == 256
     assert optics._pair_plan.cache_info().maxsize == 256
-    assert measure._detectors.cache_info().maxsize == 256
     state = FockState(2, {(1, 0): 1.0})
     for call, args, message in [
         (apply_mode_unitary, (state, [0, 5], hadamard_bs()), "mode 5 out of range for 2 modes"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrail.fock import FockState, checked_modes, equal_up_to_global_phase
-from dualrail.measure import DetectionPattern, outcome_distribution, project_detection
+from dualrail.measure import outcome_distribution, project_detection
 from dualrail.optics import apply_mode_unitary, hadamard_bs
 from dualrail.rails import DualRailQubit, LogicalAmplitudes, decode_register, encode, pauli_correction
 
@@ -171,7 +171,7 @@ TWO_MODES = FockState(2, {(1, 0): 1.0})
     [
         lambda: apply_mode_unitary(TWO_MODES, [0, 5], hadamard_bs()),
         lambda: outcome_distribution(TWO_MODES, [5]),
-        lambda: project_detection(TWO_MODES, DetectionPattern({5: 0})),
+        lambda: project_detection(TWO_MODES, [5], [0]),
         lambda: encode(LogicalAmplitudes.zero(), DualRailQubit(0, 5), 2),
         lambda: decode_register(TWO_MODES, [DualRailQubit(0, 5)]),
         lambda: pauli_correction(TWO_MODES, DualRailQubit(0, 5), "Z"),
@@ -205,3 +205,41 @@ def test_every_kernel_reports_a_repeated_mode_alike(call, listed):
 def test_checked_modes_returns_ints():
     assert checked_modes(3, (np.int64(2), 0)) == [2, 0]
     assert all(type(m) is int for m in checked_modes(3, (np.int64(2), 0)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FockState(2, [((1.9, 0), 1.0)]), "expected integer photon counts, got (1.9, 0)"),
+        (lambda: FockState(2, [(("1", 0), 1.0)]), "expected integer photon counts, got ('1', 0)"),
+        (lambda: FockState.ket((1.0, 0)), "expected integer photon counts, got (1.0, 0)"),
+        (lambda: TWO_MODES.amplitude((0.9, 0)), "expected integer photon counts, got (0.9, 0)"),
+        (
+            lambda: project_detection(FockState.ket((1, 0)), [0], [1.5]),
+            "expected integer photon counts, got [1.5]",
+        ),
+        (lambda: outcome_distribution(TWO_MODES, [0.9]), "expected integer modes, got [0.9]"),
+        (
+            lambda: apply_mode_unitary(TWO_MODES, [0.5, 1.7], hadamard_bs()),
+            "expected integer modes, got [0.5, 1.7]",
+        ),
+    ],
+    ids=["construct", "string", "ket", "amplitude", "project", "outcomes", "apply"],
+)
+def test_non_integral_counts_and_modes_are_rejected_not_truncated(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_an_integral_float_mode_is_rejected_even_once_its_int_is_cached():
+    # 1.0 hashes like 1, so a memo looked up before the conversion would
+    # take it for the cached entry of 1.
+    for call, ints, floats in [
+        (lambda modes: outcome_distribution(TWO_MODES, modes), [1], [1.0]),
+        (lambda modes: project_detection(TWO_MODES, modes, [0]), [1], [1.0]),
+        (lambda modes: apply_mode_unitary(TWO_MODES, modes, hadamard_bs()), [0, 1], [0.0, 1.0]),
+    ]:
+        call(ints)
+        with pytest.raises(ValueError, match="expected integer modes"):
+            call(floats)

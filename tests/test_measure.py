@@ -3,11 +3,7 @@ import math
 import pytest
 
 from dualrail.fock import FockState
-from dualrail.measure import (
-    DetectionPattern,
-    outcome_distribution,
-    project_detection,
-)
+from dualrail.measure import outcome_distribution, project_detection
 
 from conftest import random_fock_state
 from reference_kernels import project_onto_state
@@ -16,59 +12,53 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 class TestDetectionPattern:
-    def test_requirements_view(self):
-        p = DetectionPattern({2: 1, 0: 0})
-        assert p.items == ((0, 0), (2, 1))
-        assert p.modes == (0, 2)
-        assert p.requirements == {0: 0, 2: 1}
-
     def test_duplicate_modes_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            DetectionPattern([(1, 0), (1, 1)])
+            project_detection(FockState.ket((1, 0)), [1, 1], [0, 1])
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            DetectionPattern({0: -1})
+        with pytest.raises(ValueError, match="negative"):
+            project_detection(FockState.ket((1, 0)), [0], [-1])
 
 
 class TestProjectDetection:
     def test_certain_click(self):
-        br = project_detection(FockState.ket((1, 0)), DetectionPattern({0: 1}))
+        br = project_detection(FockState.ket((1, 0)), [0], [1])
         assert br.probability == pytest.approx(1.0)
         assert br.residual.terms == {(0,): 1.0 + 0j}
         assert br.kept_modes == (1,)
 
     def test_sign_folds_into_residual(self):
         s = FockState(2, {(0, 1): SQRT_HALF, (1, 0): -SQRT_HALF})
-        br = project_detection(s, DetectionPattern({0: 1, 1: 0}))
+        br = project_detection(s, [0, 1], [1, 0])
         assert br.probability == pytest.approx(0.5, abs=1e-12)
         assert br.residual is None  # every mode was measured
         assert br.kept_modes == ()
 
     def test_partial_projection_keeps_phase(self):
         s = FockState(3, {(0, 1, 1): SQRT_HALF, (1, 0, 0): -SQRT_HALF})
-        br = project_detection(s, DetectionPattern({2: 1}))
+        br = project_detection(s, [2], [1])
         assert br.probability == pytest.approx(0.5, abs=1e-12)
         assert br.residual.amplitude((0, 1)) == pytest.approx(1.0)
         # The matched term's sign folds into the residual phase.
-        negative = project_detection(s, DetectionPattern({2: 0}))
+        negative = project_detection(s, [2], [0])
         assert negative.residual.amplitude((1, 0)) == pytest.approx(-1.0)
 
     def test_empty_branch_is_explicit(self):
-        br = project_detection(FockState.ket((1, 0)), DetectionPattern({0: 2}))
+        br = project_detection(FockState.ket((1, 0)), [0], [2])
         assert br.probability == 0.0
         assert br.residual is None
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            project_detection(FockState.ket((1, 0)), DetectionPattern({7: 1}))
+            project_detection(FockState.ket((1, 0)), [7], [1])
 
     def test_projecting_a_removed_mode_errors(self):
         """Measured modes are consumed; reusing their index is an error."""
         s = FockState(2, {(0, 1): SQRT_HALF, (1, 0): SQRT_HALF})
-        first = project_detection(s, DetectionPattern({1: 0}))
+        first = project_detection(s, [1], [0])
         with pytest.raises(ValueError, match="out of range"):
-            project_detection(first.residual, DetectionPattern({1: 0}))
+            project_detection(first.residual, [1], [0])
 
 
 class TestOutcomeDistribution:
@@ -82,14 +72,14 @@ class TestOutcomeDistribution:
             s = random_fock_state(rng, 4)
             branches = outcome_distribution(s, [1, 2])
             assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
-            patterns = [b.pattern.items for b in branches]
+            patterns = [b.counts for b in branches]
             assert len(set(patterns)) == len(patterns)
             assert patterns == sorted(patterns)
 
     def test_matches_single_projection(self, rng):
         s = random_fock_state(rng, 3)
         for branch in outcome_distribution(s, [0, 1]):
-            redo = project_detection(s, branch.pattern)
+            redo = project_detection(s, [0, 1], branch.counts)
             assert redo.probability == pytest.approx(branch.probability, abs=1e-12)
 
     def test_invariant_under_global_phase(self, rng):
@@ -98,6 +88,16 @@ class TestOutcomeDistribution:
         p1 = [b.probability for b in outcome_distribution(s, [0, 2])]
         p2 = [b.probability for b in outcome_distribution(rotated, [0, 2])]
         assert p1 == pytest.approx(p2, abs=1e-12)
+
+    def test_counts_follow_the_listed_modes(self):
+        # The kets come in descending count order, so the branches must be sorted.
+        s = FockState(3, {(0, 1, 2): 0.6, (1, 1, 0): 0.8})
+        branches = outcome_distribution(s, [2, 0])
+        assert [b.counts for b in branches] == [(0, 1), (2, 0)]
+        assert [b.probability for b in branches] == pytest.approx([0.64, 0.36], abs=1e-12)
+        for branch in branches:
+            redo = project_detection(s, [2, 0], branch.counts)
+            assert redo.probability == branch.probability
 
     def test_duplicate_detectors_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
