@@ -36,13 +36,12 @@ import cmath
 import itertools
 import re
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from . import measure, rails
-from .fock import FockState
+from .fock import FockState, layout
 from .optics import ModeUnitary, apply_mode_unitary, hadamard_bs
 from .rails import DualRailQubit, LogicalAmplitudes, is_normalized
 
@@ -680,7 +679,7 @@ def run_branches(ir: CircuitIR) -> RunResult:
             detectors = tuple(group)
             positions = [live.index(d.mode) for d in detectors]
             branches = [grown for b in branches for grown in _detect(b, detectors, positions)]
-            live = tuple(m for k, m in enumerate(live) if k not in positions)
+            live = tuple(live[k] for k in layout(len(live), positions).rest)
             continue
         for element in group:
             if isinstance(element, ApplyBS):
@@ -727,11 +726,11 @@ def _term_bound(branches: list[Branch], positions: list[int]) -> int:
     A ket with n photons on the splitter's two modes yields at most n + 1
     output kets, so the bound is integer work over the input kets.
     """
-    p, q = positions
+    local_of = layout(branches[0].residual.mode_count, positions).local_of
     bound = 0
     for b in branches:
         kets = b.residual.terms
-        bound += len(kets) + sum(map(itemgetter(p), kets)) + sum(map(itemgetter(q), kets))
+        bound += len(kets) + sum(map(sum, map(local_of, kets)))
     return bound
 
 
@@ -778,13 +777,12 @@ def _inject(state: FockState, positions: list[int], factor: Iterable) -> FockSta
     State terms form the outer loop; each amplitude is the state's times the
     factor's, in that order.
     """
+    place = layout(state.mode_count, positions).place
     out: dict[tuple[int, ...], complex] = {}
     for ket, amp in state.terms.items():
         for sub, sub_amp in factor:
-            new_ket = list(ket)
-            for p, n in zip(positions, sub):
-                new_ket[p] = n
-            out[tuple(new_ket)] = out.get(tuple(new_ket), 0j) + amp * sub_amp
+            new_ket = place(ket + tuple(sub))
+            out[new_ket] = out.get(new_ket, 0j) + amp * sub_amp
     return FockState(state.mode_count, out)
 
 

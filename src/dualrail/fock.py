@@ -9,6 +9,7 @@ imposed beyond sparsity itself.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from operator import index, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -63,6 +64,52 @@ def checked_modes(mode_count: int, modes: Iterable[int]) -> list[int]:
     return modes
 
 
+class Layout(NamedTuple):
+    """Where a listing of modes sits in a ket.
+
+    ``local_of(ket)`` is the ket's counts on ``modes`` and ``place(ket + local)``
+    the ket with ``local`` written onto them, both in listed order; ``rest_of(ket)``
+    is its counts on ``rest``, the other modes, in mode order.
+    """
+
+    modes: tuple[int, ...]
+    local_of: Callable[[Occupation], Occupation]
+    rest: tuple[int, ...]
+    rest_of: Callable[[Occupation], Occupation]
+    place: Callable[[Occupation], Occupation]
+
+
+def layout(mode_count: int, modes: Iterable[int]) -> Layout:
+    """The ``Layout`` of ``modes`` in kets of ``mode_count`` modes, for every kernel.
+
+    Memoized per (mode count, listing), 256 entries. The listing is converted
+    to ints first, as 1.0 hashes like 1, and an invalid listing raises
+    ``checked_modes``' error and is not stored.
+    """
+    return _layout(mode_count, as_ints(modes, "modes"))
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(mode_count: int, modes: tuple[int, ...]) -> Layout:
+    modes = tuple(checked_modes(mode_count, modes))
+    rest = tuple(m for m in range(mode_count) if m not in modes)
+    positions = list(range(mode_count))
+    for r, m in enumerate(modes):
+        positions[m] = mode_count + r
+    return Layout(modes, occupation_getter(modes), rest, occupation_getter(rest), occupation_getter(positions))
+
+
+def _checked_mode_count(mode_count: int) -> int:
+    """``mode_count`` as a positive int, else a one-line ``ValueError``."""
+    try:
+        mode_count = index(mode_count)
+    except TypeError:
+        raise ValueError(f"expected integer mode count, got {mode_count!r}") from None
+    if mode_count <= 0:
+        raise ValueError(f"mode_count must be positive, got {mode_count}")
+    return mode_count
+
+
 class FockState:
     """Multimode bosonic pure state, stored sparsely.
 
@@ -85,8 +132,7 @@ class FockState:
     __slots__ = ("mode_count", "terms")
 
     def __init__(self, mode_count: int, terms: TermsLike) -> None:
-        if mode_count <= 0:
-            raise ValueError(f"mode_count must be positive, got {mode_count}")
+        mode_count = _checked_mode_count(mode_count)
         if isinstance(terms, Mapping):
             pairs: Iterable[tuple[Iterable[int], complex]] = terms.items()
         else:
@@ -149,6 +195,7 @@ class FockState:
 
     @classmethod
     def vacuum(cls, mode_count: int) -> FockState:
+        mode_count = _checked_mode_count(mode_count)
         return cls(mode_count, [((0,) * mode_count, 1.0)])
 
     def amplitude(self, occ: Iterable[int]) -> complex:

@@ -6,23 +6,18 @@ branch carries the original indices of the surviving modes so labels stay
 traceable.
 
 A detection is given as its modes and their photon counts, both in listed
-order. Its setup depends on the mode count and the listed modes, not on the
-state or the counts, so ``_setup`` memoizes it across branches and calls,
-for projections and outcome enumerations alike. It keeps 256 entries: a gate
-repeats a few detector lists, and even a wide state has far fewer detector
-lists than count patterns. An invalid mode list raises and is not stored;
-the counts are checked on every call. Every outcome is still projected
-through ``project_detection``.
+order. Where the listed and the kept modes sit in a ket comes from
+``fock.layout``; the counts are checked on every call. Every outcome is
+projected through ``project_detection``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .fock import FockState, as_ints, checked_modes, occupation_getter
+from .fock import FockState, as_ints, layout
 
 
 @dataclass
@@ -48,8 +43,9 @@ def project_detection(state: FockState, modes: Sequence[int], counts: Sequence[i
     Counts matching nothing yield an explicit empty branch (probability 0,
     residual None) so acceptance policies can be total over outcomes.
     """
-    modes = as_ints(modes, "modes")  # before the memo: 1.0 hashes like 1
-    counts_of, kept, rest_of = _setup(state.mode_count, modes)
+    modes, counts_of, kept, rest_of, _ = layout(state.mode_count, modes)
+    if not modes:
+        raise ValueError("detection needs at least one mode")
     counts = as_ints(counts, "photon counts")
     if len(counts) != len(modes):
         raise ValueError(f"{len(counts)} photon counts given for {len(modes)} detector modes")
@@ -79,16 +75,6 @@ def project_detection(state: FockState, modes: Sequence[int], counts: Sequence[i
     return BranchResult(counts, weight, residual, kept)
 
 
-@functools.lru_cache(maxsize=256)
-def _setup(mode_count: int, modes: tuple[int, ...]) -> tuple[Callable, tuple[int, ...], Callable]:
-    """(counts getter of ``modes``, kept modes, kept-count getter) of a detection."""
-    if not modes:
-        raise ValueError("detection needs at least one mode")
-    measured = set(checked_modes(mode_count, modes))
-    kept = tuple(m for m in range(mode_count) if m not in measured)
-    return occupation_getter(modes), kept, occupation_getter(kept)
-
-
 def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> list[BranchResult]:
     """All photon-count outcomes on the listed modes, as disjoint branches.
 
@@ -101,10 +87,9 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
     from its own group's sub-state, which holds exactly the kets a
     projection of the whole state would keep, in the same order, so every
     sum runs in the same order and each branch is bit for bit the one
-    ``project_detection(state, modes, counts)`` gives.
+    ``project_detection(state, modes, counts)`` gives, or the error it raises.
     """
-    modes = as_ints(detector_modes, "modes")
-    counts_of = _setup(state.mode_count, modes)[0]
+    modes, counts_of, _, _, _ = layout(state.mode_count, detector_modes)
     groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
     for counts, (ket, amp) in zip(map(counts_of, state.terms), state.terms.items()):
         groups.setdefault(counts, {})[ket] = amp

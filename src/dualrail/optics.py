@@ -37,13 +37,10 @@ the k listed modes; a bound above ``MAX_EXPANSION_TERMS`` raises a one-line
 Setup that depends only on the element, the listed modes or a ket's local
 occupation is done once, not per call or per branch. ``ModeUnitary`` keeps a
 read-only copy of its matrix and works out at construction its columns as
-Python complex numbers and whether it takes the closed form. ``_layout``
-memoizes the checked modes and the two occupation getters per (mode count,
-listed modes), and ``_pair_plan`` the closed form's sqrt(a! b!) and output
-scales per local occupation (a, b); each keeps 256 entries, and an invalid
-mode list raises and is not stored. The listed modes are converted to ints
-before ``_layout`` is looked up, so a float such as 1.0, which hashes like 1,
-is rejected whether or not 1 is cached.
+Python complex numbers and whether it takes the closed form. The listed
+modes' getters come from ``fock.layout``, and ``_pair_plan`` memoizes the
+closed form's sqrt(a! b!) and output scales per local occupation (a, b),
+256 entries.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .fock import FockState, as_ints, checked_modes, occupation_getter
+from .fock import FockState, layout
 
 UNITARY_TOL = 1e-12
 # Most output terms a unitary on 3 or more modes may expand to, summed over
@@ -112,31 +109,17 @@ def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -
     exact sqrt(n!) normalization, so photon number per term and the state
     norm are both preserved. Untouched modes pass through unchanged.
     """
-    listed, local_of, place = _layout(state.mode_count, as_ints(modes, "modes"))
-    if u.dim != listed:
-        raise ValueError(f"unitary is {u.dim}-mode but {listed} modes were listed")
-    if listed >= 3:
-        _check_output_bound(state.terms, local_of, listed)
+    modes, local_of, _, _, place = layout(state.mode_count, modes)
+    if u.dim != len(modes):
+        raise ValueError(f"unitary is {u.dim}-mode but {len(modes)} modes were listed")
+    if u.dim >= 3:
+        _check_output_bound(state.terms, local_of, u.dim)
     expand = _expand_pairs if u._closed_form else _expand_direct
     try:
         terms = expand(state.terms, map(local_of, state.terms), u._columns, place)
     except OverflowError:  # math.sqrt of an int prod n! past the float range
         raise ValueError("more than 170 photons on the listed modes: sqrt(n!) overflows a float") from None
     return FockState._trusted(state.mode_count, terms)
-
-
-@functools.lru_cache(maxsize=256)
-def _layout(mode_count: int, modes: tuple) -> tuple[int, Callable, Callable]:
-    """(number of listed modes, local-occupation getter, output-ket placer) of an element.
-
-    An output ket is the input ket with its listed modes overwritten by the
-    output local occupation, read from ket + local in one gather.
-    """
-    modes = checked_modes(mode_count, modes)
-    positions = list(range(mode_count))
-    for r, m in enumerate(modes):
-        positions[m] = mode_count + r
-    return len(modes), occupation_getter(modes), occupation_getter(positions)
 
 
 def _check_output_bound(terms: dict, local_of: Callable, k: int) -> None:

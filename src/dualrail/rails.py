@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock import FockState, checked_modes
+from .fock import FockState, checked_modes, layout
 
 # Weight outside the one-photon-per-pair subspace above this is reported as
 # leakage instead of being silently renormalized: post-selected branches in
@@ -101,16 +101,9 @@ def require_normalized(q: LogicalAmplitudes) -> None:
 def encode(q: LogicalAmplitudes, placement: DualRailQubit, total_modes: int) -> FockState:
     """Place a logical qubit on its rail pair; every other mode is vacuum."""
     require_normalized(q)
-    checked_modes(total_modes, placement.modes)
-    terms = []
-    if q.a0 != 0:
-        ket = [0] * total_modes
-        ket[placement.rail0] = 1
-        terms.append((tuple(ket), q.a0))
-    if q.a1 != 0:
-        ket = [0] * total_modes
-        ket[placement.rail1] = 1
-        terms.append((tuple(ket), q.a1))
+    place = layout(total_modes, placement.modes).place
+    vacuum = (0,) * total_modes
+    terms = [(place(vacuum + local), a) for local, a in (((0, 1), q.a0), ((1, 0), q.a1)) if a != 0]
     return FockState(total_modes, terms)
 
 
@@ -121,14 +114,12 @@ def decode_register(state: FockState, pairs: Sequence[DualRailQubit]) -> np.ndar
     and nothing anywhere else; offending weight raises ``LeakageError``. The
     first pair is the most significant bit of the returned index.
     """
-    used = set(checked_modes(state.mode_count, (m for p in pairs for m in p.modes)))
-    rest = [m for m in range(state.mode_count) if m not in used]
-
+    rest_of = layout(state.mode_count, [m for p in pairs for m in p.modes]).rest_of
     amps = np.zeros(2 ** len(pairs), dtype=complex)
     leakage = 0.0
     try:
         for ket, amp in state.terms.items():
-            if any(ket[m] != 0 for m in rest):
+            if any(rest_of(ket)):
                 leakage += abs(amp) ** 2
                 continue
             index = 0
@@ -197,12 +188,10 @@ def pauli_correction(state: FockState, placement: DualRailQubit, which: str) -> 
     """
     if which not in ("I", "X", "Z", "Y"):
         raise ValueError(f"unknown Pauli label {which!r}")
-    checked_modes(state.mode_count, placement.modes)
+    _, local_of, _, _, place = layout(state.mode_count, placement.modes)
     try:
         leakage = sum(
-            abs(amp) ** 2
-            for ket, amp in state.terms.items()
-            if (ket[placement.rail1], ket[placement.rail0]) not in ((0, 1), (1, 0))
+            abs(amp) ** 2 for ket, amp in state.terms.items() if local_of(ket) not in ((0, 1), (1, 0))
         )
     except OverflowError:  # a finite amplitude squared past the float range
         leakage = math.inf
@@ -218,9 +207,7 @@ def pauli_correction(state: FockState, placement: DualRailQubit, which: str) -> 
         if which == "Z":
             out[ket] = out.get(ket, 0j) + (-amp if is_one else amp)
             continue
-        swapped = list(ket)
-        swapped[r1], swapped[r0] = ket[r0], ket[r1]
-        key = tuple(swapped)
+        key = place(ket + (ket[r0], ket[r1]))
         if which == "X":
             out[key] = out.get(key, 0j) + amp
         else:  # Y: |0>_L -> i|1>_L, |1>_L -> -i|0>_L

@@ -142,18 +142,17 @@ def _json_floats(values: Iterable[float]) -> list[str]:
     return list(map(_NONFINITE.get, texts, texts))
 
 
-def _json_block(items: list[str], depth: int, brackets: str = "[]", quote: str = "") -> list[str]:
+def _json_block(items: list[str], depth: int, quote: str = "") -> list[str]:
     """Pieces that join to the already-encoded ``items``, each wrapped in
-    ``quote``, laid out as ``json.dumps(indent=2)`` lays out a list (or, with
-    ``brackets="{}"``, an object) at nesting ``depth``. The pieces refer to
-    the items rather than copy them."""
+    ``quote``, laid out as ``json.dumps(indent=2)`` lays out a list at
+    nesting ``depth``. The pieces refer to the items rather than copy them."""
     if not items:
-        return [brackets]
+        return ["[]"]
     pad = "\n" + "  " * (depth + 1)
     pieces = [quote + "," + pad + quote] * (2 * len(items) + 1)
     pieces[1::2] = items
-    pieces[0] = brackets[0] + pad + quote
-    pieces[-1] = quote + "\n" + "  " * depth + brackets[1]
+    pieces[0] = "[" + pad + quote
+    pieces[-1] = quote + "\n" + "  " * depth + "]"
     return pieces
 
 

@@ -102,10 +102,10 @@ MUTANTS = [
         "the gates' splitter is the transposed Hadamard",
     ),
     Mutant(
-        "src/dualrail/optics.py",
-        '_layout(state.mode_count, as_ints(modes, "modes"))',
-        '_layout(state.mode_count, tuple(sorted(as_ints(modes, "modes"))))',
-        "the element memo ignores the order of the listed modes",
+        "src/dualrail/fock.py",
+        'return _layout(mode_count, as_ints(modes, "modes"))',
+        'return _layout(mode_count, tuple(sorted(as_ints(modes, "modes"))))',
+        "the layout memo ignores the order of the listed modes",
     ),
     Mutant(
         "src/dualrail/optics.py",
@@ -133,15 +133,27 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "if listed >= 3:",
-        "if listed >= 4:",
+        "if u.dim >= 3:",
+        "if u.dim >= 4:",
         "a 3-mode unitary expands without the output-size pre-check",
     ),
     Mutant(
-        "src/dualrail/measure.py",
-        "counts_of, kept, rest_of = _setup(state.mode_count, modes)",
-        "counts_of, kept, rest_of = _setup(state.mode_count, tuple(sorted(modes)))",
-        "a projection reads the counts in mode order, not in listed order",
+        "src/dualrail/fock.py",
+        "return Layout(modes, occupation_getter(modes),",
+        "return Layout(modes, occupation_getter(sorted(modes)),",
+        "a layout reads the local counts in mode order, not in listed order",
+    ),
+    Mutant(
+        "src/dualrail/fock.py",
+        "positions[m] = mode_count + r",
+        "positions[m] = mode_count + len(modes) - 1 - r",
+        "a layout writes the local counts onto the listed modes in reverse order",
+    ),
+    Mutant(
+        "src/dualrail/fock.py",
+        "rest = tuple(m for m in range(mode_count) if m not in modes)",
+        "rest = tuple(m for m in reversed(range(mode_count)) if m not in modes)",
+        "a layout lists the other modes in reverse mode order",
     ),
     Mutant(
         "src/dualrail/measure.py",

@@ -249,6 +249,20 @@ class TestExecution:
         report = circuits.execute(parse(source))
         assert [b.counts for b in report.branches] == [{"a": 1, "c": 0}, {"a": 2, "c": 1}]
 
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("dualrail 0.6 0 0.8 0 on 2 1", [((1, 0, 0, 0), 0.6 + 0j), ((0, 1, 0, 0), 0.8 + 0j)]),
+            ("bell phi- on 4 3 2 1", [((1, 0, 1, 0), S + 0j), ((0, 1, 0, 1), -S + 0j)]),
+        ],
+        ids=["dualrail", "bell"],
+    )
+    def test_a_preparation_listed_against_mode_order_writes_each_listed_mode(self, line, expected):
+        # The first listed mode takes the factor's first count: dualrail's
+        # rail1 is mode 2, and the Bell pair's first rail is mode 4.
+        result = circuits.run_branches(parse(f"modes 4\n{line}\n"))
+        assert list(result.branches[0].residual.terms.items()) == expected
+
     def test_term_bound_is_summed_over_branches_before_the_splitter_runs(self, monkeypatch):
         # Detecting mode 3 leaves |3,0> (c = 0) and |0,0> (c = 3): the splitter
         # can output 3 + 1 and 0 + 1 kets, 5 in all.

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 import dualrail
-from dualrail import measure, optics
+from dualrail import fock, measure, optics
 from dualrail.fock import FockState
 from dualrail.optics import ModeUnitary, apply_mode_unitary, hadamard_bs
 from dualrail.rails import DualRailQubit, pauli_correction
@@ -313,7 +313,7 @@ def test_only_elements_outside_the_closed_form_expand_directly():
 
 
 def test_detection_memos_are_bounded_and_do_not_keep_errors():
-    assert measure._setup.cache_info().maxsize == 256
+    assert fock._layout.cache_info().maxsize == 256
     state = FockState(2, {(1, 0): 1.0})
     project = measure.project_detection
     for call, args, message in [
@@ -328,7 +328,6 @@ def test_detection_memos_are_bounded_and_do_not_keep_errors():
 
 
 def test_element_and_outcome_memos_are_bounded_and_do_not_keep_errors():
-    assert optics._layout.cache_info().maxsize == 256
     assert optics._pair_plan.cache_info().maxsize == 256
     state = FockState(2, {(1, 0): 1.0})
     for call, args, message in [

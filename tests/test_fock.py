@@ -243,3 +243,85 @@ def test_an_integral_float_mode_is_rejected_even_once_its_int_is_cached():
         call(ints)
         with pytest.raises(ValueError, match="expected integer modes"):
             call(floats)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FockState(2.0, [((1, 0), 1.0)]), "expected integer mode count, got 2.0"),
+        (lambda: FockState.vacuum(2.0), "expected integer mode count, got 2.0"),
+        (lambda: FockState("2", [((1, 0), 1.0)]), "expected integer mode count, got '2'"),
+    ],
+    ids=["construct", "vacuum", "string"],
+)
+def test_a_non_integral_mode_count_is_rejected(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def raised(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+ZERO = LogicalAmplitudes.zero()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: apply_mode_unitary(TWO_MODES, [1, 1], hadamard_bs()), "duplicate modes in [1, 1]"),
+        (lambda: project_detection(TWO_MODES, [1, 1], [0, 0]), "duplicate modes in [1, 1]"),
+        (lambda: outcome_distribution(TWO_MODES, [1, 1]), "duplicate modes in [1, 1]"),
+        (
+            lambda: decode_register(TWO_MODES, [DualRailQubit(0, 1), DualRailQubit(1, 0)]),
+            "duplicate modes in [0, 1, 1, 0]",
+        ),
+        # A pair cannot repeat a mode, so the pair itself refuses it.
+        (lambda: pauli_correction(TWO_MODES, DualRailQubit(1, 1), "X"), "rail1 and rail0 must be distinct modes"),
+        (lambda: encode(ZERO, DualRailQubit(1, 1), 2), "rail1 and rail0 must be distinct modes"),
+        (lambda: apply_mode_unitary(TWO_MODES, [0, 2], hadamard_bs()), "mode 2 out of range for 2 modes"),
+        (lambda: project_detection(TWO_MODES, [2], [0]), "mode 2 out of range for 2 modes"),
+        (lambda: outcome_distribution(TWO_MODES, [2]), "mode 2 out of range for 2 modes"),
+        (lambda: decode_register(TWO_MODES, [DualRailQubit(2, 0)]), "mode 2 out of range for 2 modes"),
+        (lambda: pauli_correction(TWO_MODES, DualRailQubit(2, 0), "X"), "mode 2 out of range for 2 modes"),
+        (lambda: encode(ZERO, DualRailQubit(2, 0), 2), "mode 2 out of range for 2 modes"),
+        (
+            lambda: apply_mode_unitary(TWO_MODES, [0.5, 1], hadamard_bs()),
+            "expected integer modes, got [0.5, 1]",
+        ),
+        (lambda: project_detection(TWO_MODES, [0.5], [0]), "expected integer modes, got [0.5]"),
+        (lambda: outcome_distribution(TWO_MODES, [0.5]), "expected integer modes, got [0.5]"),
+        (
+            lambda: decode_register(TWO_MODES, [DualRailQubit(0.5, 1)]),
+            "expected integer modes, got [0.5, 1]",
+        ),
+        (
+            lambda: pauli_correction(TWO_MODES, DualRailQubit(0.5, 1), "X"),
+            "expected integer modes, got (0.5, 1)",
+        ),
+        (lambda: encode(ZERO, DualRailQubit(0.5, 1), 2), "expected integer modes, got (0.5, 1)"),
+    ],
+    ids=[
+        f"{fault}-{kernel}"
+        for fault in ("duplicate", "out-of-range", "non-integral")
+        for kernel in ("apply", "project", "outcomes", "decode", "pauli", "encode")
+    ],
+)
+def test_every_kernel_raises_the_same_listing_error_on_a_repeated_call(call, message):
+    # An invalid listing must not be stored by the layout memo, so a second
+    # call raises what the first did.
+    assert raised(call) == raised(call) == message
+
+
+def test_an_integral_float_rail_is_rejected_even_once_its_int_is_cached():
+    for call in [
+        lambda pair: decode_register(TWO_MODES, [pair]),
+        lambda pair: pauli_correction(TWO_MODES, pair, "X"),
+        lambda pair: encode(ZERO, pair, 2),
+    ]:
+        call(DualRailQubit(0, 1))
+        with pytest.raises(ValueError, match="expected integer modes"):
+            call(DualRailQubit(0.0, 1.0))

@@ -28,6 +28,10 @@ class TestEncodeDecode:
         s = encode(LogicalAmplitudes.zero(), PAIR, 2)
         assert s.terms == {(0, 1): 1.0 + 0j}
 
+    def test_a_pair_listed_against_mode_order(self):
+        s = encode(LogicalAmplitudes(0.6, 0.8), DualRailQubit(2, 0), 3)
+        assert list(s.terms.items()) == [((1, 0, 0), 0.6 + 0j), ((0, 0, 1), 0.8 + 0j)]
+
     def test_logical_one_is_photon_in_first_rail(self):
         s = encode(LogicalAmplitudes.one(), PAIR, 2)
         assert s.terms == {(1, 0): 1.0 + 0j}
@@ -153,6 +157,20 @@ class TestPauli:
     def test_subspace_violation_rejected(self):
         with pytest.raises(LeakageError):
             pauli_correction(FockState.ket((2, 0)), PAIR, "Z")
+
+    @pytest.mark.parametrize(
+        "which, expected",
+        [
+            ("X", [((0, 1, 1), 0.6 + 0j), ((1, 1, 0), 0.8 + 0j)]),
+            ("Y", [((0, 1, 1), 0.6j), ((1, 1, 0), -0.8j)]),
+        ],
+    )
+    def test_a_pair_listed_against_mode_order_swaps_its_own_rails(self, which, expected):
+        # rail1 = 2 and rail0 = 0 are listed in descending mode order, with a
+        # spectator photon on mode 1 between them.
+        s = FockState(3, {(1, 1, 0): 0.6, (0, 1, 1): 0.8})
+        out = pauli_correction(s, DualRailQubit(2, 0), which)
+        assert list(out.terms.items()) == expected
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="Pauli"):
