@@ -36,7 +36,8 @@ import cmath
 import itertools
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -652,8 +653,26 @@ class RunResult:
         return self.accepted_probability
 
 
-def _predicate_holds(predicate: Predicate, counts: dict[str, int]) -> bool:
-    return any(all(counts.get(name) == value for name, value in clause) for clause in predicate)
+def _matcher(predicate: Predicate) -> Callable[[dict[str, int]], bool]:
+    """``predicate`` as a test of a branch's counts, one ``itemgetter`` per clause.
+
+    The counts must bind every name it reads, as ``_validate`` checks.
+    """
+    if () in predicate:
+        return lambda counts: True
+    clauses = []
+    for clause in predicate:
+        names, values = zip(*clause)
+        # itemgetter returns a bare value for one name and a tuple for more.
+        clauses.append((itemgetter(*names), values if len(values) > 1 else values[0]))
+
+    def holds(counts: dict[str, int]) -> bool:
+        for read, wanted in clauses:
+            if read(counts) == wanted:
+                return True
+        return False
+
+    return holds
 
 
 # Validated once: every default ``bs`` of every run shares it.
@@ -677,8 +696,9 @@ def run_branches(ir: CircuitIR) -> RunResult:
     for joint, group in itertools.groupby(ir.elements, lambda e: isinstance(e, Detect)):
         if joint:
             detectors = tuple(group)
+            names = [d.name for d in detectors]
             positions = [live.index(d.mode) for d in detectors]
-            branches = [grown for b in branches for grown in _detect(b, detectors, positions)]
+            branches = [grown for b in branches for grown in _detect(b, names, positions)]
             live = tuple(live[k] for k in layout(len(live), positions).rest)
             continue
         for element in group:
@@ -695,13 +715,15 @@ def run_branches(ir: CircuitIR) -> RunResult:
                 for b in branches:
                     b.residual = apply_mode_unitary(b.residual, pq, u)
             elif isinstance(element, PostSelect):
+                holds = _matcher(element.predicate)
                 for b in branches:
-                    b.accepted = b.accepted and _predicate_holds(element.predicate, b.counts)
+                    b.accepted = b.accepted and holds(b.counts)
             elif isinstance(element, CorrectZ):
                 pair = DualRailQubit(live.index(element.rail1), live.index(element.rail0))
                 r1, r0 = ir.label_of(element.rail1), ir.label_of(element.rail0)
+                holds = _matcher(element.condition)
                 for b in branches:
-                    if b.accepted and _predicate_holds(element.condition, b.counts):
+                    if b.accepted and holds(b.counts):
                         try:
                             b.residual = rails.pauli_correction(b.residual, pair, "Z")
                         except rails.LeakageError as exc:
@@ -734,8 +756,7 @@ def _term_bound(branches: list[Branch], positions: list[int]) -> int:
     return bound
 
 
-def _detect(b: Branch, detectors: tuple[Detect, ...], positions: list[int]) -> list[Branch]:
-    names = [d.name for d in detectors]
+def _detect(b: Branch, names: list[str], positions: list[int]) -> list[Branch]:
     grown = []
     for outcome in measure.outcome_distribution(b.residual, positions):
         counts = {**b.counts, **dict(zip(names, outcome.counts))}
@@ -758,32 +779,42 @@ def execute(ir: CircuitIR) -> RunResult:
     return replace(result, branches=survivors)
 
 
-def _preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Iterable]:
-    """The modes a preparation writes and its (sub-ket, amplitude) terms on them."""
+Factor = tuple[tuple[tuple[int, ...], complex], ...]
+
+
+def _preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Factor]:
+    """The modes a preparation writes and its (sub-ket, amplitude) terms, checked once.
+
+    The sub-kets are distinct tuples of non-negative ints and the amplitudes
+    Python complex numbers, as ``_inject`` needs: ``PrepareKet`` terms, the
+    only kets a caller gives, pass through the public ``FockState`` constructor.
+    """
     if isinstance(element, PrepareKet):
-        return range(ir.mode_count), element.terms
+        return range(ir.mode_count), tuple(FockState(ir.mode_count, element.terms).terms.items())
     if isinstance(element, PrepareDualRail):
         rails.require_normalized(LogicalAmplitudes(element.a0, element.a1))
-        return (element.rail1, element.rail0), (((0, 1), element.a0), ((1, 0), element.a1))
+        a0, a1 = complex(element.a0), complex(element.a1)
+        return (element.rail1, element.rail0), (((0, 1), a0), ((1, 0), a1))
     if isinstance(element, PrepareBell):
         bell = rails.bell_state(element.kind, DualRailQubit(0, 1), DualRailQubit(2, 3), 4)
-        return element.modes, bell.terms.items()
+        return element.modes, tuple(bell.terms.items())
     raise TypeError(element)
 
 
-def _inject(state: FockState, positions: list[int], factor: Iterable) -> FockState:
-    """Write a prepared factor onto modes that are vacuum (``_validate`` checks).
+def _inject(state: FockState, positions: list[int], factor: Factor) -> FockState:
+    """Write a factor from ``_preparation`` onto modes that are vacuum (``_validate`` checks).
 
-    State terms form the outer loop; each amplitude is the state's times the
-    factor's, in that order.
+    State terms form the outer loop; each amplitude is ``0j +`` the state's
+    times the factor's, in that order. The target modes are vacuum in every
+    ket and the factor's sub-kets distinct, so every output ket is distinct
+    and the state is built with ``FockState._trusted``.
     """
     place = layout(state.mode_count, positions).place
     out: dict[tuple[int, ...], complex] = {}
     for ket, amp in state.terms.items():
         for sub, sub_amp in factor:
-            new_ket = place(ket + tuple(sub))
-            out[new_ket] = out.get(new_ket, 0j) + amp * sub_amp
-    return FockState(state.mode_count, out)
+            out[place(ket + sub)] = 0j + amp * sub_amp
+    return FockState._trusted(state.mode_count, out)
 
 
 def load(path: str) -> CircuitIR:

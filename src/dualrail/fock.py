@@ -11,8 +11,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Mapping
 from operator import index, itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 # Stored amplitudes below this modulus are dropped. This keeps exact-
 # cancellation residue out of the sparse maps; all protocol amplitudes are
@@ -122,11 +123,13 @@ class FockState:
 
     The package's one internal constructor, ``_trusted``, builds the states
     it derives from another valid state: linear-optical outputs, detection
-    residuals, per-outcome sub-states and Pauli corrections. Their kets are
-    tuples of non-negative ints of the right length, each listed once, with
-    complex amplitudes, so it skips the ket conversion, the length and sign
-    checks and the duplicate sum. It keeps the finiteness check and the
-    prune, so both constructors give the same state or the same error.
+    residuals, per-outcome sub-states, Pauli corrections and a circuit's
+    state with a preparation injected onto its vacuum modes, whose factor
+    was checked once where it entered. Their kets are tuples of
+    non-negative ints of the right length, each listed once, with complex
+    amplitudes, so it skips the ket conversion, the length and sign checks
+    and the duplicate sum. It keeps the finiteness check and the prune, so
+    both constructors give the same state or the same error.
     """
 
     __slots__ = ("mode_count", "terms")

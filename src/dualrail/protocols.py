@@ -111,6 +111,9 @@ def csign_reference() -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
+_CSIGN = _read_only(csign_reference())
+
+
 # --------------------------------------------------------------------------
 # Qubit-level teleportation table (no photons involved)
 # --------------------------------------------------------------------------
@@ -521,7 +524,7 @@ def run_nondestructive_csign(
             *_destructive_stage(DualRailQubit(2, 5), DualRailQubit(6, 7), policy),
         ),
     )
-    reference = csign_reference() @ np.kron(control.as_array(), target.as_array())
+    reference = _CSIGN @ np.kron(control.as_array(), target.as_array())
     pairs = [DualRailQubit(0, 1), DualRailQubit(2, 3)]
     result = _run_gate(ir, pairs, reference)
     for b in result.branches:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock import FockState, checked_modes, layout
+from .fock import FockState, _checked_mode_count, checked_modes, layout
 
 # Weight outside the one-photon-per-pair subspace above this is reported as
 # leakage instead of being silently renormalized: post-selected branches in
@@ -101,6 +101,7 @@ def require_normalized(q: LogicalAmplitudes) -> None:
 def encode(q: LogicalAmplitudes, placement: DualRailQubit, total_modes: int) -> FockState:
     """Place a logical qubit on its rail pair; every other mode is vacuum."""
     require_normalized(q)
+    total_modes = _checked_mode_count(total_modes)
     place = layout(total_modes, placement.modes).place
     vacuum = (0,) * total_modes
     terms = [(place(vacuum + local), a) for local, a in (((0, 1), q.a0), ((1, 0), q.a1)) if a != 0]
@@ -163,6 +164,7 @@ def bell_state(
     modes = pair_a.modes + pair_b.modes
     if len(set(modes)) != 4:
         raise ValueError("Bell state needs four distinct modes")
+    total_modes = _checked_mode_count(total_modes)
     checked_modes(total_modes, modes)
     sign = 1.0 if kind.endswith("+") else -1.0
     if kind.startswith("phi"):

@@ -167,6 +167,48 @@ MUTANTS = [
         "for counts in groups",
         "outcomes come in the state's ket order, not sorted by counts",
     ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "a0, a1 = complex(element.a0), complex(element.a1)",
+        "a0, a1 = element.a0, element.a1",
+        "injected dual-rail amplitudes stay numpy scalars instead of Python complex",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "names, values = zip(*clause)",
+        "names, values = zip(*clause[:1])",
+        "a compiled postselect or correct clause reads only its first name",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "tuple(FockState(ir.mode_count, element.terms).terms.items())",
+        "element.terms",
+        "hand-built ket terms are injected without the public check: no duplicate sum, no ket check",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "out[place(ket + sub)] = 0j + amp * sub_amp",
+        "out[place(ket + sub)] = amp * sub_amp",
+        "injected amplitudes keep a -0.0 part the public constructor's sum turned into 0.0",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "    require_normalized(q)\n    total_modes = _checked_mode_count(total_modes)\n",
+        "    require_normalized(q)\n",
+        "encode with a mode count of 2.0 raises a bare TypeError",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "    total_modes = _checked_mode_count(total_modes)\n    checked_modes(total_modes, modes)",
+        "    checked_modes(total_modes, modes)",
+        "bell_state with a mode count of 4.0 raises a bare TypeError",
+    ),
+    Mutant(
+        "src/dualrail/protocols.py",
+        "_CSIGN = _read_only(csign_reference())",
+        "_CSIGN = csign_reference()",
+        "the shared sign-flip reference accepts in-place writes",
+    ),
 ]
 
 

@@ -3,11 +3,13 @@
 These are the per-term loops ``dualrail`` ran before its fast paths:
 ``apply_mode_unitary`` with numpy-scalar arithmetic and dict-based
 expansion, ``project_detection``/``outcome_distribution`` with per-ket
-generator scans, and the ``FockState`` constructor with generator-based
-validation. The fast paths must reproduce them bit for bit: same keys in the
-same order, same float bits, same exceptions and messages. The same holds
-for the dense register report: one list per entry of the decoded register,
-every float formatted where it stands.
+generator scans, the ``FockState`` constructor with generator-based
+validation, the circuit interpreter's name-by-name predicate test, and its
+injection of a preparation's terms as given, checked by the public
+constructor on every branch. The fast paths must reproduce them bit for
+bit: same keys in the same order, same float bits, same exceptions and
+messages. The same holds for the dense register report: one list per entry
+of the decoded register, every float formatted where it stands.
 
 The module also holds helpers that only the tests call: the tensor product
 and amplitude distance of two states, projection onto a reference state,
@@ -26,13 +28,21 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from dualrail import reports
-from dualrail.circuits import RunResult
-from dualrail.fock import PRUNE_TOL, FockState, checked_modes
+from dualrail import rails, reports
+from dualrail.circuits import (
+    CircuitIR,
+    Element,
+    Predicate,
+    PrepareBell,
+    PrepareDualRail,
+    PrepareKet,
+    RunResult,
+)
+from dualrail.fock import PRUNE_TOL, FockState, checked_modes, layout
 from dualrail.measure import BranchResult
 from dualrail.optics import ModeUnitary
 from dualrail.protocols import BellAmplitudes, collapse_teleport_rows, teleport_gate_table
-from dualrail.rails import LogicalAmplitudes
+from dualrail.rails import DualRailQubit, LogicalAmplitudes
 
 
 class ReferenceFockState(FockState):
@@ -153,6 +163,39 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
         project_detection(state, modes, counts)
         for counts in outcomes
     ]
+
+
+def predicate_holds(predicate: Predicate, counts: dict[str, int]) -> bool:
+    """Whether ``counts`` satisfy some clause of ``predicate``, read name by name."""
+    return any(all(counts.get(name) == value for name, value in clause) for clause in predicate)
+
+
+def preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Iterable]:
+    """The modes a preparation writes and its (sub-ket, amplitude) terms, as given."""
+    if isinstance(element, PrepareKet):
+        return range(ir.mode_count), element.terms
+    if isinstance(element, PrepareDualRail):
+        rails.require_normalized(LogicalAmplitudes(element.a0, element.a1))
+        return (element.rail1, element.rail0), (((0, 1), element.a0), ((1, 0), element.a1))
+    if isinstance(element, PrepareBell):
+        bell = rails.bell_state(element.kind, DualRailQubit(0, 1), DualRailQubit(2, 3), 4)
+        return element.modes, bell.terms.items()
+    raise TypeError(element)
+
+
+def inject(state: FockState, positions: list[int], factor: Iterable) -> FockState:
+    """Write a factor from ``preparation`` onto vacuum modes, checking it per call.
+
+    Duplicate sub-kets add up, and the public constructor converts and
+    checks every output ket and amplitude.
+    """
+    place = layout(state.mode_count, positions).place
+    out: dict[tuple[int, ...], complex] = {}
+    for ket, amp in state.terms.items():
+        for sub, sub_amp in factor:
+            new_ket = place(ket + tuple(sub))
+            out[new_ket] = out.get(new_ket, 0j) + amp * sub_amp
+    return FockState(state.mode_count, out)
 
 
 def complex_pairs(vec: np.ndarray) -> list[list[float]]:

@@ -1,8 +1,8 @@
 """The fast inner loops against their reference implementations, bit for bit.
 
 ``reference_kernels`` holds the loops as they were before the closed-form
-expansion, itemgetter projections, the leaner ``FockState`` checks and the
-one-pass outcome scan. The fast paths, and the direct expansion of every
+expansion, itemgetter projections, the leaner ``FockState`` checks, the
+one-pass outcome scan, compiled predicates and trusted injection. The fast paths, and the direct expansion of every
 element the closed form does not cover, must agree on key order, on every
 bit of every amplitude and probability, and on every exception type and
 message (except past 170 photons, where the reference's sqrt(n!) raises a
@@ -11,6 +11,7 @@ every state the package builds with the former.
 """
 
 import ast
+import cmath
 import itertools
 import math
 import struct
@@ -21,15 +22,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
 import dualrail
-from dualrail import fock, measure, optics
+from dualrail import circuits, fock, measure, optics
+from dualrail.circuits import PrepareBell, PrepareDualRail, PrepareKet
 from dualrail.fock import FockState
 from dualrail.optics import ModeUnitary, apply_mode_unitary, hadamard_bs
-from dualrail.rails import DualRailQubit, pauli_correction
+from dualrail.rails import BELL_KINDS, DualRailQubit, pauli_correction
 
 from conftest import random_unitary
 
@@ -369,9 +371,139 @@ def test_mode_unitary_keeps_a_read_only_copy_of_its_matrix():
     )
 
 
+OUTCOME_NAMES = ("a", "b", "c")
+
+
+@given(
+    predicate=st.lists(
+        st.lists(st.tuples(st.sampled_from(OUTCOME_NAMES), st.integers(0, 2)), max_size=3).map(tuple),
+        max_size=3,
+    ).map(tuple),
+    counts=st.fixed_dictionaries({name: st.integers(0, 2) for name in OUTCOME_NAMES}),
+)
+@example(predicate=((("a", 1), ("b", 0)),), counts={"a": 1, "b": 1, "c": 0})  # the second name decides
+@example(predicate=((("a", 1),), ()), counts={"a": 0, "b": 0, "c": 0})  # an empty clause holds
+@example(predicate=(), counts={"a": 0, "b": 0, "c": 0})  # no clause holds
+@settings(max_examples=300, deadline=None)
+def test_compiled_predicate_matches_the_reference(predicate, counts):
+    # Clauses of 0-3 names, a name repeated within a clause included.
+    assert circuits._matcher(predicate)(counts) is ref.predicate_holds(predicate, counts)
+
+
+def assert_same_injection(state: FockState, element) -> None:
+    """``element`` injected into ``state``: keys, order, bits and errors as the reference's.
+
+    Every amplitude must also be a Python complex, as the public constructor
+    makes it: a numpy scalar would render differently.
+    """
+    ir = circuits.CircuitIR(state.mode_count, None, (element,))
+
+    def run(preparation, inject):
+        modes, factor = preparation(ir, element)
+        return inject(state, list(modes), factor)
+
+    slow = outcome(run, ref.preparation, ref.inject)
+    fast = outcome(run, circuits._preparation, circuits._inject)
+    if isinstance(slow, tuple):
+        assert fast == slow
+        return
+    assert fast.mode_count == slow.mode_count
+    assert bits(fast.terms) == bits(slow.terms)
+    assert {type(v) for v in fast.terms.values()} == {complex}
+
+
+@st.composite
+def injections(draw):
+    """A preparation and a state whose modes it writes are vacuum.
+
+    Dual-rail amplitudes come as complex, int, float or numpy.complex128
+    numbers, or with one of them 0; kets as hand-built terms that may be
+    duplicated, cancelling, negative or non-integral.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dualrail", "bell", "ket"]))
+    if kind == "ket":
+        mode_count = draw(st.integers(1, 4))
+        terms = [
+            (tuple(int(n) for n in rng.integers(0, 3, mode_count)), complex(rng.normal(), rng.normal()))
+            for _ in range(draw(st.integers(1, 4)))
+        ]
+        for fault in draw(st.lists(st.sampled_from(["duplicated", "cancelling", "negative", "non-integral"]))):
+            i = int(rng.integers(len(terms)))
+            ket, amp = terms[i]
+            if fault == "duplicated":
+                terms.append((ket, complex(rng.normal(), rng.normal())))
+            elif fault == "cancelling":
+                terms.append((ket, -amp))
+            else:
+                bad = list(ket)
+                bad[int(rng.integers(mode_count))] = -1 if fault == "negative" else 1.5
+                terms[i] = (tuple(bad), amp)
+        convert = draw(st.sampled_from([complex, np.complex128, lambda a: int(a.real)]))
+        return FockState.vacuum(mode_count), PrepareKet(tuple((ket, convert(amp)) for ket, amp in terms))
+
+    spectators = draw(states())
+    width = 2 if kind == "dualrail" else 4
+    mode_count = spectators.mode_count + width
+    modes = tuple(int(m) for m in rng.permutation(mode_count)[:width])
+    rest = fock.layout(mode_count, modes).rest
+    widened = {}
+    for ket, amp in spectators.terms.items():
+        full = [0] * mode_count
+        for m, n in zip(rest, ket):
+            full[m] = n
+        widened[tuple(full)] = amp
+    state = FockState(mode_count, widened)
+    if kind == "bell":
+        return state, PrepareBell(draw(st.sampled_from(BELL_KINDS)), modes)
+
+    theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+    a0, a1 = complex(math.cos(theta / 2)), cmath.exp(1j * phi) * math.sin(theta / 2)
+    a0, a1 = draw(
+        st.sampled_from(
+            [
+                (a0, a1),
+                (np.complex128(a0), np.complex128(a1)),
+                (1, 0),
+                (0, -1),
+                (S, -S),
+                (0, cmath.exp(1j * phi)),
+                (cmath.exp(1j * phi), 0),
+            ]
+        )
+    )
+    return state, PrepareDualRail(a0, a1, *modes)
+
+
+@given(case=injections())
+@settings(max_examples=300, deadline=None)
+def test_trusted_injection_matches_the_reference(case):
+    assert_same_injection(*case)
+
+
+@pytest.mark.parametrize(
+    "state, element",
+    [
+        (
+            FockState(3, {(1, 0, 0): S, (0, 0, 0): S}),
+            PrepareDualRail(np.complex128(0.6), np.complex128(0.8j), 1, 2),
+        ),
+        (FockState(3, {(1, 0, 0): 1j}), PrepareDualRail(-1, 0, 2, 1)),  # 1j * (-1+0j) has real part -0.0
+        (FockState.vacuum(2), PrepareKet((((1, 0), 0.6), ((0, 1), 0.8), ((1, 0), -0.2)))),
+        (FockState.vacuum(2), PrepareKet((((1, 0), 0.6), ((0, 1), 0.8), ((1, 0), -0.6), ((0, 1), -0.8)))),
+        (FockState.vacuum(2), PrepareKet((((1, 0), 0.6), ((-1, 2), 0.8)))),
+        (FockState.vacuum(2), PrepareKet((((1, 0), 0.6), ((1.5, 0), 0.8)))),
+    ],
+    ids=["numpy-amplitudes", "signed-zero", "duplicated", "cancelling", "negative", "non-integral"],
+)
+def test_trusted_injection_matches_the_reference_on_each_kind_of_input(state, element):
+    assert_same_injection(state, element)
+
+
 # Where FockState._trusted may be called: each builds a state from another
 # valid state, never from .loc text, argv or a library caller's terms.
 TRUSTED_CALLERS = {
+    ("circuits", "_inject"),
     ("optics", "apply_mode_unitary"),
     ("measure", "project_detection"),
     ("measure", "outcome_distribution"),

@@ -72,6 +72,10 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="normalized"):
             encode(LogicalAmplitudes(1.0, 1.0), PAIR, 2)
 
+    def test_non_integral_mode_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected integer mode count, got 2\.0$"):
+            encode(LogicalAmplitudes.zero(), PAIR, 2.0)
+
     def test_out_of_range_placement(self):
         with pytest.raises(ValueError, match="out of range"):
             encode(LogicalAmplitudes.zero(), DualRailQubit(0, 5), 2)
@@ -112,6 +116,10 @@ class TestBellStates:
     def test_out_of_range_mode_rejected(self, pair_a, mode):
         with pytest.raises(ValueError, match=f"^mode {mode} out of range for 4 modes$"):
             bell_state("phi+", pair_a, DualRailQubit(1, 2), 4)
+
+    def test_non_integral_mode_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected integer mode count, got 4\.0$"):
+            bell_state("phi+", DualRailQubit(0, 1), DualRailQubit(2, 3), 4.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown Bell state"):

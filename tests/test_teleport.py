@@ -17,6 +17,7 @@ from dualrail.protocols import (
     LITERATURE_COEFFICIENTS,
     PAULI,
     PAULI_PRODUCTS,
+    _CSIGN,
     BellAmplitudes,
     derive_teleport_coefficients,
     teleport_gate_table,
@@ -229,6 +230,7 @@ SHARED_ARRAYS = {
     **{f"PAULI_PRODUCTS[{b},{i}]": m for (b, i), m in PAULI_PRODUCTS.items()},
     "LITERATURE_COEFFICIENTS": LITERATURE_COEFFICIENTS,
     "derive_teleport_coefficients()": derive_teleport_coefficients(),
+    "_CSIGN": _CSIGN,
 }
 
 
