@@ -649,7 +649,7 @@ class RunResult:
 
     @property
     def survived_probability(self) -> float:
-        # Read by perfbench/workloads.py; ROADMAP item 2 removes it.
+        # Read by perfbench/workloads.py; ROADMAP item 1 removes it.
         return self.accepted_probability
 
 
@@ -794,7 +794,7 @@ def _preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Factor
     if isinstance(element, PrepareDualRail):
         rails.require_normalized(LogicalAmplitudes(element.a0, element.a1))
         a0, a1 = complex(element.a0), complex(element.a1)
-        return (element.rail1, element.rail0), (((0, 1), a0), ((1, 0), a1))
+        return (element.rail1, element.rail0), tuple(zip(rails.RAIL_KETS, (a0, a1)))
     if isinstance(element, PrepareBell):
         bell = rails.bell_state(element.kind, DualRailQubit(0, 1), DualRailQubit(2, 3), 4)
         return element.modes, tuple(bell.terms.items())

@@ -54,17 +54,6 @@ def as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
         raise ValueError(f"expected integer {what}, got {values!r}") from None
 
 
-def checked_modes(mode_count: int, modes: Iterable[int]) -> list[int]:
-    """``modes`` as ints, each in range(mode_count) and listed once, else ``ValueError``."""
-    modes = list(as_ints(modes, "modes"))
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"duplicate modes in {modes}")
-    for m in modes:
-        if not 0 <= m < mode_count:
-            raise ValueError(f"mode {m} out of range for {mode_count} modes")
-    return modes
-
-
 class Layout(NamedTuple):
     """Where a listing of modes sits in a ket.
 
@@ -83,21 +72,42 @@ class Layout(NamedTuple):
 def layout(mode_count: int, modes: Iterable[int]) -> Layout:
     """The ``Layout`` of ``modes`` in kets of ``mode_count`` modes, for every kernel.
 
-    Memoized per (mode count, listing), 256 entries. The listing is converted
-    to ints first, as 1.0 hashes like 1, and an invalid listing raises
-    ``checked_modes``' error and is not stored.
+    Memoized per (mode count, listing), 256 entries, once the listing is ints,
+    as 1.0 hashes like 1. A listing that repeats a mode or names one outside
+    range(mode_count) raises ``ValueError`` and is not stored.
     """
     return _layout(mode_count, as_ints(modes, "modes"))
 
 
 @functools.lru_cache(maxsize=256)
 def _layout(mode_count: int, modes: tuple[int, ...]) -> Layout:
-    modes = tuple(checked_modes(mode_count, modes))
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"duplicate modes in {list(modes)}")
+    for m in modes:
+        if not 0 <= m < mode_count:
+            raise ValueError(f"mode {m} out of range for {mode_count} modes")
     rest = tuple(m for m in range(mode_count) if m not in modes)
     positions = list(range(mode_count))
     for r, m in enumerate(modes):
         positions[m] = mode_count + r
     return Layout(modes, occupation_getter(modes), rest, occupation_getter(rest), occupation_getter(positions))
+
+
+def _checked_terms(terms: dict[Occupation, complex]) -> dict[Occupation, complex]:
+    """``terms`` less those at or below ``PRUNE_TOL``: both constructors' last check. Raises
+    ``ValueError`` on the first non-finite amplitude, a modulus past the float range or no term left."""
+    if not all(map(cmath.isfinite, terms.values())):
+        ket, amp = next((k, a) for k, a in terms.items() if not cmath.isfinite(a))
+        raise ValueError(f"non-finite amplitude {amp} for ket {ket}")
+    try:
+        smallest = min(map(abs, terms.values())) if terms else 0.0
+    except OverflowError:  # a finite amplitude whose modulus passes the float range
+        raise ValueError("amplitude modulus overflows a float") from None
+    if not smallest > PRUNE_TOL:
+        terms = {k: v for k, v in terms.items() if abs(v) > PRUNE_TOL}
+        if not terms:
+            raise ValueError("all terms vanished (exact cancellation)")
+    return terms
 
 
 def _checked_mode_count(mode_count: int) -> int:
@@ -117,9 +127,10 @@ class FockState:
     Immutable by convention: all operations return new states, so instances
     are safe to share across concurrent tasks.
 
-    Construction sums duplicate kets, validates occupation vectors and
-    amplitude finiteness, and prunes terms below ``PRUNE_TOL``. A state with
-    no surviving term (e.g. exact cancellation of all inputs) is rejected.
+    Construction sums duplicate kets, validates occupation vectors and the
+    finiteness of each given amplitude and of each sum, and prunes terms below
+    ``PRUNE_TOL``. A state with no surviving term (e.g. exact cancellation of
+    all inputs) is rejected.
 
     The package's one internal constructor, ``_trusted``, builds the states
     it derives from another valid state: linear-optical outputs, detection
@@ -128,8 +139,8 @@ class FockState:
     was checked once where it entered. Their kets are tuples of
     non-negative ints of the right length, each listed once, with complex
     amplitudes, so it skips the ket conversion, the length and sign checks
-    and the duplicate sum. It keeps the finiteness check and the prune, so
-    both constructors give the same state or the same error.
+    and the duplicate sum. Both end in the same finiteness check and prune,
+    ``_checked_terms``, so they give the same state or the same error.
     """
 
     __slots__ = ("mode_count", "terms")
@@ -158,14 +169,8 @@ class FockState:
 
         if not acc:  # every pair either raised or added a key
             raise ValueError("at least one term is required")
-        try:
-            pruned = {k: v for k, v in acc.items() if abs(v) > PRUNE_TOL}
-        except OverflowError:  # a finite amplitude whose modulus passes the float range
-            raise ValueError("amplitude modulus overflows a float") from None
-        if not pruned:
-            raise ValueError("all terms vanished (exact cancellation)")
         self.mode_count = mode_count
-        self.terms = pruned
+        self.terms = _checked_terms(acc)  # two finite amplitudes can sum to inf
 
     @classmethod
     def _trusted(cls, mode_count: int, terms: dict[Occupation, complex]) -> FockState:
@@ -174,20 +179,9 @@ class FockState:
         Takes ownership of ``terms``. Raises the public constructor's error
         for a non-finite amplitude or for a state whose terms all prune away.
         """
-        if not all(map(cmath.isfinite, terms.values())):
-            ket, amp = next((k, a) for k, a in terms.items() if not cmath.isfinite(a))
-            raise ValueError(f"non-finite amplitude {amp} for ket {ket}")
-        try:
-            smallest = min(map(abs, terms.values())) if terms else 0.0
-        except OverflowError:
-            raise ValueError("amplitude modulus overflows a float") from None
-        if not smallest > PRUNE_TOL:
-            terms = {k: v for k, v in terms.items() if abs(v) > PRUNE_TOL}
-            if not terms:
-                raise ValueError("all terms vanished (exact cancellation)")
         state = cls.__new__(cls)
         state.mode_count = mode_count
-        state.terms = terms
+        state.terms = _checked_terms(terms)
         return state
 
     @classmethod

@@ -345,31 +345,6 @@ def _align_phase(vec: np.ndarray, reference: np.ndarray | None) -> np.ndarray:
     return vec * phase.conjugate()
 
 
-def _fidelity(reference: np.ndarray | None, out: np.ndarray | None) -> float | None:
-    if reference is None or out is None:
-        return None
-    return float(abs(np.vdot(reference, out)) ** 2)
-
-
-def _normalize_or_none(vec: np.ndarray) -> np.ndarray | None:
-    n = float(np.linalg.norm(vec))
-    return vec / n if n > 1e-12 else None
-
-
-def _collect_output(
-    decoded: list[np.ndarray], reference: np.ndarray | None
-) -> tuple[np.ndarray | None, float | None]:
-    """Merge per-branch decodes, which must agree up to global phase."""
-    if not decoded:
-        return None, None
-    first = decoded[0]
-    for other in decoded[1:]:
-        if abs(abs(np.vdot(first, other)) - 1.0) > 1e-9:
-            raise SimulationInvariantError("accepted branches decode to different states")
-    out = _align_phase(first, reference)
-    return out, _fidelity(reference, out)
-
-
 def _herald(d1: str, d2: str, policy: str, rail1: int, rail0: int) -> tuple[Element, ...]:
     """Keep the singlet click (d1=1, d2=0); feed-forward also keeps the
     other single click and repairs it with a Z on the pair (rail1, rail0)."""
@@ -417,10 +392,18 @@ def _encoder_stage(n: int, policy: str) -> tuple[Element, ...]:
 def _run_gate(
     ir: CircuitIR, pairs: list[DualRailQubit], reference: np.ndarray | None
 ) -> RunResult:
-    """Run a gate program; decode the accepted residuals on ``pairs``."""
+    """Run a gate program; decode the accepted residuals on ``pairs``, which must agree
+    up to global phase, and align the first to ``reference`` as the gate's output."""
     result = run_branches(ir)
     decoded = [rails.decode_register(b.residual, pairs) for b in result.branches if b.accepted]
-    result.output_logical, result.fidelity_vs_reference = _collect_output(decoded, reference)
+    if decoded:
+        first = decoded[0]
+        for other in decoded[1:]:
+            if abs(abs(np.vdot(first, other)) - 1.0) > 1e-9:
+                raise SimulationInvariantError("accepted branches decode to different states")
+        result.output_logical = out = _align_phase(first, reference)
+        if reference is not None:
+            result.fidelity_vs_reference = float(abs(np.vdot(reference, out)) ** 2)
     return result
 
 
@@ -451,7 +434,8 @@ def run_destructive_csign(
         ),
     )
     expected = control.a0 * target.as_array() + control.a1 * (_Z @ target.as_array())
-    reference = _normalize_or_none(expected)
+    norm = float(np.linalg.norm(expected))
+    reference = expected / norm if norm > 1e-12 else None
     return _run_gate(ir, [DualRailQubit(0, 1)], reference)
 
 
@@ -479,8 +463,9 @@ def run_quantum_encoder(
     n = n_copies
 
     s = 1.0 / math.sqrt(2.0)
-    register = (((0, 1) * n, s), ((1, 0) * n, -s))
-    input_terms = (((0, 1), qubit.a0), ((1, 0), qubit.a1))
+    zero, one = rails.RAIL_KETS
+    register = ((zero * n, s), (one * n, -s))
+    input_terms = tuple(zip(rails.RAIL_KETS, (qubit.a0, qubit.a1)))
     product = tuple((r + q, ra * qa) for r, ra in register for q, qa in input_terms)
     labels = [f"{_pair_letter(i)}{r}" for i in range(n) for r in (1, 2)] + ["1", "2"]
     ir = CircuitIR(2 * n + 2, tuple(labels), (PrepareKet(product), *_encoder_stage(n, policy)))

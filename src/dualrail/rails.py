@@ -2,8 +2,9 @@
 
 A qubit lives on two spatial modes: a photon in the first rail means logical
 |1>, in the second rail logical |0> (so |1>_L is the Fock ket |10> on the
-pair and |0>_L is |01>). This module translates between logical amplitudes
-and Fock kets, builds Bell pairs, and applies Pauli corrections on a pair.
+pair and |0>_L is |01>), written once as ``RAIL_KETS``. This module
+translates between logical amplitudes and Fock kets, builds Bell pairs, and
+applies Pauli corrections on a pair.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock import FockState, _checked_mode_count, checked_modes, layout
+from .fock import FockState, _checked_mode_count, layout
 
 # Weight outside the one-photon-per-pair subspace above this is reported as
 # leakage instead of being silently renormalized: post-selected branches in
@@ -24,6 +25,10 @@ from .fock import FockState, _checked_mode_count, checked_modes, layout
 LEAK_TOL = 1e-10
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
+
+# The counts on a pair listed (rail1, rail0) for logical 0 and 1, and back.
+RAIL_KETS = ((0, 1), (1, 0))
+_BIT_OF = {ket: bit for bit, ket in enumerate(RAIL_KETS)}
 
 
 class LeakageError(ValueError):
@@ -104,39 +109,30 @@ def encode(q: LogicalAmplitudes, placement: DualRailQubit, total_modes: int) -> 
     total_modes = _checked_mode_count(total_modes)
     place = layout(total_modes, placement.modes).place
     vacuum = (0,) * total_modes
-    terms = [(place(vacuum + local), a) for local, a in (((0, 1), q.a0), ((1, 0), q.a1)) if a != 0]
+    terms = [(place(vacuum + local), a) for local, a in zip(RAIL_KETS, (q.a0, q.a1)) if a != 0]
     return FockState(total_modes, terms)
 
 
 def decode_register(state: FockState, pairs: Sequence[DualRailQubit]) -> np.ndarray:
     """Read a register of dual-rail qubits back into 2^n logical amplitudes.
 
-    Every stored ket must carry exactly one photon per pair, (0,1) or (1,0),
-    and nothing anywhere else; offending weight raises ``LeakageError``. The
+    Every stored ket must carry one of the ``RAIL_KETS`` on each pair and
+    nothing anywhere else; offending weight raises ``LeakageError``. The
     first pair is the most significant bit of the returned index.
     """
-    rest_of = layout(state.mode_count, [m for p in pairs for m in p.modes]).rest_of
+    _, local_of, _, rest_of, _ = layout(state.mode_count, [m for p in pairs for m in p.modes])
     amps = np.zeros(2 ** len(pairs), dtype=complex)
     leakage = 0.0
     try:
         for ket, amp in state.terms.items():
-            if any(rest_of(ket)):
+            local = local_of(ket)
+            bits = [_BIT_OF.get(pair) for pair in zip(local[::2], local[1::2])]
+            if None in bits or any(rest_of(ket)):
                 leakage += abs(amp) ** 2
                 continue
             index = 0
-            ok = True
-            for p in pairs:
-                bits = (ket[p.rail1], ket[p.rail0])
-                if bits == (0, 1):
-                    index = index * 2
-                elif bits == (1, 0):
-                    index = index * 2 + 1
-                else:
-                    ok = False
-                    break
-            if not ok:
-                leakage += abs(amp) ** 2
-                continue
+            for bit in bits:
+                index = index * 2 + bit
             amps[index] += amp
     except OverflowError:  # a finite amplitude squared past the float range
         leakage = math.inf
@@ -165,21 +161,13 @@ def bell_state(
     if len(set(modes)) != 4:
         raise ValueError("Bell state needs four distinct modes")
     total_modes = _checked_mode_count(total_modes)
-    checked_modes(total_modes, modes)
+    place = layout(total_modes, modes).place
+    vacuum = (0,) * total_modes
     sign = 1.0 if kind.endswith("+") else -1.0
-    if kind.startswith("phi"):
-        left, right = ("0", "0"), ("1", "1")
-    else:
-        left, right = ("1", "0"), ("0", "1")
-
-    def place(bits: tuple[str, str]) -> tuple[int, ...]:
-        ket = [0] * total_modes
-        for bit, pair in zip(bits, (pair_a, pair_b)):
-            ket[pair.rail1 if bit == "1" else pair.rail0] = 1
-        return tuple(ket)
-
+    zero, one = RAIL_KETS
+    left, right = (zero + zero, one + one) if kind.startswith("phi") else (one + zero, zero + one)
     s = 1.0 / math.sqrt(2.0)
-    return FockState(total_modes, [(place(left), s), (place(right), sign * s)])
+    return FockState(total_modes, [(place(vacuum + left), s), (place(vacuum + right), sign * s)])
 
 
 def pauli_correction(state: FockState, placement: DualRailQubit, which: str) -> FockState:
@@ -193,7 +181,7 @@ def pauli_correction(state: FockState, placement: DualRailQubit, which: str) -> 
     _, local_of, _, _, place = layout(state.mode_count, placement.modes)
     try:
         leakage = sum(
-            abs(amp) ** 2 for ket, amp in state.terms.items() if local_of(ket) not in ((0, 1), (1, 0))
+            abs(amp) ** 2 for ket, amp in state.terms.items() if local_of(ket) not in RAIL_KETS
         )
     except OverflowError:  # a finite amplitude squared past the float range
         leakage = math.inf
@@ -203,13 +191,13 @@ def pauli_correction(state: FockState, placement: DualRailQubit, which: str) -> 
         return state
 
     out: dict[tuple[int, ...], complex] = {}
-    r1, r0 = placement.rail1, placement.rail0
     for ket, amp in state.terms.items():
-        is_one = ket[r1] == 1
+        local = local_of(ket)
+        is_one = local[0] == 1
         if which == "Z":
             out[ket] = out.get(ket, 0j) + (-amp if is_one else amp)
             continue
-        key = place(ket + (ket[r0], ket[r1]))
+        key = place(ket + local[::-1])
         if which == "X":
             out[key] = out.get(key, 0j) + amp
         else:  # Y: |0>_L -> i|1>_L, |1>_L -> -i|0>_L

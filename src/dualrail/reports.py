@@ -260,5 +260,5 @@ def from_run(
     )
 
 
-# perfbench/tracer.py wraps these names; ROADMAP item 2 removes them.
+# perfbench/tracer.py wraps these names; ROADMAP item 1 removes them.
 from_gate_run = from_circuit_run = from_run

@@ -199,9 +199,33 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/rails.py",
-        "    total_modes = _checked_mode_count(total_modes)\n    checked_modes(total_modes, modes)",
-        "    checked_modes(total_modes, modes)",
+        "    total_modes = _checked_mode_count(total_modes)\n    place = layout(total_modes, modes).place",
+        "    place = layout(total_modes, modes).place",
         "bell_state with a mode count of 4.0 raises a bare TypeError",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "RAIL_KETS = ((0, 1), (1, 0))",
+        "RAIL_KETS = ((1, 0), (0, 1))",
+        "logical 0 and 1 sit on the pair's rails the wrong way round",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "bits = [_BIT_OF.get(pair) for pair",
+        "bits = [_BIT_OF.get(pair, pair[0]) for pair",
+        "decode_register reads a (0,0) or (1,1) pair as a logical bit instead of leakage",
+    ),
+    Mutant(
+        "src/dualrail/fock.py",
+        "    if len(set(modes)) != len(modes):\n",
+        "    if False:\n",
+        "a layout accepts a listing that repeats a mode",
+    ),
+    Mutant(
+        "src/dualrail/fock.py",
+        "    if not all(map(cmath.isfinite, terms.values())):\n",
+        "    if False:\n",
+        "both constructors keep a non-finite sum or internal amplitude",
     ),
     Mutant(
         "src/dualrail/protocols.py",

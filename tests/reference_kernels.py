@@ -9,7 +9,10 @@ injection of a preparation's terms as given, checked by the public
 constructor on every branch. The fast paths must reproduce them bit for
 bit: same keys in the same order, same float bits, same exceptions and
 messages. The same holds for the dense register report: one list per entry
-of the decoded register, every float formatted where it stands.
+of the decoded register, every float formatted where it stands; and for the
+dual-rail layer as it was before its kets were written once, in
+``rails.RAIL_KETS``: the mode-list check of its own, Bell states placed bit
+by bit, registers decoded pair by pair and a gate's decodes merged.
 
 The module also holds helpers that only the tests call: the tensor product
 and amplitude distance of two states, projection onto a reference state,
@@ -28,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from dualrail import rails, reports
+from dualrail import protocols, rails, reports
 from dualrail.circuits import (
     CircuitIR,
     Element,
@@ -38,11 +41,11 @@ from dualrail.circuits import (
     PrepareKet,
     RunResult,
 )
-from dualrail.fock import PRUNE_TOL, FockState, checked_modes, layout
+from dualrail.fock import PRUNE_TOL, FockState, _checked_mode_count, as_ints, layout
 from dualrail.measure import BranchResult
 from dualrail.optics import ModeUnitary
 from dualrail.protocols import BellAmplitudes, collapse_teleport_rows, teleport_gate_table
-from dualrail.rails import DualRailQubit, LogicalAmplitudes
+from dualrail.rails import BELL_KINDS, LEAK_TOL, DualRailQubit, LeakageError, LogicalAmplitudes
 
 
 class ReferenceFockState(FockState):
@@ -80,11 +83,25 @@ class ReferenceFockState(FockState):
 
         if not seen_any:
             raise ValueError("at least one term is required")
+        for ket, a in acc.items():  # a sum of finite amplitudes may not be finite
+            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+                raise ValueError(f"non-finite amplitude {a} for ket {ket}")
         pruned = {k: v for k, v in acc.items() if abs(v) > PRUNE_TOL}
         if not pruned:
             raise ValueError("all terms vanished (exact cancellation)")
         self.mode_count = mode_count
         self.terms = pruned
+
+
+def checked_modes(mode_count: int, modes: Iterable[int]) -> list[int]:
+    """``modes`` as ints, each in range(mode_count) and listed once, else ``ValueError``."""
+    modes = list(as_ints(modes, "modes"))
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"duplicate modes in {modes}")
+    for m in modes:
+        if not 0 <= m < mode_count:
+            raise ValueError(f"mode {m} out of range for {mode_count} modes")
+    return modes
 
 
 def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -> FockState:
@@ -178,7 +195,7 @@ def preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Iterabl
         rails.require_normalized(LogicalAmplitudes(element.a0, element.a1))
         return (element.rail1, element.rail0), (((0, 1), element.a0), ((1, 0), element.a1))
     if isinstance(element, PrepareBell):
-        bell = rails.bell_state(element.kind, DualRailQubit(0, 1), DualRailQubit(2, 3), 4)
+        bell = bell_state(element.kind, DualRailQubit(0, 1), DualRailQubit(2, 3), 4)
         return element.modes, bell.terms.items()
     raise TypeError(element)
 
@@ -196,6 +213,77 @@ def inject(state: FockState, positions: list[int], factor: Iterable) -> FockStat
             new_ket = place(ket + tuple(sub))
             out[new_ket] = out.get(new_ket, 0j) + amp * sub_amp
     return FockState(state.mode_count, out)
+
+
+def bell_state(kind: str, pair_a: DualRailQubit, pair_b: DualRailQubit, total_modes: int) -> FockState:
+    """``rails.bell_state``, each ket placed bit by bit."""
+    if kind not in BELL_KINDS:
+        raise ValueError(f"unknown Bell state {kind!r}; expected one of {BELL_KINDS}")
+    modes = pair_a.modes + pair_b.modes
+    if len(set(modes)) != 4:
+        raise ValueError("Bell state needs four distinct modes")
+    total_modes = _checked_mode_count(total_modes)
+    checked_modes(total_modes, modes)
+    sign = 1.0 if kind.endswith("+") else -1.0
+    if kind.startswith("phi"):
+        left, right = ("0", "0"), ("1", "1")
+    else:
+        left, right = ("1", "0"), ("0", "1")
+
+    def place(bits: tuple[str, str]) -> tuple[int, ...]:
+        ket = [0] * total_modes
+        for bit, pair in zip(bits, (pair_a, pair_b)):
+            ket[pair.rail1 if bit == "1" else pair.rail0] = 1
+        return tuple(ket)
+
+    s = 1.0 / math.sqrt(2.0)
+    return FockState(total_modes, [(place(left), s), (place(right), sign * s)])
+
+
+def decode_register(state: FockState, pairs: Sequence[DualRailQubit]) -> np.ndarray:
+    """``rails.decode_register``, reading each pair's rails by index."""
+    rest_of = layout(state.mode_count, [m for p in pairs for m in p.modes]).rest_of
+    amps = np.zeros(2 ** len(pairs), dtype=complex)
+    leakage = 0.0
+    try:
+        for ket, amp in state.terms.items():
+            if any(rest_of(ket)):
+                leakage += abs(amp) ** 2
+                continue
+            index = 0
+            ok = True
+            for p in pairs:
+                bits = (ket[p.rail1], ket[p.rail0])
+                if bits == (0, 1):
+                    index = index * 2
+                elif bits == (1, 0):
+                    index = index * 2 + 1
+                else:
+                    ok = False
+                    break
+            if not ok:
+                leakage += abs(amp) ** 2
+                continue
+            amps[index] += amp
+    except OverflowError:  # a finite amplitude squared past the float range
+        leakage = math.inf
+    if leakage > LEAK_TOL:
+        raise LeakageError("state leaks outside the dual-rail subspace", leakage)
+    return amps
+
+
+def collect_output(
+    decoded: list[np.ndarray], reference: np.ndarray | None
+) -> tuple[np.ndarray | None, float | None]:
+    """A gate's output and fidelity from its per-branch decodes, as ``protocols._run_gate`` sets them."""
+    if not decoded:
+        return None, None
+    first = decoded[0]
+    for other in decoded[1:]:
+        if abs(abs(np.vdot(first, other)) - 1.0) > 1e-9:
+            raise protocols.SimulationInvariantError("accepted branches decode to different states")
+    out = protocols._align_phase(first, reference)
+    return out, None if reference is None else float(abs(np.vdot(reference, out)) ** 2)
 
 
 def complex_pairs(vec: np.ndarray) -> list[list[float]]:

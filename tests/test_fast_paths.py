@@ -7,7 +7,8 @@ element the closed form does not cover, must agree on key order, on every
 bit of every amplitude and probability, and on every exception type and
 message (except past 170 photons, where the reference's sqrt(n!) raises a
 bare ``OverflowError``). So must ``FockState._trusted`` and the public constructor, on
-every state the package builds with the former.
+every state the package builds with the former, and the dual-rail layer
+built on ``rails.RAIL_KETS`` and ``fock.layout`` and the one it replaced.
 """
 
 import ast
@@ -27,13 +28,13 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 import dualrail
-from dualrail import circuits, fock, measure, optics
+from dualrail import circuits, fock, measure, optics, protocols, rails
 from dualrail.circuits import PrepareBell, PrepareDualRail, PrepareKet
 from dualrail.fock import FockState
 from dualrail.optics import ModeUnitary, apply_mode_unitary, hadamard_bs
-from dualrail.rails import BELL_KINDS, DualRailQubit, pauli_correction
+from dualrail.rails import BELL_KINDS, DualRailQubit, LogicalAmplitudes, pauli_correction
 
-from conftest import random_unitary
+from conftest import random_qubit, random_unitary
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -139,6 +140,7 @@ def test_project_detection_matches_the_reference(state, data):
 
 
 @given(state=states())
+@example(state=FockState(2, {(0, 1): 1.0, (1, 0): 1e308}))  # (1, 0) is listed twice: 1e308 + 1e308
 @settings(max_examples=50, deadline=None)
 def test_fock_state_construction_matches_the_reference(state):
     # Duplicate kets are summed and near-cancelled ones pruned.
@@ -498,6 +500,117 @@ def test_trusted_injection_matches_the_reference(case):
 )
 def test_trusted_injection_matches_the_reference_on_each_kind_of_input(state, element):
     assert_same_injection(state, element)
+
+
+# Modes as listed by a caller: in range or not, and integral or not.
+MODES = st.one_of(st.integers(-1, 6), st.sampled_from([1.0, 2.5, np.int64(3)]))
+
+
+@st.composite
+def rail_pairs(draw):
+    rail1 = draw(MODES)
+    return DualRailQubit(rail1, draw(MODES.filter(lambda m: m != rail1)))
+
+
+@given(
+    kind=st.sampled_from(BELL_KINDS),
+    pair_a=rail_pairs(),
+    pair_b=rail_pairs(),
+    total_modes=st.sampled_from([4, 5, 7, 4.0, 3, 0]),
+)
+@example(kind="psi-", pair_a=DualRailQubit(3, 0), pair_b=DualRailQubit(1, 4), total_modes=5)
+@example(kind="phi+", pair_a=DualRailQubit(0, 1), pair_b=DualRailQubit(1, 2), total_modes=4)
+@example(kind="phi-", pair_a=DualRailQubit(0, 1), pair_b=DualRailQubit(2, 5), total_modes=4)
+@example(kind="psi+", pair_a=DualRailQubit(0, 1.0), pair_b=DualRailQubit(2, 3), total_modes=4)
+@example(kind="phi+", pair_a=DualRailQubit(0, 1), pair_b=DualRailQubit(2, 3), total_modes=4.0)
+@settings(max_examples=200, deadline=None)
+def test_bell_state_matches_the_reference(kind, pair_a, pair_b, total_modes):
+    fast = outcome(rails.bell_state, kind, pair_a, pair_b, total_modes)
+    slow = outcome(ref.bell_state, kind, pair_a, pair_b, total_modes)
+    if isinstance(slow, tuple):
+        assert fast == slow
+        return
+    assert fast.mode_count == slow.mode_count
+    assert bits(fast.terms) == bits(slow.terms)
+
+
+# Counts on a pair: logical 0 and 1, or a leak of no, two or a doubled photon.
+PAIR_COUNTS = st.sampled_from([(0, 1), (1, 0), (0, 1), (1, 0), (0, 0), (1, 1), (2, 0)])
+
+
+@st.composite
+def registers(draw):
+    """A state and 0-3 pairs on it, whose kets may leak on a pair or off the pairs.
+
+    Amplitudes are plain, small enough to leak below ``LEAK_TOL`` or large
+    enough to overflow when squared.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_pairs = draw(st.integers(0, 3))
+    mode_count = 2 * n_pairs + draw(st.integers(0 if n_pairs else 1, 2))
+    modes = [int(m) for m in rng.permutation(mode_count)]
+    pairs = [DualRailQubit(modes[2 * i], modes[2 * i + 1]) for i in range(n_pairs)]
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-6, 1e200]))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        ket = [0] * mode_count
+        for pair in pairs:
+            ket[pair.rail1], ket[pair.rail0] = draw(PAIR_COUNTS)
+        for m in modes[2 * n_pairs :]:
+            ket[m] = draw(st.sampled_from([0, 0, 0, 1]))
+        terms[tuple(ket)] = complex(rng.normal(), rng.normal()) * draw(st.sampled_from([1.0, scale]))
+    return FockState(mode_count, terms), pairs
+
+
+@given(case=registers())
+@example(case=(FockState(2, {(0, 1): S, (1, 0): -S}), [DualRailQubit(0, 1)]))
+@example(case=(FockState(2, {(0, 1): S, (0, 0): S}), [DualRailQubit(0, 1)]))
+@example(case=(FockState(2, {(0, 1): S, (1, 1): S}), [DualRailQubit(1, 0)]))
+@example(case=(FockState(3, {(2, 0, 0): S, (0, 1, 1): S}), [DualRailQubit(0, 1)]))
+@example(case=(FockState(1, {(1,): 1.0}), []))
+@settings(max_examples=300, deadline=None)
+def test_decode_register_matches_the_reference(case):
+    state, pairs = case
+    fast = outcome(rails.decode_register, state, pairs)
+    slow = outcome(ref.decode_register, state, pairs)
+    if isinstance(slow, tuple):
+        assert fast == slow
+        return
+    assert fast.dtype == slow.dtype and fast.shape == slow.shape
+    assert fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gate_outputs_match_the_reference(seed):
+    # Each gate and policy on random inputs, and the destructive gate on an
+    # input whose reference vanishes, so that it accepts nothing.
+    rng = np.random.default_rng(seed)
+    policy = protocols.POLICIES[seed % 2]
+    minus = LogicalAmplitudes(S, -S)
+    cases = [
+        lambda: protocols.run_destructive_csign(random_qubit(rng), random_qubit(rng), policy),
+        lambda: protocols.run_destructive_csign(minus, LogicalAmplitudes.zero(), policy),
+        lambda: protocols.run_quantum_encoder(random_qubit(rng), 2 + seed, policy),
+        lambda: protocols.run_nondestructive_csign(random_qubit(rng), random_qubit(rng), policy),
+    ]
+    run_gate = protocols._run_gate
+    for case in cases:
+        calls = []
+
+        def record(ir, pairs, reference):
+            calls.append((ir, pairs, reference))
+            return run_gate(ir, pairs, reference)
+
+        with mock.patch.object(protocols, "_run_gate", record):
+            fast = case()
+        (ir, pairs, reference), = calls
+        result = circuits.run_branches(ir)
+        decoded = [ref.decode_register(b.residual, pairs) for b in result.branches if b.accepted]
+        out, fidelity = ref.collect_output(decoded, reference)
+        assert (fast.output_logical is None) == (out is None)
+        if out is not None:
+            assert fast.output_logical.tobytes() == out.tobytes()
+        assert repr(fast.fidelity_vs_reference) == repr(fidelity)  # repr keeps every bit of a float
 
 
 # Where FockState._trusted may be called: each builds a state from another

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualrail.fock import FockState, checked_modes, equal_up_to_global_phase
+from dualrail.fock import FockState, equal_up_to_global_phase, layout
 from dualrail.measure import outcome_distribution, project_detection
 from dualrail.optics import apply_mode_unitary, hadamard_bs
 from dualrail.rails import DualRailQubit, LogicalAmplitudes, decode_register, encode, pauli_correction
@@ -45,6 +45,11 @@ class TestConstruction:
     def test_non_finite_amplitude_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             FockState(1, [((1,), float("nan"))])
+
+    def test_finite_amplitudes_summing_past_the_float_range_are_rejected(self):
+        with pytest.raises(ValueError) as info:
+            FockState(2, [((1, 0), 1e308), ((1, 0), 1e308)])
+        assert str(info.value) == "non-finite amplitude (inf+0j) for ket (1, 0)"
 
     def test_entangled_register_state(self):
         # The maximally entangled 4-mode register used by the encoder.
@@ -202,9 +207,9 @@ def test_every_kernel_reports_a_repeated_mode_alike(call, listed):
     assert str(info.value) == f"duplicate modes in {listed}"
 
 
-def test_checked_modes_returns_ints():
-    assert checked_modes(3, (np.int64(2), 0)) == [2, 0]
-    assert all(type(m) is int for m in checked_modes(3, (np.int64(2), 0)))
+def test_layout_modes_are_ints():
+    assert layout(3, (np.int64(2), 0)).modes == (2, 0)
+    assert all(type(m) is int for m in layout(3, (np.int64(2), 0)).modes)
 
 
 @pytest.mark.parametrize(
