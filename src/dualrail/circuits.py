@@ -36,7 +36,7 @@ import cmath
 import itertools
 import re
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -261,7 +261,7 @@ class _ProgramBuilder:
             raise p.error(f"expected a {what}")
         if tok.kind == "number":
             value = p.take_int(what)
-            if not 1 <= value <= (self.mode_count or 0):
+            if not 1 <= value <= self.mode_count:
                 raise ParseError(tok.line, tok.column, f"mode {value} out of range", tok.text)
             return value - 1
         if tok.kind == "name":
@@ -297,16 +297,6 @@ class _ProgramBuilder:
             break
         return tuple(clauses)
 
-    def finish_kets(self) -> None:
-        if self.ket_terms:
-            element = PrepareKet(tuple(self.ket_terms))
-            self.elements.insert(self.ket_position, element)
-
-    def require_modes(self, p: _LineParser) -> int:
-        if self.mode_count is None:
-            raise p.error("a 'modes' declaration must come first")
-        return self.mode_count
-
 
 def parse(source: str) -> CircuitIR:
     """Parse and validate a circuit program."""
@@ -324,8 +314,6 @@ def parse(source: str) -> CircuitIR:
         if keyword == "modes":
             if b.mode_count is not None:
                 raise ParseError(line_no, head.column, "duplicate 'modes' declaration")
-            if b.elements or b.ket_terms:
-                raise ParseError(line_no, head.column, "'modes' must be the first statement")
             count = p.take_int("mode count")
             if count <= 0:
                 raise ParseError(line_no, head.column, "mode count must be positive")
@@ -348,7 +336,8 @@ def parse(source: str) -> CircuitIR:
             p.expect_end()
             continue
 
-        b.require_modes(p)
+        if b.mode_count is None:
+            raise p.error("a 'modes' declaration must come first")
         if keyword == "ket":
             tok = p.take("ket", "|n1,n2,...>")
             body = tok.text[1:-1].replace(" ", "")
@@ -471,7 +460,8 @@ def parse(source: str) -> CircuitIR:
 
     if b.mode_count is None:
         raise ParseError(1, 1, "missing 'modes' declaration")
-    b.finish_kets()
+    if b.ket_terms:
+        b.elements.insert(b.ket_position, PrepareKet(tuple(b.ket_terms)))
     ir = CircuitIR(b.mode_count, b.labels, tuple(b.elements))
     _validate(ir)
     if b.ket_terms:
@@ -484,16 +474,32 @@ def parse(source: str) -> CircuitIR:
 
 
 def _validate(ir: CircuitIR) -> None:
-    span = range(ir.mode_count)
+    try:
+        span = range(index(ir.mode_count))
+    except TypeError:
+        raise CircuitError(f"expected integer mode count, got {ir.mode_count!r}") from None
+    if ir.labels is not None:
+        if len(ir.labels) != len(span):
+            raise CircuitError(f"expected {len(span)} labels, got {len(ir.labels)}")
+        if len(set(ir.labels)) != len(ir.labels):
+            raise CircuitError("duplicate mode label")
     prepared: set[int] = set()
     used: set[int] = set()
     detected: set[int] = set()
     bound: set[str] = set()
 
+    def checked(m: int, what: str) -> int:
+        try:
+            m = index(m)
+        except TypeError:
+            raise CircuitError(f"expected integer {what} mode, got {m!r}") from None
+        if m not in span:
+            raise CircuitError(f"{what} mode {m + 1} out of range for {len(span)} modes")
+        return m
+
     def require_live(modes: Sequence[int], what: str) -> None:
         for i, m in enumerate(modes):
-            if m not in span:
-                raise CircuitError(f"{what} mode {m + 1} out of range for {ir.mode_count} modes")
+            m = checked(m, what)
             if modes.index(m) < i:
                 raise CircuitError(f"{what} lists mode {m + 1} twice")
             if m in detected:
@@ -501,8 +507,7 @@ def _validate(ir: CircuitIR) -> None:
 
     def prepare(modes: Sequence[int], what: str) -> None:
         for m in modes:
-            if m not in span:
-                raise CircuitError(f"{what} mode {m + 1} out of range for {ir.mode_count} modes")
+            m = checked(m, what)
             if m in prepared:
                 raise CircuitError(f"{what} prepares mode {m + 1} twice")
             if m in used:
@@ -521,7 +526,7 @@ def _validate(ir: CircuitIR) -> None:
             for occ, _ in element.terms:
                 if len(occ) != ir.mode_count:
                     raise CircuitError(f"ket {occ} has {len(occ)} modes, expected {ir.mode_count}")
-            prepare(range(ir.mode_count), "ket")
+            prepare(span, "ket")
         elif isinstance(element, PrepareDualRail):
             prepare((element.rail1, element.rail0), "dualrail")
         elif isinstance(element, PrepareBell):
@@ -566,7 +571,8 @@ def _fmt_predicate(predicate: Predicate) -> str:
 
 
 def format(ir: CircuitIR) -> str:
-    """Canonical text rendering; ``parse(format(ir))`` equals ``ir``."""
+    """Canonical text rendering; ``parse(format(ir))`` equals ``ir``, validated first."""
+    _validate(ir)
     ref = ir.label_of
     lines = [f"modes {ir.mode_count}" + (" labels " + " ".join(ir.labels) if ir.labels else "")]
     for element in ir.elements:

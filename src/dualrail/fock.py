@@ -54,6 +54,14 @@ def as_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
         raise ValueError(f"expected integer {what}, got {values!r}") from None
 
 
+def as_int(value: int, what: str) -> int:
+    """``value`` converted as ``as_ints`` converts each of its values."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"expected integer {what}, got {value!r}") from None
+
+
 class Layout(NamedTuple):
     """Where a listing of modes sits in a ket.
 
@@ -112,10 +120,7 @@ def _checked_terms(terms: dict[Occupation, complex]) -> dict[Occupation, complex
 
 def _checked_mode_count(mode_count: int) -> int:
     """``mode_count`` as a positive int, else a one-line ``ValueError``."""
-    try:
-        mode_count = index(mode_count)
-    except TypeError:
-        raise ValueError(f"expected integer mode count, got {mode_count!r}") from None
+    mode_count = as_int(mode_count, "mode count")
     if mode_count <= 0:
         raise ValueError(f"mode_count must be positive, got {mode_count}")
     return mode_count

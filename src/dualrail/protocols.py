@@ -43,6 +43,7 @@ from .circuits import (
     RunResult,
     run_branches,
 )
+from .fock import as_int
 from .rails import DualRailQubit, LogicalAmplitudes
 
 POLICIES = ("strict", "feedforward")
@@ -115,7 +116,7 @@ _CSIGN = _read_only(csign_reference())
 
 
 # --------------------------------------------------------------------------
-# Qubit-level teleportation table (no photons involved)
+# Qubit-level teleportation table (Bell vectors decoded from rails.bell_state)
 # --------------------------------------------------------------------------
 
 
@@ -148,17 +149,9 @@ class TeleportRow:
 
 
 def _bell_vector(label: str) -> np.ndarray:
-    s = 1.0 / math.sqrt(2.0)
-    k00 = np.array([1, 0, 0, 0], dtype=complex)
-    k01 = np.array([0, 1, 0, 0], dtype=complex)
-    k10 = np.array([0, 0, 1, 0], dtype=complex)
-    k11 = np.array([0, 0, 0, 1], dtype=complex)
-    return {
-        "phi+": s * (k00 + k11),
-        "phi-": s * (k00 - k11),
-        "psi+": s * (k10 + k01),
-        "psi-": s * (k10 - k01),
-    }[label]
+    """``rails.bell_state(label)`` decoded to 4 logical amplitudes, the left qubit first."""
+    pairs = [DualRailQubit(0, 1), DualRailQubit(2, 3)]
+    return rails.decode_register(rails.bell_state(label, *pairs, 4), pairs)
 
 
 def _projected_operator(outcome: str, component: str) -> np.ndarray:
@@ -263,7 +256,6 @@ class CoefficientComparison:
 class CoefficientReport:
     derived: np.ndarray
     literature: np.ndarray
-    row_phases: dict[str, complex]
     entries: list[CoefficientComparison]
 
     @property
@@ -305,7 +297,6 @@ def verify_a_matrix() -> CoefficientReport:
     derived = derive_teleport_coefficients()
     literature = LITERATURE_COEFFICIENTS
     entries = []
-    row_phases: dict[str, complex] = {}
     for r, outcome in enumerate(BELL_LABELS):
         candidates = (1, -1, 1j, -1j)
         best = max(
@@ -314,7 +305,6 @@ def verify_a_matrix() -> CoefficientReport:
                 1 for c in range(4) if abs(lam * derived[r, c] - literature[r, c]) < 1e-9
             ),
         )
-        row_phases[outcome] = complex(best)
         for c, component in enumerate(COMPONENT_LABELS):
             if abs(derived[r, c] - literature[r, c]) < 1e-9:
                 status = "match"
@@ -327,7 +317,7 @@ def verify_a_matrix() -> CoefficientReport:
                     outcome, component, complex(derived[r, c]), complex(literature[r, c]), status
                 )
             )
-    return CoefficientReport(derived, literature, row_phases, entries)
+    return CoefficientReport(derived, literature, entries)
 
 
 # --------------------------------------------------------------------------
@@ -456,11 +446,11 @@ def run_quantum_encoder(
     """
     _check_policy(policy)
     rails.require_normalized(qubit)
-    if n_copies < 2:
+    n = as_int(n_copies, "copy count")
+    if n < 2:
         raise ValueError("the encoder needs at least two copies")
-    if n_copies > MAX_ENCODER_COPIES:
+    if n > MAX_ENCODER_COPIES:
         raise ValueError(f"the encoder supports at most {MAX_ENCODER_COPIES} copies")
-    n = n_copies
 
     s = 1.0 / math.sqrt(2.0)
     zero, one = rails.RAIL_KETS

@@ -1,8 +1,9 @@
 """Machine- and human-readable run reports for the command line.
 
-The JSON form is versioned (``schema_version`` 1) and validates against the
-shipped schema in ``data/run_report.schema.json``. The table form shows the
-same numbers with the protocol's mode labels.
+The JSON form is versioned: ``schema_version`` is the constant
+``SCHEMA_VERSION`` (1), not a report field, and the document validates
+against the shipped schema in ``data/run_report.schema.json``. The table form
+shows the same numbers with the protocol's mode labels.
 
 A decoded register has 2^n entries, most of them zero for the paper's
 circuits (the encoder's a0|0...0> + a1|1...1> has two nonzero entries).
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from operator import is_not
 from typing import Any, Callable, Iterable
@@ -38,19 +39,10 @@ class RunReport:
     output: dict[str, Any] | None
     fidelity_vs_reference: float | None
     duration_seconds: float
-    schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "inputs": self.inputs,
-            "branches": self.branches,
-            "accepted_probability": self.accepted_probability,
-            "output": self.output,
-            "fidelity_vs_reference": self.fidelity_vs_reference,
-            "duration_seconds": self.duration_seconds,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"schema_version": SCHEMA_VERSION, **data}
 
     def to_json(self) -> str:
         """The report as ``json.dumps(self.to_dict(), indent=2)`` plus a newline.

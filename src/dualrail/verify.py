@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure, protocols
-from .fock import FockState
+from .fock import FockState, as_int
 from .optics import ModeUnitary, apply_mode_unitary, hadamard_bs
 from .rails import LogicalAmplitudes
 
@@ -73,6 +73,7 @@ def _random_qubit(rng: np.random.Generator) -> LogicalAmplitudes:
 
 
 def run_verification(seed: int = 0, samples: int = 50) -> VerifyReport:
+    seed, samples = as_int(seed, "seed"), as_int(samples, "sample count")
     if samples <= 0:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)

@@ -233,6 +233,72 @@ MUTANTS = [
         "_CSIGN = csign_reference()",
         "the shared sign-flip reference accepts in-place writes",
     ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "        if len(ir.labels) != len(span):\n",
+        "        if False:\n",
+        "a hand-built program with too few labels raises IndexError, too many format to text parse rejects",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "        if len(set(ir.labels)) != len(ir.labels):\n",
+        "        if False:\n",
+        "a hand-built program that repeats a label formats to text parse rejects",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "span = range(index(ir.mode_count))",
+        "span = range(int(ir.mode_count))",
+        "a hand-built mode count of 2.0 or '2' passes validation",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "            m = index(m)\n",
+        "            m = int(m)\n",
+        "a hand-built mode of 0.0 runs as mode 0 and formats as 1.0",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "    _validate(ir)\n    ref = ir.label_of",
+        "    ref = ir.label_of",
+        "format writes an invalid hand-built program instead of raising",
+    ),
+    Mutant(
+        "src/dualrail/protocols.py",
+        'n = as_int(n_copies, "copy count")',
+        "n = int(n_copies)",
+        "the encoder truncates a copy count of 2.0 and parses '3'",
+    ),
+    Mutant(
+        "src/dualrail/verify.py",
+        'as_int(seed, "seed")',
+        "int(seed)",
+        "run_verification truncates a seed of 1.5 and parses '1'",
+    ),
+    Mutant(
+        "src/dualrail/verify.py",
+        'as_int(samples, "sample count")',
+        "int(samples)",
+        "run_verification truncates a sample count of 2.5",
+    ),
+    Mutant(
+        "src/dualrail/protocols.py",
+        "rails.bell_state(label, *pairs, 4), pairs)",
+        "rails.bell_state(label, *pairs, 4), pairs[::-1])",
+        "the teleport table decodes its Bell vectors with the two qubits swapped",
+    ),
+    Mutant(
+        "src/dualrail/reports.py",
+        'return {"schema_version": SCHEMA_VERSION, **data}',
+        "return data",
+        "the JSON report loses its schema_version",
+    ),
+    Mutant(
+        "src/dualrail/reports.py",
+        "data = {f.name: getattr(self, f.name) for f in fields(self)}",
+        "data = dict(vars(self))",
+        "an instance attribute that is not a field reaches the JSON report",
+    ),
 ]
 
 

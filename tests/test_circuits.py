@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,37 @@ class TestHandBuiltPrograms:
     def test_each_element_arity_fault_raises_a_circuit_error(self, element, message):
         with pytest.raises(CircuitError, match=message):
             circuits.run_branches(circuits.CircuitIR(3, None, (element,)))
+
+    @pytest.mark.parametrize(
+        "mode_count, labels, elements, message",
+        [
+            (4, ("a",), (PrepareKet((((0, 1, 1, 0), 1 + 0j),)),), "expected 4 labels, got 1"),
+            (2, ("a", "b", "c"), (), "expected 2 labels, got 3"),
+            (2, ("a", "a"), (), "duplicate mode label"),
+            (2.0, None, (), "expected integer mode count, got 2.0"),
+            ("2", None, (), "expected integer mode count, got '2'"),
+            (2, None, (ONE_PHOTON, ApplyBS((0.0, 1), None)), "expected integer bs mode, got 0.0"),
+            (2, None, (PrepareDualRail(1, 0, 0, 1.0),), "expected integer dualrail mode, got 1.0"),
+            (2, None, (ONE_PHOTON, Detect("1", "a")), "expected integer detect mode, got '1'"),
+        ],
+        ids=["short-labels", "long-labels", "repeated-label", "float-count", "str-count",
+             "float-bs-mode", "float-rail", "str-detect-mode"],
+    )
+    def test_each_program_fault_raises_before_run_and_format(self, mode_count, labels, elements, message):
+        """Unchecked, each raises IndexError or TypeError, or runs and formats
+        to text that ``parse`` rejects."""
+        ir = circuits.CircuitIR(mode_count, labels, elements)
+        for call in (circuits.run_branches, circuits.format):
+            with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
+                call(ir)
+
+    def test_numpy_integer_modes_run_and_round_trip(self):
+        i = np.int64
+        ir = circuits.CircuitIR(
+            i(2), None, (ONE_PHOTON, ApplyBS((i(0), np.int32(1)), None), Detect(i(1), "a"))
+        )
+        assert circuits.run_branches(ir).accepted_probability == pytest.approx(1.0)
+        assert parse(circuits.format(ir)) == ir
 
 
 class TestExecution:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -7,6 +8,7 @@ import pytest
 
 import dualrail
 from dualrail import circuits, cli
+from dualrail.verify import run_verification
 
 import cli_corpus
 
@@ -308,6 +310,14 @@ class TestVerifyCommand:
     def test_negative_seed_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--seed", "-1")
         assert (code, out, err) == (2, "", "error: --seed must be non-negative\n")
+
+    @pytest.mark.parametrize(
+        "seed, samples, message",
+        [(1, 2.5, "sample count, got 2.5"), (1.5, 2, "seed, got 1.5"), ("1", 2, "seed, got '1'")],
+    )
+    def test_library_rejects_non_integral_seed_and_samples(self, seed, samples, message):
+        with pytest.raises(ValueError, match=f"^expected integer {re.escape(message)}$"):
+            run_verification(seed, samples)
 
 
 @pytest.mark.parametrize(

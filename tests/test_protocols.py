@@ -234,6 +234,15 @@ class TestQuantumEncoder:
         with pytest.raises(ValueError, match="at most 20"):
             run_quantum_encoder(random_qubit(rng), MAX_ENCODER_COPIES + 1, "strict")
 
+    @pytest.mark.parametrize("n_copies", [2.0, "3"])
+    def test_non_integral_copy_count_rejected(self, rng, n_copies):
+        with pytest.raises(ValueError, match=f"^expected integer copy count, got {n_copies!r}$"):
+            run_quantum_encoder(random_qubit(rng), n_copies, "strict")
+
+    def test_numpy_integer_copy_count_runs(self):
+        run = run_quantum_encoder(LogicalAmplitudes.one(), np.int64(3), "strict")
+        assert run.accepted_probability == pytest.approx(0.25, abs=1e-12)
+
 
 class TestNondestructiveGate:
     def test_basis_sign_pattern(self):

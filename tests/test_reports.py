@@ -34,6 +34,19 @@ def cli_stdout(*argv: str) -> str:
     return out.getvalue()
 
 
+def test_to_dict_is_the_schema_version_then_the_fields_in_order():
+    """Schema 1's keys in schema order; an instance attribute that is not a
+    field never reaches the document."""
+    run = circuits.execute(circuits.load(dualrail.data_path("fig1.loc")))
+    report = reports.from_run(run, "run", {}, 0.5)
+    report.stray = "not a field"
+    assert list(report.to_dict()) == [
+        "schema_version", "command", "inputs", "branches", "accepted_probability",
+        "output", "fidelity_vs_reference", "duration_seconds",
+    ]
+    assert report.to_dict()["schema_version"] == reports.SCHEMA_VERSION == 1
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [

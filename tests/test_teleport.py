@@ -19,6 +19,7 @@ from dualrail.protocols import (
     PAULI_PRODUCTS,
     _CSIGN,
     BellAmplitudes,
+    _bell_vector,
     derive_teleport_coefficients,
     teleport_gate_table,
     verify_a_matrix,
@@ -84,6 +85,13 @@ def oracle_branches(u_amps, alpha) -> dict[str, np.ndarray]:
             )
         out[label] = vec
     return out
+
+
+@pytest.mark.parametrize("label", BELL_LABELS)
+def test_table_bell_vectors_are_the_decoded_photonic_bell_states(label):
+    """The table's Bell vectors come from ``rails.bell_state``, the gates' Bell
+    pairs; they equal the hand-written vectors above entry for entry."""
+    assert np.array_equal(_bell_vector(label), BELL_VECTORS[label])
 
 
 def test_derived_coefficients_match_frozen_table():
