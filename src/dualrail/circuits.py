@@ -19,7 +19,15 @@ convention (first listed mode is the matrix's first input). ``postselect``
 lines AND together; within a line ``||`` separates alternative ``&&``
 clauses, which is how a feed-forward acceptance set is written. Detection is
 destructive: a detected mode cannot appear later. Comments are not preserved
-by the formatter.
+by the formatter, which writes only labels and outcome names that scan as a
+``name`` token.
+
+Every program rule lives in one rule pass, ``_Rules``, which checks elements
+one at a time in program order. ``run_branches`` and ``format`` run it over a
+hand-built ``CircuitIR``; ``parse`` feeds it each statement as soon as it is
+read (the ``ket`` lines as the one element they fold into, before the next
+statement), so every rule a program breaks is a ``ParseError`` with the line
+and column of that statement, or of the token a value rule judges.
 
 One engine runs every program, the gates in ``protocols`` included, which
 build their IR in Python. It enumerates every detector outcome: consecutive
@@ -44,7 +52,7 @@ import numpy as np
 from . import measure, rails
 from .fock import FockState, layout
 from .optics import ModeUnitary, apply_mode_unitary, hadamard_bs
-from .rails import DualRailQubit, LogicalAmplitudes, is_normalized
+from .rails import DualRailQubit, is_normalized
 
 # The widest ``modes`` declaration ``parse`` accepts. It bounds the memory a
 # program text can ask for, and it covers every program the package builds
@@ -62,6 +70,10 @@ MAX_PHOTONS = 64
 # text can ask for. Every program the package builds itself stays below 100,
 # and perfbench's wide-states inputs hold up to 1,716 terms.
 MAX_TERMS = 2**16
+
+# frozenset(range(n)) for each mode count n a program may declare, built once
+# so that the rule pass, which runs on every gate call, need not build one.
+_MODE_SETS = tuple(frozenset(range(n)) for n in range(MAX_MODES + 1))
 
 # A predicate in disjunctive normal form: OR over tuples of (name, count)
 # equalities that are ANDed together.
@@ -240,19 +252,183 @@ class _LineParser:
 
 
 # --------------------------------------------------------------------------
+# Rules
+# --------------------------------------------------------------------------
+
+
+class _Rules:
+    """Every program rule, checked one element at a time in program order.
+
+    ``_validate`` runs it over a whole ``CircuitIR``; ``parse`` feeds it each
+    statement once read, and calls ``ket_length``, ``_photons``, ``_amplitude``,
+    ``_count`` and ``_bell_kind`` at the token they judge. A broken rule raises
+    a one-line ``CircuitError``. Elements are the seven IR classes themselves.
+    """
+
+    def __init__(self, mode_count: int, labels: Sequence[str] | None) -> None:
+        try:
+            n = self.mode_count = index(mode_count)
+        except TypeError:
+            raise CircuitError(f"expected integer mode count, got {mode_count!r}") from None
+        if n <= 0:
+            raise CircuitError("mode count must be positive")
+        if n > MAX_MODES:
+            raise CircuitError(f"mode count must be at most {MAX_MODES}")
+        if labels is not None and len(labels) != n:
+            raise CircuitError(f"expected {n} labels, got {len(labels)}")
+        if labels is not None and len(set(labels)) != n:
+            raise CircuitError("duplicate mode label")
+        self.valid = _MODE_SETS[n]
+        self.prepared, self.used, self.detected, self.bound = set(), set(), set(), set()
+
+    def check(self, element: Element) -> None:
+        """Check one element against the program so far, then record what it does."""
+        kind = type(element)
+        if kind is ApplyBS:
+            if len(element.modes) != 2:
+                raise CircuitError(f"bs needs 2 modes, got {len(element.modes)}")
+            m = element.matrix
+            if m is not None:
+                if len(m) != 4:
+                    raise CircuitError(f"bs matrix needs 4 entries, got {len(m)}")
+                try:
+                    ModeUnitary([[m[0], m[1]], [m[2], m[3]]])
+                except (TypeError, ValueError) as exc:
+                    raise CircuitError(str(exc)) from None
+            self.touch("bs", element.modes, "beam splitter modes must be distinct")
+        elif kind is Detect:
+            self.touch("detect", (element.mode,))
+            if element.name in self.bound:
+                raise CircuitError(f"outcome name {element.name!r} bound twice")
+            self.detected.add(element.mode)
+            self.bound.add(element.name)
+        elif kind is PrepareDualRail:
+            pair = (element.rail1, element.rail0)
+            self.touch("dualrail", pair, "rail modes must be distinct", prepares=True)
+            if not is_normalized((element.a0, element.a1)):
+                raise CircuitError("dualrail amplitudes are not normalized")
+        elif kind is PostSelect:
+            self.predicate("postselect", element.predicate)
+        elif kind is CorrectZ:
+            self.touch("correct", (element.rail1, element.rail0), "rail modes must be distinct")
+            self.predicate("correct", element.condition)
+        elif kind is PrepareBell:
+            _bell_kind(element.kind)
+            if len(element.modes) != 4:
+                raise CircuitError(f"bell needs 4 modes, got {len(element.modes)}")
+            self.touch("bell", element.modes, "Bell modes must be distinct", prepares=True)
+        elif kind is PrepareKet:
+            kets = [tuple(occ) for occ, _ in element.terms]
+            amps = [amp for _, amp in element.terms]
+            self.ket_length(*kets)
+            _photons(*kets)
+            summed = amps
+            if len(set(kets)) < len(kets):  # equal kets add up before the norm check
+                summed = dict.fromkeys(kets, 0j)
+                for occ, amp in zip(kets, amps):
+                    summed[occ] += amp
+                summed = summed.values()
+            if not is_normalized(summed):
+                _amplitude(*amps)  # a non-finite term is the finer fault
+                raise CircuitError("ket amplitudes are not normalized")
+            if self.used:  # a ket prepares every mode, so any mode used before is a fault
+                self.touch("ket", range(self.mode_count), prepares=True)
+            self.prepared, self.used = set(self.valid), set(self.valid)
+        else:
+            raise CircuitError(f"unknown program element {element!r}")
+
+    def touch(self, what: str, modes: Sequence[int], distinct: str = "", prepares: bool = False) -> None:
+        """Check ``what`` on ``modes``, then record it: integers in range, none twice
+        given ``distinct``, none used before if it ``prepares`` them, else none detected."""
+        try:
+            listed = set(map(index, modes))
+        except TypeError:
+            m = next(m for m in modes if not hasattr(m, "__index__"))
+            raise CircuitError(f"expected integer {what} mode, got {m!r}") from None
+        if not listed <= self.valid:
+            m = next(m for m in map(index, modes) if m not in self.valid)
+            raise CircuitError(f"{what} mode {m + 1} out of range for {self.mode_count} modes")
+        if distinct and len(listed) != len(modes):
+            raise CircuitError(distinct)
+        if prepares and not listed.isdisjoint(self.used):
+            m = next(m for m in modes if m in self.used)
+            again = "twice" if m in self.prepared else "after it was used"
+            raise CircuitError(f"{what} prepares mode {m + 1} {again}")
+        if not prepares and not listed.isdisjoint(self.detected):
+            m = next(m for m in modes if m in self.detected)
+            raise CircuitError(f"{what} uses mode {m + 1}, already consumed by a detector")
+        if prepares:
+            self.prepared |= listed
+        self.used |= listed
+
+    def predicate(self, what: str, predicate: Predicate) -> None:
+        if not predicate:
+            raise CircuitError(f"{what} needs at least one clause")
+        for clause in predicate:
+            if not clause:
+                raise CircuitError(f"{what} has a clause with no equality")
+            for name, count in clause:
+                _count(count)
+                if name not in self.bound:
+                    raise CircuitError(f"{what} references unbound outcome {name!r}")
+
+    def ket_length(self, *kets: Sequence[int]) -> None:
+        for occ in kets:
+            if len(occ) != self.mode_count:
+                raise CircuitError(f"ket has {len(occ)} modes, expected {self.mode_count}")
+
+
+def _photons(*kets: Sequence[int]) -> None:
+    for occ in kets:
+        if sum(occ) > MAX_PHOTONS:
+            raise CircuitError(f"a ket may hold at most {MAX_PHOTONS} photons")
+
+
+def _amplitude(*amps: complex) -> None:
+    if not all(map(cmath.isfinite, amps)):
+        raise CircuitError("ket amplitude must be finite")
+
+
+def _count(count: int) -> None:
+    if count < 0:
+        raise CircuitError("photon count must be non-negative")
+
+
+def _bell_kind(kind: str) -> None:
+    if kind not in rails.BELL_KINDS:
+        raise CircuitError("unknown Bell state")
+
+
+def _validate(ir: CircuitIR) -> None:
+    """Run the rule pass over a whole program, as ``run_branches`` and ``format`` do first."""
+    rules = _Rules(ir.mode_count, ir.labels)
+    for element in ir.elements:
+        rules.check(element)
+
+
+# --------------------------------------------------------------------------
 # Parser
 # --------------------------------------------------------------------------
 
 
+def _rule(where: tuple, check: Callable, *args):
+    """``check(*args)``, its ``CircuitError`` raised as a ``ParseError`` at ``where``:
+    a line and column, then the token for a rule about one token."""
+    try:
+        return check(*args)
+    except CircuitError as exc:
+        line, column, *token = where
+        raise ParseError(line, column, str(exc), *token) from None
+
+
 class _ProgramBuilder:
     def __init__(self) -> None:
-        self.mode_count: int | None = None
+        self.rules: _Rules | None = None
         self.labels: tuple[str, ...] | None = None
         self.label_to_mode: dict[str, int] = {}
         self.elements: list[Element] = []
         self.ket_terms: list[tuple[tuple[int, ...], complex]] = []
-        self.ket_position: int | None = None
-        self.ket_where = (0, 0)  # line and column of the first ket term
+        self.ket_where = (0, 0)  # line and column of the first pending ket term
         self.saw_operation = False
 
     def mode_ref(self, p: _LineParser, what: str = "mode") -> int:
@@ -261,7 +437,7 @@ class _ProgramBuilder:
             raise p.error(f"expected a {what}")
         if tok.kind == "number":
             value = p.take_int(what)
-            if not 1 <= value <= self.mode_count:
+            if not 1 <= value <= self.rules.mode_count:
                 raise ParseError(tok.line, tok.column, f"mode {value} out of range", tok.text)
             return value - 1
         if tok.kind == "name":
@@ -279,10 +455,7 @@ class _ProgramBuilder:
                 name_tok = p.take("name", "outcome name")
                 p.take_literal("==")
                 count = p.take_int("photon count")
-                if count < 0:
-                    raise ParseError(
-                        name_tok.line, name_tok.column, "photon count must be non-negative"
-                    )
+                _rule((name_tok.line, name_tok.column), _count, count)
                 clause.append((name_tok.text, count))
                 nxt = p.peek()
                 if nxt is not None and nxt.text == "&&":
@@ -297,9 +470,25 @@ class _ProgramBuilder:
             break
         return tuple(clauses)
 
+    def add(self, element: Element, where: tuple[int, int]) -> None:
+        """Check ``element``, after the ``ket`` terms read so far, and append it."""
+        self.flush()
+        _rule(where, self.rules.check, element)
+        self.elements.append(element)
+
+    def flush(self) -> None:
+        """Check and append the pending ``ket`` terms as the one element they fold into."""
+        if self.ket_terms:
+            element, self.ket_terms = PrepareKet(tuple(self.ket_terms)), []
+            self.add(element, self.ket_where)
+
 
 def parse(source: str) -> CircuitIR:
-    """Parse and validate a circuit program."""
+    """Parse a circuit program, checking each statement as soon as it is read.
+
+    A statement that breaks a rule of ``_Rules`` raises a ``ParseError`` at
+    that statement, or at the token the rule judges.
+    """
     b = _ProgramBuilder()
     for line_no, raw in enumerate(source.splitlines(), start=1):
         tokens = _scan_line(raw, line_no)
@@ -310,33 +499,23 @@ def parse(source: str) -> CircuitIR:
         if head.kind != "name":
             raise ParseError(line_no, head.column, "expected a statement keyword", head.text)
         keyword = head.text
+        where = (line_no, head.column)
 
         if keyword == "modes":
-            if b.mode_count is not None:
-                raise ParseError(line_no, head.column, "duplicate 'modes' declaration")
+            if b.rules is not None:
+                raise ParseError(*where, "duplicate 'modes' declaration")
             count = p.take_int("mode count")
-            if count <= 0:
-                raise ParseError(line_no, head.column, "mode count must be positive")
-            if count > MAX_MODES:
-                raise ParseError(line_no, head.column, f"mode count must be at most {MAX_MODES}")
-            b.mode_count = count
             if not p.done():
                 p.take_literal("labels")
                 labels = []
                 while not p.done():
                     labels.append(p.take("name", "mode label").text)
-                if len(labels) != count:
-                    raise ParseError(
-                        line_no, head.column, f"expected {count} labels, got {len(labels)}"
-                    )
-                if len(set(labels)) != len(labels):
-                    raise ParseError(line_no, head.column, "duplicate mode label")
                 b.labels = tuple(labels)
-                b.label_to_mode = {name: i for i, name in enumerate(labels)}
-            p.expect_end()
+            b.rules = _rule(where, _Rules, count, b.labels)
+            b.label_to_mode = {name: i for i, name in enumerate(b.labels or ())}
             continue
 
-        if b.mode_count is None:
+        if b.rules is None:
             raise p.error("a 'modes' declaration must come first")
         if keyword == "ket":
             tok = p.take("ket", "|n1,n2,...>")
@@ -347,26 +526,18 @@ def parse(source: str) -> CircuitIR:
                 occ = tuple(int(x) for x in body.split(","))
             except ValueError:
                 raise ParseError(line_no, tok.column, "malformed ket", tok.text)
-            if len(occ) != b.mode_count:
-                raise ParseError(
-                    line_no, tok.column, f"ket has {len(occ)} modes, expected {b.mode_count}"
-                )
-            if sum(occ) > MAX_PHOTONS:
-                raise ParseError(
-                    line_no, tok.column, f"a ket may hold at most {MAX_PHOTONS} photons", tok.text
-                )
+            _rule((line_no, tok.column), b.rules.ket_length, occ)
+            _rule((line_no, tok.column, tok.text), _photons, occ)
             amp = 1.0 + 0j
             if not p.done():
                 amp_tok = p.take_literal("amp")
                 amp = complex(p.take_float("amp real part"), p.take_float("amp imaginary part"))
-                if not cmath.isfinite(amp):
-                    raise ParseError(line_no, amp_tok.column, "ket amplitude must be finite")
+                _rule((line_no, amp_tok.column), _amplitude, amp)
             p.expect_end()
             if b.saw_operation:
-                raise ParseError(line_no, head.column, "ket terms must come before operations")
-            if b.ket_position is None:
-                b.ket_position = len(b.elements)
-                b.ket_where = (line_no, head.column)
+                raise ParseError(*where, "ket terms must come before operations")
+            if not b.ket_terms:
+                b.ket_where = where
             b.ket_terms.append((occ, amp))
             continue
 
@@ -376,31 +547,14 @@ def parse(source: str) -> CircuitIR:
             p.take_literal("on")
             rail1 = b.mode_ref(p, "rail1 mode")
             rail0 = b.mode_ref(p, "rail0 mode")
-            p.expect_end()
-            if rail1 == rail0:
-                raise ParseError(line_no, head.column, "rail modes must be distinct")
-            if not is_normalized((a0, a1)):
-                raise ParseError(line_no, head.column, "dualrail amplitudes are not normalized")
-            b.elements.append(PrepareDualRail(a0, a1, rail1, rail0))
-            continue
-
-        if keyword == "bell":
+            element = PrepareDualRail(a0, a1, rail1, rail0)
+        elif keyword == "bell":
             kind_tok = p.take("name", "bell kind")
-            if kind_tok.text not in rails.BELL_KINDS:
-                raise ParseError(line_no, kind_tok.column, "unknown Bell state", kind_tok.text)
+            _rule((line_no, kind_tok.column, kind_tok.text), _bell_kind, kind_tok.text)
             p.take_literal("on")
-            modes = tuple(b.mode_ref(p) for _ in range(4))
-            p.expect_end()
-            if len(set(modes)) != 4:
-                raise ParseError(line_no, head.column, "Bell modes must be distinct")
-            b.elements.append(PrepareBell(kind_tok.text, modes))
-            continue
-
-        if keyword == "bs":
-            m1 = b.mode_ref(p)
-            m2 = b.mode_ref(p)
-            if m1 == m2:
-                raise ParseError(line_no, head.column, "beam splitter modes must be distinct")
+            element = PrepareBell(kind_tok.text, tuple(b.mode_ref(p) for _ in range(4)))
+        elif keyword == "bs":
+            modes = (b.mode_ref(p), b.mode_ref(p))
             matrix: tuple[complex, complex, complex, complex] | None = None
             if not p.done():
                 p.take_literal("matrix")
@@ -409,36 +563,15 @@ def parse(source: str) -> CircuitIR:
                     p.take()
                 else:
                     reals = [p.take_float("matrix entry") for _ in range(8)]
-                    entries = tuple(
-                        complex(reals[2 * i], reals[2 * i + 1]) for i in range(4)
-                    )
-                    try:
-                        ModeUnitary([[entries[0], entries[1]], [entries[2], entries[3]]])
-                    except ValueError as exc:
-                        raise ParseError(line_no, head.column, str(exc))
-                    matrix = entries
-            p.expect_end()
-            b.saw_operation = True
-            b.elements.append(ApplyBS((m1, m2), matrix))
-            continue
-
-        if keyword == "detect":
+                    matrix = tuple(complex(reals[2 * i], reals[2 * i + 1]) for i in range(4))
+            element = ApplyBS(modes, matrix)
+        elif keyword == "detect":
             mode = b.mode_ref(p)
             p.take_literal("as")
-            name_tok = p.take("name", "outcome name")
-            p.expect_end()
-            b.saw_operation = True
-            b.elements.append(Detect(mode, name_tok.text))
-            continue
-
-        if keyword == "postselect":
-            predicate = b.predicate(p)
-            p.expect_end()
-            b.saw_operation = True
-            b.elements.append(PostSelect(predicate))
-            continue
-
-        if keyword == "correct":
+            element = Detect(mode, p.take("name", "outcome name").text)
+        elif keyword == "postselect":
+            element = PostSelect(b.predicate(p))
+        elif keyword == "correct":
             pauli_tok = p.take("name", "pauli")
             if pauli_tok.text != "z":
                 raise ParseError(
@@ -448,111 +581,17 @@ def parse(source: str) -> CircuitIR:
             rail1 = b.mode_ref(p, "rail1 mode")
             rail0 = b.mode_ref(p, "rail0 mode")
             p.take_literal("if")
-            condition = b.predicate(p)
-            p.expect_end()
-            if rail1 == rail0:
-                raise ParseError(line_no, head.column, "rail modes must be distinct")
-            b.saw_operation = True
-            b.elements.append(CorrectZ(rail1, rail0, condition))
-            continue
+            element = CorrectZ(rail1, rail0, b.predicate(p))
+        else:
+            raise ParseError(*where, "unknown statement", keyword)
+        p.expect_end()
+        b.saw_operation = b.saw_operation or keyword not in ("dualrail", "bell")
+        b.add(element, where)
 
-        raise ParseError(line_no, head.column, "unknown statement", keyword)
-
-    if b.mode_count is None:
+    if b.rules is None:
         raise ParseError(1, 1, "missing 'modes' declaration")
-    if b.ket_terms:
-        b.elements.insert(b.ket_position, PrepareKet(tuple(b.ket_terms)))
-    ir = CircuitIR(b.mode_count, b.labels, tuple(b.elements))
-    _validate(ir)
-    if b.ket_terms:
-        summed: dict[tuple[int, ...], complex] = {}
-        for occ, amp in b.ket_terms:
-            summed[occ] = summed.get(occ, 0j) + amp
-        if not is_normalized(summed.values()):
-            raise ParseError(*b.ket_where, "ket amplitudes are not normalized")
-    return ir
-
-
-def _validate(ir: CircuitIR) -> None:
-    try:
-        span = range(index(ir.mode_count))
-    except TypeError:
-        raise CircuitError(f"expected integer mode count, got {ir.mode_count!r}") from None
-    if ir.labels is not None:
-        if len(ir.labels) != len(span):
-            raise CircuitError(f"expected {len(span)} labels, got {len(ir.labels)}")
-        if len(set(ir.labels)) != len(ir.labels):
-            raise CircuitError("duplicate mode label")
-    prepared: set[int] = set()
-    used: set[int] = set()
-    detected: set[int] = set()
-    bound: set[str] = set()
-
-    def checked(m: int, what: str) -> int:
-        try:
-            m = index(m)
-        except TypeError:
-            raise CircuitError(f"expected integer {what} mode, got {m!r}") from None
-        if m not in span:
-            raise CircuitError(f"{what} mode {m + 1} out of range for {len(span)} modes")
-        return m
-
-    def require_live(modes: Sequence[int], what: str) -> None:
-        for i, m in enumerate(modes):
-            m = checked(m, what)
-            if modes.index(m) < i:
-                raise CircuitError(f"{what} lists mode {m + 1} twice")
-            if m in detected:
-                raise CircuitError(f"{what} uses mode {m + 1}, already consumed by a detector")
-
-    def prepare(modes: Sequence[int], what: str) -> None:
-        for m in modes:
-            m = checked(m, what)
-            if m in prepared:
-                raise CircuitError(f"{what} prepares mode {m + 1} twice")
-            if m in used:
-                raise CircuitError(f"{what} prepares mode {m + 1} after it was used")
-            prepared.add(m)
-            used.add(m)
-
-    def check_predicate(predicate: Predicate, what: str) -> None:
-        for clause in predicate:
-            for name, _ in clause:
-                if name not in bound:
-                    raise CircuitError(f"{what} references unbound outcome {name!r}")
-
-    for element in ir.elements:
-        if isinstance(element, PrepareKet):
-            for occ, _ in element.terms:
-                if len(occ) != ir.mode_count:
-                    raise CircuitError(f"ket {occ} has {len(occ)} modes, expected {ir.mode_count}")
-            prepare(span, "ket")
-        elif isinstance(element, PrepareDualRail):
-            prepare((element.rail1, element.rail0), "dualrail")
-        elif isinstance(element, PrepareBell):
-            if len(element.modes) != 4:
-                raise CircuitError(f"bell needs 4 modes, got {len(element.modes)}")
-            prepare(element.modes, "bell")
-        elif isinstance(element, ApplyBS):
-            if len(element.modes) != 2:
-                raise CircuitError(f"bs needs 2 modes, got {len(element.modes)}")
-            if element.matrix is not None and len(element.matrix) != 4:
-                raise CircuitError(f"bs matrix needs 4 entries, got {len(element.matrix)}")
-            require_live(element.modes, "bs")
-            used.update(element.modes)
-        elif isinstance(element, Detect):
-            require_live((element.mode,), "detect")
-            if element.name in bound:
-                raise CircuitError(f"outcome name {element.name!r} bound twice")
-            detected.add(element.mode)
-            used.add(element.mode)
-            bound.add(element.name)
-        elif isinstance(element, PostSelect):
-            check_predicate(element.predicate, "postselect")
-        elif isinstance(element, CorrectZ):
-            require_live((element.rail1, element.rail0), "correct")
-            used.update((element.rail1, element.rail0))
-            check_predicate(element.condition, "correct")
+    b.flush()
+    return CircuitIR(b.rules.mode_count, b.labels, tuple(b.elements))
 
 
 # --------------------------------------------------------------------------
@@ -571,8 +610,18 @@ def _fmt_predicate(predicate: Predicate) -> str:
 
 
 def format(ir: CircuitIR) -> str:
-    """Canonical text rendering; ``parse(format(ir))`` equals ``ir``, validated first."""
+    """Canonical text rendering; ``parse(format(ir))`` equals ``ir``.
+
+    The program is validated first, and every label and outcome name must be
+    a ``.loc`` name (the scanner's ``name`` token), else ``CircuitError``.
+    """
     _validate(ir)
+    named = [("label", label) for label in ir.labels or ()]
+    named += [("outcome", e.name) for e in ir.elements if isinstance(e, Detect)]
+    for what, name in named:
+        m = isinstance(name, str) and _TOKEN_RE.fullmatch(name)
+        if not m or m.lastgroup != "name":
+            raise CircuitError(f"{what} {name!r} is not a .loc name")
     ref = ir.label_of
     lines = [f"modes {ir.mode_count}" + (" labels " + " ".join(ir.labels) if ir.labels else "")]
     for element in ir.elements:
@@ -662,10 +711,9 @@ class RunResult:
 def _matcher(predicate: Predicate) -> Callable[[dict[str, int]], bool]:
     """``predicate`` as a test of a branch's counts, one ``itemgetter`` per clause.
 
-    The counts must bind every name it reads, as ``_validate`` checks.
+    The counts must bind every name it reads, and every clause must hold an
+    equality, as the rule pass checks.
     """
-    if () in predicate:
-        return lambda counts: True
     clauses = []
     for clause in predicate:
         names, values = zip(*clause)
@@ -694,7 +742,8 @@ def run_branches(ir: CircuitIR) -> RunResult:
     instead of dropping them, and ``correct`` acts only on accepted branches.
     The probabilities of all branches sum to the prepared state's squared
     norm; the result splits that sum into accepted and rejected weight.
-    A hand-built ``CircuitIR`` is validated first, as ``parse`` validates.
+    The program first goes through the rule pass that ``parse`` runs, so a
+    hand-built ``CircuitIR`` that breaks a rule raises its ``CircuitError``.
     """
     _validate(ir)
     live = tuple(range(ir.mode_count))  # every branch's circuit mode at each position
@@ -798,7 +847,6 @@ def _preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Factor
     if isinstance(element, PrepareKet):
         return range(ir.mode_count), tuple(FockState(ir.mode_count, element.terms).terms.items())
     if isinstance(element, PrepareDualRail):
-        rails.require_normalized(LogicalAmplitudes(element.a0, element.a1))
         a0, a1 = complex(element.a0), complex(element.a1)
         return (element.rail1, element.rail0), tuple(zip(rails.RAIL_KETS, (a0, a1)))
     if isinstance(element, PrepareBell):

@@ -92,9 +92,14 @@ class LogicalAmplitudes:
 
 def is_normalized(amplitudes: Iterable[complex]) -> bool:
     """Whether the squared norm is within 1e-6 of 1; false if it overflows or is nan."""
-    # Not abs(a) ** 2: abs and ** raise OverflowError where these products
-    # give inf, and numpy scalars would warn.
-    norm_squared = sum(z.real * z.real + z.imag * z.imag for z in map(complex, amplitudes))
+    # Other types through complex(), as numpy scalars would warn; abs and **
+    # raise OverflowError where the modulus or its square leaves the float range.
+    norm_squared = 0.0
+    for z in amplitudes:
+        try:
+            norm_squared += abs(z if type(z) in (float, complex) else complex(z)) ** 2
+        except OverflowError:
+            return False
     return abs(norm_squared - 1.0) <= 1e-6
 
 

@@ -35,9 +35,10 @@ QUBITS = ("1,0,0,0", "0,0,1,0", f"{S},0,{S},0", "0.6,0,0,0.8")
 POLICIES = ("strict", "feedforward")
 
 # Written to the scratch directory: no branch survives the first, the second
-# corrects a pair that holds no qubit, the third does not parse and the
-# fourth puts multi-photon kets through a default, a full and a zero-entry
-# (phased swap) splitter.
+# corrects a pair that holds no qubit, the third does not parse, the fourth
+# puts multi-photon kets through a default, a full and a zero-entry (phased
+# swap) splitter, the fifth splits a detected mode and the sixth lists one
+# mode twice on a splitter.
 PROGRAMS = {
     "zero_survivors.loc": "modes 2\nket |1,0>\ndetect 1 as a\npostselect a == 5\n",
     "leakage.loc": (
@@ -50,6 +51,8 @@ PROGRAMS = {
         "bs 2 3 matrix 0.6 0 0 0.8 0 0.8 0.6 0\nbs 1 3 matrix 0 0 0 1 -1 0 0 0\n"
         "detect 1 as a\ndetect 2 as b\n"
     ),
+    "detected_mode.loc": "modes 2\nket |1,0>\ndetect 1 as a\nbs 1 2\n",
+    "repeated_mode.loc": "modes 2\nbs 1 1\n",
 }
 
 USAGE_ERRORS = (

@@ -235,32 +235,32 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "        if len(ir.labels) != len(span):\n",
+        "        if labels is not None and len(labels) != n:\n",
         "        if False:\n",
         "a hand-built program with too few labels raises IndexError, too many format to text parse rejects",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "        if len(set(ir.labels)) != len(ir.labels):\n",
+        "        if labels is not None and len(set(labels)) != n:\n",
         "        if False:\n",
         "a hand-built program that repeats a label formats to text parse rejects",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "span = range(index(ir.mode_count))",
-        "span = range(int(ir.mode_count))",
+        "n = self.mode_count = index(mode_count)",
+        "n = self.mode_count = int(mode_count)",
         "a hand-built mode count of 2.0 or '2' passes validation",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "            m = index(m)\n",
-        "            m = int(m)\n",
+        "listed = set(map(index, modes))",
+        "listed = set(map(int, modes))",
         "a hand-built mode of 0.0 runs as mode 0 and formats as 1.0",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "    _validate(ir)\n    ref = ir.label_of",
-        "    ref = ir.label_of",
+        "    _validate(ir)\n    named = [",
+        "    named = [",
         "format writes an invalid hand-built program instead of raising",
     ),
     Mutant(
@@ -298,6 +298,96 @@ MUTANTS = [
         "data = {f.name: getattr(self, f.name) for f in fields(self)}",
         "data = dict(vars(self))",
         "an instance attribute that is not a field reaches the JSON report",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "        if n <= 0:\n",
+        "        if n < 0:\n",
+        "a hand-built program of 0 modes raises a bare ValueError from the engine",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "        if n > MAX_MODES:\n",
+        "        if n > 2 * MAX_MODES:\n",
+        "a program may declare more than MAX_MODES modes",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "            if len(occ) != self.mode_count:\n",
+        "            if len(occ) > self.mode_count:\n",
+        "a ket term shorter than the mode count passes",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "        if sum(occ) > MAX_PHOTONS:\n",
+        "        if sum(occ) > 2 * MAX_PHOTONS:\n",
+        "a ket term may hold more than MAX_PHOTONS photons",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "    if not all(map(cmath.isfinite, amps)):\n",
+        "    if False:\n",
+        "a non-finite ket amplitude is reported as a norm fault, not at its amp token",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "            if not is_normalized(summed):\n",
+        "            if False:\n",
+        "a hand-built ket of norm 2 runs with accepted probability 4",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "            if len(set(kets)) < len(kets):",
+        "            if False:",
+        "equal ket terms are not added up before the norm check",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "            if not is_normalized((element.a0, element.a1)):\n",
+        "            if False:\n",
+        "a hand-built dualrail of norm 2 raises a bare ValueError from the engine",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "    if kind not in rails.BELL_KINDS:\n",
+        "    if False:\n",
+        "an unknown Bell kind raises a bare ValueError from the engine",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "                    ModeUnitary([[m[0], m[1]], [m[2], m[3]]])\n",
+        "                    pass\n",
+        "a non-unitary bs matrix raises a bare ValueError from the engine",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "    if count < 0:\n",
+        "    if count < -1:\n",
+        "a predicate count of -1 passes and never holds",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "        if not predicate:\n",
+        "        if False:\n",
+        "a postselect with no clause passes and rejects every branch",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "            if not clause:\n",
+        "            if False:\n",
+        "a postselect with an empty clause passes the rule pass",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        '            raise CircuitError(f"unknown program element {element!r}")\n',
+        "            pass\n",
+        "an unknown element raises a bare TypeError, and format drops it",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        '        if not m or m.lastgroup != "name":\n',
+        "        if not m:\n",
+        "format writes a number label such as 3, which parse reads as a mode",
     ),
 ]
 

@@ -1,8 +1,11 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dualrail
 from dualrail import circuits, protocols
@@ -141,7 +144,7 @@ class TestParseErrors:
     @pytest.mark.parametrize(
         "source, fragment",
         [
-            ("modes 2\nket |1,0>\nket |0,1>\ndualrail 1 0 0 0 on 1 2\n", "twice"),
+            ("modes 2\nket |1,0>\ndualrail 1 0 0 0 on 1 2\n", "twice"),
             ("modes 4\nbell phi+ on 1 2 3 4\ndualrail 1 0 0 0 on 1 2\n", "twice"),
             ("modes 2\nket |1,0>\ndetect 1 as a\ndetect 1 as b\n", "consumed"),
             ("modes 2\nket |1,0>\ndetect 1 as a\nbs 1 2\n", "consumed"),
@@ -151,8 +154,17 @@ class TestParseErrors:
         ],
     )
     def test_semantic_errors(self, source, fragment):
-        with pytest.raises(CircuitError, match=fragment):
+        # A fault between elements is reported at the statement that breaks it.
+        with pytest.raises(ParseError, match=fragment) as err:
             parse(source)
+        assert (err.value.line, err.value.column) == (source.count("\n"), 1)
+
+    def test_pending_ket_terms_are_checked_before_the_next_statement(self):
+        # Two faults: the ket terms sum to norm 2, and the dualrail prepares
+        # their modes again. The ket is checked first, at its first line.
+        with pytest.raises(ParseError) as err:
+            parse("modes 2\nket |1,0>\nket |0,1>\ndualrail 1 0 0 0 on 1 2\n")
+        assert str(err.value) == "line 2, column 1: ket amplitudes are not normalized"
 
     def test_ket_after_operation(self):
         with pytest.raises(ParseError, match="before operations"):
@@ -168,11 +180,11 @@ class TestHandBuiltPrograms:
     @pytest.mark.parametrize(
         "elements, message",
         [
-            ((PrepareDualRail(0, 1, 0, 0),), "dualrail prepares mode 1 twice"),
-            ((PrepareKet((((1,), 1.0 + 0j),)),), r"ket \(1,\) has 1 modes, expected 2"),
+            ((PrepareDualRail(0, 1, 0, 0),), "rail modes must be distinct"),
+            ((PrepareKet((((1,), 1.0 + 0j),)),), "ket has 1 modes, expected 2"),
             ((ONE_PHOTON, PostSelect(((("a", 1),),))), "postselect references unbound outcome 'a'"),
             ((ONE_PHOTON, ApplyBS((0, 2), None)), "bs mode 3 out of range for 2 modes"),
-            ((ONE_PHOTON, ApplyBS((1, 1), None)), "bs lists mode 2 twice"),
+            ((ONE_PHOTON, ApplyBS((1, 1), None)), "beam splitter modes must be distinct"),
             ((ONE_PHOTON, Detect(0, "a"), ApplyBS((0, 1), None)), "bs uses mode 1, already consumed"),
         ],
         ids=["repeated-rail", "short-ket", "unbound-name", "out-of-range", "repeated", "detected"],
@@ -205,13 +217,29 @@ class TestHandBuiltPrograms:
             (2, None, (ONE_PHOTON, ApplyBS((0.0, 1), None)), "expected integer bs mode, got 0.0"),
             (2, None, (PrepareDualRail(1, 0, 0, 1.0),), "expected integer dualrail mode, got 1.0"),
             (2, None, (ONE_PHOTON, Detect("1", "a")), "expected integer detect mode, got '1'"),
+            (2, None, (PrepareKet((((1, 0), 2 + 0j),)), Detect(0, "a")), "ket amplitudes are not normalized"),
+            (2, None, (PrepareKet((((1, 0), complex("inf")),)),), "ket amplitude must be finite"),
+            (2, None, (PrepareDualRail(2, 0, 0, 1),), "dualrail amplitudes are not normalized"),
+            (4, None, (PrepareBell("chi", (0, 1, 2, 3)),), "unknown Bell state"),
+            (2, None, (ApplyBS((0, 1), (1, 0, 0, 2)),), "matrix is not unitary (defect 3.000e+00)"),
+            (0, None, (), "mode count must be positive"),
+            (65, None, (), "mode count must be at most 64"),
+            (2, None, (PrepareKet((((65, 0), 1 + 0j),)),), "a ket may hold at most 64 photons"),
+            (2, None, (ONE_PHOTON, Detect(0, "a"), PostSelect(((("a", -1),),))),
+             "photon count must be non-negative"),
+            (2, None, (PostSelect(()),), "postselect needs at least one clause"),
+            (2, None, (PostSelect(((),)),), "postselect has a clause with no equality"),
+            (2, None, (ONE_PHOTON, "junk"), "unknown program element 'junk'"),
         ],
         ids=["short-labels", "long-labels", "repeated-label", "float-count", "str-count",
-             "float-bs-mode", "float-rail", "str-detect-mode"],
+             "float-bs-mode", "float-rail", "str-detect-mode", "ket-norm", "ket-inf", "dualrail-norm",
+             "bell-kind", "non-unitary", "zero-modes", "too-many-modes", "ket-photons",
+             "negative-count", "no-clause", "empty-clause", "junk"],
     )
     def test_each_program_fault_raises_before_run_and_format(self, mode_count, labels, elements, message):
-        """Unchecked, each raises IndexError or TypeError, or runs and formats
-        to text that ``parse`` rejects."""
+        """Unchecked, each raises IndexError, TypeError or ValueError, or runs
+        (an unnormalized ket with accepted probability 4) and formats to text
+        that ``parse`` rejects."""
         ir = circuits.CircuitIR(mode_count, labels, elements)
         for call in (circuits.run_branches, circuits.format):
             with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
@@ -223,6 +251,65 @@ class TestHandBuiltPrograms:
             i(2), None, (ONE_PHOTON, ApplyBS((i(0), np.int32(1)), None), Detect(i(1), "a"))
         )
         assert circuits.run_branches(ir).accepted_probability == pytest.approx(1.0)
+        assert parse(circuits.format(ir)) == ir
+
+    def test_a_subclassed_element_is_unknown(self):
+        class Splitter(ApplyBS):
+            pass
+
+        ir = circuits.CircuitIR(2, None, (ONE_PHOTON, Splitter((0, 1), None)))
+        with pytest.raises(CircuitError, match=r"^unknown program element .*Splitter\(modes=\(0, 1\), matrix=None\)$"):
+            circuits.run_branches(ir)
+
+
+def gate_ir(call) -> circuits.CircuitIR:
+    """The ``CircuitIR`` a gate function hands to ``run_branches``."""
+    seen = []
+
+    def record(ir):
+        seen.append(ir)
+        return circuits.run_branches(ir)
+
+    with mock.patch.object(protocols, "run_branches", record):
+        call()
+    (ir,) = seen
+    return ir
+
+
+class TestFormatNames:
+    """``format`` writes only labels and outcome names that ``parse`` reads back."""
+
+    @pytest.mark.parametrize(
+        "gate, accepted",
+        [(run_destructive_csign, 0.5), (run_nondestructive_csign, 0.25)],
+        ids=["destructive", "nondestructive"],
+    )
+    def test_the_gates_labels_run_but_do_not_format(self, gate, accepted):
+        # Both gates label the arm that carries the teleported target 1'.
+        ir = gate_ir(lambda: gate(LogicalAmplitudes.one(), LogicalAmplitudes(S, S), "feedforward"))
+        assert circuits.run_branches(ir).accepted_probability == pytest.approx(accepted)
+        with pytest.raises(CircuitError, match=r"""^label "1'" is not a \.loc name$"""):
+            circuits.format(ir)
+
+    @pytest.mark.parametrize(
+        "labels, name, message",
+        [
+            (("a", "3"), "x", "label '3' is not a .loc name"),
+            (None, "x y", "outcome 'x y' is not a .loc name"),
+            (None, 7, "outcome 7 is not a .loc name"),
+            (("a", "b#"), "x", "label 'b#' is not a .loc name"),
+        ],
+        ids=["number-label", "spaced-outcome", "int-outcome", "comment-label"],
+    )
+    def test_a_name_the_scanner_does_not_read_is_refused(self, labels, name, message):
+        ir = circuits.CircuitIR(2, labels, (ONE_PHOTON, Detect(0, name)))
+        circuits.run_branches(ir)
+        with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
+            circuits.format(ir)
+
+    def test_names_with_a_trailing_sign_and_keywords_round_trip(self):
+        elements = (ONE_PHOTON, Detect(1, "h"), PostSelect(((("h", 0),),)))
+        ir = circuits.CircuitIR(2, ("on", "phi+"), elements)
         assert parse(circuits.format(ir)) == ir
 
 
@@ -448,3 +535,92 @@ def test_shipped_files_roundtrip():
 def test_every_exported_name_resolves():
     missing = [name for name in dualrail.__all__ if not hasattr(dualrail, name)]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# Hand-built programs against parse and format
+# ---------------------------------------------------------------------------
+
+
+def plant(ir: circuits.CircuitIR, fault: str) -> circuits.CircuitIR:
+    """``ir`` with one fault planted where no other rule breaks first."""
+    first = (1,) + (0,) * (ir.mode_count - 1)
+    if fault == "zero-modes":
+        return circuits.CircuitIR(0, None, ir.elements)
+    if fault == "too-many-modes":
+        return circuits.CircuitIR(circuits.MAX_MODES + 1, None, ir.elements)
+    if fault == "bad-label":
+        return circuits.CircuitIR(ir.mode_count, tuple(f"{m}'" for m in range(ir.mode_count)), ir.elements)
+    element = {
+        "ket-norm": PrepareKet(((first, 2 + 0j),)),
+        "ket-inf": PrepareKet(((first, complex("inf")),)),
+        "ket-photons": PrepareKet((((circuits.MAX_PHOTONS + 1,) + first[1:], 1 + 0j),)),
+        "dualrail-norm": PrepareDualRail(2, 0, 0, 1),
+        "bell-kind": PrepareBell("chi", (0, 1, 2, 3)),
+        "non-unitary": ApplyBS((0, 1), (1, 0, 0, 2)),
+        "negative-count": PostSelect(((("d1", -1),),)),
+        "no-clause": PostSelect(()),
+        "empty-clause": PostSelect(((),)),
+        "junk": "junk",
+    }[fault]
+    return circuits.CircuitIR(ir.mode_count, ir.labels, (element, *ir.elements))
+
+
+FAULTS = ["zero-modes", "too-many-modes", "ket-norm", "ket-inf", "ket-photons", "dualrail-norm",
+          "bell-kind", "non-unitary", "negative-count", "no-clause", "empty-clause", "junk"]
+
+
+# Part of the message of the one run-time CircuitError a valid program can raise.
+LEAKING = "outside the dual-rail subspace"
+
+
+def outcome(call, ir):
+    """What ``call(ir)`` returns, or the message of the ``CircuitError`` it raises."""
+    try:
+        return call(ir), None
+    except CircuitError as exc:
+        return None, str(exc)
+
+
+def branch_bits(result: circuits.RunResult) -> list:
+    """Every field of every branch, floats as hex, so equal means bit-identical."""
+    def terms(state):
+        return None if state is None else [(k, v.real.hex(), v.imag.hex()) for k, v in state.terms.items()]
+
+    rows = [(b.counts, b.probability.hex(), terms(b.residual), b.corrections, b.accepted) for b in result.branches]
+    return [rows, result.accepted_probability.hex(), result.rejected_probability.hex(), result.output_labels]
+
+
+@given(seed=st.integers(0, 2**32 - 1), fault=st.sampled_from([None, "bad-label", *FAULTS]))
+@settings(max_examples=200, deadline=None)
+def test_run_and_format_agree_and_every_formatted_program_round_trips(seed, fault):
+    """``run_branches`` raises the rule's ``CircuitError`` exactly when
+    ``format`` raises for a reason other than names; otherwise the formatted
+    text parses back to the same program, which runs to bit-identical
+    branches (or to the same run-time error, such as a leaking ``correct``)."""
+    ir = random_program(np.random.default_rng(seed))
+    if fault is not None:
+        ir = plant(ir, fault)
+    result, run_error = outcome(circuits.run_branches, ir)
+    text, format_error = outcome(circuits.format, ir)
+    ran = run_error is None or LEAKING in run_error  # a leaking correct is a fault of the run
+    if format_error is not None and format_error.endswith("is not a .loc name"):
+        assert fault == "bad-label" and ran
+        return
+    assert (format_error is None) == (fault is None)
+    if format_error is not None:
+        assert run_error == format_error
+        return
+    parsed = parse(text)
+    assert parsed == ir, text
+    assert ran
+    if run_error is not None:
+        assert outcome(circuits.run_branches, parsed)[1] == run_error
+    else:
+        assert branch_bits(circuits.run_branches(parsed)) == branch_bits(result)
+
+
+for _fault in [None, "bad-label", *FAULTS]:
+    test_run_and_format_agree_and_every_formatted_program_round_trips = example(seed=7340, fault=_fault)(
+        test_run_and_format_agree_and_every_formatted_program_round_trips
+    )

@@ -378,17 +378,19 @@ OUTCOME_NAMES = ("a", "b", "c")
 
 @given(
     predicate=st.lists(
-        st.lists(st.tuples(st.sampled_from(OUTCOME_NAMES), st.integers(0, 2)), max_size=3).map(tuple),
+        st.lists(
+            st.tuples(st.sampled_from(OUTCOME_NAMES), st.integers(0, 2)), min_size=1, max_size=3
+        ).map(tuple),
         max_size=3,
     ).map(tuple),
     counts=st.fixed_dictionaries({name: st.integers(0, 2) for name in OUTCOME_NAMES}),
 )
 @example(predicate=((("a", 1), ("b", 0)),), counts={"a": 1, "b": 1, "c": 0})  # the second name decides
-@example(predicate=((("a", 1),), ()), counts={"a": 0, "b": 0, "c": 0})  # an empty clause holds
 @example(predicate=(), counts={"a": 0, "b": 0, "c": 0})  # no clause holds
 @settings(max_examples=300, deadline=None)
 def test_compiled_predicate_matches_the_reference(predicate, counts):
-    # Clauses of 0-3 names, a name repeated within a clause included.
+    # Clauses of 1-3 names, a name repeated within a clause included; the
+    # rule pass rejects an empty clause before a predicate is compiled.
     assert circuits._matcher(predicate)(counts) is ref.predicate_holds(predicate, counts)
 
 

@@ -2,8 +2,9 @@
 
 Every input must either succeed or fail with a documented exit code (2 usage,
 3 parse, 4 internal) and at most one stderr line, never with a traceback. A
-``.loc`` file that can be read never exits 2 or 4, and a valid program's
-branches account for all of its prepared weight.
+``.loc`` file that can be read never exits 2 or 4, a valid program's
+branches account for all of its prepared weight, and every program that
+parses formats to text that parses back to it.
 """
 
 import cmath
@@ -141,6 +142,15 @@ def test_loc_text_fails_with_one_documented_line(tmp_path_factory, source):
     path.write_text(source, encoding="utf-8")
     code, _, err = run(["run", str(path)])
     assert_documented_failure(code, err, {0, 3})
+    assert_round_trips(source)
+
+
+def assert_round_trips(source: str) -> None:
+    try:
+        ir = circuits.parse(source)
+    except circuits.ParseError:
+        return
+    assert circuits.parse(circuits.format(ir)) == ir, source
 
 
 # --------------------------------------------------------------------------
@@ -235,6 +245,7 @@ def test_valid_programs_run_or_exit_3_and_account_for_all_weight(tmp_path_factor
     path.write_text(source, encoding="utf-8")
     code, out, err = run(["run", str(path), "--json"])
     assert_documented_failure(code, err, {0, 3})
+    assert_round_trips(source)
     if code == 0:
         reported = json.loads(out)["accepted_probability"]
         result = circuits.execute(circuits.parse(source))
