@@ -22,12 +22,12 @@ destructive: a detected mode cannot appear later. Comments are not preserved
 by the formatter, which writes only labels and outcome names that scan as a
 ``name`` token.
 
-Every program rule lives in one rule pass, ``_Rules``, which checks elements
-one at a time in program order. ``run_branches`` and ``format`` run it over a
-hand-built ``CircuitIR``; ``parse`` feeds it each statement as soon as it is
-read (the ``ket`` lines as the one element they fold into, before the next
-statement), so every rule a program breaks is a ``ParseError`` with the line
-and column of that statement, or of the token a value rule judges.
+Every program rule lives in one rule pass, ``_Rules``, checked element by
+element in program order: by ``run_branches`` and ``format`` over a
+hand-built ``CircuitIR``, and by ``parse`` on each statement once read, so a
+broken rule is a ``ParseError`` at that statement or at the token it judges.
+``parse`` keeps only the rules of reading the text: ``modes`` comes first and
+once, labels are declared, and ``ket`` lines come before operations.
 
 One engine runs every program, the gates in ``protocols`` included, which
 build their IR in Python. It enumerates every detector outcome: consecutive
@@ -71,8 +71,7 @@ MAX_PHOTONS = 64
 # and perfbench's wide-states inputs hold up to 1,716 terms.
 MAX_TERMS = 2**16
 
-# frozenset(range(n)) for each mode count n a program may declare, built once
-# so that the rule pass, which runs on every gate call, need not build one.
+# frozenset(range(n)) for each mode count, built once: the rule pass runs per gate call.
 _MODE_SETS = tuple(frozenset(range(n)) for n in range(MAX_MODES + 1))
 
 # A predicate in disjunctive normal form: OR over tuples of (name, count)
@@ -84,9 +83,8 @@ class ParseError(Exception):
     """Syntax error with a position pointing into the source text."""
 
     def __init__(self, line: int, column: int, message: str, token: str = "") -> None:
-        where = f"line {line}, column {column}"
         suffix = f" (at {token!r})" if token else ""
-        super().__init__(f"{where}: {message}{suffix}")
+        super().__init__(f"line {line}, column {column}: {message}{suffix}")
         self.line = line
         self.column = column
         self.message = message
@@ -212,9 +210,6 @@ class _LineParser:
         col = self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1
         return ParseError(self.line_no, col, message)
 
-    def done(self) -> bool:
-        return self.i >= len(self.tokens)
-
     def peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
@@ -243,11 +238,10 @@ class _LineParser:
             raise ParseError(self.line_no, tok.column, f"expected an integer {what}", tok.text)
 
     def take_float(self, what: str) -> float:
-        tok = self.take("number", what)
-        return float(tok.text)
+        return float(self.take("number", what).text)
 
     def expect_end(self) -> None:
-        if not self.done():
+        if self.peek() is not None:
             raise self.error("unexpected trailing input")
 
 
@@ -257,13 +251,9 @@ class _LineParser:
 
 
 class _Rules:
-    """Every program rule, checked one element at a time in program order.
-
-    ``_validate`` runs it over a whole ``CircuitIR``; ``parse`` feeds it each
-    statement once read, and calls ``ket_length``, ``_photons``, ``_amplitude``,
-    ``_count`` and ``_bell_kind`` at the token they judge. A broken rule raises
-    a one-line ``CircuitError``. Elements are the seven IR classes themselves.
-    """
+    """Every program rule, checked one element at a time in program order; a
+    broken rule raises a one-line ``CircuitError``. ``parse`` calls the value
+    rules, ``mode`` to ``bell_kind``, at the token they judge."""
 
     def __init__(self, mode_count: int, labels: Sequence[str] | None) -> None:
         try:
@@ -313,23 +303,23 @@ class _Rules:
             self.touch("correct", (element.rail1, element.rail0), "rail modes must be distinct")
             self.predicate("correct", element.condition)
         elif kind is PrepareBell:
-            _bell_kind(element.kind)
+            self.bell_kind(element.kind)
             if len(element.modes) != 4:
                 raise CircuitError(f"bell needs 4 modes, got {len(element.modes)}")
             self.touch("bell", element.modes, "Bell modes must be distinct", prepares=True)
         elif kind is PrepareKet:
             kets = [tuple(occ) for occ, _ in element.terms]
-            amps = [amp for _, amp in element.terms]
+            amps = summed = [amp for _, amp in element.terms]
             self.ket_length(*kets)
-            _photons(*kets)
-            summed = amps
-            if len(set(kets)) < len(kets):  # equal kets add up before the norm check
+            self.photons(*kets)
+            # Equal kets add up before the norm check; distinct ones skip it (same bits, faster).
+            if len(set(kets)) < len(kets):
                 summed = dict.fromkeys(kets, 0j)
                 for occ, amp in zip(kets, amps):
                     summed[occ] += amp
                 summed = summed.values()
             if not is_normalized(summed):
-                _amplitude(*amps)  # a non-finite term is the finer fault
+                self.amplitude(*amps)  # a non-finite term is the finer fault
                 raise CircuitError("ket amplitudes are not normalized")
             if self.used:  # a ket prepares every mode, so any mode used before is a fault
                 self.touch("ket", range(self.mode_count), prepares=True)
@@ -346,19 +336,19 @@ class _Rules:
             m = next(m for m in modes if not hasattr(m, "__index__"))
             raise CircuitError(f"expected integer {what} mode, got {m!r}") from None
         if not listed <= self.valid:
-            m = next(m for m in map(index, modes) if m not in self.valid)
-            raise CircuitError(f"{what} mode {m + 1} out of range for {self.mode_count} modes")
+            for m in map(index, modes):
+                self.mode(m)
         if distinct and len(listed) != len(modes):
             raise CircuitError(distinct)
-        if prepares and not listed.isdisjoint(self.used):
-            m = next(m for m in modes if m in self.used)
-            again = "twice" if m in self.prepared else "after it was used"
-            raise CircuitError(f"{what} prepares mode {m + 1} {again}")
-        if not prepares and not listed.isdisjoint(self.detected):
+        if prepares:
+            if not listed.isdisjoint(self.used):
+                m = next(m for m in modes if m in self.used)
+                again = "twice" if m in self.prepared else "after it was used"
+                raise CircuitError(f"{what} prepares mode {m + 1} {again}")
+            self.prepared |= listed
+        elif not listed.isdisjoint(self.detected):
             m = next(m for m in modes if m in self.detected)
             raise CircuitError(f"{what} uses mode {m + 1}, already consumed by a detector")
-        if prepares:
-            self.prepared |= listed
         self.used |= listed
 
     def predicate(self, what: str, predicate: Predicate) -> None:
@@ -368,42 +358,43 @@ class _Rules:
             if not clause:
                 raise CircuitError(f"{what} has a clause with no equality")
             for name, count in clause:
-                _count(count)
+                self.count(count)
                 if name not in self.bound:
                     raise CircuitError(f"{what} references unbound outcome {name!r}")
+
+    def mode(self, m: int) -> int:
+        if not 0 <= m < self.mode_count:
+            raise CircuitError(f"mode {m + 1} out of range")
+        return m
 
     def ket_length(self, *kets: Sequence[int]) -> None:
         for occ in kets:
             if len(occ) != self.mode_count:
                 raise CircuitError(f"ket has {len(occ)} modes, expected {self.mode_count}")
 
+    def photons(self, *kets: Sequence[int]) -> None:
+        for occ in kets:
+            if sum(occ) > MAX_PHOTONS:
+                raise CircuitError(f"a ket may hold at most {MAX_PHOTONS} photons")
 
-def _photons(*kets: Sequence[int]) -> None:
-    for occ in kets:
-        if sum(occ) > MAX_PHOTONS:
-            raise CircuitError(f"a ket may hold at most {MAX_PHOTONS} photons")
+    def amplitude(self, *amps: complex) -> None:
+        if not all(map(cmath.isfinite, amps)):
+            raise CircuitError("ket amplitude must be finite")
 
+    def count(self, count: int) -> None:
+        if count < 0:
+            raise CircuitError("photon count must be non-negative")
 
-def _amplitude(*amps: complex) -> None:
-    if not all(map(cmath.isfinite, amps)):
-        raise CircuitError("ket amplitude must be finite")
-
-
-def _count(count: int) -> None:
-    if count < 0:
-        raise CircuitError("photon count must be non-negative")
-
-
-def _bell_kind(kind: str) -> None:
-    if kind not in rails.BELL_KINDS:
-        raise CircuitError("unknown Bell state")
+    def bell_kind(self, kind: str) -> None:
+        if kind not in rails.BELL_KINDS:
+            raise CircuitError("unknown Bell state")
 
 
 def _validate(ir: CircuitIR) -> None:
     """Run the rule pass over a whole program, as ``run_branches`` and ``format`` do first."""
-    rules = _Rules(ir.mode_count, ir.labels)
+    check = _Rules(ir.mode_count, ir.labels).check
     for element in ir.elements:
-        rules.check(element)
+        check(element)
 
 
 # --------------------------------------------------------------------------
@@ -412,8 +403,7 @@ def _validate(ir: CircuitIR) -> None:
 
 
 def _rule(where: tuple, check: Callable, *args):
-    """``check(*args)``, its ``CircuitError`` raised as a ``ParseError`` at ``where``:
-    a line and column, then the token for a rule about one token."""
+    """``check(*args)``, a ``CircuitError`` raised as a ``ParseError`` at ``where``."""
     try:
         return check(*args)
     except CircuitError as exc:
@@ -425,50 +415,35 @@ class _ProgramBuilder:
     def __init__(self) -> None:
         self.rules: _Rules | None = None
         self.labels: tuple[str, ...] | None = None
-        self.label_to_mode: dict[str, int] = {}
         self.elements: list[Element] = []
-        self.ket_terms: list[tuple[tuple[int, ...], complex]] = []
-        self.ket_where = (0, 0)  # line and column of the first pending ket term
-        self.saw_operation = False
+        # The line and column, ket and amplitude of each pending ``ket`` line.
+        self.ket_terms: list[tuple[tuple[int, int], tuple[int, ...], complex]] = []
 
     def mode_ref(self, p: _LineParser, what: str = "mode") -> int:
         tok = p.peek()
-        if tok is None:
+        if tok is not None and tok.kind == "number":
+            return _rule((tok.line, tok.column, tok.text), self.rules.mode, p.take_int(what) - 1)
+        if tok is None or tok.kind != "name":
             raise p.error(f"expected a {what}")
-        if tok.kind == "number":
-            value = p.take_int(what)
-            if not 1 <= value <= self.rules.mode_count:
-                raise ParseError(tok.line, tok.column, f"mode {value} out of range", tok.text)
-            return value - 1
-        if tok.kind == "name":
-            p.take()
-            if tok.text not in self.label_to_mode:
-                raise ParseError(tok.line, tok.column, "undeclared mode label", tok.text)
-            return self.label_to_mode[tok.text]
-        raise p.error(f"expected a {what}")
+        p.take()
+        if tok.text not in (self.labels or ()):
+            raise ParseError(tok.line, tok.column, "undeclared mode label", tok.text)
+        return self.labels.index(tok.text)
 
     def predicate(self, p: _LineParser) -> Predicate:
-        clauses = []
+        clauses: list[list[tuple[str, int]]] = [[]]
         while True:
-            clause = []
-            while True:
-                name_tok = p.take("name", "outcome name")
-                p.take_literal("==")
-                count = p.take_int("photon count")
-                _rule((name_tok.line, name_tok.column), _count, count)
-                clause.append((name_tok.text, count))
-                nxt = p.peek()
-                if nxt is not None and nxt.text == "&&":
-                    p.take()
-                    continue
-                break
-            clauses.append(tuple(clause))
+            name_tok = p.take("name", "outcome name")
+            p.take_literal("==")
+            count = p.take_int("photon count")
+            _rule((name_tok.line, name_tok.column), self.rules.count, count)
+            clauses[-1].append((name_tok.text, count))
             nxt = p.peek()
-            if nxt is not None and nxt.text == "||":
-                p.take()
-                continue
-            break
-        return tuple(clauses)
+            if nxt is None or nxt.text not in ("&&", "||"):
+                return tuple(map(tuple, clauses))
+            p.take()
+            if nxt.text == "||":
+                clauses.append([])
 
     def add(self, element: Element, where: tuple[int, int]) -> None:
         """Check ``element``, after the ``ket`` terms read so far, and append it."""
@@ -479,25 +454,21 @@ class _ProgramBuilder:
     def flush(self) -> None:
         """Check and append the pending ``ket`` terms as the one element they fold into."""
         if self.ket_terms:
-            element, self.ket_terms = PrepareKet(tuple(self.ket_terms)), []
-            self.add(element, self.ket_where)
+            wheres, kets, amps = zip(*self.ket_terms)
+            self.ket_terms = []
+            self.add(PrepareKet(tuple(zip(kets, amps))), wheres[0])
 
 
 def parse(source: str) -> CircuitIR:
-    """Parse a circuit program, checking each statement as soon as it is read.
-
-    A statement that breaks a rule of ``_Rules`` raises a ``ParseError`` at
-    that statement, or at the token the rule judges.
-    """
+    """Parse a circuit program, feeding each statement to the rule pass once it is
+    read (``ket`` lines as the one element they fold into, before the next one)."""
     b = _ProgramBuilder()
     for line_no, raw in enumerate(source.splitlines(), start=1):
         tokens = _scan_line(raw, line_no)
         if not tokens:
             continue
         p = _LineParser(tokens, line_no)
-        head = p.take()
-        if head.kind != "name":
-            raise ParseError(line_no, head.column, "expected a statement keyword", head.text)
+        head = p.take("name", "a statement keyword")
         keyword = head.text
         where = (line_no, head.column)
 
@@ -505,14 +476,10 @@ def parse(source: str) -> CircuitIR:
             if b.rules is not None:
                 raise ParseError(*where, "duplicate 'modes' declaration")
             count = p.take_int("mode count")
-            if not p.done():
+            if p.peek() is not None:
                 p.take_literal("labels")
-                labels = []
-                while not p.done():
-                    labels.append(p.take("name", "mode label").text)
-                b.labels = tuple(labels)
+                b.labels = tuple(p.take("name", "mode label").text for _ in p.tokens[p.i :])
             b.rules = _rule(where, _Rules, count, b.labels)
-            b.label_to_mode = {name: i for i, name in enumerate(b.labels or ())}
             continue
 
         if b.rules is None:
@@ -527,36 +494,32 @@ def parse(source: str) -> CircuitIR:
             except ValueError:
                 raise ParseError(line_no, tok.column, "malformed ket", tok.text)
             _rule((line_no, tok.column), b.rules.ket_length, occ)
-            _rule((line_no, tok.column, tok.text), _photons, occ)
+            _rule((line_no, tok.column, tok.text), b.rules.photons, occ)
             amp = 1.0 + 0j
-            if not p.done():
+            if p.peek() is not None:
                 amp_tok = p.take_literal("amp")
                 amp = complex(p.take_float("amp real part"), p.take_float("amp imaginary part"))
-                _rule((line_no, amp_tok.column), _amplitude, amp)
+                _rule((line_no, amp_tok.column), b.rules.amplitude, amp)
             p.expect_end()
-            if b.saw_operation:
+            if any(type(e) not in (PrepareKet, PrepareDualRail, PrepareBell) for e in b.elements):
                 raise ParseError(*where, "ket terms must come before operations")
-            if not b.ket_terms:
-                b.ket_where = where
-            b.ket_terms.append((occ, amp))
+            b.ket_terms.append((where, occ, amp))
             continue
 
         if keyword == "dualrail":
             a0 = complex(p.take_float("a0 real part"), p.take_float("a0 imaginary part"))
             a1 = complex(p.take_float("a1 real part"), p.take_float("a1 imaginary part"))
             p.take_literal("on")
-            rail1 = b.mode_ref(p, "rail1 mode")
-            rail0 = b.mode_ref(p, "rail0 mode")
-            element = PrepareDualRail(a0, a1, rail1, rail0)
+            element = PrepareDualRail(a0, a1, b.mode_ref(p, "rail1 mode"), b.mode_ref(p, "rail0 mode"))
         elif keyword == "bell":
             kind_tok = p.take("name", "bell kind")
-            _rule((line_no, kind_tok.column, kind_tok.text), _bell_kind, kind_tok.text)
+            _rule((line_no, kind_tok.column, kind_tok.text), b.rules.bell_kind, kind_tok.text)
             p.take_literal("on")
             element = PrepareBell(kind_tok.text, tuple(b.mode_ref(p) for _ in range(4)))
         elif keyword == "bs":
             modes = (b.mode_ref(p), b.mode_ref(p))
             matrix: tuple[complex, complex, complex, complex] | None = None
-            if not p.done():
+            if p.peek() is not None:
                 p.take_literal("matrix")
                 nxt = p.peek()
                 if nxt is not None and nxt.kind == "name" and nxt.text == "h":
@@ -572,20 +535,16 @@ def parse(source: str) -> CircuitIR:
         elif keyword == "postselect":
             element = PostSelect(b.predicate(p))
         elif keyword == "correct":
-            pauli_tok = p.take("name", "pauli")
-            if pauli_tok.text != "z":
-                raise ParseError(
-                    line_no, pauli_tok.column, "only 'correct z' is supported", pauli_tok.text
-                )
+            tok = p.take("name", "pauli")
+            if tok.text != "z":
+                raise ParseError(line_no, tok.column, "only 'correct z' is supported", tok.text)
             p.take_literal("on")
-            rail1 = b.mode_ref(p, "rail1 mode")
-            rail0 = b.mode_ref(p, "rail0 mode")
+            pair = (b.mode_ref(p, "rail1 mode"), b.mode_ref(p, "rail0 mode"))
             p.take_literal("if")
-            element = CorrectZ(rail1, rail0, b.predicate(p))
+            element = CorrectZ(*pair, b.predicate(p))
         else:
             raise ParseError(*where, "unknown statement", keyword)
         p.expect_end()
-        b.saw_operation = b.saw_operation or keyword not in ("dualrail", "bell")
         b.add(element, where)
 
     if b.rules is None:
@@ -599,8 +558,8 @@ def parse(source: str) -> CircuitIR:
 # --------------------------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    return repr(x + 0.0)
+def _fmt_complex(z: complex) -> str:
+    return f"{z.real + 0.0!r} {z.imag + 0.0!r}"
 
 
 def _fmt_predicate(predicate: Predicate) -> str:
@@ -610,11 +569,9 @@ def _fmt_predicate(predicate: Predicate) -> str:
 
 
 def format(ir: CircuitIR) -> str:
-    """Canonical text rendering; ``parse(format(ir))`` equals ``ir``.
-
-    The program is validated first, and every label and outcome name must be
-    a ``.loc`` name (the scanner's ``name`` token), else ``CircuitError``.
-    """
+    """Canonical text rendering; ``parse(format(ir))`` equals ``ir``. The program must
+    pass the rule pass and its labels and outcome names be ``.loc`` names (the
+    scanner's ``name`` token), else ``CircuitError``."""
     _validate(ir)
     named = [("label", label) for label in ir.labels or ()]
     named += [("outcome", e.name) for e in ir.elements if isinstance(e, Detect)]
@@ -627,26 +584,16 @@ def format(ir: CircuitIR) -> str:
     for element in ir.elements:
         if isinstance(element, PrepareKet):
             for occ, amp in element.terms:
-                body = ",".join(str(n) for n in occ)
-                lines.append(
-                    f"ket |{body}> amp {_fmt_float(amp.real)} {_fmt_float(amp.imag)}"
-                )
+                lines.append(f"ket |{','.join(map(str, occ))}> amp {_fmt_complex(amp)}")
         elif isinstance(element, PrepareDualRail):
-            lines.append(
-                "dualrail "
-                f"{_fmt_float(element.a0.real)} {_fmt_float(element.a0.imag)} "
-                f"{_fmt_float(element.a1.real)} {_fmt_float(element.a1.imag)} "
-                f"on {ref(element.rail1)} {ref(element.rail0)}"
-            )
+            amps = f"{_fmt_complex(element.a0)} {_fmt_complex(element.a1)}"
+            lines.append(f"dualrail {amps} on {ref(element.rail1)} {ref(element.rail0)}")
         elif isinstance(element, PrepareBell):
             lines.append(f"bell {element.kind} on " + " ".join(ref(m) for m in element.modes))
         elif isinstance(element, ApplyBS):
             line = f"bs {ref(element.modes[0])} {ref(element.modes[1])}"
             if element.matrix is not None:
-                reals = " ".join(
-                    f"{_fmt_float(z.real)} {_fmt_float(z.imag)}" for z in element.matrix
-                )
-                line += f" matrix {reals}"
+                line += " matrix " + " ".join(map(_fmt_complex, element.matrix))
             lines.append(line)
         elif isinstance(element, Detect):
             lines.append(f"detect {ref(element.mode)} as {element.name}")
@@ -847,12 +794,10 @@ def _preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Factor
     if isinstance(element, PrepareKet):
         return range(ir.mode_count), tuple(FockState(ir.mode_count, element.terms).terms.items())
     if isinstance(element, PrepareDualRail):
-        a0, a1 = complex(element.a0), complex(element.a1)
-        return (element.rail1, element.rail0), tuple(zip(rails.RAIL_KETS, (a0, a1)))
-    if isinstance(element, PrepareBell):
-        bell = rails.bell_state(element.kind, DualRailQubit(0, 1), DualRailQubit(2, 3), 4)
-        return element.modes, tuple(bell.terms.items())
-    raise TypeError(element)
+        amps = map(complex, (element.a0, element.a1))
+        return (element.rail1, element.rail0), tuple(zip(rails.RAIL_KETS, amps))
+    bell = rails.bell_state(element.kind, DualRailQubit(0, 1), DualRailQubit(2, 3), 4)
+    return element.modes, tuple(bell.terms.items())
 
 
 def _inject(state: FockState, positions: list[int], factor: Factor) -> FockState:

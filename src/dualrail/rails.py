@@ -92,14 +92,15 @@ class LogicalAmplitudes:
 
 def is_normalized(amplitudes: Iterable[complex]) -> bool:
     """Whether the squared norm is within 1e-6 of 1; false if it overflows or is nan."""
-    # Other types through complex(), as numpy scalars would warn; abs and **
-    # raise OverflowError where the modulus or its square leaves the float range.
+    # Not abs(a) ** 2, which raises OverflowError where these products give inf.
+    # complex() keeps numpy scalars from warning; on float and complex it changes no bit.
     norm_squared = 0.0
-    for z in amplitudes:
-        try:
-            norm_squared += abs(z if type(z) in (float, complex) else complex(z)) ** 2
-        except OverflowError:
-            return False
+    try:
+        for z in amplitudes:
+            z = z if type(z) in (float, complex) else complex(z)
+            norm_squared += z.real * z.real + z.imag * z.imag
+    except OverflowError:  # complex() of an int past the float range
+        return False
     return abs(norm_squared - 1.0) <= 1e-6
 
 

@@ -169,8 +169,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "a0, a1 = complex(element.a0), complex(element.a1)",
-        "a0, a1 = element.a0, element.a1",
+        "amps = map(complex, (element.a0, element.a1))",
+        "amps = (element.a0, element.a1)",
         "injected dual-rail amplitudes stay numpy scalars instead of Python complex",
     ),
     Mutant(
@@ -319,14 +319,14 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "        if sum(occ) > MAX_PHOTONS:\n",
-        "        if sum(occ) > 2 * MAX_PHOTONS:\n",
+        "            if sum(occ) > MAX_PHOTONS:\n",
+        "            if sum(occ) > 2 * MAX_PHOTONS:\n",
         "a ket term may hold more than MAX_PHOTONS photons",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "    if not all(map(cmath.isfinite, amps)):\n",
-        "    if False:\n",
+        "        if not all(map(cmath.isfinite, amps)):\n",
+        "        if False:\n",
         "a non-finite ket amplitude is reported as a norm fault, not at its amp token",
     ),
     Mutant(
@@ -337,8 +337,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "            if len(set(kets)) < len(kets):",
-        "            if False:",
+        "            if len(set(kets)) < len(kets):\n",
+        "            if False:\n",
         "equal ket terms are not added up before the norm check",
     ),
     Mutant(
@@ -349,8 +349,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "    if kind not in rails.BELL_KINDS:\n",
-        "    if False:\n",
+        "        if kind not in rails.BELL_KINDS:\n",
+        "        if False:\n",
         "an unknown Bell kind raises a bare ValueError from the engine",
     ),
     Mutant(
@@ -361,8 +361,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "    if count < 0:\n",
-        "    if count < -1:\n",
+        "        if count < 0:\n",
+        "        if count < -1:\n",
         "a predicate count of -1 passes and never holds",
     ),
     Mutant(
@@ -388,6 +388,30 @@ MUTANTS = [
         '        if not m or m.lastgroup != "name":\n',
         "        if not m:\n",
         "format writes a number label such as 3, which parse reads as a mode",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "        if not 0 <= m < self.mode_count:\n",
+        "        if not 0 <= m <= self.mode_count:\n",
+        "a mode one past the last passes the range rule in parse and in the rule pass",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "    except OverflowError:  # complex() of an int past the float range\n",
+        "    except ZeroDivisionError:\n",
+        "a hand-built dualrail amplitude of 10**400 raises a bare OverflowError from the rule pass",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "            z = z if type(z) in (float, complex) else complex(z)\n",
+        "            pass\n",
+        "a numpy amplitude whose square overflows warns instead of failing the norm check",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "            if self.used:  # a ket prepares every mode",
+        "            if False:  # a ket prepares every mode",
+        "a ket after a dualrail on the same modes passes the rule pass",
     ),
 ]
 

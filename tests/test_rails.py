@@ -14,6 +14,7 @@ from dualrail.rails import (
     decode,
     decode_register,
     encode,
+    is_normalized,
     pauli_correction,
 )
 
@@ -190,3 +191,10 @@ def test_bloch_parametrization():
     assert q.a0 == pytest.approx(SQRT_HALF)
     assert q.a1 == pytest.approx(SQRT_HALF)
     assert LogicalAmplitudes.from_bloch(0.0, 0.0).a0 == pytest.approx(1.0)
+
+
+def test_is_normalized_takes_numpy_scalars_without_a_warning():
+    # numpy scalars go through complex(), whose products overflow to inf silently.
+    assert is_normalized((np.float64(0.6), np.complex128(0.8j)))
+    assert not is_normalized((np.float64(1e200), np.complex128(0)))
+    assert not is_normalized((10**400, 0))  # complex() of this int overflows
