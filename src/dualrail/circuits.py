@@ -24,8 +24,10 @@ by the formatter, which writes only labels and outcome names that scan as a
 
 Every program rule lives in one rule pass, ``_Rules``, checked element by
 element in program order: by ``run_branches`` and ``format`` over a
-hand-built ``CircuitIR``, and by ``parse`` on each statement once read, so a
-broken rule is a ``ParseError`` at that statement or at the token it judges.
+hand-built ``CircuitIR``, whose fields must have their IR types (integer modes,
+counts and occupations, number amplitudes, pairs as ket terms and equalities),
+and by ``parse`` on each statement once read, so a broken rule is a
+``ParseError`` at that statement or at the token it judges.
 ``parse`` keeps only the rules of reading the text: ``modes`` comes first and
 once, labels are declared, and ``ket`` lines come before operations.
 
@@ -50,7 +52,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from . import measure, rails
-from .fock import FockState, layout
+from .fock import FockState, as_int, as_ints, layout
 from .optics import ModeUnitary, apply_mode_unitary, hadamard_bs
 from .rails import DualRailQubit, is_normalized
 
@@ -70,9 +72,6 @@ MAX_PHOTONS = 64
 # text can ask for. Every program the package builds itself stays below 100,
 # and perfbench's wide-states inputs hold up to 1,716 terms.
 MAX_TERMS = 2**16
-
-# frozenset(range(n)) for each mode count, built once: the rule pass runs per gate call.
-_MODE_SETS = tuple(frozenset(range(n)) for n in range(MAX_MODES + 1))
 
 # A predicate in disjunctive normal form: OR over tuples of (name, count)
 # equalities that are ANDed together.
@@ -250,16 +249,32 @@ class _LineParser:
 # --------------------------------------------------------------------------
 
 
+def _checked(call: Callable, *args):
+    """``call(*args)``, a ``ValueError`` raised as a ``CircuitError`` with its message."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise CircuitError(str(exc)) from None
+
+
+def _sized(items: Sequence, n: int, what: str, noun: str) -> Sequence:
+    """``items`` if it holds ``n`` entries, else a ``CircuitError``."""
+    try:
+        size = len(items)
+    except TypeError:
+        raise CircuitError(f"expected {what} {noun} as a sequence, got {items!r}") from None
+    if size != n:
+        raise CircuitError(f"{what} needs {n} {noun}, got {size}")
+    return items
+
+
 class _Rules:
     """Every program rule, checked one element at a time in program order; a
     broken rule raises a one-line ``CircuitError``. ``parse`` calls the value
-    rules, ``mode`` to ``bell_kind``, at the token they judge."""
+    rules, ``amplitude`` to ``bell_kind``, at the token they judge."""
 
     def __init__(self, mode_count: int, labels: Sequence[str] | None) -> None:
-        try:
-            n = self.mode_count = index(mode_count)
-        except TypeError:
-            raise CircuitError(f"expected integer mode count, got {mode_count!r}") from None
+        n = self.mode_count = _checked(as_int, mode_count, "mode count")
         if n <= 0:
             raise CircuitError("mode count must be positive")
         if n > MAX_MODES:
@@ -268,23 +283,17 @@ class _Rules:
             raise CircuitError(f"expected {n} labels, got {len(labels)}")
         if labels is not None and len(set(labels)) != n:
             raise CircuitError("duplicate mode label")
-        self.valid = _MODE_SETS[n]
         self.prepared, self.used, self.detected, self.bound = set(), set(), set(), set()
 
     def check(self, element: Element) -> None:
         """Check one element against the program so far, then record what it does."""
         kind = type(element)
         if kind is ApplyBS:
-            if len(element.modes) != 2:
-                raise CircuitError(f"bs needs 2 modes, got {len(element.modes)}")
-            m = element.matrix
-            if m is not None:
-                if len(m) != 4:
-                    raise CircuitError(f"bs matrix needs 4 entries, got {len(m)}")
-                try:
-                    ModeUnitary([[m[0], m[1]], [m[2], m[3]]])
-                except (TypeError, ValueError) as exc:
-                    raise CircuitError(str(exc)) from None
+            _sized(element.modes, 2, "bs", "modes")
+            if element.matrix is not None:
+                _sized(element.matrix, 4, "bs matrix", "entries")
+                m = [self.amplitude("bs matrix", z) for z in element.matrix]
+                _checked(ModeUnitary, [[m[0], m[1]], [m[2], m[3]]])
             self.touch("bs", element.modes, "beam splitter modes must be distinct")
         elif kind is Detect:
             self.touch("detect", (element.mode,))
@@ -295,7 +304,8 @@ class _Rules:
         elif kind is PrepareDualRail:
             pair = (element.rail1, element.rail0)
             self.touch("dualrail", pair, "rail modes must be distinct", prepares=True)
-            if not is_normalized((element.a0, element.a1)):
+            amps = [self.amplitude("dualrail", a) for a in (element.a0, element.a1)]
+            if not is_normalized(amps):
                 raise CircuitError("dualrail amplitudes are not normalized")
         elif kind is PostSelect:
             self.predicate("postselect", element.predicate)
@@ -304,52 +314,40 @@ class _Rules:
             self.predicate("correct", element.condition)
         elif kind is PrepareBell:
             self.bell_kind(element.kind)
-            if len(element.modes) != 4:
-                raise CircuitError(f"bell needs 4 modes, got {len(element.modes)}")
+            _sized(element.modes, 4, "bell", "modes")
             self.touch("bell", element.modes, "Bell modes must be distinct", prepares=True)
         elif kind is PrepareKet:
-            kets = [tuple(occ) for occ, _ in element.terms]
-            amps = summed = [amp for _, amp in element.terms]
-            self.ket_length(*kets)
-            self.photons(*kets)
-            # Equal kets add up before the norm check; distinct ones skip it (same bits, faster).
-            if len(set(kets)) < len(kets):
-                summed = dict.fromkeys(kets, 0j)
-                for occ, amp in zip(kets, amps):
-                    summed[occ] += amp
-                summed = summed.values()
-            if not is_normalized(summed):
-                self.amplitude(*amps)  # a non-finite term is the finer fault
+            summed: dict[tuple[int, ...], complex] = {}  # equal kets add up before the norm check
+            for term in element.terms:
+                occ, amp = _sized(term, 2, "ket term", "entries")
+                occ = self.occupation(occ)
+                summed[occ] = summed.get(occ, 0j) + self.amplitude("ket", amp)
+            if not is_normalized(summed.values()):
                 raise CircuitError("ket amplitudes are not normalized")
-            if self.used:  # a ket prepares every mode, so any mode used before is a fault
-                self.touch("ket", range(self.mode_count), prepares=True)
-            self.prepared, self.used = set(self.valid), set(self.valid)
+            self.touch("ket", range(self.mode_count), prepares=True)
         else:
             raise CircuitError(f"unknown program element {element!r}")
 
     def touch(self, what: str, modes: Sequence[int], distinct: str = "", prepares: bool = False) -> None:
         """Check ``what`` on ``modes``, then record it: integers in range, none twice
         given ``distinct``, none used before if it ``prepares`` them, else none detected."""
-        try:
-            listed = set(map(index, modes))
-        except TypeError:
-            m = next(m for m in modes if not hasattr(m, "__index__"))
-            raise CircuitError(f"expected integer {what} mode, got {m!r}") from None
-        if not listed <= self.valid:
-            for m in map(index, modes):
-                self.mode(m)
-        if distinct and len(listed) != len(modes):
+        listed = []
+        for m in modes:
+            try:
+                listed.append(self.mode(index(m)))
+            except TypeError:
+                raise CircuitError(f"expected integer {what} mode, got {m!r}") from None
+        if distinct and len(set(listed)) != len(listed):
             raise CircuitError(distinct)
-        if prepares:
-            if not listed.isdisjoint(self.used):
-                m = next(m for m in modes if m in self.used)
+        for m in listed:
+            if prepares and m in self.used:
                 again = "twice" if m in self.prepared else "after it was used"
                 raise CircuitError(f"{what} prepares mode {m + 1} {again}")
-            self.prepared |= listed
-        elif not listed.isdisjoint(self.detected):
-            m = next(m for m in modes if m in self.detected)
-            raise CircuitError(f"{what} uses mode {m + 1}, already consumed by a detector")
-        self.used |= listed
+            if not prepares and m in self.detected:
+                raise CircuitError(f"{what} uses mode {m + 1}, already consumed by a detector")
+        if prepares:
+            self.prepared.update(listed)
+        self.used.update(listed)
 
     def predicate(self, what: str, predicate: Predicate) -> None:
         if not predicate:
@@ -357,32 +355,41 @@ class _Rules:
         for clause in predicate:
             if not clause:
                 raise CircuitError(f"{what} has a clause with no equality")
-            for name, count in clause:
+            for equality in clause:
+                name, count = _sized(equality, 2, what, "(name, count) entries")
                 self.count(count)
                 if name not in self.bound:
                     raise CircuitError(f"{what} references unbound outcome {name!r}")
+
+    def amplitude(self, what: str, amp: complex) -> complex:
+        """``amp`` as a finite complex number; an int past the float range is not normalized."""
+        try:
+            z = 0j + amp  # complex() would parse a string
+        except TypeError:
+            raise CircuitError(f"expected a number as {what} amplitude, got {amp!r}") from None
+        except OverflowError:  # as is_normalized judges it
+            raise CircuitError(f"{what} amplitudes are not normalized") from None
+        if not cmath.isfinite(z):
+            raise CircuitError(f"{what} amplitude must be finite")
+        return z
 
     def mode(self, m: int) -> int:
         if not 0 <= m < self.mode_count:
             raise CircuitError(f"mode {m + 1} out of range")
         return m
 
-    def ket_length(self, *kets: Sequence[int]) -> None:
-        for occ in kets:
-            if len(occ) != self.mode_count:
-                raise CircuitError(f"ket has {len(occ)} modes, expected {self.mode_count}")
-
-    def photons(self, *kets: Sequence[int]) -> None:
-        for occ in kets:
-            if sum(occ) > MAX_PHOTONS:
-                raise CircuitError(f"a ket may hold at most {MAX_PHOTONS} photons")
-
-    def amplitude(self, *amps: complex) -> None:
-        if not all(map(cmath.isfinite, amps)):
-            raise CircuitError("ket amplitude must be finite")
+    def occupation(self, occ: Sequence[int]) -> tuple[int, ...]:
+        occ = _checked(as_ints, occ, "photon counts")
+        if len(occ) != self.mode_count:
+            raise CircuitError(f"ket has {len(occ)} modes, expected {self.mode_count}")
+        if min(occ) < 0:
+            raise CircuitError("photon count must be non-negative")
+        if sum(occ) > MAX_PHOTONS:
+            raise CircuitError(f"a ket may hold at most {MAX_PHOTONS} photons")
+        return occ
 
     def count(self, count: int) -> None:
-        if count < 0:
+        if _checked(as_int, count, "photon count") < 0:
             raise CircuitError("photon count must be non-negative")
 
     def bell_kind(self, kind: str) -> None:
@@ -493,13 +500,12 @@ def parse(source: str) -> CircuitIR:
                 occ = tuple(int(x) for x in body.split(","))
             except ValueError:
                 raise ParseError(line_no, tok.column, "malformed ket", tok.text)
-            _rule((line_no, tok.column), b.rules.ket_length, occ)
-            _rule((line_no, tok.column, tok.text), b.rules.photons, occ)
+            _rule((line_no, tok.column, tok.text), b.rules.occupation, occ)
             amp = 1.0 + 0j
             if p.peek() is not None:
                 amp_tok = p.take_literal("amp")
                 amp = complex(p.take_float("amp real part"), p.take_float("amp imaginary part"))
-                _rule((line_no, amp_tok.column), b.rules.amplitude, amp)
+                _rule((line_no, amp_tok.column), b.rules.amplitude, "ket", amp)
             p.expect_end()
             if any(type(e) not in (PrepareKet, PrepareDualRail, PrepareBell) for e in b.elements):
                 raise ParseError(*where, "ket terms must come before operations")
@@ -559,12 +565,13 @@ def parse(source: str) -> CircuitIR:
 
 
 def _fmt_complex(z: complex) -> str:
+    z = complex(z)  # a numpy scalar's repr is not a .loc number
     return f"{z.real + 0.0!r} {z.imag + 0.0!r}"
 
 
 def _fmt_predicate(predicate: Predicate) -> str:
     return " || ".join(
-        " && ".join(f"{name} == {count}" for name, count in clause) for clause in predicate
+        " && ".join(f"{name} == {index(count)}" for name, count in clause) for clause in predicate
     )
 
 
@@ -580,11 +587,11 @@ def format(ir: CircuitIR) -> str:
         if not m or m.lastgroup != "name":
             raise CircuitError(f"{what} {name!r} is not a .loc name")
     ref = ir.label_of
-    lines = [f"modes {ir.mode_count}" + (" labels " + " ".join(ir.labels) if ir.labels else "")]
+    lines = [f"modes {index(ir.mode_count)}" + (" labels " + " ".join(ir.labels) if ir.labels else "")]
     for element in ir.elements:
         if isinstance(element, PrepareKet):
             for occ, amp in element.terms:
-                lines.append(f"ket |{','.join(map(str, occ))}> amp {_fmt_complex(amp)}")
+                lines.append(f"ket |{','.join(map(str, map(index, occ)))}> amp {_fmt_complex(amp)}")
         elif isinstance(element, PrepareDualRail):
             amps = f"{_fmt_complex(element.a0)} {_fmt_complex(element.a1)}"
             lines.append(f"dualrail {amps} on {ref(element.rail1)} {ref(element.rail0)}")

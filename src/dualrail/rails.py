@@ -92,12 +92,11 @@ class LogicalAmplitudes:
 
 def is_normalized(amplitudes: Iterable[complex]) -> bool:
     """Whether the squared norm is within 1e-6 of 1; false if it overflows or is nan."""
-    # Not abs(a) ** 2, which raises OverflowError where these products give inf.
-    # complex() keeps numpy scalars from warning; on float and complex it changes no bit.
+    # Not abs(a) ** 2, which raises OverflowError where these products give inf;
+    # complex() keeps numpy scalars from warning.
     norm_squared = 0.0
     try:
-        for z in amplitudes:
-            z = z if type(z) in (float, complex) else complex(z)
+        for z in map(complex, amplitudes):
             norm_squared += z.real * z.real + z.imag * z.imag
     except OverflowError:  # complex() of an int past the float range
         return False

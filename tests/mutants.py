@@ -247,14 +247,14 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "n = self.mode_count = index(mode_count)",
+        'n = self.mode_count = _checked(as_int, mode_count, "mode count")',
         "n = self.mode_count = int(mode_count)",
         "a hand-built mode count of 2.0 or '2' passes validation",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "listed = set(map(index, modes))",
-        "listed = set(map(int, modes))",
+        "listed.append(self.mode(index(m)))",
+        "listed.append(self.mode(int(m)))",
         "a hand-built mode of 0.0 runs as mode 0 and formats as 1.0",
     ),
     Mutant(
@@ -313,39 +313,39 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "            if len(occ) != self.mode_count:\n",
-        "            if len(occ) > self.mode_count:\n",
+        "        if len(occ) != self.mode_count:\n",
+        "        if len(occ) > self.mode_count:\n",
         "a ket term shorter than the mode count passes",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "            if sum(occ) > MAX_PHOTONS:\n",
-        "            if sum(occ) > 2 * MAX_PHOTONS:\n",
+        "        if sum(occ) > MAX_PHOTONS:\n",
+        "        if sum(occ) > 2 * MAX_PHOTONS:\n",
         "a ket term may hold more than MAX_PHOTONS photons",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "        if not all(map(cmath.isfinite, amps)):\n",
+        "        if not cmath.isfinite(z):\n",
         "        if False:\n",
         "a non-finite ket amplitude is reported as a norm fault, not at its amp token",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "            if not is_normalized(summed):\n",
+        "            if not is_normalized(summed.values()):\n",
         "            if False:\n",
         "a hand-built ket of norm 2 runs with accepted probability 4",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "            if len(set(kets)) < len(kets):\n",
-        "            if False:\n",
+        'summed[occ] = summed.get(occ, 0j) + self.amplitude("ket", amp)',
+        'summed[occ] = self.amplitude("ket", amp)',
         "equal ket terms are not added up before the norm check",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "            if not is_normalized((element.a0, element.a1)):\n",
+        "            if not is_normalized(amps):\n",
         "            if False:\n",
-        "a hand-built dualrail of norm 2 raises a bare ValueError from the engine",
+        "a hand-built dualrail of norm 2 runs with accepted probability 4",
     ),
     Mutant(
         "src/dualrail/circuits.py",
@@ -355,14 +355,14 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "                    ModeUnitary([[m[0], m[1]], [m[2], m[3]]])\n",
-        "                    pass\n",
+        "                _checked(ModeUnitary, [[m[0], m[1]], [m[2], m[3]]])\n",
+        "                pass\n",
         "a non-unitary bs matrix raises a bare ValueError from the engine",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "        if count < 0:\n",
-        "        if count < -1:\n",
+        'if _checked(as_int, count, "photon count") < 0:',
+        'if _checked(as_int, count, "photon count") < -1:',
         "a predicate count of -1 passes and never holds",
     ),
     Mutant(
@@ -403,15 +403,93 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/rails.py",
-        "            z = z if type(z) in (float, complex) else complex(z)\n",
-        "            pass\n",
+        "for z in map(complex, amplitudes):",
+        "for z in amplitudes:",
         "a numpy amplitude whose square overflows warns instead of failing the norm check",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "            if self.used:  # a ket prepares every mode",
-        "            if False:  # a ket prepares every mode",
+        'self.touch("ket", range(self.mode_count), prepares=True)',
+        'self.touch("ket", range(self.mode_count))',
         "a ket after a dualrail on the same modes passes the rule pass",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        'occ = _checked(as_ints, occ, "photon counts")',
+        "occ = tuple(occ)",
+        "a ket occupation of (1.0, 0) passes the rule pass and raises a bare ValueError from the engine",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "        if min(occ) < 0:\n",
+        "        if min(occ) < -1:\n",
+        "a ket occupation of (-1, 2) passes the rule pass and formats to text parse rejects",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        'if _checked(as_int, count, "photon count") < 0:',
+        "if count < 0:",
+        "a predicate count of 1.0 passes the rule pass and formats as 1.0",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        'name, count = _sized(equality, 2, what, "(name, count) entries")',
+        "name, count = equality",
+        "a clause missing a tuple level raises a bare ValueError from the rule pass",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        'occ, amp = _sized(term, 2, "ket term", "entries")',
+        "occ, amp = term",
+        "a ket term of three entries raises a bare ValueError from the rule pass",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        '    except TypeError:\n        raise CircuitError(f"expected {what} {noun} as a sequence',
+        '    except ZeroDivisionError:\n        raise CircuitError(f"expected {what} {noun} as a sequence',
+        "bell modes of 5 raise a bare TypeError from len",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "z = 0j + amp  # complex() would parse a string",
+        "z = complex(amp)",
+        "a dualrail amplitude of '1' passes the rule pass",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "        except OverflowError:  # as is_normalized judges it\n",
+        "        except ZeroDivisionError:\n",
+        "a ket amplitude of 10**400 raises a bare OverflowError from the rule pass",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        'm = [self.amplitude("bs matrix", z) for z in element.matrix]',
+        "m = list(element.matrix)",
+        "a bs matrix entry of 10**400 raises a bare OverflowError from ModeUnitary",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "map(str, map(index, occ))",
+        "map(str, occ)",
+        "format writes a bool occupation as True, which parse rejects",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "{name} == {index(count)}",
+        "{name} == {count}",
+        "format writes a bool predicate count as True, which parse rejects",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "    z = complex(z)  # a numpy scalar's repr is not a .loc number\n",
+        "",
+        "format writes a numpy amplitude as np.float64(0.8), which parse rejects",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        'f"modes {index(ir.mode_count)}"',
+        'f"modes {ir.mode_count}"',
+        "format writes a bool mode count as modes True, which parse rejects",
     ),
 ]
 

@@ -232,28 +232,53 @@ class TestHandBuiltPrograms:
             (2, None, (PostSelect(()),), "postselect needs at least one clause"),
             (2, None, (PostSelect(((),)),), "postselect has a clause with no equality"),
             (2, None, (ONE_PHOTON, "junk"), "unknown program element 'junk'"),
+            (2, None, (PrepareKet((((-1, 2), 1 + 0j),)),), "photon count must be non-negative"),
+            (2, None, (PrepareKet((((1.0, 0), 1 + 0j),)),), "expected integer photon counts, got (1.0, 0)"),
+            (2, None, (ONE_PHOTON, Detect(0, "a"), PostSelect(((("a", 1.0),),))),
+             "expected integer photon count, got 1.0"),
+            (2, None, (ONE_PHOTON, Detect(0, "a"), PostSelect(((("a", "1"),),))),
+             "expected integer photon count, got '1'"),
+            (2, None, (ONE_PHOTON, Detect(0, "a"), PostSelect((("a", 1),))),
+             "postselect needs 2 (name, count) entries, got 1"),
+            (2, None, (PrepareKet((((1, 0), 10**400),)),), "ket amplitudes are not normalized"),
+            (2, None, (ApplyBS((0, 1), (10**400, 0, 0, 1)),), "bs matrix amplitudes are not normalized"),
+            (2, None, (ApplyBS((0, 1), ("1", 0, 0, "1")),), "expected a number as bs matrix amplitude, got '1'"),
+            (2, None, (PrepareDualRail("1", 0, 0, 1),), "expected a number as dualrail amplitude, got '1'"),
+            (2, None, (PrepareDualRail(complex("inf"), 0, 0, 1),), "dualrail amplitude must be finite"),
+            (2, None, (PrepareKet((((1, 0), "1"),)),), "expected a number as ket amplitude, got '1'"),
+            (2, None, (PrepareKet((((1, 0), "x"),)),), "expected a number as ket amplitude, got 'x'"),
+            (2, None, (PrepareKet((((1, 0), 1 + 0j, 0),)),), "ket term needs 2 entries, got 3"),
+            (2, None, (PrepareKet((5,)),), "expected ket term entries as a sequence, got 5"),
+            (4, None, (PrepareBell("phi+", 5),), "expected bell modes as a sequence, got 5"),
         ],
         ids=["short-labels", "long-labels", "repeated-label", "float-count", "str-count",
              "float-bs-mode", "float-rail", "str-detect-mode", "ket-norm", "ket-inf", "dualrail-norm",
              "dualrail-huge-int", "bell-kind", "non-unitary", "zero-modes", "too-many-modes", "ket-photons",
-             "negative-count", "no-clause", "empty-clause", "junk"],
+             "negative-count", "no-clause", "empty-clause", "junk", "negative-occupation", "float-occupation",
+             "float-predicate-count", "str-predicate-count", "pairless-clause", "ket-huge-int", "bs-huge-int",
+             "str-bs-entry", "str-dualrail-amp", "dualrail-inf", "str-ket-amp", "word-ket-amp", "long-ket-term",
+             "int-ket-term", "int-bell-modes"],
     )
     def test_each_program_fault_raises_before_run_and_format(self, mode_count, labels, elements, message):
-        """Unchecked, each raises IndexError, TypeError or ValueError, or runs
-        (an unnormalized ket with accepted probability 4) and formats to text
-        that ``parse`` rejects."""
+        """Unchecked, each raises AttributeError, IndexError, OverflowError,
+        TypeError or ValueError, or runs (an unnormalized ket with accepted
+        probability 4) and formats to text that ``parse`` rejects."""
         ir = circuits.CircuitIR(mode_count, labels, elements)
         for call in (circuits.run_branches, circuits.format):
             with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
                 call(ir)
 
     def test_numpy_integer_modes_run_and_round_trip(self):
+        # numpy and bool modes, occupations and counts, and a numpy amplitude,
+        # run as their ints do and format as ints and floats.
         i = np.int64
-        ir = circuits.CircuitIR(
-            i(2), None, (ONE_PHOTON, ApplyBS((i(0), np.int32(1)), None), Detect(i(1), "a"))
-        )
-        assert circuits.run_branches(ir).accepted_probability == pytest.approx(1.0)
-        assert parse(circuits.format(ir)) == ir
+        ket = PrepareKet((((i(1), False), 0.6 + 0j), ((0, True), np.float64(0.8))))
+        select = PostSelect(((("a", i(1)),), (("a", True), ("a", np.int32(1)))))
+        ir = circuits.CircuitIR(i(2), None, (ket, ApplyBS((i(0), np.int32(1)), None), Detect(i(1), "a"), select))
+        parsed = parse(circuits.format(ir))
+        assert parsed == ir
+        assert branch_bits(circuits.run_branches(ir)) == branch_bits(circuits.run_branches(parsed))
+        assert circuits.format(circuits.CircuitIR(True, None, ())) == "modes 1\n"
 
     def test_a_subclassed_element_is_unknown(self):
         class Splitter(ApplyBS):
@@ -564,12 +589,24 @@ def plant(ir: circuits.CircuitIR, fault: str) -> circuits.CircuitIR:
         "no-clause": PostSelect(()),
         "empty-clause": PostSelect(((),)),
         "junk": "junk",
+        "negative-occupation": PrepareKet((((-1,) + first[1:], 1 + 0j),)),
+        "float-occupation": PrepareKet((((1.0,) + first[1:], 1 + 0j),)),
+        "float-predicate-count": PostSelect(((("d1", 1.0),),)),
+        "pairless-clause": PostSelect((("d", 1),)),
+        "ket-huge-int": PrepareKet(((first, 10**400),)),
+        "bs-huge-int": ApplyBS((0, 1), (10**400, 0, 0, 1)),
+        "str-dualrail-amp": PrepareDualRail("1", 0, 0, 1),
+        "str-ket-amp": PrepareKet(((first, "1"),)),
+        "long-ket-term": PrepareKet(((first, 1 + 0j, 0),)),
+        "int-bell-modes": PrepareBell("phi+", 5),
     }[fault]
     return circuits.CircuitIR(ir.mode_count, ir.labels, (element, *ir.elements))
 
 
 FAULTS = ["zero-modes", "too-many-modes", "ket-norm", "ket-inf", "ket-photons", "dualrail-norm",
-          "bell-kind", "non-unitary", "negative-count", "no-clause", "empty-clause", "junk"]
+          "bell-kind", "non-unitary", "negative-count", "no-clause", "empty-clause", "junk",
+          "negative-occupation", "float-occupation", "float-predicate-count", "pairless-clause", "ket-huge-int",
+          "bs-huge-int", "str-dualrail-amp", "str-ket-amp", "long-ket-term", "int-bell-modes"]
 
 
 # Part of the message of the one run-time CircuitError a valid program can raise.
