@@ -24,20 +24,24 @@ by the formatter, which writes only labels and outcome names that scan as a
 
 Every program rule lives in one rule pass, ``_Rules``, checked element by
 element in program order: by ``run_branches`` and ``format`` over a
-hand-built ``CircuitIR``, whose fields must have their IR types (integer modes,
-counts and occupations, number amplitudes, pairs as ket terms and equalities),
-and by ``parse`` on each statement once read, so a broken rule is a
-``ParseError`` at that statement or at the token it judges.
+hand-built ``CircuitIR`` on every call, whose fields must have their IR types
+(integer modes, counts and occupations, number amplitudes, sequences where the
+IR holds tuples, pairs as ket terms and equalities, hashable labels and
+outcome names), and by ``parse`` on each statement once read, so a broken rule
+is a ``ParseError`` at that statement or at the token it judges.
 ``parse`` keeps only the rules of reading the text: ``modes`` comes first and
 once, labels are declared, and ``ket`` lines come before operations.
 
 One engine runs every program, the gates in ``protocols`` included, which
-build their IR in Python. It enumerates every detector outcome: consecutive
-``detect`` lines are one joint measurement; ``postselect`` flags the branches
-it rejects instead of dropping them, so they keep evolving; ``correct`` acts
-only on accepted branches. ``run_branches`` returns every branch and the
-accepted and rejected weight as one ``RunResult``; ``execute`` keeps only
-its survivors.
+build their IR in Python, check once per shape and run through
+``_run_checked``, the engine's step after the rule pass, with each call's
+inputs bound in. Each preparation and ``bs`` is bounded by the ``MAX_TERMS``
+terms it could output before it runs. The engine enumerates every detector
+outcome: consecutive ``detect`` lines are one joint measurement;
+``postselect`` flags the branches it rejects instead of dropping them, so
+they keep evolving; ``correct`` acts only on accepted branches.
+``run_branches`` returns every branch and the accepted and rejected weight as
+one ``RunResult``; ``execute`` keeps only its survivors.
 """
 
 from __future__ import annotations
@@ -67,10 +71,10 @@ MAX_MODES = 64
 # the encoder at its copy limit holds 20 + 1 = 21 photons per term.
 MAX_PHOTONS = 64
 
-# The most terms one beam splitter may output, summed over the live branches.
-# Checked before the splitter runs, it bounds the time and memory a program
-# text can ask for. Every program the package builds itself stays below 100,
-# and perfbench's wide-states inputs hold up to 1,716 terms.
+# The most terms one beam splitter or preparation may output, summed over the
+# live branches. Checked before the element runs, it bounds the time and
+# memory a program text can ask for. Every program the package builds itself
+# stays below 100, and perfbench's wide-states inputs hold up to 1,716 terms.
 MAX_TERMS = 2**16
 
 # A predicate in disjunctive normal form: OR over tuples of (name, count)
@@ -257,15 +261,30 @@ def _checked(call: Callable, *args):
         raise CircuitError(str(exc)) from None
 
 
-def _sized(items: Sequence, n: int, what: str, noun: str) -> Sequence:
-    """``items`` if it holds ``n`` entries, else a ``CircuitError``."""
+def _sequence(items: Sequence, what: str, noun: str) -> Sequence:
+    """``items`` if it has a length, else a ``CircuitError``."""
     try:
-        size = len(items)
+        len(items)
     except TypeError:
         raise CircuitError(f"expected {what} {noun} as a sequence, got {items!r}") from None
+    return items
+
+
+def _sized(items: Sequence, n: int, what: str, noun: str) -> Sequence:
+    """``items`` if it holds ``n`` entries, else a ``CircuitError``."""
+    size = len(_sequence(items, what, noun))
     if size != n:
         raise CircuitError(f"{what} needs {n} {noun}, got {size}")
     return items
+
+
+def _hashable(name, what: str):
+    """``name`` if it can key a dict, as labels and outcome names do, else a ``CircuitError``."""
+    try:
+        hash(name)
+    except TypeError:
+        raise CircuitError(f"expected a hashable {what}, got {name!r}") from None
+    return name
 
 
 class _Rules:
@@ -279,6 +298,9 @@ class _Rules:
             raise CircuitError("mode count must be positive")
         if n > MAX_MODES:
             raise CircuitError(f"mode count must be at most {MAX_MODES}")
+        if labels is not None:
+            for label in _sequence(labels, "mode", "labels"):
+                _hashable(label, "mode label")
         if labels is not None and len(labels) != n:
             raise CircuitError(f"expected {n} labels, got {len(labels)}")
         if labels is not None and len(set(labels)) != n:
@@ -297,7 +319,7 @@ class _Rules:
             self.touch("bs", element.modes, "beam splitter modes must be distinct")
         elif kind is Detect:
             self.touch("detect", (element.mode,))
-            if element.name in self.bound:
+            if _hashable(element.name, "outcome name") in self.bound:
                 raise CircuitError(f"outcome name {element.name!r} bound twice")
             self.detected.add(element.mode)
             self.bound.add(element.name)
@@ -318,7 +340,7 @@ class _Rules:
             self.touch("bell", element.modes, "Bell modes must be distinct", prepares=True)
         elif kind is PrepareKet:
             summed: dict[tuple[int, ...], complex] = {}  # equal kets add up before the norm check
-            for term in element.terms:
+            for term in _sequence(element.terms, "ket", "terms"):
                 occ, amp = _sized(term, 2, "ket term", "entries")
                 occ = self.occupation(occ)
                 summed[occ] = summed.get(occ, 0j) + self.amplitude("ket", amp)
@@ -350,15 +372,17 @@ class _Rules:
         self.used.update(listed)
 
     def predicate(self, what: str, predicate: Predicate) -> None:
+        _sequence(predicate, what, "clauses")
         if not predicate:
             raise CircuitError(f"{what} needs at least one clause")
         for clause in predicate:
+            _sequence(clause, what, "equalities")
             if not clause:
                 raise CircuitError(f"{what} has a clause with no equality")
             for equality in clause:
                 name, count = _sized(equality, 2, what, "(name, count) entries")
                 self.count(count)
-                if name not in self.bound:
+                if _hashable(name, "outcome name") not in self.bound:
                     raise CircuitError(f"{what} references unbound outcome {name!r}")
 
     def amplitude(self, what: str, amp: complex) -> complex:
@@ -398,9 +422,10 @@ class _Rules:
 
 
 def _validate(ir: CircuitIR) -> None:
-    """Run the rule pass over a whole program, as ``run_branches`` and ``format`` do first."""
+    """Run the rule pass over a whole program, as ``run_branches`` and ``format`` do
+    first, and as ``protocols`` does once for each gate program it builds."""
     check = _Rules(ir.mode_count, ir.labels).check
-    for element in ir.elements:
+    for element in _sequence(ir.elements, "program", "elements"):
         check(element)
 
 
@@ -696,10 +721,18 @@ def run_branches(ir: CircuitIR) -> RunResult:
     instead of dropping them, and ``correct`` acts only on accepted branches.
     The probabilities of all branches sum to the prepared state's squared
     norm; the result splits that sum into accepted and rejected weight.
-    The program first goes through the rule pass that ``parse`` runs, so a
-    hand-built ``CircuitIR`` that breaks a rule raises its ``CircuitError``.
+    The program first goes through the rule pass that ``parse`` runs, on
+    every call, so a hand-built ``CircuitIR`` that breaks a rule raises its
+    ``CircuitError``. The gates' own programs take the pass once per shape
+    and then run through ``_run_checked``, this function's step after it.
     """
     _validate(ir)
+    return _run_checked(ir)
+
+
+def _run_checked(ir: CircuitIR) -> RunResult:
+    """``run_branches`` on a program that has passed the rule pass: a gate's program,
+    checked once per shape, with input amplitudes that the gate checks on entry bound in."""
     live = tuple(range(ir.mode_count))  # every branch's circuit mode at each position
     branches = [Branch({}, 1.0, FockState.vacuum(ir.mode_count), (), True)]
     for joint, group in itertools.groupby(ir.elements, lambda e: isinstance(e, Detect)):
@@ -715,12 +748,7 @@ def run_branches(ir: CircuitIR) -> RunResult:
                 m = element.matrix
                 u = _HADAMARD if m is None else ModeUnitary([[m[0], m[1]], [m[2], m[3]]])
                 pq = [live.index(mode) for mode in element.modes]
-                bound = _term_bound(branches, pq)
-                if bound > MAX_TERMS:
-                    p, q = map(ir.label_of, element.modes)
-                    raise CircuitError(
-                        f"bs {p} {q} could output {bound} terms, above the limit of {MAX_TERMS}"
-                    )
+                _limit_terms(ir, element, _term_bound(branches, pq))
                 for b in branches:
                     b.residual = apply_mode_unitary(b.residual, pq, u)
             elif isinstance(element, PostSelect):
@@ -740,6 +768,7 @@ def run_branches(ir: CircuitIR) -> RunResult:
                         b.corrections = b.corrections + (f"Z on ({r1}, {r0})",)
             else:
                 modes, terms = _preparation(ir, element)
+                _limit_terms(ir, element, len(terms) * sum(len(b.residual.terms) for b in branches))
                 positions = [live.index(mode) for mode in modes]
                 for b in branches:
                     b.residual = _inject(b.residual, positions, terms)
@@ -749,6 +778,23 @@ def run_branches(ir: CircuitIR) -> RunResult:
         sum((b.probability for b in branches if not b.accepted), 0.0),
         output_labels=tuple(map(ir.label_of, live)),
     )
+
+
+def _limit_terms(ir: CircuitIR, element: Element, bound: int) -> None:
+    """The one check of ``MAX_TERMS``: a ``CircuitError`` naming ``element``, a ``bs`` or
+    a preparation, if it could output ``bound`` terms summed over the live branches."""
+    if bound <= MAX_TERMS:
+        return
+    if isinstance(element, ApplyBS):
+        what, modes = "bs", element.modes
+    elif isinstance(element, PrepareDualRail):
+        what, modes = "dualrail on", (element.rail1, element.rail0)
+    elif isinstance(element, PrepareBell):
+        what, modes = f"bell {element.kind} on", element.modes
+    else:
+        what, modes = "ket", ()
+    name = what + "".join(f" {ir.label_of(m)}" for m in modes)
+    raise CircuitError(f"{name} could output {bound} terms, above the limit of {MAX_TERMS}")
 
 
 def _term_bound(branches: list[Branch], positions: list[int]) -> int:
@@ -790,6 +836,13 @@ def execute(ir: CircuitIR) -> RunResult:
 
 Factor = tuple[tuple[tuple[int, ...], complex], ...]
 
+# Each Bell kind's factor on its four listed modes, built once: every ``bell`` of
+# every run shares it.
+_BELL_FACTORS = {
+    kind: tuple(rails.bell_state(kind, DualRailQubit(0, 1), DualRailQubit(2, 3), 4).terms.items())
+    for kind in rails.BELL_KINDS
+}
+
 
 def _preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Factor]:
     """The modes a preparation writes and its (sub-ket, amplitude) terms, checked once.
@@ -802,9 +855,10 @@ def _preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Factor
         return range(ir.mode_count), tuple(FockState(ir.mode_count, element.terms).terms.items())
     if isinstance(element, PrepareDualRail):
         amps = map(complex, (element.a0, element.a1))
-        return (element.rail1, element.rail0), tuple(zip(rails.RAIL_KETS, amps))
-    bell = rails.bell_state(element.kind, DualRailQubit(0, 1), DualRailQubit(2, 3), 4)
-    return element.modes, tuple(bell.terms.items())
+        # A zero amplitude's term would be pruned after it was written, and bounded before.
+        terms = tuple((k, a) for k, a in zip(rails.RAIL_KETS, amps) if a)
+        return (element.rail1, element.rail0), terms
+    return element.modes, _BELL_FACTORS[element.kind]
 
 
 def _inject(state: FockState, positions: list[int], factor: Factor) -> FockState:

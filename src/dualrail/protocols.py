@@ -13,6 +13,10 @@ heralded decides the correction picked up by the teleported rail:
   gate burning the encoded copy; the surviving half of the register carries
   the control out.
 
+Each gate is a circuit program for the engine in ``circuits``, built and put
+through the rule pass once per policy and copy count; a call binds its checked
+input amplitudes into the program's preparations.
+
 Detectors herald success: the singlet component maps to exactly one photon
 on D1 and none on D2. With the beam splitter convention of ``optics`` and
 the mixer applied to the ordered pair (control arm, target rail), the
@@ -26,6 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +46,8 @@ from .circuits import (
     PrepareDualRail,
     PrepareKet,
     RunResult,
-    run_branches,
+    _run_checked,
+    _validate,
 )
 from .fock import as_int
 from .rails import DualRailQubit, LogicalAmplitudes
@@ -379,12 +385,90 @@ def _encoder_stage(n: int, policy: str) -> tuple[Element, ...]:
     )
 
 
+# The input amplitudes a gate's program is built and checked with: logical |0>.
+_UNBOUND = (1.0, 0.0)
+
+
+def _destructive_program(policy: str) -> CircuitIR:
+    return CircuitIR(
+        4,
+        ("1'", "2'", "3", "4"),
+        (
+            PrepareDualRail(*_UNBOUND, 0, 1),
+            PrepareDualRail(*_UNBOUND, 2, 3),
+            *_destructive_stage(DualRailQubit(0, 1), DualRailQubit(2, 3), policy),
+        ),
+    )
+
+
+def _encoder_program(policy: str, n: int) -> CircuitIR:
+    zero, one = rails.RAIL_KETS
+    kets = [r + q for r in (zero * n, one * n) for q in rails.RAIL_KETS]
+    labels = [f"{_pair_letter(i)}{r}" for i in range(n) for r in (1, 2)] + ["1", "2"]
+    product = PrepareKet(tuple(zip(kets, _product_amps(*_UNBOUND))))
+    return CircuitIR(2 * n + 2, tuple(labels), (product, *_encoder_stage(n, policy)))
+
+
+def _product_amps(a0: complex, a1: complex) -> list[complex]:
+    """The amplitudes of the register (|0101...01> - |1010...10>)/sqrt2 times the
+    input a0|0>_L + a1|1>_L, register term by input term, as the encoder's kets list them."""
+    s = 1.0 / math.sqrt(2.0)
+    return [ra * qa for ra in (s, -s) for qa in (a0, a1)]
+
+
+def _nondestructive_program(policy: str) -> CircuitIR:
+    return CircuitIR(
+        8,
+        ("a1", "a2", "1'", "b2", "1", "2", "3", "4"),
+        (
+            # The n=2 register (|0101> - |1010>)/sqrt2 is the Bell state phi-.
+            PrepareBell("phi-", (0, 1, 2, 3)),
+            PrepareDualRail(*_UNBOUND, 4, 5),
+            *_encoder_stage(2, policy),
+            # The target joins after the encoder's herald, as a fresh factor.
+            PrepareDualRail(*_UNBOUND, 6, 7),
+            *_destructive_stage(DualRailQubit(2, 5), DualRailQubit(6, 7), policy),
+        ),
+    )
+
+
+# Each gate's program per (builder, policy, copy count). The gates check the
+# policy and copy count first, so at most 2 + 2 + 2 * 19 = 42 are stored.
+_PROGRAMS: dict[tuple, CircuitIR] = {}
+
+
+def _program(build: Callable[..., CircuitIR], policy: str, *shape: int) -> CircuitIR:
+    """``build(policy, *shape)``, checked by the rule pass on its first call only."""
+    key = (build, policy, *shape)
+    ir = _PROGRAMS.get(key)
+    if ir is None:
+        ir = build(policy, *shape)
+        _validate(ir)
+        _PROGRAMS[key] = ir
+    return ir
+
+
+def _bind(ir: CircuitIR, *amplitudes) -> CircuitIR:
+    """``ir`` with ``amplitudes`` in its preparations, in program order: a pair (a0, a1)
+    per ``PrepareDualRail``, one per term per ``PrepareKet``. The bound program skips
+    the rule pass, so the gate checks them first with ``rails.require_normalized``."""
+    given = iter(amplitudes)
+    elements = []
+    for e in ir.elements:
+        if type(e) is PrepareDualRail:
+            e = PrepareDualRail(*next(given), e.rail1, e.rail0)
+        elif type(e) is PrepareKet:
+            e = PrepareKet(tuple(zip([ket for ket, _ in e.terms], next(given))))
+        elements.append(e)
+    return CircuitIR(ir.mode_count, ir.labels, tuple(elements))
+
+
 def _run_gate(
     ir: CircuitIR, pairs: list[DualRailQubit], reference: np.ndarray | None
 ) -> RunResult:
-    """Run a gate program; decode the accepted residuals on ``pairs``, which must agree
-    up to global phase, and align the first to ``reference`` as the gate's output."""
-    result = run_branches(ir)
+    """Run a bound gate program; decode the accepted residuals on ``pairs``, which must
+    agree up to global phase, and align the first to ``reference`` as the gate's output."""
+    result = _run_checked(ir)
     decoded = [rails.decode_register(b.residual, pairs) for b in result.branches if b.accepted]
     if decoded:
         first = decoded[0]
@@ -408,20 +492,16 @@ def run_destructive_csign(
     teleports the target onto (1', 4) up to a Bell-outcome correction. The
     strict policy keeps only the D1=1, D2=0 herald (probability 1/4 for a
     basis-state control); feed-forward also keeps D1=0, D2=1 and repairs it
-    with a Z, doubling the acceptance.
+    with a Z, doubling the acceptance. The program, checked once per policy,
+    takes both qubits' amplitudes once they are numbers of unit norm.
     """
     _check_policy(policy)
-    # Not redundant with the run's check: numpy would first warn computing the reference.
+    # Before the reference, which numpy would compute with a warning, and in place of
+    # the rule pass, which the bound program skips.
     rails.require_normalized(control)
     rails.require_normalized(target)
-    ir = CircuitIR(
-        4,
-        ("1'", "2'", "3", "4"),
-        (
-            PrepareDualRail(control.a0, control.a1, 0, 1),
-            PrepareDualRail(target.a0, target.a1, 2, 3),
-            *_destructive_stage(DualRailQubit(0, 1), DualRailQubit(2, 3), policy),
-        ),
+    ir = _bind(
+        _program(_destructive_program, policy), (control.a0, control.a1), (target.a0, target.a1)
     )
     expected = control.a0 * target.as_array() + control.a1 * (_Z @ target.as_array())
     norm = float(np.linalg.norm(expected))
@@ -443,6 +523,9 @@ def run_quantum_encoder(
     herald (one photon on Da1, none on Da2) leaves
     a1|0...0>_L + a2|1...1>_L on the n encoded qubits, the last of which is
     carried by the surviving register rail and the input's second rail.
+    The program, checked once per policy and copy count, takes the product
+    amplitudes into its one ``PrepareKet`` once the qubit's are numbers of
+    unit norm.
     """
     _check_policy(policy)
     rails.require_normalized(qubit)
@@ -451,14 +534,7 @@ def run_quantum_encoder(
         raise ValueError("the encoder needs at least two copies")
     if n > MAX_ENCODER_COPIES:
         raise ValueError(f"the encoder supports at most {MAX_ENCODER_COPIES} copies")
-
-    s = 1.0 / math.sqrt(2.0)
-    zero, one = rails.RAIL_KETS
-    register = ((zero * n, s), (one * n, -s))
-    input_terms = tuple(zip(rails.RAIL_KETS, (qubit.a0, qubit.a1)))
-    product = tuple((r + q, ra * qa) for r, ra in register for q, qa in input_terms)
-    labels = [f"{_pair_letter(i)}{r}" for i in range(n) for r in (1, 2)] + ["1", "2"]
-    ir = CircuitIR(2 * n + 2, tuple(labels), (PrepareKet(product), *_encoder_stage(n, policy)))
+    ir = _bind(_program(_encoder_program, policy, n), _product_amps(qubit.a0, qubit.a1))
 
     reference = np.zeros(2**n, dtype=complex)
     reference[0] = qubit.a0
@@ -481,23 +557,14 @@ def run_nondestructive_csign(
     destructive gate then consumes the (b1, 2) copy against the target. The
     surviving output is the two-qubit state on (a1, a2) and (1', 4), compared
     against the reference conditional sign flip. The same acceptance policy
-    is applied at both heralding stages.
+    is applied at both heralding stages. The program, checked once per
+    policy, takes both qubits' amplitudes once they are numbers of unit norm.
     """
     _check_policy(policy)
     rails.require_normalized(control)
     rails.require_normalized(target)
-    ir = CircuitIR(
-        8,
-        ("a1", "a2", "1'", "b2", "1", "2", "3", "4"),
-        (
-            # The n=2 register (|0101> - |1010>)/sqrt2 is the Bell state phi-.
-            PrepareBell("phi-", (0, 1, 2, 3)),
-            PrepareDualRail(control.a0, control.a1, 4, 5),
-            *_encoder_stage(2, policy),
-            # The target joins after the encoder's herald, as a fresh factor.
-            PrepareDualRail(target.a0, target.a1, 6, 7),
-            *_destructive_stage(DualRailQubit(2, 5), DualRailQubit(6, 7), policy),
-        ),
+    ir = _bind(
+        _program(_nondestructive_program, policy), (control.a0, control.a1), (target.a0, target.a1)
     )
     reference = _CSIGN @ np.kron(control.as_array(), target.as_array())
     pairs = [DualRailQubit(0, 1), DualRailQubit(2, 3)]

@@ -104,7 +104,17 @@ def is_normalized(amplitudes: Iterable[complex]) -> bool:
 
 
 def require_normalized(q: LogicalAmplitudes) -> None:
-    if not is_normalized((q.a0, q.a1)):
+    """A ``ValueError`` unless both amplitudes are numbers, read as the circuit rule
+    pass reads them, whose squared norm ``is_normalized``."""
+    amps = []
+    for a in (q.a0, q.a1):
+        try:
+            amps.append(0j + a)  # complex() would parse a string
+        except TypeError:
+            raise ValueError(f"expected a number as logical amplitude, got {a!r}") from None
+        except OverflowError:  # an int past the float range, as is_normalized judges it
+            raise ValueError("logical amplitudes are not normalized") from None
+    if not is_normalized(amps):
         raise ValueError("logical amplitudes are not normalized")
 
 

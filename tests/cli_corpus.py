@@ -38,7 +38,8 @@ POLICIES = ("strict", "feedforward")
 # corrects a pair that holds no qubit, the third does not parse, the fourth
 # puts multi-photon kets through a default, a full and a zero-entry (phased
 # swap) splitter, the fifth splits a detected mode and the sixth lists one
-# mode twice on a splitter.
+# mode twice on a splitter. The last two grow the state past MAX_TERMS terms, one
+# preparation at a time: each superposed dualrail and each bell doubles it.
 PROGRAMS = {
     "zero_survivors.loc": "modes 2\nket |1,0>\ndetect 1 as a\npostselect a == 5\n",
     "leakage.loc": (
@@ -53,6 +54,16 @@ PROGRAMS = {
     ),
     "detected_mode.loc": "modes 2\nket |1,0>\ndetect 1 as a\nbs 1 2\n",
     "repeated_mode.loc": "modes 2\nbs 1 1\n",
+    "dualrail_terms.loc": (
+        "modes 40\n"
+        + "".join(f"dualrail {S} 0 {S} 0 on {2 * i + 1} {2 * i + 2}\n" for i in range(20))
+        + "detect 1 as a\n"
+    ),
+    "bell_terms.loc": (
+        f"modes 64\ndualrail {S} 0 {S} 0 on 1 2\ndualrail {S} 0 {S} 0 on 3 4\n"
+        + "".join(f"bell phi+ on {4 * i + 1} {4 * i + 2} {4 * i + 3} {4 * i + 4}\n" for i in range(1, 16))
+        + "detect 1 as a\n"
+    ),
 }
 
 USAGE_ERRORS = (

@@ -351,7 +351,7 @@ MUTANTS = [
         "src/dualrail/circuits.py",
         "        if kind not in rails.BELL_KINDS:\n",
         "        if False:\n",
-        "an unknown Bell kind raises a bare ValueError from the engine",
+        "an unknown Bell kind raises a bare KeyError from the engine",
     ),
     Mutant(
         "src/dualrail/circuits.py",
@@ -490,6 +490,66 @@ MUTANTS = [
         'f"modes {index(ir.mode_count)}"',
         'f"modes {ir.mode_count}"',
         "format writes a bool mode count as modes True, which parse rejects",
+    ),
+    Mutant(
+        "src/dualrail/protocols.py",
+        "given = iter(amplitudes)",
+        "given = iter(amplitudes[::-1])",
+        "a gate binds the target's amplitudes into the control's preparation and the control's into the target's",
+    ),
+    Mutant(
+        "src/dualrail/protocols.py",
+        "key = (build, policy, *shape)",
+        "key = (build, *shape)",
+        "the program memo is keyed without the policy, so a gate runs the first policy it was called with",
+    ),
+    Mutant(
+        "src/dualrail/protocols.py",
+        "        _validate(ir)\n        _PROGRAMS[key] = ir\n",
+        "        _PROGRAMS[key] = ir\n",
+        "a gate's program never goes through the rule pass",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "amps.append(0j + a)  # complex() would parse a string",
+        "amps.append(a)",
+        "a string amplitude passes a gate's entry check and fails later with a TypeError",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "    _validate(ir)\n    return _run_checked(ir)\n",
+        "    return _run_checked(ir)\n",
+        "run_branches runs a hand-built program without the rule pass",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "_limit_terms(ir, element, len(terms) * sum(",
+        "_limit_terms(ir, element, sum(",
+        "a preparation is bounded by the terms it is given, not by the terms it writes",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "for k, a in zip(rails.RAIL_KETS, amps) if a)",
+        "for k, a in zip(rails.RAIL_KETS, amps))",
+        "a basis dualrail writes, and the term bound counts, a term for its zero amplitude",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "return element.modes, _BELL_FACTORS[element.kind]",
+        'return element.modes, _BELL_FACTORS["phi+"]',
+        "every bell prepares the phi+ factor built at import",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "        hash(name)\n",
+        "        pass\n",
+        "an unhashable label or outcome name raises a bare TypeError from the rule pass",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        'for element in _sequence(ir.elements, "program", "elements"):',
+        "for element in ir.elements:",
+        "a program whose elements are not a sequence raises a bare TypeError from the rule pass",
     ),
 ]
 

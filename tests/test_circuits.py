@@ -250,6 +250,15 @@ class TestHandBuiltPrograms:
             (2, None, (PrepareKet((((1, 0), 1 + 0j, 0),)),), "ket term needs 2 entries, got 3"),
             (2, None, (PrepareKet((5,)),), "expected ket term entries as a sequence, got 5"),
             (4, None, (PrepareBell("phi+", 5),), "expected bell modes as a sequence, got 5"),
+            (2, 5, (), "expected mode labels as a sequence, got 5"),
+            (1, (["a"],), (), "expected a hashable mode label, got ['a']"),
+            (2, None, 5, "expected program elements as a sequence, got 5"),
+            (2, None, (PrepareKet(5),), "expected ket terms as a sequence, got 5"),
+            (2, None, (PostSelect(5),), "expected postselect clauses as a sequence, got 5"),
+            (2, None, (PostSelect((5,)),), "expected postselect equalities as a sequence, got 5"),
+            (2, None, (ONE_PHOTON, Detect(0, ["a"])), "expected a hashable outcome name, got ['a']"),
+            (2, None, (ONE_PHOTON, Detect(0, "a"), PostSelect((((["a"], 1),),))),
+             "expected a hashable outcome name, got ['a']"),
         ],
         ids=["short-labels", "long-labels", "repeated-label", "float-count", "str-count",
              "float-bs-mode", "float-rail", "str-detect-mode", "ket-norm", "ket-inf", "dualrail-norm",
@@ -257,7 +266,8 @@ class TestHandBuiltPrograms:
              "negative-count", "no-clause", "empty-clause", "junk", "negative-occupation", "float-occupation",
              "float-predicate-count", "str-predicate-count", "pairless-clause", "ket-huge-int", "bs-huge-int",
              "str-bs-entry", "str-dualrail-amp", "dualrail-inf", "str-ket-amp", "word-ket-amp", "long-ket-term",
-             "int-ket-term", "int-bell-modes"],
+             "int-ket-term", "int-bell-modes", "int-labels", "list-label", "int-elements", "int-ket-terms",
+             "int-predicate", "int-clause", "list-outcome", "list-predicate-name"],
     )
     def test_each_program_fault_raises_before_run_and_format(self, mode_count, labels, elements, message):
         """Unchecked, each raises AttributeError, IndexError, OverflowError,
@@ -290,14 +300,14 @@ class TestHandBuiltPrograms:
 
 
 def gate_ir(call) -> circuits.CircuitIR:
-    """The ``CircuitIR`` a gate function hands to ``run_branches``."""
+    """The bound ``CircuitIR`` a gate function hands to the engine's run step."""
     seen = []
 
     def record(ir):
         seen.append(ir)
-        return circuits.run_branches(ir)
+        return circuits._run_checked(ir)
 
-    with mock.patch.object(protocols, "run_branches", record):
+    with mock.patch.object(protocols, "_run_checked", record):
         call()
     (ir,) = seen
     return ir
@@ -419,6 +429,30 @@ class TestExecution:
         monkeypatch.setattr(circuits, "apply_mode_unitary", None)  # a call would raise
         with pytest.raises(CircuitError, match="bs 1 2 could output 5 terms, above the limit of 4"):
             circuits.execute(parse(source))
+
+    @pytest.mark.parametrize(
+        "line, name",
+        [("bell phi+ on 3 4 5 6", "bell phi+ on 3 4 5 6"), (f"dualrail {S} 0 {S} 0 on 4 3", "dualrail on 4 3")],
+        ids=["bell", "dualrail"],
+    )
+    def test_a_preparation_is_bounded_by_its_factor_times_the_live_terms(self, monkeypatch, line, name):
+        # Detecting mode 1 leaves two branches of one term each, and either
+        # preparation's factor holds two terms.
+        source = f"modes 6\ndualrail {S} 0 {S} 0 on 1 2\ndetect 1 as a\n{line}\n"
+        monkeypatch.setattr(circuits, "MAX_TERMS", 4)
+        circuits.execute(parse(source))
+        monkeypatch.setattr(circuits, "MAX_TERMS", 3)
+        injected = []
+        inject = circuits._inject
+        monkeypatch.setattr(circuits, "_inject", lambda *args: injected.append(args) or inject(*args))
+        with pytest.raises(CircuitError, match=f"^{re.escape(name)} could output 4 terms, above the limit of 3$"):
+            circuits.execute(parse(source))
+        assert len(injected) == 1  # the first dualrail only
+
+    def test_a_basis_dualrail_writes_and_counts_no_term_for_its_zero_amplitude(self, monkeypatch):
+        monkeypatch.setattr(circuits, "MAX_TERMS", 2)
+        result = circuits.run_branches(parse(f"modes 4\ndualrail {S} 0 {S} 0 on 1 2\ndualrail 1 0 0 0 on 3 4\n"))
+        assert len(result.branches[0].residual.terms) == 2
 
     def test_term_bound_covers_every_builtin_program(self, monkeypatch):
         bounds = []

@@ -595,17 +595,23 @@ def test_gate_outputs_match_the_reference(seed):
         lambda: protocols.run_quantum_encoder(random_qubit(rng), 2 + seed, policy),
         lambda: protocols.run_nondestructive_csign(random_qubit(rng), random_qubit(rng), policy),
     ]
-    run_gate = protocols._run_gate
+    run_gate, run_checked = protocols._run_gate, protocols._run_checked
     for case in cases:
-        calls = []
+        calls, programs = [], []
 
         def record(ir, pairs, reference):
-            calls.append((ir, pairs, reference))
+            calls.append((pairs, reference))
             return run_gate(ir, pairs, reference)
 
+        def record_program(ir):
+            programs.append(ir)
+            return run_checked(ir)
+
         with mock.patch.object(protocols, "_run_gate", record):
-            fast = case()
-        (ir, pairs, reference), = calls
+            with mock.patch.object(protocols, "_run_checked", record_program):
+                fast = case()
+        (pairs, reference), = calls
+        (ir,) = programs
         result = circuits.run_branches(ir)
         decoded = [ref.decode_register(b.residual, pairs) for b in result.branches if b.accepted]
         out, fidelity = ref.collect_output(decoded, reference)
@@ -626,14 +632,23 @@ TRUSTED_CALLERS = {
 }
 
 
-def trusted_references() -> set:
-    """(module, enclosing function) of each name or attribute ``_trusted`` in ``src``."""
+# Where the engine's run step after the rule pass may be called: the public
+# entry, which runs the pass first, and the gates, whose programs took it once
+# per shape and whose inputs are checked on entry.
+RUN_CHECKED_CALLERS = {
+    ("circuits", "run_branches"),
+    ("protocols", "_run_gate"),
+}
+
+
+def references(name: str) -> set:
+    """(module, enclosing function) of each name or attribute ``name`` in ``src``."""
     found = set()
 
     def visit(node, module, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if "_trusted" in (getattr(node, "attr", None), getattr(node, "id", None)):
+        if name in (getattr(node, "attr", None), getattr(node, "id", None)):
             found.add((module, function))
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
@@ -644,7 +659,11 @@ def trusted_references() -> set:
 
 
 def test_trusted_construction_is_reached_only_from_internal_states():
-    assert trusted_references() == TRUSTED_CALLERS
+    assert references("_trusted") == TRUSTED_CALLERS
+
+
+def test_the_run_step_after_the_rule_pass_is_reached_only_from_checked_programs():
+    assert references("_run_checked") == RUN_CHECKED_CALLERS
 
 
 def test_expansion_programs_do_not_outlive_their_kets():

@@ -10,11 +10,14 @@ parses formats to text that parses back to it.
 import cmath
 import json
 import math
+import re
+from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dualrail import circuits, protocols
+from dualrail.fock import FockState
 
 from cli_corpus import run
 
@@ -252,3 +255,68 @@ def test_valid_programs_run_or_exit_3_and_account_for_all_weight(tmp_path_factor
         assert type(reported) is float and reported == result.accepted_probability
         total = result.accepted_probability + result.rejected_probability
         assert math.isclose(total, norm_squared, rel_tol=0.0, abs_tol=1e-12), source
+
+
+# --------------------------------------------------------------------------
+# Long runs of preparations, which grow the state
+# --------------------------------------------------------------------------
+
+S = repr(math.sqrt(0.5))
+SUPERPOSED_DUALRAILS = "modes 48\n" + "".join(
+    f"dualrail {S} 0 {S} 0 on {2 * i + 1} {2 * i + 2}\n" for i in range(24)
+)
+
+
+@st.composite
+def growing_program(draw):
+    """Up to 24 ``dualrail`` and ``bell`` lines on fresh modes of 64, each dualrail
+    superposed (doubling the terms) or a basis state, some followed by the
+    detection of a mode they prepared, which splits the run into branches."""
+    lines, free = ["modes 64"], list(range(1, 65))
+    for _ in range(draw(st.integers(1, 24))):
+        if len(free) >= 4 and draw(st.booleans()):
+            kind = draw(st.sampled_from(["phi+", "phi-", "psi+", "psi-"]))
+            prepared, free = free[:4], free[4:]
+            lines.append(f"bell {kind} on {' '.join(map(str, prepared))}")
+        else:
+            a0, a1 = draw(st.sampled_from([(S, S), (S, S), ("1", "0"), ("0", "1")]))
+            prepared, free = free[:2], free[2:]
+            lines.append(f"dualrail {a0} 0 {a1} 0 on {prepared[0]} {prepared[1]}")
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(f"detect {prepared[0]} as d{len(lines)}")
+        if len(free) < 2:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@given(source=growing_program())
+@example(source=SUPERPOSED_DUALRAILS)
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_no_preparation_holds_more_than_max_terms(source):
+    """The terms each preparation writes, summed over the live branches, stay within
+    ``MAX_TERMS``: past it, the run raises the limit's ``CircuitError`` first."""
+    written: list[int | None] = []  # per element: the terms its states were built on
+    trusted, preparation, detect = FockState._trusted, circuits._preparation, circuits._detect
+
+    def record_state(mode_count, terms):
+        if written and written[-1] is not None:
+            written[-1] += len(terms)
+        return trusted(mode_count, terms)
+
+    def record_preparation(ir, element):
+        written.append(0)
+        return preparation(ir, element)
+
+    def record_detection(b, names, positions):
+        written.append(None)  # a detection splits the terms it is given
+        return detect(b, names, positions)
+
+    with mock.patch.object(FockState, "_trusted", record_state), mock.patch.object(
+        circuits, "_preparation", record_preparation
+    ), mock.patch.object(circuits, "_detect", record_detection):
+        try:
+            circuits.run_branches(circuits.parse(source))
+        except circuits.CircuitError as exc:
+            limit = rf"^(dualrail|bell \S+) on [\d ]+ could output \d+ terms, above the limit of {circuits.MAX_TERMS}$"
+            assert re.match(limit, str(exc)), exc
+    assert max(n for n in written if n is not None) <= circuits.MAX_TERMS, source

@@ -140,9 +140,9 @@ def gate_programs(monkeypatch) -> list:
 
     def record(ir):
         programs.append(ir)
-        return circuits.run_branches(ir)
+        return circuits._run_checked(ir)
 
-    monkeypatch.setattr(protocols, "run_branches", record)
+    monkeypatch.setattr(protocols, "_run_checked", record)
     return programs
 
 

@@ -1,10 +1,14 @@
 import cmath
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualrail import circuits, protocols
 from dualrail.fock import FockState, equal_up_to_global_phase
 from dualrail.optics import apply_mode_unitary, hadamard_bs
 from dualrail.protocols import (
@@ -22,6 +26,7 @@ from dualrail.measure import outcome_distribution
 from dualrail.rails import DualRailQubit, LogicalAmplitudes, decode_register, encode, pauli_correction
 
 from conftest import random_qubit
+from test_circuits import branch_bits, gate_ir
 from reference_kernels import project_onto_state, teleport_outcome_branches, tensor
 
 S = 1.0 / math.sqrt(2.0)
@@ -420,3 +425,109 @@ def test_squares_that_overflow_raise_a_one_line_value_error(call, message):
         with pytest.raises(ValueError) as info:
             call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_destructive_csign(LogicalAmplitudes("1", "0"), LogicalAmplitudes(1, 0)),
+        lambda: run_destructive_csign(LogicalAmplitudes(1, 0), LogicalAmplitudes("0", "1")),
+        lambda: run_quantum_encoder(LogicalAmplitudes("1", "0"), 3),
+        lambda: run_nondestructive_csign(LogicalAmplitudes(1, 0), LogicalAmplitudes(0, "1")),
+    ],
+    ids=["destructive-control", "destructive-target", "encoder", "nondestructive-target"],
+)
+def test_a_string_amplitude_is_one_value_error_at_entry(call):
+    # Unchecked, numpy's UFuncTypeError, a CircuitError and a bare TypeError.
+    with pytest.raises(ValueError, match=r"^expected a number as logical amplitude, got '[01]'$") as info:
+        call()
+    assert type(info.value) is ValueError
+
+
+# --------------------------------------------------------------------------
+# Gate programs: checked once per shape, bound per call
+# --------------------------------------------------------------------------
+
+GATES = {
+    "destructive": lambda control, target, policy, n: run_destructive_csign(control, target, policy),
+    "encoder": lambda control, target, policy, n: run_quantum_encoder(control, n, policy),
+    "nondestructive": lambda control, target, policy, n: run_nondestructive_csign(control, target, policy),
+}
+
+
+@st.composite
+def qubits(draw):
+    """Random unit qubits as Python complex, numpy complex128 or real numpy float64
+    amplitudes, and the basis states as ints."""
+    form = draw(st.sampled_from(["complex", "numpy-complex", "numpy-real", "basis"]))
+    if form == "basis":
+        return draw(st.sampled_from([LogicalAmplitudes(1, 0), LogicalAmplitudes(0, 1)]))
+    theta = draw(st.floats(0.0, math.pi))
+    phi = 0.0 if form == "numpy-real" else draw(st.floats(0.0, 2 * math.pi))
+    q = LogicalAmplitudes.from_bloch(theta, phi)
+    if form == "numpy-real":
+        return LogicalAmplitudes(np.float64(q.a0), np.float64(q.a1.real))
+    if form == "numpy-complex":
+        return LogicalAmplitudes(np.complex128(q.a0), np.complex128(q.a1))
+    return q
+
+
+@given(
+    gate=st.sampled_from(sorted(GATES)),
+    policy=st.sampled_from(POLICIES),
+    n=st.integers(2, 6),
+    control=qubits(),
+    target=qubits(),
+)
+@settings(max_examples=150, deadline=None)
+def test_bound_programs_pass_the_rule_pass_and_run_as_run_branches(gate, policy, n, control, target):
+    ir = gate_ir(lambda: GATES[gate](control, target, policy, n))
+    result = GATES[gate](control, target, policy, n)
+    circuits._validate(ir)
+    expected = circuits.run_branches(ir)
+    if gate == "nondestructive":
+        for b in expected.branches:
+            b.corrections = tuple(protocols._STAGE1_CORRECTION.get(c, c) for c in b.corrections)
+    assert branch_bits(result) == branch_bits(expected)
+
+
+def test_the_policy_is_part_of_the_program_key():
+    target = LogicalAmplitudes(0.6, 0.8)
+    accepted = [
+        run_destructive_csign(LogicalAmplitudes.one(), target, policy).accepted_probability
+        for policy in ("strict", "feedforward", "strict")
+    ]
+    assert accepted == pytest.approx([1 / 4, 1 / 2, 1 / 4], abs=1e-12)
+
+
+def test_the_memo_stores_only_valid_keys_and_frozen_programs():
+    q = LogicalAmplitudes.zero()
+    for policy in POLICIES:
+        run_destructive_csign(q, q, policy)
+        run_nondestructive_csign(q, q, policy)
+        for n in range(2, MAX_ENCODER_COPIES + 1):
+            run_quantum_encoder(q, n, policy)
+    programs = dict(protocols._PROGRAMS)
+    assert len(programs) == 42
+    assert all(type(ir) is circuits.CircuitIR for ir in programs.values())
+    for call in (
+        lambda: run_destructive_csign(q, q, "lenient"),
+        lambda: run_nondestructive_csign(q, q, "lenient"),
+        lambda: run_quantum_encoder(q, 1),
+        lambda: run_quantum_encoder(q, MAX_ENCODER_COPIES + 1),
+        lambda: run_quantum_encoder(q, 2.0),
+        lambda: run_quantum_encoder(q, 2, "lenient"),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    assert protocols._PROGRAMS == programs
+
+
+def test_a_program_is_checked_on_its_first_call_only():
+    protocols._PROGRAMS.clear()
+    q = LogicalAmplitudes(0.6, 0.8)
+    with mock.patch.object(protocols, "_validate", wraps=circuits._validate) as validate:
+        for _ in range(3):
+            run_destructive_csign(q, q, "strict")
+            run_quantum_encoder(q, 3, "strict")
+    assert validate.call_count == 2
