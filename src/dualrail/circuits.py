@@ -388,7 +388,7 @@ class _Rules:
     def amplitude(self, what: str, amp: complex) -> complex:
         """``amp`` as a finite complex number; an int past the float range is not normalized."""
         try:
-            z = 0j + amp  # complex() would parse a string
+            z = rails.as_amplitude(amp)
         except TypeError:
             raise CircuitError(f"expected a number as {what} amplitude, got {amp!r}") from None
         except OverflowError:  # as is_normalized judges it

@@ -19,9 +19,10 @@ to 0j + c[0]*f0, then 0j + c[i-1]*f1 + c[i]*f0, then 0j + c[-1]*f1, the
 sums the direct expansion runs on those monomials.
 
 Every other element (k = 1, k >= 3, or a 2-mode unitary with a zero entry)
-is expanded directly: each ket's monomials are kept in a dict, keyed by
-output occupation, and grown one creation operator at a time over the
-nonzero entries of its column.
+is expanded directly: each ket's monomials are kept in a dict, keyed by the
+int code sum q_r * base**r of output occupation q (base: one more than the
+most photons a ket holds on the listed modes), and grown one creation operator
+at a time over the nonzero entries of its column; each code is decoded once.
 
 If some sqrt(prod n!) passes the float range, either path raises a one-line
 ``ValueError``. That needs more than 170 photons on the listed modes, and
@@ -172,22 +173,28 @@ def _expand_pairs(terms: dict, locals_: Iterable, columns: list, place: Callable
 
 
 def _expand_direct(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict:
-    """Each ket's expansion, summed, one creation operator at a time."""
-    # Column j of U as its nonzero rows r and entries U[r, j].
-    columns = [[(r, c) for r, c in enumerate(col) if c != 0] for col in columns]
-    vacuum = (0,) * len(columns)
+    """Each ket's expansion, summed, one creation operator at a time, on int monomial codes."""
+    locals_ = list(locals_)
+    base = 1 + max(map(sum, locals_))  # so no digit q_r of a code carries
+    # Column j of U as the code steps base**r of its nonzero rows r and entries U[r, j].
+    columns = [[(base**r, c) for r, c in enumerate(col) if c != 0] for col in columns]
+    decoded: dict[int, tuple[tuple[int, ...], float]] = {}
     out: dict[tuple[int, ...], complex] = {}
     for (ket, amp), local in zip(terms.items(), locals_):
-        monos = {vacuum: amp / math.sqrt(math.prod(map(math.factorial, local)))}
+        monos = {0: amp / math.sqrt(math.prod(map(math.factorial, local)))}
         for column, count in zip(columns, local):
             for _ in range(count):
-                grown: dict[tuple[int, ...], complex] = {}
-                for mono, coeff in monos.items():
-                    for r, c in column:
-                        key = mono[:r] + (mono[r] + 1,) + mono[r + 1 :]
+                grown: dict[int, complex] = {}
+                for code, coeff in monos.items():
+                    for step, c in column:
+                        key = code + step
                         grown[key] = grown.get(key, 0j) + coeff * c
                 monos = grown
-        for mono, coeff in monos.items():
+        for code, coeff in monos.items():
+            if code not in decoded:
+                mono = tuple(code // base**r % base for r in range(len(columns)))
+                decoded[code] = mono, math.sqrt(math.prod(map(math.factorial, mono)))
+            mono, scale = decoded[code]
             key = place(ket + mono)
-            out[key] = out.get(key, 0j) + coeff * math.sqrt(math.prod(map(math.factorial, mono)))
+            out[key] = out.get(key, 0j) + coeff * scale
     return out

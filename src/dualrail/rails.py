@@ -103,13 +103,18 @@ def is_normalized(amplitudes: Iterable[complex]) -> bool:
     return abs(norm_squared - 1.0) <= 1e-6
 
 
+def as_amplitude(a) -> complex:
+    """``a`` as one complex number; ``TypeError`` if it is none, ``OverflowError`` past the float range."""
+    return complex(0j + a)  # complex(a) would parse a string, 0j + a broadcast an array
+
+
 def require_normalized(q: LogicalAmplitudes) -> None:
     """A ``ValueError`` unless both amplitudes are numbers, read as the circuit rule
     pass reads them, whose squared norm ``is_normalized``."""
     amps = []
     for a in (q.a0, q.a1):
         try:
-            amps.append(0j + a)  # complex() would parse a string
+            amps.append(as_amplitude(a))
         except TypeError:
             raise ValueError(f"expected a number as logical amplitude, got {a!r}") from None
         except OverflowError:  # an int past the float range, as is_normalized judges it

@@ -73,9 +73,21 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "coeff * math.sqrt(math.prod(map(math.factorial, mono)))",
-        "coeff * math.prod(map(math.sqrt, map(math.factorial, mono)))",
+        "decoded[code] = mono, math.sqrt(math.prod(map(math.factorial, mono)))",
+        "decoded[code] = mono, math.prod(map(math.sqrt, map(math.factorial, mono)))",
         "the direct expansion scales by prod sqrt(q!), changing amplitude bits",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "base = 1 + max(map(sum, locals_))",
+        "base = max(map(sum, locals_))",
+        "the direct expansion's codes carry: (N, 0, ...) aliases (0, 1, ...)",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "code // base**r % base for r in range(len(columns))",
+        "code // base**r % base for r in reversed(range(len(columns)))",
+        "the direct expansion decodes each output monomial's digits in reverse order",
     ),
     Mutant(
         "src/dualrail/optics.py",
@@ -451,7 +463,7 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "z = 0j + amp  # complex() would parse a string",
+        "z = rails.as_amplitude(amp)",
         "z = complex(amp)",
         "a dualrail amplitude of '1' passes the rule pass",
     ),
@@ -511,9 +523,15 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/rails.py",
-        "amps.append(0j + a)  # complex() would parse a string",
+        "amps.append(as_amplitude(a))",
         "amps.append(a)",
         "a string amplitude passes a gate's entry check and fails later with a TypeError",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "return complex(0j + a)",
+        "return 0j + a",
+        "an array amplitude is broadcast and escapes both amplitude checks as a bare TypeError",
     ),
     Mutant(
         "src/dualrail/circuits.py",

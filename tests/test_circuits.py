@@ -245,6 +245,9 @@ class TestHandBuiltPrograms:
             (2, None, (ApplyBS((0, 1), ("1", 0, 0, "1")),), "expected a number as bs matrix amplitude, got '1'"),
             (2, None, (PrepareDualRail("1", 0, 0, 1),), "expected a number as dualrail amplitude, got '1'"),
             (2, None, (PrepareDualRail(complex("inf"), 0, 0, 1),), "dualrail amplitude must be finite"),
+            (2, None, (PrepareDualRail(np.array([1.0]), 0, 0, 1),), "expected a number as dualrail amplitude, got array([1.])"),
+            (2, None, (PrepareDualRail(np.array([1.0, 0.0]), 0, 0, 1),),
+             "expected a number as dualrail amplitude, got array([1., 0.])"),
             (2, None, (PrepareKet((((1, 0), "1"),)),), "expected a number as ket amplitude, got '1'"),
             (2, None, (PrepareKet((((1, 0), "x"),)),), "expected a number as ket amplitude, got 'x'"),
             (2, None, (PrepareKet((((1, 0), 1 + 0j, 0),)),), "ket term needs 2 entries, got 3"),
@@ -265,7 +268,8 @@ class TestHandBuiltPrograms:
              "dualrail-huge-int", "bell-kind", "non-unitary", "zero-modes", "too-many-modes", "ket-photons",
              "negative-count", "no-clause", "empty-clause", "junk", "negative-occupation", "float-occupation",
              "float-predicate-count", "str-predicate-count", "pairless-clause", "ket-huge-int", "bs-huge-int",
-             "str-bs-entry", "str-dualrail-amp", "dualrail-inf", "str-ket-amp", "word-ket-amp", "long-ket-term",
+             "str-bs-entry", "str-dualrail-amp", "dualrail-inf", "one-element-array-amp", "two-element-array-amp",
+             "str-ket-amp", "word-ket-amp", "long-ket-term",
              "int-ket-term", "int-bell-modes", "int-labels", "list-label", "int-elements", "int-ket-terms",
              "int-predicate", "int-clause", "list-outcome", "list-predicate-name"],
     )

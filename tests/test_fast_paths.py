@@ -300,6 +300,26 @@ def test_direct_expansion_matches_the_reference_on_every_occupation(photons):
         assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
 
 
+@pytest.mark.parametrize(
+    "terms, listed",
+    [
+        ({(0, 1, 0, 0): 0.6, (0, 0, 0, 1): 0.8j}, [1, 3, 0]),
+        ({(0, 2, 0, 0): 0.6, (0, 0, 0, 1): 0.8j}, [1, 3, 0]),
+        ({(0, 5, 0, 0): 0.6, (0, 0, 0, 1): 0.8j}, [1, 3, 0]),
+        ({(2, 1, 0, 0): 1.0}, [0, 1, 2]),
+    ],
+    ids=["one-photon-on-one-mode", "two-on-one-mode", "five-on-one-mode", "asymmetric"],
+)
+def test_direct_expansion_codes_decode_to_the_listed_occupations(terms, listed):
+    # With every photon of a ket on one listed mode, the output (N, 0, 0) would
+    # code as (0, 1, 0) in base N; base N + 1 keeps them apart. On an asymmetric
+    # ket, digits decoded in reverse would put its photons on the wrong modes.
+    state = FockState(4, terms)
+    u = ModeUnitary(random_unitary(np.random.default_rng(3), 3))
+    fast = apply_mode_unitary(state, listed, u)
+    assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
+
+
 def test_only_elements_outside_the_closed_form_expand_directly():
     state = FockState(3, {(2, 1, 0): 0.6, (1, 1, 1): 0.8j})
     rng = np.random.default_rng(2)
@@ -666,6 +686,17 @@ def test_the_run_step_after_the_rule_pass_is_reached_only_from_checked_programs(
     assert references("_run_checked") == RUN_CHECKED_CALLERS
 
 
+def peak_bytes(apply, state: FockState, u: ModeUnitary) -> int:
+    """The ``tracemalloc`` peak of one expansion of ``state`` by ``u`` on every mode."""
+    apply(state, range(state.mode_count), u)  # warm-up: lazy imports, interned objects
+    tracemalloc.start()
+    try:
+        apply(state, range(state.mode_count), u)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_expansion_programs_do_not_outlive_their_kets():
     # A dense 6-mode unitary gives every ket a local occupation of its own
     # and hundreds of monomials; keeping any per-ket expansion until the call
@@ -674,14 +705,13 @@ def test_expansion_programs_do_not_outlive_their_kets():
     kets = sector(6, 4)
     state = FockState(6, {k: complex(rng.normal(), rng.normal()) for k in kets})
     u = ModeUnitary(random_unitary(rng, 6))
+    assert peak_bytes(apply_mode_unitary, state, u) <= 2 * peak_bytes(ref.apply_mode_unitary, state, u)
 
-    def peak(apply) -> int:
-        apply(state, range(6), u)  # warm-up: lazy imports, interned objects
-        tracemalloc.start()
-        try:
-            apply(state, range(6), u)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(apply_mode_unitary) <= 2 * peak(ref.apply_mode_unitary)
+def test_direct_expansion_keeps_no_table_of_every_degree():
+    # 30 photons on one of 4 modes give C(33, 3) = 5,456 output monomials, against
+    # C(34, 4) = 46,376 monomials of every degree up to 30; a table of those,
+    # or of every layer, would show as a peak many times the reference's.
+    state = FockState(4, {(30, 0, 0, 0): 1.0})
+    u = ModeUnitary(random_unitary(np.random.default_rng(30), 4))
+    assert peak_bytes(apply_mode_unitary, state, u) <= 2 * peak_bytes(ref.apply_mode_unitary, state, u)

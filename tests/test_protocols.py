@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -441,6 +442,22 @@ def test_a_string_amplitude_is_one_value_error_at_entry(call):
     # Unchecked, numpy's UFuncTypeError, a CircuitError and a bare TypeError.
     with pytest.raises(ValueError, match=r"^expected a number as logical amplitude, got '[01]'$") as info:
         call()
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("amp", [np.array([1.0]), np.array([1.0, 0.0])], ids=["one-element", "two-element"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: run_destructive_csign(LogicalAmplitudes(a, 0), LogicalAmplitudes(1, 0)),
+        lambda a: run_nondestructive_csign(LogicalAmplitudes(1, 0), LogicalAmplitudes(0, a)),
+    ],
+    ids=["destructive-control", "nondestructive-target"],
+)
+def test_an_array_amplitude_is_one_value_error_at_entry(call, amp):
+    # Unchecked, 0j + a broadcasts the array and complex() raises a bare TypeError.
+    with pytest.raises(ValueError, match=rf"^expected a number as logical amplitude, got {re.escape(repr(amp))}$") as info:
+        call(amp)
     assert type(info.value) is ValueError
 
 
