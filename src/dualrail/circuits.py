@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from . import measure, rails
-from .fock import FockState, as_int, as_ints, layout
+from .fock import FockState, as_amplitude, as_int, as_ints, layout
 from .optics import ModeUnitary, apply_mode_unitary, hadamard_bs
 from .rails import DualRailQubit, is_normalized
 
@@ -353,12 +353,7 @@ class _Rules:
     def touch(self, what: str, modes: Sequence[int], distinct: str = "", prepares: bool = False) -> None:
         """Check ``what`` on ``modes``, then record it: integers in range, none twice
         given ``distinct``, none used before if it ``prepares`` them, else none detected."""
-        listed = []
-        for m in modes:
-            try:
-                listed.append(self.mode(index(m)))
-            except TypeError:
-                raise CircuitError(f"expected integer {what} mode, got {m!r}") from None
+        listed = [self.mode(_checked(as_int, m, f"{what} mode")) for m in modes]
         if distinct and len(set(listed)) != len(listed):
             raise CircuitError(distinct)
         for m in listed:
@@ -386,13 +381,8 @@ class _Rules:
                     raise CircuitError(f"{what} references unbound outcome {name!r}")
 
     def amplitude(self, what: str, amp: complex) -> complex:
-        """``amp`` as a finite complex number; an int past the float range is not normalized."""
-        try:
-            z = rails.as_amplitude(amp)
-        except TypeError:
-            raise CircuitError(f"expected a number as {what} amplitude, got {amp!r}") from None
-        except OverflowError:  # as is_normalized judges it
-            raise CircuitError(f"{what} amplitudes are not normalized") from None
+        """``amp`` read by ``as_amplitude``, which must be finite."""
+        z = _checked(as_amplitude, amp, f"{what} amplitude")
         if not cmath.isfinite(z):
             raise CircuitError(f"{what} amplitude must be finite")
         return z
@@ -590,8 +580,8 @@ def parse(source: str) -> CircuitIR:
 
 
 def _fmt_complex(z: complex) -> str:
-    z = complex(z)  # a numpy scalar's repr is not a .loc number
-    return f"{z.real + 0.0!r} {z.imag + 0.0!r}"
+    z = as_amplitude(z, "amplitude")  # no -0.0 part and no numpy repr, which is no .loc number
+    return f"{z.real!r} {z.imag!r}"
 
 
 def _fmt_predicate(predicate: Predicate) -> str:
@@ -854,7 +844,7 @@ def _preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Factor
     if isinstance(element, PrepareKet):
         return range(ir.mode_count), tuple(FockState(ir.mode_count, element.terms).terms.items())
     if isinstance(element, PrepareDualRail):
-        amps = map(complex, (element.a0, element.a1))
+        amps = (as_amplitude(a, "dualrail amplitude") for a in (element.a0, element.a1))
         # A zero amplitude's term would be pruned after it was written, and bounded before.
         terms = tuple((k, a) for k, a in zip(rails.RAIL_KETS, amps) if a)
         return (element.rail1, element.rail0), terms

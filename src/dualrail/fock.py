@@ -4,6 +4,9 @@ A state is a map from occupation vectors (one photon count per spatial mode)
 to complex amplitudes. Everything downstream -- beam splitters, detection,
 the gate protocols -- works on these sparse maps, so no mode cutoff is ever
 imposed beyond sparsity itself.
+
+The package reads a caller's integers with ``as_ints``/``as_int`` and every
+amplitude, scale factor and matrix entry with ``as_amplitude``, all here.
 """
 
 from __future__ import annotations
@@ -60,6 +63,19 @@ def as_int(value: int, what: str) -> int:
         return index(value)
     except TypeError:
         raise ValueError(f"expected integer {what}, got {value!r}") from None
+
+
+def as_amplitude(value: complex, what: str) -> complex:
+    """``value`` as a Python complex, else a one-line ``ValueError`` naming ``what``.
+
+    ``0j +`` rejects a string, which ``complex()`` would parse, and ``complex()`` an array,
+    which ``0j +`` broadcasts. A -0.0 part comes out 0.0, as the constructor stores it."""
+    try:
+        return complex(0j + value)
+    except TypeError:
+        raise ValueError(f"expected a number as {what}, got {value!r}") from None
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{what} overflows a float") from None
 
 
 class Layout(NamedTuple):
@@ -167,7 +183,7 @@ class FockState:
                 )
             if min(ket) < 0:  # ket is not empty: mode_count is positive
                 raise ValueError(f"negative photon count in {ket}")
-            a = complex(amp)
+            a = as_amplitude(amp, "amplitude")
             if not cmath.isfinite(a):
                 raise ValueError(f"non-finite amplitude {a} for ket {ket}")
             acc[ket] = acc.get(ket, 0j) + a
@@ -214,6 +230,7 @@ class FockState:
             raise ValueError("squared norm of the state overflows a float") from None
 
     def scaled(self, factor: complex) -> FockState:
+        factor = as_amplitude(factor, "scale factor")
         return FockState(self.mode_count, {k: factor * v for k, v in self.terms.items()})
 
     def normalized(self) -> FockState:

@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .fock import FockState, layout
+from .fock import FockState, as_amplitude, layout
 
 UNITARY_TOL = 1e-12
 # Most output terms a unitary on 3 or more modes may expand to, summed over
@@ -73,7 +73,9 @@ class ModeUnitary:
     __slots__ = ("matrix", "_columns", "_closed_form")
 
     def __init__(self, matrix) -> None:
-        m = np.array(matrix, dtype=complex)
+        for z in np.array(matrix, dtype=object).flat:  # np.array(dtype=complex) parses a string
+            as_amplitude(z, "unitary entry")
+        m = np.array(matrix, dtype=complex)  # not the entries read, which drop -1j's -0.0 real part
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         with np.errstate(over="ignore", invalid="ignore"):  # inf/nan entries
@@ -111,6 +113,8 @@ def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -
     norm are both preserved. Untouched modes pass through unchanged.
     """
     modes, local_of, _, _, place = layout(state.mode_count, modes)
+    if not isinstance(u, ModeUnitary):
+        raise ValueError(f"expected a ModeUnitary, got {type(u).__name__}")
     if u.dim != len(modes):
         raise ValueError(f"unitary is {u.dim}-mode but {len(modes)} modes were listed")
     if u.dim >= 3:

@@ -209,7 +209,7 @@ def teleport_gate_table(u: BellAmplitudes, qubit: LogicalAmplitudes) -> list[Tel
     sharing an outcome add coherently. With a single nonzero component the
     operators reduce to single Paulis: standard teleportation corrections.
     """
-    if not rails.is_normalized((u.u0, u.uz, u.ux, u.uy)):
+    if not rails.is_normalized((u.u0, u.uz, u.ux, u.uy), "Bell amplitude"):
         raise ValueError("Bell amplitudes must be normalized")
     rails.require_normalized(qubit)
     table = derive_teleport_coefficients()

@@ -5,6 +5,9 @@ A qubit lives on two spatial modes: a photon in the first rail means logical
 pair and |0>_L is |01>), written once as ``RAIL_KETS``. This module
 translates between logical amplitudes and Fock kets, builds Bell pairs, and
 applies Pauli corrections on a pair.
+
+``is_normalized``, the one normalization check, reads each amplitude through
+``fock.as_amplitude``, for a gate's entry check and the circuit rule pass alike.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock import FockState, _checked_mode_count, layout
+from .fock import FockState, _checked_mode_count, as_amplitude, layout
 
 # Weight outside the one-photon-per-pair subspace above this is reported as
 # leakage instead of being silently renormalized: post-selected branches in
@@ -90,36 +93,20 @@ class LogicalAmplitudes:
         return LogicalAmplitudes(self.a0 / n, self.a1 / n)
 
 
-def is_normalized(amplitudes: Iterable[complex]) -> bool:
-    """Whether the squared norm is within 1e-6 of 1; false if it overflows or is nan."""
-    # Not abs(a) ** 2, which raises OverflowError where these products give inf;
-    # complex() keeps numpy scalars from warning.
+def is_normalized(amplitudes: Iterable[complex], what: str = "amplitude") -> bool:
+    """Whether the squared norm of the ``amplitudes``, each read by ``as_amplitude`` naming
+    ``what``, is within 1e-6 of 1; false if it overflows or is nan."""
+    # Not abs(a) ** 2, which raises OverflowError where these products give inf.
     norm_squared = 0.0
-    try:
-        for z in map(complex, amplitudes):
-            norm_squared += z.real * z.real + z.imag * z.imag
-    except OverflowError:  # complex() of an int past the float range
-        return False
+    for a in amplitudes:
+        z = as_amplitude(a, what)
+        norm_squared += z.real * z.real + z.imag * z.imag
     return abs(norm_squared - 1.0) <= 1e-6
 
 
-def as_amplitude(a) -> complex:
-    """``a`` as one complex number; ``TypeError`` if it is none, ``OverflowError`` past the float range."""
-    return complex(0j + a)  # complex(a) would parse a string, 0j + a broadcast an array
-
-
 def require_normalized(q: LogicalAmplitudes) -> None:
-    """A ``ValueError`` unless both amplitudes are numbers, read as the circuit rule
-    pass reads them, whose squared norm ``is_normalized``."""
-    amps = []
-    for a in (q.a0, q.a1):
-        try:
-            amps.append(as_amplitude(a))
-        except TypeError:
-            raise ValueError(f"expected a number as logical amplitude, got {a!r}") from None
-        except OverflowError:  # an int past the float range, as is_normalized judges it
-            raise ValueError("logical amplitudes are not normalized") from None
-    if not is_normalized(amps):
+    """A ``ValueError`` unless both amplitudes are numbers whose squared norm ``is_normalized``."""
+    if not is_normalized((q.a0, q.a1), "logical amplitude"):
         raise ValueError("logical amplitudes are not normalized")
 
 

@@ -181,7 +181,7 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "amps = map(complex, (element.a0, element.a1))",
+        'amps = (as_amplitude(a, "dualrail amplitude") for a in (element.a0, element.a1))',
         "amps = (element.a0, element.a1)",
         "injected dual-rail amplitudes stay numpy scalars instead of Python complex",
     ),
@@ -265,8 +265,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "listed.append(self.mode(index(m)))",
-        "listed.append(self.mode(int(m)))",
+        'self.mode(_checked(as_int, m, f"{what} mode"))',
+        "self.mode(int(m))",
         "a hand-built mode of 0.0 runs as mode 0 and formats as 1.0",
     ),
     Mutant(
@@ -408,15 +408,15 @@ MUTANTS = [
         "a mode one past the last passes the range rule in parse and in the rule pass",
     ),
     Mutant(
-        "src/dualrail/rails.py",
-        "    except OverflowError:  # complex() of an int past the float range\n",
+        "src/dualrail/fock.py",
+        "    except OverflowError:  # an int past the float range\n",
         "    except ZeroDivisionError:\n",
-        "a hand-built dualrail amplitude of 10**400 raises a bare OverflowError from the rule pass",
+        "an amplitude of 10**400 raises a bare OverflowError from every way in, the rule pass included",
     ),
     Mutant(
         "src/dualrail/rails.py",
-        "for z in map(complex, amplitudes):",
-        "for z in amplitudes:",
+        "z = as_amplitude(a, what)",
+        "z = a",
         "a numpy amplitude whose square overflows warns instead of failing the norm check",
     ),
     Mutant(
@@ -463,21 +463,15 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "z = rails.as_amplitude(amp)",
+        'z = _checked(as_amplitude, amp, f"{what} amplitude")',
         "z = complex(amp)",
         "a dualrail amplitude of '1' passes the rule pass",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "        except OverflowError:  # as is_normalized judges it\n",
-        "        except ZeroDivisionError:\n",
-        "a ket amplitude of 10**400 raises a bare OverflowError from the rule pass",
-    ),
-    Mutant(
-        "src/dualrail/circuits.py",
         'm = [self.amplitude("bs matrix", z) for z in element.matrix]',
         "m = list(element.matrix)",
-        "a bs matrix entry of 10**400 raises a bare OverflowError from ModeUnitary",
+        "a bs matrix entry that is not a number is reported as a unitary entry, not as a bs matrix amplitude",
     ),
     Mutant(
         "src/dualrail/circuits.py",
@@ -493,7 +487,7 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "    z = complex(z)  # a numpy scalar's repr is not a .loc number\n",
+        '    z = as_amplitude(z, "amplitude")  # no -0.0 part and no numpy repr, which is no .loc number\n',
         "",
         "format writes a numpy amplitude as np.float64(0.8), which parse rejects",
     ),
@@ -523,15 +517,33 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/rails.py",
-        "amps.append(as_amplitude(a))",
-        "amps.append(a)",
-        "a string amplitude passes a gate's entry check and fails later with a TypeError",
+        'if not is_normalized((q.a0, q.a1), "logical amplitude"):',
+        'if not is_normalized(map(complex, (q.a0, q.a1)), "logical amplitude"):',
+        "a string amplitude passes a gate's entry check, parsed by complex(), and fails later in the engine",
     ),
     Mutant(
-        "src/dualrail/rails.py",
-        "return complex(0j + a)",
-        "return 0j + a",
-        "an array amplitude is broadcast and escapes both amplitude checks as a bare TypeError",
+        "src/dualrail/fock.py",
+        "return complex(0j + value)",
+        "return 0j + value",
+        "an array amplitude is broadcast and escapes the reader as a bare TypeError",
+    ),
+    Mutant(
+        "src/dualrail/fock.py",
+        "return complex(0j + value)",
+        "return complex(value)",
+        "a string amplitude such as '1' is parsed, so FockState, the gates and the rule pass take it",
+    ),
+    Mutant(
+        "src/dualrail/fock.py",
+        'factor = as_amplitude(factor, "scale factor")',
+        'as_amplitude(factor, "scale factor")',
+        "scaled checks its factor but multiplies by the numpy value, in complex64 for a float32",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        '            as_amplitude(z, "unitary entry")\n',
+        "            pass\n",
+        "ModeUnitary parses a string entry through np.array and raises a bare TypeError on None",
     ),
     Mutant(
         "src/dualrail/circuits.py",

@@ -221,7 +221,7 @@ class TestHandBuiltPrograms:
             (2, None, (PrepareKet((((1, 0), 2 + 0j),)), Detect(0, "a")), "ket amplitudes are not normalized"),
             (2, None, (PrepareKet((((1, 0), complex("inf")),)),), "ket amplitude must be finite"),
             (2, None, (PrepareDualRail(2, 0, 0, 1),), "dualrail amplitudes are not normalized"),
-            (2, None, (PrepareDualRail(10**400, 0, 0, 1),), "dualrail amplitudes are not normalized"),
+            (2, None, (PrepareDualRail(10**400, 0, 0, 1),), "dualrail amplitude overflows a float"),
             (4, None, (PrepareBell("chi", (0, 1, 2, 3)),), "unknown Bell state"),
             (2, None, (ApplyBS((0, 1), (1, 0, 0, 2)),), "matrix is not unitary (defect 3.000e+00)"),
             (0, None, (), "mode count must be positive"),
@@ -240,8 +240,8 @@ class TestHandBuiltPrograms:
              "expected integer photon count, got '1'"),
             (2, None, (ONE_PHOTON, Detect(0, "a"), PostSelect((("a", 1),))),
              "postselect needs 2 (name, count) entries, got 1"),
-            (2, None, (PrepareKet((((1, 0), 10**400),)),), "ket amplitudes are not normalized"),
-            (2, None, (ApplyBS((0, 1), (10**400, 0, 0, 1)),), "bs matrix amplitudes are not normalized"),
+            (2, None, (PrepareKet((((1, 0), 10**400),)),), "ket amplitude overflows a float"),
+            (2, None, (ApplyBS((0, 1), (10**400, 0, 0, 1)),), "bs matrix amplitude overflows a float"),
             (2, None, (ApplyBS((0, 1), ("1", 0, 0, "1")),), "expected a number as bs matrix amplitude, got '1'"),
             (2, None, (PrepareDualRail("1", 0, 0, 1),), "expected a number as dualrail amplitude, got '1'"),
             (2, None, (PrepareDualRail(complex("inf"), 0, 0, 1),), "dualrail amplitude must be finite"),

@@ -174,8 +174,6 @@ def test_fock_state_construction_matches_the_reference(state):
         (2, [(("a", 0), 1.0)]),
         (2, [((None, 0), 1.0)]),
         (2, [(5, 1.0)]),
-        (2, [((1, 0), "x")]),
-        (2, [((1, 0), None)]),
         (2, [((1, 0),)]),
         (2, [(1, 0)]),
     ],
@@ -184,6 +182,15 @@ def test_invalid_fock_states_fail_like_the_reference(mode_count, terms):
     expected = outcome(ref.ReferenceFockState, mode_count, terms)
     assert isinstance(expected, tuple)
     assert outcome(FockState, mode_count, terms) == expected
+
+
+@pytest.mark.parametrize("amp", ["x", None])
+def test_an_amplitude_that_is_not_a_number_is_the_readers_error(amp):
+    # The reference reads amplitudes with complex(), which raises a ValueError
+    # for "x" and a TypeError for None; the constructor reads them with
+    # fock.as_amplitude, which gives one ValueError for both.
+    assert isinstance(outcome(ref.ReferenceFockState, 2, [((1, 0), amp)]), tuple)
+    assert outcome(FockState, 2, [((1, 0), amp)]) == (ValueError, f"expected a number as amplitude, got {amp!r}")
 
 
 @given(data=st.data())
@@ -676,6 +683,57 @@ def references(name: str) -> set:
     for path in Path(dualrail.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
     return found
+
+
+# Where complex is called or passed as a function: each builds a number from
+# two floats the package parsed or drew, or turns one of its own numpy values
+# into a Python complex, apart from the reader itself.
+COMPLEX_CALLS = {
+    ("fock", "as_amplitude"),
+    ("circuits", "parse"),
+    ("cli", "_parse_amplitudes"),
+    ("protocols", "csign_reference"),
+    ("protocols", "derive_teleport_coefficients"),
+    ("protocols", "verify_a_matrix"),
+    ("rails", "decode"),
+    ("verify", "_random_qubit"),
+    ("verify", "_random_state"),
+}
+
+# Every way a caller's number comes in, read by the one reader.
+AS_AMPLITUDE_CALLERS = {
+    ("fock", "__init__"),
+    ("fock", "scaled"),
+    ("optics", "__init__"),
+    ("rails", "is_normalized"),
+    ("circuits", "amplitude"),
+    ("circuits", "_preparation"),
+    ("circuits", "_fmt_complex"),
+}
+
+
+def complex_calls() -> set:
+    """(module, enclosing function) of each call of ``complex``, or call passing it, in ``src``."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and any(
+            isinstance(n, ast.Name) and n.id == "complex" for n in [node.func, *node.args]
+        ):
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in Path(dualrail.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+def test_a_callers_number_is_read_only_by_as_amplitude():
+    assert complex_calls() == COMPLEX_CALLS
+    assert references("as_amplitude") == AS_AMPLITUDE_CALLERS
 
 
 def test_trusted_construction_is_reached_only_from_internal_states():

@@ -157,6 +157,8 @@ class TestApply:
             apply_mode_unitary(s, [0, 5], hadamard_bs())
         with pytest.raises(ValueError, match="2-mode"):
             apply_mode_unitary(s, [0], hadamard_bs())
+        with pytest.raises(ValueError, match=r"^expected a ModeUnitary, got ndarray$"):
+            apply_mode_unitary(s, [0, 1], np.eye(2))  # else a bare AttributeError on .dim
 
     @pytest.mark.parametrize(
         "modes, matrix",

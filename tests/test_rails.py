@@ -194,7 +194,8 @@ def test_bloch_parametrization():
 
 
 def test_is_normalized_takes_numpy_scalars_without_a_warning():
-    # numpy scalars go through complex(), whose products overflow to inf silently.
+    # numpy scalars are read as Python complex, whose products overflow to inf silently.
     assert is_normalized((np.float64(0.6), np.complex128(0.8j)))
     assert not is_normalized((np.float64(1e200), np.complex128(0)))
-    assert not is_normalized((10**400, 0))  # complex() of this int overflows
+    with pytest.raises(ValueError, match=r"^amplitude overflows a float$"):
+        is_normalized((10**400, 0))  # the reader's error, not a norm verdict
