@@ -32,11 +32,12 @@ is a ``ParseError`` at that statement or at the token it judges.
 ``parse`` keeps only the rules of reading the text: ``modes`` comes first and
 once, labels are declared, and ``ket`` lines come before operations.
 
-One engine runs every program, the gates in ``protocols`` included, which
-build their IR in Python, check once per shape and run through
-``_run_checked``, the engine's step after the rule pass, with each call's
-inputs bound in. Each preparation and ``bs`` is bounded by the ``MAX_TERMS``
-terms it could output before it runs. The engine enumerates every detector
+One engine runs every program, the gates in ``protocols`` included: after the
+rule pass, ``_plan`` works out what each element needs beyond the input
+amplitudes and ``_run_checked`` runs the plan, one handler per element kind.
+``run_branches`` plans on every call; a gate checks and plans its IR once per
+shape and binds each call's inputs in. Each preparation and ``bs`` is bounded
+by the ``MAX_TERMS`` terms it could output before it runs. The engine enumerates every detector
 outcome: consecutive ``detect`` lines are one joint measurement;
 ``postselect`` flags the branches it rejects instead of dropping them, so
 they keep evolving; ``correct`` acts only on accepted branches.
@@ -51,7 +52,7 @@ import itertools
 import re
 from dataclasses import dataclass, replace
 from operator import index, itemgetter
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -634,7 +635,7 @@ def format(ir: CircuitIR) -> str:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Branch:
     """One detector outcome of a run, keyed by outcome names.
 
@@ -713,101 +714,136 @@ def run_branches(ir: CircuitIR) -> RunResult:
     norm; the result splits that sum into accepted and rejected weight.
     The program first goes through the rule pass that ``parse`` runs, on
     every call, so a hand-built ``CircuitIR`` that breaks a rule raises its
-    ``CircuitError``. The gates' own programs take the pass once per shape
-    and then run through ``_run_checked``, this function's step after it.
+    ``CircuitError``; it is then planned and run. The gates' own programs take
+    the pass and the plan once per shape and then run through ``_run_checked``.
     """
     _validate(ir)
-    return _run_checked(ir)
+    return _run_checked(ir, _plan(ir))
 
 
-def _run_checked(ir: CircuitIR) -> RunResult:
-    """``run_branches`` on a program that has passed the rule pass: a gate's program,
-    checked once per shape, with input amplitudes that the gate checks on entry bound in."""
+class _Plan(NamedTuple):
+    """What a run of a checked program needs beyond its input amplitudes. Each step, one
+    per element or joint detection, is ``(handler, args)``: ``handler(ir, branches, *args)``
+    returns the branches after it, calling the kernels through their module attributes."""
+
+    steps: tuple[tuple[Callable, tuple], ...]
+    vacuum: FockState
+    output_labels: tuple[str, ...]
+
+
+def _plan(ir: CircuitIR) -> _Plan:
+    """The steps of ``ir``, which has passed the rule pass: each element's mode positions among
+    those still live, unitary, compiled predicate, correction pair, layout getter and labels."""
     live = tuple(range(ir.mode_count))  # every branch's circuit mode at each position
-    branches = [Branch({}, 1.0, FockState.vacuum(ir.mode_count), (), True)]
-    for joint, group in itertools.groupby(ir.elements, lambda e: isinstance(e, Detect)):
+
+    def named(what: str, modes: Iterable[int]) -> str:
+        return what + "".join(f" {ir.label_of(m)}" for m in modes)
+
+    steps = []
+    for joint, group in itertools.groupby(enumerate(ir.elements), lambda item: isinstance(item[1], Detect)):
         if joint:
-            detectors = tuple(group)
-            names = [d.name for d in detectors]
+            detectors = [d for _, d in group]
             positions = [live.index(d.mode) for d in detectors]
-            branches = [grown for b in branches for grown in _detect(b, names, positions)]
+            steps.append((_detect, ([d.name for d in detectors], positions)))
             live = tuple(live[k] for k in layout(len(live), positions).rest)
             continue
-        for element in group:
-            if isinstance(element, ApplyBS):
-                m = element.matrix
+        for i, e in group:
+            if isinstance(e, ApplyBS):
+                m = e.matrix
                 u = _HADAMARD if m is None else ModeUnitary([[m[0], m[1]], [m[2], m[3]]])
-                pq = [live.index(mode) for mode in element.modes]
-                _limit_terms(ir, element, _term_bound(branches, pq))
-                for b in branches:
-                    b.residual = apply_mode_unitary(b.residual, pq, u)
-            elif isinstance(element, PostSelect):
-                holds = _matcher(element.predicate)
-                for b in branches:
-                    b.accepted = b.accepted and holds(b.counts)
-            elif isinstance(element, CorrectZ):
-                pair = DualRailQubit(live.index(element.rail1), live.index(element.rail0))
-                r1, r0 = ir.label_of(element.rail1), ir.label_of(element.rail0)
-                holds = _matcher(element.condition)
-                for b in branches:
-                    if b.accepted and holds(b.counts):
-                        try:
-                            b.residual = rails.pauli_correction(b.residual, pair, "Z")
-                        except rails.LeakageError as exc:
-                            raise CircuitError(f"correct z on {r1} {r0}: {exc}") from None
-                        b.corrections = b.corrections + (f"Z on ({r1}, {r0})",)
+                pq = [live.index(mode) for mode in e.modes]
+                steps.append((_splitter, (named("bs", e.modes), pq, u, layout(len(live), pq).local_of)))
+            elif isinstance(e, PostSelect):
+                steps.append((_postselect, (_matcher(e.predicate),)))
+            elif isinstance(e, CorrectZ):
+                pair = DualRailQubit(live.index(e.rail1), live.index(e.rail0))
+                r1, r0 = ir.label_of(e.rail1), ir.label_of(e.rail0)
+                steps.append((_correct, (_matcher(e.condition), pair, r1, r0)))
             else:
-                modes, terms = _preparation(ir, element)
-                _limit_terms(ir, element, len(terms) * sum(len(b.residual.terms) for b in branches))
-                positions = [live.index(mode) for mode in modes]
-                for b in branches:
-                    b.residual = _inject(b.residual, positions, terms)
+                if isinstance(e, PrepareKet):
+                    modes, name = range(ir.mode_count), "ket"
+                elif isinstance(e, PrepareDualRail):
+                    modes, name = (e.rail1, e.rail0), named("dualrail on", (e.rail1, e.rail0))
+                else:
+                    modes, name = e.modes, named(f"bell {e.kind} on", e.modes)
+                place = layout(len(live), [live.index(mode) for mode in modes]).place
+                steps.append((_prepare, (i, name, place)))
+    return _Plan(tuple(steps), FockState.vacuum(ir.mode_count), tuple(map(ir.label_of, live)))
+
+
+def _run_checked(ir: CircuitIR, plan: _Plan) -> RunResult:
+    """``run_branches``'s run step: ``ir``, which has passed the rule pass, run by its ``plan``."""
+    branches = [Branch({}, 1.0, plan.vacuum, (), True)]
+    for handler, args in plan.steps:
+        branches = handler(ir, branches, *args)
     return RunResult(
         branches,
         sum((b.probability for b in branches if b.accepted), 0.0),
         sum((b.probability for b in branches if not b.accepted), 0.0),
-        output_labels=tuple(map(ir.label_of, live)),
+        output_labels=plan.output_labels,
     )
 
 
-def _limit_terms(ir: CircuitIR, element: Element, bound: int) -> None:
-    """The one check of ``MAX_TERMS``: a ``CircuitError`` naming ``element``, a ``bs`` or
-    a preparation, if it could output ``bound`` terms summed over the live branches."""
-    if bound <= MAX_TERMS:
-        return
-    if isinstance(element, ApplyBS):
-        what, modes = "bs", element.modes
-    elif isinstance(element, PrepareDualRail):
-        what, modes = "dualrail on", (element.rail1, element.rail0)
-    elif isinstance(element, PrepareBell):
-        what, modes = f"bell {element.kind} on", element.modes
-    else:
-        what, modes = "ket", ()
-    name = what + "".join(f" {ir.label_of(m)}" for m in modes)
-    raise CircuitError(f"{name} could output {bound} terms, above the limit of {MAX_TERMS}")
+def _splitter(ir: CircuitIR, branches: list[Branch], name: str, pq: list[int], u: ModeUnitary, local_of):
+    _limit_terms(name, _term_bound(branches, local_of))
+    for b in branches:
+        b.residual = apply_mode_unitary(b.residual, pq, u)
+    return branches
 
 
-def _term_bound(branches: list[Branch], positions: list[int]) -> int:
-    """An upper bound on the terms a splitter on positions [p, q] outputs over ``branches``.
+def _detect(ir: CircuitIR, branches: list[Branch], names: list[str], positions: list[int]):
+    grown = []
+    for b in branches:
+        for outcome in measure.outcome_distribution(b.residual, positions):
+            counts = {**b.counts, **dict(zip(names, outcome.counts))}
+            probability = b.probability * outcome.probability
+            grown.append(Branch(counts, probability, outcome.residual, b.corrections, b.accepted))
+    return grown
+
+
+def _postselect(ir: CircuitIR, branches: list[Branch], holds: Callable):
+    for b in branches:
+        b.accepted = b.accepted and holds(b.counts)
+    return branches
+
+
+def _correct(ir: CircuitIR, branches: list[Branch], holds: Callable, pair: DualRailQubit, r1: str, r0: str):
+    for b in branches:
+        if b.accepted and holds(b.counts):
+            try:
+                b.residual = rails.pauli_correction(b.residual, pair, "Z")
+            except rails.LeakageError as exc:
+                raise CircuitError(f"correct z on {r1} {r0}: {exc}") from None
+            b.corrections = b.corrections + (f"Z on ({r1}, {r0})",)
+    return branches
+
+
+def _prepare(ir: CircuitIR, branches: list[Branch], i: int, name: str, place: Callable):
+    terms = _preparation(ir, ir.elements[i])
+    _limit_terms(name, len(terms) * sum(len(b.residual.terms) for b in branches))
+    for b in branches:
+        b.residual = _inject(b.residual, place, terms)
+    return branches
+
+
+def _limit_terms(name: str, bound: int) -> None:
+    """The one check of ``MAX_TERMS``: a ``CircuitError`` naming the ``bs`` or preparation
+    ``name`` if it could output ``bound`` terms, summed over the live branches."""
+    if bound > MAX_TERMS:
+        raise CircuitError(f"{name} could output {bound} terms, above the limit of {MAX_TERMS}")
+
+
+def _term_bound(branches: list[Branch], local_of: Callable) -> int:
+    """An upper bound on the terms a splitter outputs over ``branches``, by its layout's ``local_of``.
 
     A ket with n photons on the splitter's two modes yields at most n + 1
     output kets, so the bound is integer work over the input kets.
     """
-    local_of = layout(branches[0].residual.mode_count, positions).local_of
     bound = 0
     for b in branches:
         kets = b.residual.terms
         bound += len(kets) + sum(map(sum, map(local_of, kets)))
     return bound
-
-
-def _detect(b: Branch, names: list[str], positions: list[int]) -> list[Branch]:
-    grown = []
-    for outcome in measure.outcome_distribution(b.residual, positions):
-        counts = {**b.counts, **dict(zip(names, outcome.counts))}
-        probability = b.probability * outcome.probability
-        grown.append(Branch(counts, probability, outcome.residual, b.corrections, b.accepted))
-    return grown
 
 
 def execute(ir: CircuitIR) -> RunResult:
@@ -834,32 +870,30 @@ _BELL_FACTORS = {
 }
 
 
-def _preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Factor]:
-    """The modes a preparation writes and its (sub-ket, amplitude) terms, checked once.
+def _preparation(ir: CircuitIR, element: Element) -> Factor:
+    """A preparation's (sub-ket, amplitude) terms on the modes it lists, checked once.
 
     The sub-kets are distinct tuples of non-negative ints and the amplitudes
     Python complex numbers, as ``_inject`` needs: ``PrepareKet`` terms, the
     only kets a caller gives, pass through the public ``FockState`` constructor.
     """
     if isinstance(element, PrepareKet):
-        return range(ir.mode_count), tuple(FockState(ir.mode_count, element.terms).terms.items())
+        return tuple(FockState(ir.mode_count, element.terms).terms.items())
     if isinstance(element, PrepareDualRail):
         amps = (as_amplitude(a, "dualrail amplitude") for a in (element.a0, element.a1))
         # A zero amplitude's term would be pruned after it was written, and bounded before.
-        terms = tuple((k, a) for k, a in zip(rails.RAIL_KETS, amps) if a)
-        return (element.rail1, element.rail0), terms
-    return element.modes, _BELL_FACTORS[element.kind]
+        return tuple((k, a) for k, a in zip(rails.RAIL_KETS, amps) if a)
+    return _BELL_FACTORS[element.kind]
 
 
-def _inject(state: FockState, positions: list[int], factor: Factor) -> FockState:
-    """Write a factor from ``_preparation`` onto modes that are vacuum (``_validate`` checks).
+def _inject(state: FockState, place: Callable, factor: Factor) -> FockState:
+    """Write a factor from ``_preparation`` onto vacuum modes (``_validate`` checks) by their ``place``.
 
     State terms form the outer loop; each amplitude is ``0j +`` the state's
     times the factor's, in that order. The target modes are vacuum in every
     ket and the factor's sub-kets distinct, so every output ket is distinct
     and the state is built with ``FockState._trusted``.
     """
-    place = layout(state.mode_count, positions).place
     out: dict[tuple[int, ...], complex] = {}
     for ket, amp in state.terms.items():
         for sub, sub_amp in factor:

@@ -13,9 +13,9 @@ heralded decides the correction picked up by the teleported rail:
   gate burning the encoded copy; the surviving half of the register carries
   the control out.
 
-Each gate is a circuit program for the engine in ``circuits``, built and put
-through the rule pass once per policy and copy count; a call binds its checked
-input amplitudes into the program's preparations.
+Each gate is a circuit program for the engine in ``circuits``, built, put
+through the rule pass and planned once per policy and copy count; a call binds
+its checked input amplitudes into the program's preparations and runs the plan.
 
 Detectors herald success: the singlet component maps to exactly one photon
 on D1 and none on D2. With the beam splitter convention of ``optics`` and
@@ -46,10 +46,12 @@ from .circuits import (
     PrepareDualRail,
     PrepareKet,
     RunResult,
+    _Plan,
+    _plan,
     _run_checked,
     _validate,
 )
-from .fock import as_int
+from .fock import as_amplitude, as_int
 from .rails import DualRailQubit, LogicalAmplitudes
 
 POLICIES = ("strict", "feedforward")
@@ -134,6 +136,10 @@ class BellAmplitudes:
     uz: complex
     ux: complex
     uy: complex
+
+    def __post_init__(self) -> None:
+        for u in (self.u0, self.uz, self.ux, self.uy):
+            as_amplitude(u, "Bell amplitude")  # a check only: the fields keep their type
 
     def as_array(self) -> np.ndarray:
         return np.array([self.u0, self.uz, self.ux, self.uy], dtype=complex)
@@ -432,20 +438,20 @@ def _nondestructive_program(policy: str) -> CircuitIR:
     )
 
 
-# Each gate's program per (builder, policy, copy count). The gates check the
-# policy and copy count first, so at most 2 + 2 + 2 * 19 = 42 are stored.
-_PROGRAMS: dict[tuple, CircuitIR] = {}
+# Each gate's program and its plan per (builder, policy, copy count). The gates
+# check the policy and copy count first, so at most 2 + 2 + 2 * 19 = 42 are stored.
+_PROGRAMS: dict[tuple, tuple[CircuitIR, _Plan]] = {}
 
 
-def _program(build: Callable[..., CircuitIR], policy: str, *shape: int) -> CircuitIR:
-    """``build(policy, *shape)``, checked by the rule pass on its first call only."""
+def _program(build: Callable[..., CircuitIR], policy: str, *shape: int) -> tuple[CircuitIR, _Plan]:
+    """``build(policy, *shape)`` and its plan, checked and planned on its first call only."""
     key = (build, policy, *shape)
-    ir = _PROGRAMS.get(key)
-    if ir is None:
+    program = _PROGRAMS.get(key)
+    if program is None:
         ir = build(policy, *shape)
         _validate(ir)
-        _PROGRAMS[key] = ir
-    return ir
+        program = _PROGRAMS[key] = ir, _plan(ir)
+    return program
 
 
 def _bind(ir: CircuitIR, *amplitudes) -> CircuitIR:
@@ -464,11 +470,11 @@ def _bind(ir: CircuitIR, *amplitudes) -> CircuitIR:
 
 
 def _run_gate(
-    ir: CircuitIR, pairs: list[DualRailQubit], reference: np.ndarray | None
+    ir: CircuitIR, plan: _Plan, amplitudes: tuple, pairs: list[DualRailQubit], reference: np.ndarray | None
 ) -> RunResult:
-    """Run a bound gate program; decode the accepted residuals on ``pairs``, which must
-    agree up to global phase, and align the first to ``reference`` as the gate's output."""
-    result = _run_checked(ir)
+    """Run a gate's plan with ``amplitudes`` bound into its program ``ir``; decode the accepted
+    residuals on ``pairs``, which must agree up to global phase, and align the first to ``reference``."""
+    result = _run_checked(_bind(ir, *amplitudes), plan)
     decoded = [rails.decode_register(b.residual, pairs) for b in result.branches if b.accepted]
     if decoded:
         first = decoded[0]
@@ -500,13 +506,11 @@ def run_destructive_csign(
     # the rule pass, which the bound program skips.
     rails.require_normalized(control)
     rails.require_normalized(target)
-    ir = _bind(
-        _program(_destructive_program, policy), (control.a0, control.a1), (target.a0, target.a1)
-    )
     expected = control.a0 * target.as_array() + control.a1 * (_Z @ target.as_array())
     norm = float(np.linalg.norm(expected))
     reference = expected / norm if norm > 1e-12 else None
-    return _run_gate(ir, [DualRailQubit(0, 1)], reference)
+    amplitudes = (control.a0, control.a1), (target.a0, target.a1)
+    return _run_gate(*_program(_destructive_program, policy), amplitudes, [DualRailQubit(0, 1)], reference)
 
 
 def _pair_letter(i: int) -> str:
@@ -534,13 +538,12 @@ def run_quantum_encoder(
         raise ValueError("the encoder needs at least two copies")
     if n > MAX_ENCODER_COPIES:
         raise ValueError(f"the encoder supports at most {MAX_ENCODER_COPIES} copies")
-    ir = _bind(_program(_encoder_program, policy, n), _product_amps(qubit.a0, qubit.a1))
-
     reference = np.zeros(2**n, dtype=complex)
     reference[0] = qubit.a0
     reference[-1] = qubit.a1
     pairs = [DualRailQubit(2 * i, 2 * i + 1) for i in range(n)]
-    return _run_gate(ir, pairs, reference)
+    amplitudes = (_product_amps(qubit.a0, qubit.a1),)
+    return _run_gate(*_program(_encoder_program, policy, n), amplitudes, pairs, reference)
 
 
 # One label per mode: the register's b1 rail, which the stage-1 correction
@@ -563,12 +566,11 @@ def run_nondestructive_csign(
     _check_policy(policy)
     rails.require_normalized(control)
     rails.require_normalized(target)
-    ir = _bind(
-        _program(_nondestructive_program, policy), (control.a0, control.a1), (target.a0, target.a1)
-    )
-    reference = _CSIGN @ np.kron(control.as_array(), target.as_array())
+    # The products np.kron takes, in its order, without its reshaping.
+    reference = _CSIGN @ np.multiply.outer(control.as_array(), target.as_array()).ravel()
+    amplitudes = (control.a0, control.a1), (target.a0, target.a1)
     pairs = [DualRailQubit(0, 1), DualRailQubit(2, 3)]
-    result = _run_gate(ir, pairs, reference)
+    result = _run_gate(*_program(_nondestructive_program, policy), amplitudes, pairs, reference)
     for b in result.branches:
         b.corrections = tuple(_STAGE1_CORRECTION.get(c, c) for c in b.corrections)
     return result

@@ -65,6 +65,10 @@ class LogicalAmplitudes:
     a0: complex
     a1: complex
 
+    def __post_init__(self) -> None:
+        for a in (self.a0, self.a1):
+            as_amplitude(a, "logical amplitude")  # a check only: the fields keep their type
+
     @classmethod
     def zero(cls) -> LogicalAmplitudes:
         return cls(1.0, 0.0)

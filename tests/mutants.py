@@ -511,8 +511,26 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/protocols.py",
-        "        _validate(ir)\n        _PROGRAMS[key] = ir\n",
-        "        _PROGRAMS[key] = ir\n",
+        "key = (build, policy, *shape)",
+        "key = (build, policy)",
+        "the program memo is keyed without the copy count, so the encoder runs the first count it was called with",
+    ),
+    Mutant(
+        "src/dualrail/protocols.py",
+        "result = _run_checked(_bind(ir, *amplitudes), plan)",
+        "result = _run_checked(ir, plan)",
+        "each preparation of a gate reads the unbound program's amplitudes, logical |0>, not the caller's",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "            live = tuple(live[k] for k in layout(len(live), positions).rest)\n",
+        "",
+        "the plan does not advance the live modes after a joint detection, so later steps act on the wrong positions",
+    ),
+    Mutant(
+        "src/dualrail/protocols.py",
+        "        _validate(ir)\n        program = _PROGRAMS[key] = ir, _plan(ir)\n",
+        "        program = _PROGRAMS[key] = ir, _plan(ir)\n",
         "a gate's program never goes through the rule pass",
     ),
     Mutant(
@@ -547,14 +565,14 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "    _validate(ir)\n    return _run_checked(ir)\n",
-        "    return _run_checked(ir)\n",
+        "    _validate(ir)\n    return _run_checked(ir, _plan(ir))\n",
+        "    return _run_checked(ir, _plan(ir))\n",
         "run_branches runs a hand-built program without the rule pass",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "_limit_terms(ir, element, len(terms) * sum(",
-        "_limit_terms(ir, element, sum(",
+        "_limit_terms(name, len(terms) * sum(",
+        "_limit_terms(name, sum(",
         "a preparation is bounded by the terms it is given, not by the terms it writes",
     ),
     Mutant(
@@ -565,8 +583,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "return element.modes, _BELL_FACTORS[element.kind]",
-        'return element.modes, _BELL_FACTORS["phi+"]',
+        "return _BELL_FACTORS[element.kind]",
+        'return _BELL_FACTORS["phi+"]',
         "every bell prepares the phi+ factor built at import",
     ),
     Mutant(

@@ -12,7 +12,10 @@ messages. The same holds for the dense register report: one list per entry
 of the decoded register, every float formatted where it stands; and for the
 dual-rail layer as it was before its kets were written once, in
 ``rails.RAIL_KETS``: the mode-list check of its own, Bell states placed bit
-by bit, registers decoded pair by pair and a gate's decodes merged.
+by bit, registers decoded pair by pair and a gate's decodes merged. The
+circuit engine's run step is kept as it was before programs were planned,
+working out each element's positions, unitary, predicate, labels and
+layout inline on every call; a planned run must match it branch for branch.
 
 The module also holds helpers that only the tests call: the tensor product
 and amplitude distance of two states, projection onto a reference state,
@@ -31,17 +34,23 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from dualrail import protocols, rails, reports
+from dualrail import circuits, measure, optics, protocols, rails, reports
 from dualrail.circuits import (
+    ApplyBS,
+    Branch,
+    CircuitError,
     CircuitIR,
+    CorrectZ,
+    Detect,
     Element,
+    PostSelect,
     Predicate,
     PrepareBell,
     PrepareDualRail,
     PrepareKet,
     RunResult,
 )
-from dualrail.fock import PRUNE_TOL, FockState, _checked_mode_count, as_ints, layout
+from dualrail.fock import PRUNE_TOL, FockState, _checked_mode_count, as_amplitude, as_ints, layout
 from dualrail.measure import BranchResult
 from dualrail.optics import ModeUnitary
 from dualrail.protocols import BellAmplitudes, collapse_teleport_rows, teleport_gate_table
@@ -213,6 +222,93 @@ def inject(state: FockState, positions: list[int], factor: Iterable) -> FockStat
             new_ket = place(ket + tuple(sub))
             out[new_ket] = out.get(new_ket, 0j) + amp * sub_amp
     return FockState(state.mode_count, out)
+
+
+def run_checked(ir: CircuitIR) -> RunResult:
+    """``circuits._run_checked`` as it was before programs were planned: every call works
+    out each element's positions, unitary, predicate, labels and layout again, inline."""
+    live = tuple(range(ir.mode_count))  # every branch's circuit mode at each position
+    branches = [Branch({}, 1.0, FockState.vacuum(ir.mode_count), (), True)]
+    for joint, group in itertools.groupby(ir.elements, lambda e: isinstance(e, Detect)):
+        if joint:
+            detectors = tuple(group)
+            names = [d.name for d in detectors]
+            positions = [live.index(d.mode) for d in detectors]
+            grown = []
+            for b in branches:
+                for outcome in measure.outcome_distribution(b.residual, positions):
+                    counts = {**b.counts, **dict(zip(names, outcome.counts))}
+                    probability = b.probability * outcome.probability
+                    grown.append(Branch(counts, probability, outcome.residual, b.corrections, b.accepted))
+            branches = grown
+            live = tuple(live[k] for k in layout(len(live), positions).rest)
+            continue
+        for element in group:
+            if isinstance(element, ApplyBS):
+                m = element.matrix
+                u = circuits._HADAMARD if m is None else ModeUnitary([[m[0], m[1]], [m[2], m[3]]])
+                pq = [live.index(mode) for mode in element.modes]
+                local_of = layout(len(live), pq).local_of
+                kets = [b.residual.terms for b in branches]
+                _limit_terms(ir, element, sum(len(k) + sum(map(sum, map(local_of, k))) for k in kets))
+                for b in branches:
+                    b.residual = optics.apply_mode_unitary(b.residual, pq, u)
+            elif isinstance(element, PostSelect):
+                for b in branches:
+                    b.accepted = b.accepted and predicate_holds(element.predicate, b.counts)
+            elif isinstance(element, CorrectZ):
+                pair = DualRailQubit(live.index(element.rail1), live.index(element.rail0))
+                r1, r0 = ir.label_of(element.rail1), ir.label_of(element.rail0)
+                for b in branches:
+                    if b.accepted and predicate_holds(element.condition, b.counts):
+                        try:
+                            b.residual = rails.pauli_correction(b.residual, pair, "Z")
+                        except LeakageError as exc:
+                            raise CircuitError(f"correct z on {r1} {r0}: {exc}") from None
+                        b.corrections = b.corrections + (f"Z on ({r1}, {r0})",)
+            else:
+                modes, terms = _engine_preparation(ir, element)
+                _limit_terms(ir, element, len(terms) * sum(len(b.residual.terms) for b in branches))
+                place = layout(len(live), [live.index(mode) for mode in modes]).place
+                for b in branches:
+                    out = {}
+                    for ket, amp in b.residual.terms.items():
+                        for sub, sub_amp in terms:
+                            out[place(ket + sub)] = 0j + amp * sub_amp
+                    b.residual = FockState._trusted(b.residual.mode_count, out)
+    return RunResult(
+        branches,
+        sum((b.probability for b in branches if b.accepted), 0.0),
+        sum((b.probability for b in branches if not b.accepted), 0.0),
+        output_labels=tuple(map(ir.label_of, live)),
+    )
+
+
+def _limit_terms(ir: CircuitIR, element: Element, bound: int) -> None:
+    if bound <= circuits.MAX_TERMS:
+        return
+    if isinstance(element, ApplyBS):
+        what, modes = "bs", element.modes
+    elif isinstance(element, PrepareDualRail):
+        what, modes = "dualrail on", (element.rail1, element.rail0)
+    elif isinstance(element, PrepareBell):
+        what, modes = f"bell {element.kind} on", element.modes
+    else:
+        what, modes = "ket", ()
+    name = what + "".join(f" {ir.label_of(m)}" for m in modes)
+    raise CircuitError(f"{name} could output {bound} terms, above the limit of {circuits.MAX_TERMS}")
+
+
+def _engine_preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], tuple]:
+    """The modes a preparation writes and its terms, as the engine checked them once."""
+    if isinstance(element, PrepareKet):
+        return range(ir.mode_count), tuple(FockState(ir.mode_count, element.terms).terms.items())
+    if isinstance(element, PrepareDualRail):
+        amps = (as_amplitude(a, "dualrail amplitude") for a in (element.a0, element.a1))
+        terms = tuple((k, a) for k, a in zip(rails.RAIL_KETS, amps) if a)
+        return (element.rail1, element.rail0), terms
+    factor = rails.bell_state(element.kind, DualRailQubit(0, 1), DualRailQubit(2, 3), 4)
+    return element.modes, tuple(factor.terms.items())
 
 
 def bell_state(kind: str, pair_a: DualRailQubit, pair_b: DualRailQubit, total_modes: int) -> FockState:

@@ -43,6 +43,8 @@ WAYS_IN = {
     "scaled": ("scale factor", lambda v: FockState.ket((1, 0)).scaled(v)),
     "mode-unitary": ("unitary entry", lambda v: ModeUnitary([[v, 0], [0, 1]])),
     "is-normalized": ("amplitude", lambda v: is_normalized((v, 0))),
+    "logical-amplitudes-fields": ("logical amplitude", lambda v: LogicalAmplitudes(v, 0).as_array()),
+    "bell-amplitudes-fields": ("Bell amplitude", lambda v: BellAmplitudes(v, 0, 0, 0).as_array()),
     "bell-amplitudes": ("Bell amplitude", lambda v: teleport_gate_table(BellAmplitudes(v, 0, 0, 0), ONE)),
     "teleported-qubit": ("logical amplitude", lambda v: teleport_gate_table(BellAmplitudes(1, 0, 0, 0), LogicalAmplitudes(v, 0))),
     "encode": ("logical amplitude", lambda v: encode(LogicalAmplitudes(v, 0), DualRailQubit(0, 1), 2)),
@@ -118,3 +120,11 @@ def test_a_narrow_numpy_factor_scales_in_double_precision(factor):
     # Multiplied unread, numpy 2 keeps a Python complex times a float32 in
     # complex64, which rounds 0.1 to 0.10000000149011612.
     assert FockState.ket((1, 0), 0.1).scaled(factor).terms == {(1, 0): 0.1 + 0j}
+
+
+def test_the_amplitude_pairs_check_their_fields_but_keep_them():
+    # A check only: the stored value, and so every bit computed from it, is the caller's.
+    q = LogicalAmplitudes(np.float64(0.6), np.float32(0.8))
+    assert type(q.a0) is np.float64 and type(q.a1) is np.float32
+    u = BellAmplitudes(np.float64(1.0), 0, 0, 0)
+    assert type(u.u0) is np.float64 and type(u.uz) is int

@@ -307,9 +307,9 @@ def gate_ir(call) -> circuits.CircuitIR:
     """The bound ``CircuitIR`` a gate function hands to the engine's run step."""
     seen = []
 
-    def record(ir):
+    def record(ir, plan):
         seen.append(ir)
-        return circuits._run_checked(ir)
+        return circuits._run_checked(ir, plan)
 
     with mock.patch.object(protocols, "_run_checked", record):
         call()
@@ -462,8 +462,8 @@ class TestExecution:
         bounds = []
         term_bound = circuits._term_bound
 
-        def record(branches, positions):
-            bounds.append(term_bound(branches, positions))
+        def record(branches, local_of):
+            bounds.append(term_bound(branches, local_of))
             return bounds[-1]
 
         monkeypatch.setattr(circuits, "_term_bound", record)

@@ -8,7 +8,9 @@ bit of every amplitude and probability, and on every exception type and
 message (except past 170 photons, where the reference's sqrt(n!) raises a
 bare ``OverflowError``). So must ``FockState._trusted`` and the public constructor, on
 every state the package builds with the former, and the dual-rail layer
-built on ``rails.RAIL_KETS`` and ``fock.layout`` and the one it replaced.
+built on ``rails.RAIL_KETS`` and ``fock.layout`` and the one it replaced, and
+the planned circuit engine and the inline one, on random programs and on
+every gate's bound program run by its kept plan.
 """
 
 import ast
@@ -35,6 +37,8 @@ from dualrail.optics import ModeUnitary, apply_mode_unitary, hadamard_bs
 from dualrail.rails import BELL_KINDS, DualRailQubit, LogicalAmplitudes, pauli_correction
 
 from conftest import random_qubit, random_unitary
+from test_circuits import branch_bits, random_program
+from test_protocols import GATES, qubits
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -433,8 +437,15 @@ def assert_same_injection(state: FockState, element) -> None:
         modes, factor = preparation(ir, element)
         return inject(state, list(modes), factor)
 
+    def planned(ir, element):
+        # The engine's factor with the modes its plan lists, as the reference's.
+        return ref.preparation(ir, element)[0], circuits._preparation(ir, element)
+
+    def place(state, positions, factor):
+        return circuits._inject(state, fock.layout(state.mode_count, positions).place, factor)
+
     slow = outcome(run, ref.preparation, ref.inject)
-    fast = outcome(run, circuits._preparation, circuits._inject)
+    fast = outcome(run, planned, place)
     if isinstance(slow, tuple):
         assert fast == slow
         return
@@ -626,13 +637,13 @@ def test_gate_outputs_match_the_reference(seed):
     for case in cases:
         calls, programs = [], []
 
-        def record(ir, pairs, reference):
+        def record(ir, plan, amplitudes, pairs, reference):
             calls.append((pairs, reference))
-            return run_gate(ir, pairs, reference)
+            return run_gate(ir, plan, amplitudes, pairs, reference)
 
-        def record_program(ir):
+        def record_program(ir, plan):
             programs.append(ir)
-            return run_checked(ir)
+            return run_checked(ir, plan)
 
         with mock.patch.object(protocols, "_run_gate", record):
             with mock.patch.object(protocols, "_run_checked", record_program):
@@ -646,6 +657,42 @@ def test_gate_outputs_match_the_reference(seed):
         if out is not None:
             assert fast.output_logical.tobytes() == out.tobytes()
         assert repr(fast.fidelity_vs_reference) == repr(fidelity)  # repr keeps every bit of a float
+
+
+def run_bits(run, *args):
+    """``branch_bits`` of a run, or the type and message of what it raises."""
+    result = outcome(run, *args)
+    return result if isinstance(result, tuple) else branch_bits(result)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=7340)
+@settings(max_examples=200, deadline=None)
+def test_a_planned_program_runs_as_the_inline_engine(seed):
+    # Programs of every element kind, labelled or not, a leaking correct's error included.
+    ir = random_program(np.random.default_rng(seed))
+    assert run_bits(circuits.run_branches, ir) == run_bits(ref.run_checked, ir)
+
+
+@pytest.mark.parametrize("policy", protocols.POLICIES)
+@pytest.mark.parametrize(
+    "gate, n",
+    [("destructive", 2), ("nondestructive", 2), *(("encoder", n) for n in range(2, 7))],
+)
+@given(control=qubits(), target=qubits())
+@settings(max_examples=10, deadline=None)
+def test_a_gate_runs_its_memoized_plan_as_the_inline_engine(gate, n, policy, control, target):
+    programs = []
+    run_checked = circuits._run_checked
+
+    def record(ir, plan):
+        programs.append((ir, plan))
+        return run_checked(ir, plan)
+
+    with mock.patch.object(protocols, "_run_checked", record):
+        GATES[gate](control, target, policy, n)
+    ((ir, plan),) = programs
+    assert run_bits(circuits._run_checked, ir, plan) == run_bits(ref.run_checked, ir)
 
 
 # Where FockState._trusted may be called: each builds a state from another
@@ -709,6 +756,8 @@ AS_AMPLITUDE_CALLERS = {
     ("circuits", "amplitude"),
     ("circuits", "_preparation"),
     ("circuits", "_fmt_complex"),
+    ("rails", "__post_init__"),
+    ("protocols", "__post_init__"),
 }
 
 

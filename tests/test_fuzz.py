@@ -307,9 +307,9 @@ def test_no_preparation_holds_more_than_max_terms(source):
         written.append(0)
         return preparation(ir, element)
 
-    def record_detection(b, names, positions):
+    def record_detection(ir, branches, names, positions):
         written.append(None)  # a detection splits the terms it is given
-        return detect(b, names, positions)
+        return detect(ir, branches, names, positions)
 
     with mock.patch.object(FockState, "_trusted", record_state), mock.patch.object(
         circuits, "_preparation", record_preparation

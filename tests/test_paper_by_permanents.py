@@ -138,9 +138,9 @@ def gate_programs(monkeypatch) -> list:
     """The ``CircuitIR`` of each gate run, in call order."""
     programs = []
 
-    def record(ir):
+    def record(ir, plan):
         programs.append(ir)
-        return circuits._run_checked(ir)
+        return circuits._run_checked(ir, plan)
 
     monkeypatch.setattr(protocols, "_run_checked", record)
     return programs

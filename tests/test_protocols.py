@@ -526,7 +526,7 @@ def test_the_memo_stores_only_valid_keys_and_frozen_programs():
             run_quantum_encoder(q, n, policy)
     programs = dict(protocols._PROGRAMS)
     assert len(programs) == 42
-    assert all(type(ir) is circuits.CircuitIR for ir in programs.values())
+    assert all(type(ir) is circuits.CircuitIR for ir, plan in programs.values())
     for call in (
         lambda: run_destructive_csign(q, q, "lenient"),
         lambda: run_nondestructive_csign(q, q, "lenient"),
@@ -538,6 +538,38 @@ def test_the_memo_stores_only_valid_keys_and_frozen_programs():
         with pytest.raises(ValueError):
             call()
     assert protocols._PROGRAMS == programs
+
+
+def test_a_program_is_planned_once_per_shape():
+    protocols._PROGRAMS.clear()
+    q = LogicalAmplitudes(0.6, 0.8)
+    with mock.patch.object(protocols, "_plan", wraps=circuits._plan) as plan:
+        for policy in POLICIES:
+            for _ in range(10):
+                run_destructive_csign(q, q, policy)
+                run_nondestructive_csign(q, q, policy)
+                for n in range(2, 7):
+                    run_quantum_encoder(q, n, policy)
+    assert plan.call_count == len(POLICIES) * (2 + 5)
+
+
+def test_the_nondestructive_reference_is_the_kron_product_bit_for_bit():
+    # The gate multiplies the qubits by np.multiply.outer; np.kron is the oracle.
+    rng = np.random.default_rng(500)
+    inputs, references = [], []
+    run_gate = protocols._run_gate
+
+    def record(ir, plan, amplitudes, pairs, reference):
+        references.append(reference)
+        return run_gate(ir, plan, amplitudes, pairs, reference)
+
+    with mock.patch.object(protocols, "_run_gate", record):
+        for _ in range(500):
+            inputs.append((random_qubit(rng), random_qubit(rng)))
+            run_nondestructive_csign(*inputs[-1])
+    for (control, target), reference in zip(inputs, references, strict=True):
+        expected = csign_reference() @ np.kron(control.as_array(), target.as_array())
+        assert reference.tobytes() == expected.tobytes()
 
 
 def test_a_program_is_checked_on_its_first_call_only():
