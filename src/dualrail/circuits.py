@@ -26,21 +26,22 @@ Every program rule lives in one rule pass, ``_Rules``, checked element by
 element in program order: by ``run_branches`` and ``format`` over a
 hand-built ``CircuitIR`` on every call, whose fields must have their IR types
 (integer modes, counts and occupations, number amplitudes, sequences where the
-IR holds tuples, pairs as ket terms and equalities, hashable labels and
-outcome names), and by ``parse`` on each statement once read, so a broken rule
-is a ``ParseError`` at that statement or at the token it judges.
+IR holds tuples, pairs as ket terms and equalities, str labels and outcome
+names), and by ``parse`` on each statement once read, so a broken rule is a
+``ParseError`` at that statement or at the token it judges.
 ``parse`` keeps only the rules of reading the text: ``modes`` comes first and
 once, labels are declared, and ``ket`` lines come before operations.
 
-One engine runs every program, the gates in ``protocols`` included: after the
-rule pass, ``_plan`` works out what each element needs beyond the input
-amplitudes and ``_run_checked`` runs the plan, one handler per element kind.
-``run_branches`` plans on every call; a gate checks and plans its IR once per
-shape and binds each call's inputs in. Each preparation and ``bs`` is bounded
-by the ``MAX_TERMS`` terms it could output before it runs. The engine enumerates every detector
-outcome: consecutive ``detect`` lines are one joint measurement;
-``postselect`` flags the branches it rejects instead of dropping them, so
-they keep evolving; ``correct`` acts only on accepted branches.
+One engine runs every program, the gates in ``protocols`` included. The rule
+pass also plans: each element that passes leaves a step holding what it needs
+beyond the input amplitudes, and ``_run_checked`` runs the steps, one handler
+per element kind. ``run_branches`` checks and plans on every call; a gate does
+so once per shape and binds each call's inputs in. Each preparation and
+``bs`` is bounded by the ``MAX_TERMS`` terms it could output before it runs.
+The engine enumerates every detector outcome: consecutive ``detect`` lines
+are one joint measurement; ``postselect`` flags the branches it rejects
+instead of dropping them, so they keep evolving; ``correct`` acts only on
+accepted branches.
 ``run_branches`` returns every branch and the accepted and rejected weight as
 one ``RunResult``; ``execute`` keeps only its survivors.
 """
@@ -48,7 +49,6 @@ one ``RunResult``; ``execute`` keeps only its survivors.
 from __future__ import annotations
 
 import cmath
-import itertools
 import re
 from dataclasses import dataclass, replace
 from operator import index, itemgetter
@@ -279,19 +279,22 @@ def _sized(items: Sequence, n: int, what: str, noun: str) -> Sequence:
     return items
 
 
-def _hashable(name, what: str):
-    """``name`` if it can key a dict, as labels and outcome names do, else a ``CircuitError``."""
-    try:
-        hash(name)
-    except TypeError:
-        raise CircuitError(f"expected a hashable {what}, got {name!r}") from None
+def _name(name, what: str) -> str:
+    """``name`` if it is a str, as labels and outcome names are, else a ``CircuitError``."""
+    if not isinstance(name, str):
+        raise CircuitError(f"expected a str {what}, got {name!r}")
     return name
+
+
+# Validated once: every default ``bs`` of every run shares it.
+_HADAMARD = hadamard_bs()
 
 
 class _Rules:
     """Every program rule, checked one element at a time in program order; a
-    broken rule raises a one-line ``CircuitError``. ``parse`` calls the value
-    rules, ``amplitude`` to ``bell_kind``, at the token they judge."""
+    broken rule raises a one-line ``CircuitError``. An element that passes
+    appends its step to ``steps``, so the same walk plans the program. ``parse``
+    calls the value rules, ``amplitude`` to ``bell_kind``, at the token they judge."""
 
     def __init__(self, mode_count: int, labels: Sequence[str] | None) -> None:
         n = self.mode_count = _checked(as_int, mode_count, "mode count")
@@ -300,45 +303,59 @@ class _Rules:
         if n > MAX_MODES:
             raise CircuitError(f"mode count must be at most {MAX_MODES}")
         if labels is not None:
-            for label in _sequence(labels, "mode", "labels"):
-                _hashable(label, "mode label")
-        if labels is not None and len(labels) != n:
-            raise CircuitError(f"expected {n} labels, got {len(labels)}")
-        if labels is not None and len(set(labels)) != n:
-            raise CircuitError("duplicate mode label")
-        self.prepared, self.used, self.detected, self.bound = set(), set(), set(), set()
+            labels = tuple(_name(label, "mode label") for label in _sequence(labels, "mode", "labels"))
+            if len(labels) != n:
+                raise CircuitError(f"expected {n} labels, got {len(labels)}")
+            if len(set(labels)) != n:
+                raise CircuitError("duplicate mode label")
+        self.label = labels or tuple(map(str, range(1, n + 1)))  # each mode's label
+        self.prepared, self.used, self.bound = set(), set(), set()
+        self.live = tuple(range(n))  # every branch's circuit mode at each residual position
+        self.joint: tuple[int, ...] = ()  # the modes of the open joint detection, still live
+        self.steps: list[tuple[Callable, tuple]] = []
 
-    def check(self, element: Element) -> None:
-        """Check one element against the program so far, then record what it does."""
+    def check(self, element: Element, i: int) -> None:
+        """Check element ``i`` of the program against those before it, then record it and append its step."""
         kind = type(element)
+        if kind is not Detect:
+            self.advance()
         if kind is ApplyBS:
             _sized(element.modes, 2, "bs", "modes")
-            if element.matrix is not None:
-                _sized(element.matrix, 4, "bs matrix", "entries")
-                m = [self.amplitude("bs matrix", z) for z in element.matrix]
-                _checked(ModeUnitary, [[m[0], m[1]], [m[2], m[3]]])
-            self.touch("bs", element.modes, "beam splitter modes must be distinct")
+            u, m = _HADAMARD, element.matrix
+            if m is not None:
+                for z in _sized(m, 4, "bs matrix", "entries"):
+                    self.amplitude("bs matrix", z)
+                u = _checked(ModeUnitary, [[m[0], m[1]], [m[2], m[3]]])
+            pq = self.touch("bs", element.modes, "beam splitter modes must be distinct")
+            step = _splitter, (self.named("bs", pq), pq, u, layout(len(self.live), pq).local_of)
         elif kind is Detect:
-            self.touch("detect", (element.mode,))
-            if _hashable(element.name, "outcome name") in self.bound:
+            (p,) = self.touch("detect", (element.mode,))
+            if _name(element.name, "outcome name") in self.bound:
                 raise CircuitError(f"outcome name {element.name!r} bound twice")
-            self.detected.add(element.mode)
             self.bound.add(element.name)
+            names, positions = self.steps.pop()[1] if self.joint else ((), ())
+            step = _detect, (names + (element.name,), positions + (p,))
+            self.joint += (self.live[p],)
         elif kind is PrepareDualRail:
             pair = (element.rail1, element.rail0)
-            self.touch("dualrail", pair, "rail modes must be distinct", prepares=True)
+            at = self.touch("dualrail", pair, "rail modes must be distinct", prepares=True)
             amps = [self.amplitude("dualrail", a) for a in (element.a0, element.a1)]
             if not is_normalized(amps):
                 raise CircuitError("dualrail amplitudes are not normalized")
+            step = self.prepare(i, self.named("dualrail on", at), at)
         elif kind is PostSelect:
             self.predicate("postselect", element.predicate)
+            step = _postselect, (_matcher(element.predicate),)
         elif kind is CorrectZ:
-            self.touch("correct", (element.rail1, element.rail0), "rail modes must be distinct")
+            pair = self.touch("correct", (element.rail1, element.rail0), "rail modes must be distinct")
             self.predicate("correct", element.condition)
+            r1, r0 = (self.label[self.live[p]] for p in pair)
+            step = _correct, (_matcher(element.condition), DualRailQubit(*pair), r1, r0)
         elif kind is PrepareBell:
             self.bell_kind(element.kind)
             _sized(element.modes, 4, "bell", "modes")
-            self.touch("bell", element.modes, "Bell modes must be distinct", prepares=True)
+            at = self.touch("bell", element.modes, "Bell modes must be distinct", prepares=True)
+            step = self.prepare(i, self.named(f"bell {element.kind} on", at), at)
         elif kind is PrepareKet:
             summed: dict[tuple[int, ...], complex] = {}  # equal kets add up before the norm check
             for term in _sequence(element.terms, "ket", "terms"):
@@ -347,13 +364,15 @@ class _Rules:
                 summed[occ] = summed.get(occ, 0j) + self.amplitude("ket", amp)
             if not is_normalized(summed.values()):
                 raise CircuitError("ket amplitudes are not normalized")
-            self.touch("ket", range(self.mode_count), prepares=True)
+            step = self.prepare(i, "ket", self.touch("ket", range(self.mode_count), prepares=True))
         else:
             raise CircuitError(f"unknown program element {element!r}")
+        self.steps.append(step)
 
-    def touch(self, what: str, modes: Sequence[int], distinct: str = "", prepares: bool = False) -> None:
+    def touch(self, what: str, modes: Sequence[int], distinct: str = "", prepares: bool = False) -> tuple:
         """Check ``what`` on ``modes``, then record it: integers in range, none twice
-        given ``distinct``, none used before if it ``prepares`` them, else none detected."""
+        given ``distinct``, none used before if it ``prepares`` them, else none detected.
+        Returns their positions among the live modes."""
         listed = [self.mode(_checked(as_int, m, f"{what} mode")) for m in modes]
         if distinct and len(set(listed)) != len(listed):
             raise CircuitError(distinct)
@@ -361,11 +380,26 @@ class _Rules:
             if prepares and m in self.used:
                 again = "twice" if m in self.prepared else "after it was used"
                 raise CircuitError(f"{what} prepares mode {m + 1} {again}")
-            if not prepares and m in self.detected:
+            if not prepares and (m not in self.live or m in self.joint):
                 raise CircuitError(f"{what} uses mode {m + 1}, already consumed by a detector")
         if prepares:
             self.prepared.update(listed)
         self.used.update(listed)
+        return tuple(map(self.live.index, listed))
+
+    def advance(self) -> None:
+        """End the open joint detection, if any: its modes leave ``live``."""
+        if self.joint:
+            self.live = tuple(m for m in self.live if m not in self.joint)
+            self.joint = ()
+
+    def named(self, what: str, positions: Iterable[int]) -> str:
+        """``what`` and the labels of the live modes at ``positions``, as a term limit error names it."""
+        return what + "".join(f" {self.label[self.live[p]]}" for p in positions)
+
+    def prepare(self, i: int, name: str, positions: tuple[int, ...]) -> tuple[Callable, tuple]:
+        """The step of preparation ``i``, ``name``, which writes onto the live ``positions``."""
+        return _prepare, (i, name, layout(len(self.live), positions).place)
 
     def predicate(self, what: str, predicate: Predicate) -> None:
         _sequence(predicate, what, "clauses")
@@ -378,7 +412,7 @@ class _Rules:
             for equality in clause:
                 name, count = _sized(equality, 2, what, "(name, count) entries")
                 self.count(count)
-                if _hashable(name, "outcome name") not in self.bound:
+                if _name(name, "outcome name") not in self.bound:
                     raise CircuitError(f"{what} references unbound outcome {name!r}")
 
     def amplitude(self, what: str, amp: complex) -> complex:
@@ -412,12 +446,15 @@ class _Rules:
             raise CircuitError("unknown Bell state")
 
 
-def _validate(ir: CircuitIR) -> None:
-    """Run the rule pass over a whole program, as ``run_branches`` and ``format`` do
-    first, and as ``protocols`` does once for each gate program it builds."""
-    check = _Rules(ir.mode_count, ir.labels).check
-    for element in _sequence(ir.elements, "program", "elements"):
-        check(element)
+def _compile(ir: CircuitIR) -> _Plan:
+    """Check ``ir`` with the rule pass that ``parse`` runs and plan it in the same walk, as
+    ``run_branches`` and ``format`` do on every call and ``protocols`` once per gate program."""
+    rules = _Rules(ir.mode_count, ir.labels)
+    for i, element in enumerate(_sequence(ir.elements, "program", "elements")):
+        rules.check(element, i)
+    rules.advance()
+    output_labels = tuple(rules.label[m] for m in rules.live)
+    return _Plan(tuple(rules.steps), FockState.vacuum(rules.mode_count), output_labels)
 
 
 # --------------------------------------------------------------------------
@@ -471,7 +508,7 @@ class _ProgramBuilder:
     def add(self, element: Element, where: tuple[int, int]) -> None:
         """Check ``element``, after the ``ket`` terms read so far, and append it."""
         self.flush()
-        _rule(where, self.rules.check, element)
+        _rule(where, self.rules.check, element, len(self.elements))
         self.elements.append(element)
 
     def flush(self) -> None:
@@ -595,11 +632,11 @@ def format(ir: CircuitIR) -> str:
     """Canonical text rendering; ``parse(format(ir))`` equals ``ir``. The program must
     pass the rule pass and its labels and outcome names be ``.loc`` names (the
     scanner's ``name`` token), else ``CircuitError``."""
-    _validate(ir)
+    _compile(ir)
     named = [("label", label) for label in ir.labels or ()]
     named += [("outcome", e.name) for e in ir.elements if isinstance(e, Detect)]
     for what, name in named:
-        m = isinstance(name, str) and _TOKEN_RE.fullmatch(name)
+        m = _TOKEN_RE.fullmatch(name)
         if not m or m.lastgroup != "name":
             raise CircuitError(f"{what} {name!r} is not a .loc name")
     ref = ir.label_of
@@ -699,10 +736,6 @@ def _matcher(predicate: Predicate) -> Callable[[dict[str, int]], bool]:
     return holds
 
 
-# Validated once: every default ``bs`` of every run shares it.
-_HADAMARD = hadamard_bs()
-
-
 def run_branches(ir: CircuitIR) -> RunResult:
     """Run a circuit over every detector outcome, rejected branches included.
 
@@ -712,63 +745,22 @@ def run_branches(ir: CircuitIR) -> RunResult:
     instead of dropping them, and ``correct`` acts only on accepted branches.
     The probabilities of all branches sum to the prepared state's squared
     norm; the result splits that sum into accepted and rejected weight.
-    The program first goes through the rule pass that ``parse`` runs, on
-    every call, so a hand-built ``CircuitIR`` that breaks a rule raises its
-    ``CircuitError``; it is then planned and run. The gates' own programs take
-    the pass and the plan once per shape and then run through ``_run_checked``.
+    On every call, the rule pass that ``parse`` runs checks the program and
+    plans it in one walk, so a hand-built ``CircuitIR`` that breaks a rule
+    raises its ``CircuitError``. The gates' own programs are checked and planned
+    once per shape and then run through ``_run_checked``.
     """
-    _validate(ir)
-    return _run_checked(ir, _plan(ir))
+    return _run_checked(ir, _compile(ir))
 
 
 class _Plan(NamedTuple):
-    """What a run of a checked program needs beyond its input amplitudes. Each step, one
-    per element or joint detection, is ``(handler, args)``: ``handler(ir, branches, *args)``
-    returns the branches after it, calling the kernels through their module attributes."""
+    """The rule pass's plan of a checked program: what a run needs beyond its input amplitudes.
+    Each step, one per element or joint detection, is ``(handler, args)``; ``handler(ir,
+    branches, *args)`` returns the branches after it, calling kernels by module attribute."""
 
     steps: tuple[tuple[Callable, tuple], ...]
     vacuum: FockState
     output_labels: tuple[str, ...]
-
-
-def _plan(ir: CircuitIR) -> _Plan:
-    """The steps of ``ir``, which has passed the rule pass: each element's mode positions among
-    those still live, unitary, compiled predicate, correction pair, layout getter and labels."""
-    live = tuple(range(ir.mode_count))  # every branch's circuit mode at each position
-
-    def named(what: str, modes: Iterable[int]) -> str:
-        return what + "".join(f" {ir.label_of(m)}" for m in modes)
-
-    steps = []
-    for joint, group in itertools.groupby(enumerate(ir.elements), lambda item: isinstance(item[1], Detect)):
-        if joint:
-            detectors = [d for _, d in group]
-            positions = [live.index(d.mode) for d in detectors]
-            steps.append((_detect, ([d.name for d in detectors], positions)))
-            live = tuple(live[k] for k in layout(len(live), positions).rest)
-            continue
-        for i, e in group:
-            if isinstance(e, ApplyBS):
-                m = e.matrix
-                u = _HADAMARD if m is None else ModeUnitary([[m[0], m[1]], [m[2], m[3]]])
-                pq = [live.index(mode) for mode in e.modes]
-                steps.append((_splitter, (named("bs", e.modes), pq, u, layout(len(live), pq).local_of)))
-            elif isinstance(e, PostSelect):
-                steps.append((_postselect, (_matcher(e.predicate),)))
-            elif isinstance(e, CorrectZ):
-                pair = DualRailQubit(live.index(e.rail1), live.index(e.rail0))
-                r1, r0 = ir.label_of(e.rail1), ir.label_of(e.rail0)
-                steps.append((_correct, (_matcher(e.condition), pair, r1, r0)))
-            else:
-                if isinstance(e, PrepareKet):
-                    modes, name = range(ir.mode_count), "ket"
-                elif isinstance(e, PrepareDualRail):
-                    modes, name = (e.rail1, e.rail0), named("dualrail on", (e.rail1, e.rail0))
-                else:
-                    modes, name = e.modes, named(f"bell {e.kind} on", e.modes)
-                place = layout(len(live), [live.index(mode) for mode in modes]).place
-                steps.append((_prepare, (i, name, place)))
-    return _Plan(tuple(steps), FockState.vacuum(ir.mode_count), tuple(map(ir.label_of, live)))
 
 
 def _run_checked(ir: CircuitIR, plan: _Plan) -> RunResult:
@@ -784,14 +776,14 @@ def _run_checked(ir: CircuitIR, plan: _Plan) -> RunResult:
     )
 
 
-def _splitter(ir: CircuitIR, branches: list[Branch], name: str, pq: list[int], u: ModeUnitary, local_of):
+def _splitter(ir: CircuitIR, branches: list[Branch], name: str, pq: Sequence[int], u: ModeUnitary, local_of):
     _limit_terms(name, _term_bound(branches, local_of))
     for b in branches:
         b.residual = apply_mode_unitary(b.residual, pq, u)
     return branches
 
 
-def _detect(ir: CircuitIR, branches: list[Branch], names: list[str], positions: list[int]):
+def _detect(ir: CircuitIR, branches: list[Branch], names: Sequence[str], positions: Sequence[int]):
     grown = []
     for b in branches:
         for outcome in measure.outcome_distribution(b.residual, positions):
@@ -887,7 +879,7 @@ def _preparation(ir: CircuitIR, element: Element) -> Factor:
 
 
 def _inject(state: FockState, place: Callable, factor: Factor) -> FockState:
-    """Write a factor from ``_preparation`` onto vacuum modes (``_validate`` checks) by their ``place``.
+    """Write a factor from ``_preparation`` onto vacuum modes (the rule pass checks) by their ``place``.
 
     State terms form the outer loop; each amplitude is ``0j +`` the state's
     times the factor's, in that order. The target modes are vacuum in every

@@ -13,9 +13,9 @@ heralded decides the correction picked up by the teleported rail:
   gate burning the encoded copy; the surviving half of the register carries
   the control out.
 
-Each gate is a circuit program for the engine in ``circuits``, built, put
-through the rule pass and planned once per policy and copy count; a call binds
-its checked input amplitudes into the program's preparations and runs the plan.
+Each gate is a circuit program for the engine in ``circuits``, built, checked
+and planned once per policy and copy count by the rule pass; a call binds its
+checked input amplitudes into the program's preparations and runs the plan.
 
 Detectors herald success: the singlet component maps to exactly one photon
 on D1 and none on D2. With the beam splitter convention of ``optics`` and
@@ -46,10 +46,9 @@ from .circuits import (
     PrepareDualRail,
     PrepareKet,
     RunResult,
+    _compile,
     _Plan,
-    _plan,
     _run_checked,
-    _validate,
 )
 from .fock import as_amplitude, as_int
 from .rails import DualRailQubit, LogicalAmplitudes
@@ -449,8 +448,7 @@ def _program(build: Callable[..., CircuitIR], policy: str, *shape: int) -> tuple
     program = _PROGRAMS.get(key)
     if program is None:
         ir = build(policy, *shape)
-        _validate(ir)
-        program = _PROGRAMS[key] = ir, _plan(ir)
+        program = _PROGRAMS[key] = ir, _compile(ir)
     return program
 
 

@@ -247,14 +247,14 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "        if labels is not None and len(labels) != n:\n",
-        "        if False:\n",
+        "            if len(labels) != n:\n",
+        "            if False:\n",
         "a hand-built program with too few labels raises IndexError, too many format to text parse rejects",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "        if labels is not None and len(set(labels)) != n:\n",
-        "        if False:\n",
+        "            if len(set(labels)) != n:\n",
+        "            if False:\n",
         "a hand-built program that repeats a label formats to text parse rejects",
     ),
     Mutant(
@@ -271,7 +271,7 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "    _validate(ir)\n    named = [",
+        "    _compile(ir)\n    named = [",
         "    named = [",
         "format writes an invalid hand-built program instead of raising",
     ),
@@ -367,9 +367,9 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "                _checked(ModeUnitary, [[m[0], m[1]], [m[2], m[3]]])\n",
-        "                pass\n",
-        "a non-unitary bs matrix raises a bare ValueError from the engine",
+        "u = _checked(ModeUnitary, [[m[0], m[1]], [m[2], m[3]]])",
+        "u = ModeUnitary([[m[0], m[1]], [m[2], m[3]]])",
+        "a non-unitary bs matrix raises a bare ValueError from the rule pass",
     ),
     Mutant(
         "src/dualrail/circuits.py",
@@ -469,8 +469,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        'm = [self.amplitude("bs matrix", z) for z in element.matrix]',
-        "m = list(element.matrix)",
+        '                    self.amplitude("bs matrix", z)\n',
+        "                    pass\n",
         "a bs matrix entry that is not a number is reported as a unitary entry, not as a bs matrix amplitude",
     ),
     Mutant(
@@ -523,15 +523,21 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "            live = tuple(live[k] for k in layout(len(live), positions).rest)\n",
+        "            self.live = tuple(m for m in self.live if m not in self.joint)\n",
         "",
-        "the plan does not advance the live modes after a joint detection, so later steps act on the wrong positions",
+        "the rule pass does not advance the live modes after a joint detection, so later steps act on the wrong positions",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "    rules.advance()\n    output_labels",
+        "    output_labels",
+        "a program that ends on a joint detection keeps its detected modes live, so output_labels lists them",
     ),
     Mutant(
         "src/dualrail/protocols.py",
-        "        _validate(ir)\n        program = _PROGRAMS[key] = ir, _plan(ir)\n",
-        "        program = _PROGRAMS[key] = ir, _plan(ir)\n",
-        "a gate's program never goes through the rule pass",
+        "program = _PROGRAMS[key] = ir, _compile(ir)",
+        "program = ir, _compile(ir)",
+        "the program memo keeps nothing, so every gate call checks and plans its program again",
     ),
     Mutant(
         "src/dualrail/rails.py",
@@ -565,9 +571,9 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "    _validate(ir)\n    return _run_checked(ir, _plan(ir))\n",
-        "    return _run_checked(ir, _plan(ir))\n",
-        "run_branches runs a hand-built program without the rule pass",
+        "if not prepares and (m not in self.live or m in self.joint):",
+        "if not prepares and m in self.joint:",
+        "a mode consumed by an earlier joint detection may be used again, and fails outside the rule pass",
     ),
     Mutant(
         "src/dualrail/circuits.py",
@@ -589,14 +595,14 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "        hash(name)\n",
-        "        pass\n",
-        "an unhashable label or outcome name raises a bare TypeError from the rule pass",
+        "    if not isinstance(name, str):\n",
+        "    if False:\n",
+        "a label or outcome name that is not a str passes, and mixed int and str names fail execute's sort",
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        'for element in _sequence(ir.elements, "program", "elements"):',
-        "for element in ir.elements:",
+        'for i, element in enumerate(_sequence(ir.elements, "program", "elements")):',
+        "for i, element in enumerate(ir.elements):",
         "a program whose elements are not a sequence raises a bare TypeError from the rule pass",
     ),
 ]

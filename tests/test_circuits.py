@@ -254,14 +254,17 @@ class TestHandBuiltPrograms:
             (2, None, (PrepareKet((5,)),), "expected ket term entries as a sequence, got 5"),
             (4, None, (PrepareBell("phi+", 5),), "expected bell modes as a sequence, got 5"),
             (2, 5, (), "expected mode labels as a sequence, got 5"),
-            (1, (["a"],), (), "expected a hashable mode label, got ['a']"),
+            (1, (["a"],), (), "expected a str mode label, got ['a']"),
+            (2, ("a", 2), (), "expected a str mode label, got 2"),
             (2, None, 5, "expected program elements as a sequence, got 5"),
             (2, None, (PrepareKet(5),), "expected ket terms as a sequence, got 5"),
             (2, None, (PostSelect(5),), "expected postselect clauses as a sequence, got 5"),
             (2, None, (PostSelect((5,)),), "expected postselect equalities as a sequence, got 5"),
-            (2, None, (ONE_PHOTON, Detect(0, ["a"])), "expected a hashable outcome name, got ['a']"),
+            (2, None, (ONE_PHOTON, Detect(0, ["a"])), "expected a str outcome name, got ['a']"),
             (2, None, (ONE_PHOTON, Detect(0, "a"), PostSelect((((["a"], 1),),))),
-             "expected a hashable outcome name, got ['a']"),
+             "expected a str outcome name, got ['a']"),
+            (2, None, (ONE_PHOTON, Detect(0, 7)), "expected a str outcome name, got 7"),
+            (2, None, (ONE_PHOTON, Detect(0, "a"), Detect(1, 1)), "expected a str outcome name, got 1"),
         ],
         ids=["short-labels", "long-labels", "repeated-label", "float-count", "str-count",
              "float-bs-mode", "float-rail", "str-detect-mode", "ket-norm", "ket-inf", "dualrail-norm",
@@ -270,15 +273,16 @@ class TestHandBuiltPrograms:
              "float-predicate-count", "str-predicate-count", "pairless-clause", "ket-huge-int", "bs-huge-int",
              "str-bs-entry", "str-dualrail-amp", "dualrail-inf", "one-element-array-amp", "two-element-array-amp",
              "str-ket-amp", "word-ket-amp", "long-ket-term",
-             "int-ket-term", "int-bell-modes", "int-labels", "list-label", "int-elements", "int-ket-terms",
-             "int-predicate", "int-clause", "list-outcome", "list-predicate-name"],
+             "int-ket-term", "int-bell-modes", "int-labels", "list-label", "int-label", "int-elements",
+             "int-ket-terms", "int-predicate", "int-clause", "list-outcome", "list-predicate-name",
+             "int-outcome", "mixed-outcome-names"],
     )
     def test_each_program_fault_raises_before_run_and_format(self, mode_count, labels, elements, message):
         """Unchecked, each raises AttributeError, IndexError, OverflowError,
         TypeError or ValueError, or runs (an unnormalized ket with accepted
         probability 4) and formats to text that ``parse`` rejects."""
         ir = circuits.CircuitIR(mode_count, labels, elements)
-        for call in (circuits.run_branches, circuits.format):
+        for call in (circuits.run_branches, circuits.execute, circuits.format):
             with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
                 call(ir)
 
@@ -337,10 +341,9 @@ class TestFormatNames:
         [
             (("a", "3"), "x", "label '3' is not a .loc name"),
             (None, "x y", "outcome 'x y' is not a .loc name"),
-            (None, 7, "outcome 7 is not a .loc name"),
             (("a", "b#"), "x", "label 'b#' is not a .loc name"),
         ],
-        ids=["number-label", "spaced-outcome", "int-outcome", "comment-label"],
+        ids=["number-label", "spaced-outcome", "comment-label"],
     )
     def test_a_name_the_scanner_does_not_read_is_refused(self, labels, name, message):
         ir = circuits.CircuitIR(2, labels, (ONE_PHOTON, Detect(0, name)))
@@ -362,6 +365,13 @@ class TestExecution:
         assert branch.counts == {"a": 1, "b": 0}
         assert branch.probability == pytest.approx(1.0)
         assert branch.residual is None
+
+    def test_a_closing_joint_detection_leaves_only_its_undetected_modes(self):
+        source = "modes 4 labels a b c d\nket |1,0,1,0>\nbs 1 2\nbs 3 4\ndetect 2 as x\ndetect 3 as y\n"
+        result = circuits.run_branches(parse(source))
+        assert result.output_labels == ("a", "d")
+        assert [b.residual.mode_count for b in result.branches] == [2, 2, 2, 2]
+        assert [tuple(b.counts.values()) for b in result.branches] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_unprepared_modes_are_vacuum(self):
         report = circuits.execute(parse("modes 3\ndualrail 0 0 1 0 on 1 2\ndetect 3 as v\n"))

@@ -20,6 +20,7 @@ import math
 import struct
 import sys
 import tracemalloc
+import typing
 from pathlib import Path
 from unittest import mock
 
@@ -705,6 +706,17 @@ TRUSTED_CALLERS = {
     ("rails", "pauli_correction"),
 }
 
+# Where a function branches on the kind of a program element: the one walk that
+# checks and plans a program, the formatter, the preparations' factors, the
+# gates' binding of their inputs and parse's check that kets come first.
+ELEMENT_KIND_BRANCHES = {
+    ("circuits", "check"),
+    ("circuits", "format"),
+    ("circuits", "_preparation"),
+    ("circuits", "parse"),
+    ("protocols", "_bind"),
+}
+
 
 # Where the engine's run step after the rule pass may be called: the public
 # entry, which runs the pass first, and the gates, whose programs took it once
@@ -715,14 +727,14 @@ RUN_CHECKED_CALLERS = {
 }
 
 
-def references(name: str) -> set:
-    """(module, enclosing function) of each name or attribute ``name`` in ``src``."""
+def functions_where(holds) -> set:
+    """(module, enclosing function) of each node in ``src`` for which ``holds(node)``."""
     found = set()
 
     def visit(node, module, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if name in (getattr(node, "attr", None), getattr(node, "id", None)):
+        if holds(node):
             found.add((module, function))
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
@@ -730,6 +742,11 @@ def references(name: str) -> set:
     for path in Path(dualrail.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
     return found
+
+
+def references(name: str) -> set:
+    """(module, enclosing function) of each name or attribute ``name`` in ``src``."""
+    return functions_where(lambda node: name in (getattr(node, "attr", None), getattr(node, "id", None)))
 
 
 # Where complex is called or passed as a function: each builds a number from
@@ -763,21 +780,31 @@ AS_AMPLITUDE_CALLERS = {
 
 def complex_calls() -> set:
     """(module, enclosing function) of each call of ``complex``, or call passing it, in ``src``."""
-    found = set()
+    return functions_where(
+        lambda node: isinstance(node, ast.Call)
+        and any(isinstance(n, ast.Name) and n.id == "complex" for n in [node.func, *node.args])
+    )
 
-    def visit(node, module, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if isinstance(node, ast.Call) and any(
-            isinstance(n, ast.Name) and n.id == "complex" for n in [node.func, *node.args]
-        ):
-            found.add((module, function))
-        for child in ast.iter_child_nodes(node):
-            visit(child, module, function)
 
-    for path in Path(dualrail.__file__).parent.glob("*.py"):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
-    return found
+def element_kind_branches() -> set:
+    """(module, enclosing function) of each comparison or ``isinstance`` test in ``src``
+    that names one of the seven program element classes."""
+    kinds = {cls.__name__ for cls in typing.get_args(circuits.Element)}
+
+    def tests_a_kind(node) -> bool:
+        tested = []
+        if isinstance(node, ast.Compare):
+            tested = [node.left, *node.comparators]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            tested = node.args[1:]
+        return any(getattr(n, "id", None) in kinds for t in tested for n in ast.walk(t))
+
+    return functions_where(tests_a_kind)
+
+
+def test_only_the_listed_functions_branch_on_element_kinds():
+    assert len(typing.get_args(circuits.Element)) == 7
+    assert element_kind_branches() == ELEMENT_KIND_BRANCHES
 
 
 def test_a_callers_number_is_read_only_by_as_amplitude():

@@ -500,7 +500,7 @@ def qubits(draw):
 def test_bound_programs_pass_the_rule_pass_and_run_as_run_branches(gate, policy, n, control, target):
     ir = gate_ir(lambda: GATES[gate](control, target, policy, n))
     result = GATES[gate](control, target, policy, n)
-    circuits._validate(ir)
+    circuits._compile(ir)
     expected = circuits.run_branches(ir)
     if gate == "nondestructive":
         for b in expected.branches:
@@ -543,7 +543,7 @@ def test_the_memo_stores_only_valid_keys_and_frozen_programs():
 def test_a_program_is_planned_once_per_shape():
     protocols._PROGRAMS.clear()
     q = LogicalAmplitudes(0.6, 0.8)
-    with mock.patch.object(protocols, "_plan", wraps=circuits._plan) as plan:
+    with mock.patch.object(protocols, "_compile", wraps=circuits._compile) as plan:
         for policy in POLICIES:
             for _ in range(10):
                 run_destructive_csign(q, q, policy)
@@ -575,8 +575,8 @@ def test_the_nondestructive_reference_is_the_kron_product_bit_for_bit():
 def test_a_program_is_checked_on_its_first_call_only():
     protocols._PROGRAMS.clear()
     q = LogicalAmplitudes(0.6, 0.8)
-    with mock.patch.object(protocols, "_validate", wraps=circuits._validate) as validate:
+    with mock.patch.object(protocols, "_compile", wraps=circuits._compile) as check:
         for _ in range(3):
             run_destructive_csign(q, q, "strict")
             run_quantum_encoder(q, 3, "strict")
-    assert validate.call_count == 2
+    assert check.call_count == 2
