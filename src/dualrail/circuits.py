@@ -23,21 +23,21 @@ by the formatter, which writes only labels and outcome names that scan as a
 ``name`` token.
 
 Every program rule lives in one rule pass, ``_Rules``, checked element by
-element in program order: by ``run_branches`` and ``format`` over a
-hand-built ``CircuitIR`` on every call, whose fields must have their IR types
-(integer modes, counts and occupations, number amplitudes, sequences where the
-IR holds tuples, pairs as ket terms and equalities, str labels and outcome
-names), and by ``parse`` on each statement once read, so a broken rule is a
-``ParseError`` at that statement or at the token it judges.
-``parse`` keeps only the rules of reading the text: ``modes`` comes first and
-once, labels are declared, and ``ket`` lines come before operations.
+element in program order when a program is made: by ``CircuitIR(...)``, whose
+fields must have their IR types (integer modes, counts and occupations, number
+amplitudes, sequences where the IR holds tuples, pairs as ket terms and
+equalities, str labels and outcome names), and by ``parse`` on each statement
+once read, so a broken rule is a ``CircuitError`` there or a ``ParseError`` at
+that statement or at the token it judges. The IR keeps what the pass read, as
+tuples. ``parse`` keeps only the rules of reading the text: ``modes`` comes
+first and once, labels are declared, and ``ket`` lines come before operations.
 
 One engine runs every program, the gates in ``protocols`` included. The rule
-pass also plans: each element that passes leaves a step holding what it needs
-beyond the input amplitudes, and ``_run_checked`` runs the steps, one handler
-per element kind. ``run_branches`` checks and plans on every call; a gate does
-so once per shape and binds each call's inputs in. Each preparation and
-``bs`` is bounded by the ``MAX_TERMS`` terms it could output before it runs.
+pass also plans: each element that passes leaves a step holding what it needs,
+a preparation's factor included, and ``_run_checked`` runs the steps, one
+handler per element kind. A ``CircuitIR`` keeps its plan, so a program is
+checked and planned once; a gate runs its plan with its inputs' factors. Each
+preparation and ``bs`` is bounded by the ``MAX_TERMS`` terms it could output.
 The engine enumerates every detector outcome: consecutive ``detect`` lines
 are one joint measurement; ``postselect`` flags the branches it rejects
 instead of dropping them, so they keep evolving; ``correct`` acts only on
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import index, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
@@ -152,9 +152,23 @@ Element = Union[PrepareKet, PrepareDualRail, PrepareBell, ApplyBS, Detect, PostS
 
 @dataclass(frozen=True)
 class CircuitIR:
+    """A program, checked and planned when it is made (a fault is a ``CircuitError``). It keeps
+    what the rule pass read, its sequences as tuples, and a plan outside ``==``, ``hash`` and ``repr``."""
+
     mode_count: int
     labels: tuple[str, ...] | None
     elements: tuple[Element, ...]
+    _plan: _Plan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _compile(self)
+
+    @classmethod
+    def _planned(cls, rules: _Rules) -> CircuitIR:
+        """The program ``rules`` has checked and planned statement by statement, for ``parse``."""
+        ir = object.__new__(cls)
+        object.__setattr__(ir, "mode_count", rules.mode_count)
+        return rules.keep(ir)
 
     def label_of(self, mode: int) -> str:
         return self.labels[mode] if self.labels else str(mode + 1)
@@ -291,10 +305,9 @@ _HADAMARD = hadamard_bs()
 
 
 class _Rules:
-    """Every program rule, checked one element at a time in program order; a
-    broken rule raises a one-line ``CircuitError``. An element that passes
-    appends its step to ``steps``, so the same walk plans the program. ``parse``
-    calls the value rules, ``amplitude`` to ``bell_kind``, at the token they judge."""
+    """Every program rule, checked one element at a time in program order; a broken rule raises a
+    one-line ``CircuitError``. An element that passes is kept, as tuples, and appends its step, so the
+    same walk plans the program. ``parse`` calls the value rules, ``amplitude`` to ``bell_kind``."""
 
     def __init__(self, mode_count: int, labels: Sequence[str] | None) -> None:
         n = self.mode_count = _checked(as_int, mode_count, "mode count")
@@ -308,14 +321,17 @@ class _Rules:
                 raise CircuitError(f"expected {n} labels, got {len(labels)}")
             if len(set(labels)) != n:
                 raise CircuitError("duplicate mode label")
+        self.labels = labels
         self.label = labels or tuple(map(str, range(1, n + 1)))  # each mode's label
         self.prepared, self.used, self.bound = set(), set(), set()
         self.live = tuple(range(n))  # every branch's circuit mode at each residual position
         self.joint: tuple[int, ...] = ()  # the modes of the open joint detection, still live
+        self.elements: list[Element] = []
         self.steps: list[tuple[Callable, tuple]] = []
+        self.inputs: list[int] = []  # the step of each preparation that takes amplitudes
 
-    def check(self, element: Element, i: int) -> None:
-        """Check element ``i`` of the program against those before it, then record it and append its step."""
+    def check(self, element: Element) -> None:
+        """Check the next element of the program against those before it, then keep it and append its step."""
         kind = type(element)
         if kind is not Detect:
             self.advance()
@@ -327,6 +343,7 @@ class _Rules:
                     self.amplitude("bs matrix", z)
                 u = _checked(ModeUnitary, [[m[0], m[1]], [m[2], m[3]]])
             pq = self.touch("bs", element.modes, "beam splitter modes must be distinct")
+            element = ApplyBS(tuple(element.modes), m if m is None else tuple(m))
             step = _splitter, (self.named("bs", pq), pq, u, layout(len(self.live), pq).local_of)
         elif kind is Detect:
             (p,) = self.touch("detect", (element.mode,))
@@ -342,20 +359,21 @@ class _Rules:
             amps = [self.amplitude("dualrail", a) for a in (element.a0, element.a1)]
             if not is_normalized(amps):
                 raise CircuitError("dualrail amplitudes are not normalized")
-            step = self.prepare(i, self.named("dualrail on", at), at)
+            self.inputs.append(len(self.steps))
+            step = self.prepare(self.named("dualrail on", at), at, _dualrail_factor(element.a0, element.a1))
         elif kind is PostSelect:
-            self.predicate("postselect", element.predicate)
+            element = PostSelect(self.predicate("postselect", element.predicate))
             step = _postselect, (_matcher(element.predicate),)
         elif kind is CorrectZ:
             pair = self.touch("correct", (element.rail1, element.rail0), "rail modes must be distinct")
-            self.predicate("correct", element.condition)
+            element = CorrectZ(element.rail1, element.rail0, self.predicate("correct", element.condition))
             r1, r0 = (self.label[self.live[p]] for p in pair)
             step = _correct, (_matcher(element.condition), DualRailQubit(*pair), r1, r0)
         elif kind is PrepareBell:
             self.bell_kind(element.kind)
-            _sized(element.modes, 4, "bell", "modes")
+            element = PrepareBell(element.kind, tuple(_sized(element.modes, 4, "bell", "modes")))
             at = self.touch("bell", element.modes, "Bell modes must be distinct", prepares=True)
-            step = self.prepare(i, self.named(f"bell {element.kind} on", at), at)
+            step = self.prepare(self.named(f"bell {element.kind} on", at), at, _BELL_FACTORS[element.kind])
         elif kind is PrepareKet:
             summed: dict[tuple[int, ...], complex] = {}  # equal kets add up before the norm check
             for term in _sequence(element.terms, "ket", "terms"):
@@ -364,10 +382,23 @@ class _Rules:
                 summed[occ] = summed.get(occ, 0j) + self.amplitude("ket", amp)
             if not is_normalized(summed.values()):
                 raise CircuitError("ket amplitudes are not normalized")
-            step = self.prepare(i, "ket", self.touch("ket", range(self.mode_count), prepares=True))
+            element = PrepareKet(tuple((tuple(occ), amp) for occ, amp in element.terms))
+            at = self.touch("ket", range(self.mode_count), prepares=True)
+            self.inputs.append(len(self.steps))
+            step = self.prepare("ket", at, _ket_factor(self.mode_count, element.terms))
         else:
             raise CircuitError(f"unknown program element {element!r}")
+        self.elements.append(element)
         self.steps.append(step)
+
+    def keep(self, ir: CircuitIR) -> CircuitIR:
+        """``ir`` holding the labels and elements the walk kept, and its plan."""
+        self.advance()
+        labels = tuple(self.label[m] for m in self.live)
+        plan = _Plan(tuple(self.steps), FockState.vacuum(self.mode_count), labels, tuple(self.inputs))
+        for name, value in ("labels", self.labels), ("elements", tuple(self.elements)), ("_plan", plan):
+            object.__setattr__(ir, name, value)
+        return ir
 
     def touch(self, what: str, modes: Sequence[int], distinct: str = "", prepares: bool = False) -> tuple:
         """Check ``what`` on ``modes``, then record it: integers in range, none twice
@@ -397,11 +428,12 @@ class _Rules:
         """``what`` and the labels of the live modes at ``positions``, as a term limit error names it."""
         return what + "".join(f" {self.label[self.live[p]]}" for p in positions)
 
-    def prepare(self, i: int, name: str, positions: tuple[int, ...]) -> tuple[Callable, tuple]:
-        """The step of preparation ``i``, ``name``, which writes onto the live ``positions``."""
-        return _prepare, (i, name, layout(len(self.live), positions).place)
+    def prepare(self, name: str, positions: tuple[int, ...], factor: Factor) -> tuple[Callable, tuple]:
+        """The step of preparation ``name``, which writes ``factor`` onto the live ``positions``."""
+        return _prepare, (name, layout(len(self.live), positions).place, factor)
 
-    def predicate(self, what: str, predicate: Predicate) -> None:
+    def predicate(self, what: str, predicate: Predicate) -> Predicate:
+        """``predicate``, checked, as tuples."""
         _sequence(predicate, what, "clauses")
         if not predicate:
             raise CircuitError(f"{what} needs at least one clause")
@@ -414,6 +446,7 @@ class _Rules:
                 self.count(count)
                 if _name(name, "outcome name") not in self.bound:
                     raise CircuitError(f"{what} references unbound outcome {name!r}")
+        return tuple(tuple(map(tuple, clause)) for clause in predicate)
 
     def amplitude(self, what: str, amp: complex) -> complex:
         """``amp`` read by ``as_amplitude``, which must be finite."""
@@ -446,15 +479,13 @@ class _Rules:
             raise CircuitError("unknown Bell state")
 
 
-def _compile(ir: CircuitIR) -> _Plan:
-    """Check ``ir`` with the rule pass that ``parse`` runs and plan it in the same walk, as
-    ``run_branches`` and ``format`` do on every call and ``protocols`` once per gate program."""
+def _compile(ir: CircuitIR) -> None:
+    """Check ``ir`` with the rule pass that ``parse`` runs, plan it in the same walk, and
+    keep in ``ir`` what the pass read and the plan: ``CircuitIR`` calls it once, when it is made."""
     rules = _Rules(ir.mode_count, ir.labels)
-    for i, element in enumerate(_sequence(ir.elements, "program", "elements")):
-        rules.check(element, i)
-    rules.advance()
-    output_labels = tuple(rules.label[m] for m in rules.live)
-    return _Plan(tuple(rules.steps), FockState.vacuum(rules.mode_count), output_labels)
+    for element in _sequence(ir.elements, "program", "elements"):
+        rules.check(element)
+    rules.keep(ir)
 
 
 # --------------------------------------------------------------------------
@@ -474,8 +505,6 @@ def _rule(where: tuple, check: Callable, *args):
 class _ProgramBuilder:
     def __init__(self) -> None:
         self.rules: _Rules | None = None
-        self.labels: tuple[str, ...] | None = None
-        self.elements: list[Element] = []
         # The line and column, ket and amplitude of each pending ``ket`` line.
         self.ket_terms: list[tuple[tuple[int, int], tuple[int, ...], complex]] = []
 
@@ -486,9 +515,9 @@ class _ProgramBuilder:
         if tok is None or tok.kind != "name":
             raise p.error(f"expected a {what}")
         p.take()
-        if tok.text not in (self.labels or ()):
+        if tok.text not in (self.rules.labels or ()):
             raise ParseError(tok.line, tok.column, "undeclared mode label", tok.text)
-        return self.labels.index(tok.text)
+        return self.rules.labels.index(tok.text)
 
     def predicate(self, p: _LineParser) -> Predicate:
         clauses: list[list[tuple[str, int]]] = [[]]
@@ -506,13 +535,12 @@ class _ProgramBuilder:
                 clauses.append([])
 
     def add(self, element: Element, where: tuple[int, int]) -> None:
-        """Check ``element``, after the ``ket`` terms read so far, and append it."""
+        """Check ``element``, after the ``ket`` terms read so far, and keep it."""
         self.flush()
-        _rule(where, self.rules.check, element, len(self.elements))
-        self.elements.append(element)
+        _rule(where, self.rules.check, element)
 
     def flush(self) -> None:
-        """Check and append the pending ``ket`` terms as the one element they fold into."""
+        """Check and keep the pending ``ket`` terms as the one element they fold into."""
         if self.ket_terms:
             wheres, kets, amps = zip(*self.ket_terms)
             self.ket_terms = []
@@ -520,8 +548,8 @@ class _ProgramBuilder:
 
 
 def parse(source: str) -> CircuitIR:
-    """Parse a circuit program, feeding each statement to the rule pass once it is
-    read (``ket`` lines as the one element they fold into, before the next one)."""
+    """Parse a circuit program, feeding each statement to the rule pass once it is read (``ket``
+    lines as the one element they fold into, before the next one); the IR keeps that walk's plan."""
     b = _ProgramBuilder()
     for line_no, raw in enumerate(source.splitlines(), start=1):
         tokens = _scan_line(raw, line_no)
@@ -535,11 +563,11 @@ def parse(source: str) -> CircuitIR:
         if keyword == "modes":
             if b.rules is not None:
                 raise ParseError(*where, "duplicate 'modes' declaration")
-            count = p.take_int("mode count")
+            count, labels = p.take_int("mode count"), None
             if p.peek() is not None:
                 p.take_literal("labels")
-                b.labels = tuple(p.take("name", "mode label").text for _ in p.tokens[p.i :])
-            b.rules = _rule(where, _Rules, count, b.labels)
+                labels = tuple(p.take("name", "mode label").text for _ in p.tokens[p.i :])
+            b.rules = _rule(where, _Rules, count, labels)
             continue
 
         if b.rules is None:
@@ -560,7 +588,7 @@ def parse(source: str) -> CircuitIR:
                 amp = complex(p.take_float("amp real part"), p.take_float("amp imaginary part"))
                 _rule((line_no, amp_tok.column), b.rules.amplitude, "ket", amp)
             p.expect_end()
-            if any(type(e) not in (PrepareKet, PrepareDualRail, PrepareBell) for e in b.elements):
+            if any(type(e) not in (PrepareKet, PrepareDualRail, PrepareBell) for e in b.rules.elements):
                 raise ParseError(*where, "ket terms must come before operations")
             b.ket_terms.append((where, occ, amp))
             continue
@@ -609,7 +637,7 @@ def parse(source: str) -> CircuitIR:
     if b.rules is None:
         raise ParseError(1, 1, "missing 'modes' declaration")
     b.flush()
-    return CircuitIR(b.rules.mode_count, b.labels, tuple(b.elements))
+    return CircuitIR._planned(b.rules)
 
 
 # --------------------------------------------------------------------------
@@ -629,10 +657,8 @@ def _fmt_predicate(predicate: Predicate) -> str:
 
 
 def format(ir: CircuitIR) -> str:
-    """Canonical text rendering; ``parse(format(ir))`` equals ``ir``. The program must
-    pass the rule pass and its labels and outcome names be ``.loc`` names (the
-    scanner's ``name`` token), else ``CircuitError``."""
-    _compile(ir)
+    """Canonical text rendering; ``parse(format(ir))`` equals ``ir``. Its labels and outcome
+    names must be ``.loc`` names (the scanner's ``name`` token), else ``CircuitError``."""
     named = [("label", label) for label in ir.labels or ()]
     named += [("outcome", e.name) for e in ir.elements if isinstance(e, Detect)]
     for what, name in named:
@@ -744,30 +770,32 @@ def run_branches(ir: CircuitIR) -> RunResult:
     out in detection order. ``postselect`` flags the branches it rejects
     instead of dropping them, and ``correct`` acts only on accepted branches.
     The probabilities of all branches sum to the prepared state's squared
-    norm; the result splits that sum into accepted and rejected weight.
-    On every call, the rule pass that ``parse`` runs checks the program and
-    plans it in one walk, so a hand-built ``CircuitIR`` that breaks a rule
-    raises its ``CircuitError``. The gates' own programs are checked and planned
-    once per shape and then run through ``_run_checked``.
+    norm; the result splits that sum into accepted and rejected weight. A
+    ``CircuitIR`` is checked and planned when it is made; a run runs its plan.
     """
-    return _run_checked(ir, _compile(ir))
+    return _run_checked(ir._plan, ())
 
 
 class _Plan(NamedTuple):
-    """The rule pass's plan of a checked program: what a run needs beyond its input amplitudes.
-    Each step, one per element or joint detection, is ``(handler, args)``; ``handler(ir,
-    branches, *args)`` returns the branches after it, calling kernels by module attribute."""
+    """The rule pass's plan of a program. Each step, one per element or joint detection, is
+    ``(handler, args)``; ``handler(branches, *args)`` returns the branches after it, calling
+    kernels by module attribute. ``inputs`` lists the steps of the ``dualrail`` and ``ket``."""
 
     steps: tuple[tuple[Callable, tuple], ...]
     vacuum: FockState
     output_labels: tuple[str, ...]
+    inputs: tuple[int, ...]
 
 
-def _run_checked(ir: CircuitIR, plan: _Plan) -> RunResult:
-    """``run_branches``'s run step: ``ir``, which has passed the rule pass, run by its ``plan``."""
+def _run_checked(plan: _Plan, factors: Sequence[Factor]) -> RunResult:
+    """``run_branches``'s run step: a checked program run by its ``plan``, the steps in
+    ``plan.inputs`` writing ``factors``, in order, in place of the factors they keep."""
+    steps = list(plan.steps)
+    for k, factor in zip(plan.inputs, factors):
+        steps[k] = steps[k][0], steps[k][1][:2] + (factor,)
     branches = [Branch({}, 1.0, plan.vacuum, (), True)]
-    for handler, args in plan.steps:
-        branches = handler(ir, branches, *args)
+    for handler, args in steps:
+        branches = handler(branches, *args)
     return RunResult(
         branches,
         sum((b.probability for b in branches if b.accepted), 0.0),
@@ -776,14 +804,14 @@ def _run_checked(ir: CircuitIR, plan: _Plan) -> RunResult:
     )
 
 
-def _splitter(ir: CircuitIR, branches: list[Branch], name: str, pq: Sequence[int], u: ModeUnitary, local_of):
+def _splitter(branches: list[Branch], name: str, pq: Sequence[int], u: ModeUnitary, local_of):
     _limit_terms(name, _term_bound(branches, local_of))
     for b in branches:
         b.residual = apply_mode_unitary(b.residual, pq, u)
     return branches
 
 
-def _detect(ir: CircuitIR, branches: list[Branch], names: Sequence[str], positions: Sequence[int]):
+def _detect(branches: list[Branch], names: Sequence[str], positions: Sequence[int]):
     grown = []
     for b in branches:
         for outcome in measure.outcome_distribution(b.residual, positions):
@@ -793,13 +821,13 @@ def _detect(ir: CircuitIR, branches: list[Branch], names: Sequence[str], positio
     return grown
 
 
-def _postselect(ir: CircuitIR, branches: list[Branch], holds: Callable):
+def _postselect(branches: list[Branch], holds: Callable):
     for b in branches:
         b.accepted = b.accepted and holds(b.counts)
     return branches
 
 
-def _correct(ir: CircuitIR, branches: list[Branch], holds: Callable, pair: DualRailQubit, r1: str, r0: str):
+def _correct(branches: list[Branch], holds: Callable, pair: DualRailQubit, r1: str, r0: str):
     for b in branches:
         if b.accepted and holds(b.counts):
             try:
@@ -810,11 +838,10 @@ def _correct(ir: CircuitIR, branches: list[Branch], holds: Callable, pair: DualR
     return branches
 
 
-def _prepare(ir: CircuitIR, branches: list[Branch], i: int, name: str, place: Callable):
-    terms = _preparation(ir, ir.elements[i])
-    _limit_terms(name, len(terms) * sum(len(b.residual.terms) for b in branches))
+def _prepare(branches: list[Branch], name: str, place: Callable, factor: Factor):
+    _limit_terms(name, len(factor) * sum(len(b.residual.terms) for b in branches))
     for b in branches:
-        b.residual = _inject(b.residual, place, terms)
+        b.residual = _inject(b.residual, place, factor)
     return branches
 
 
@@ -852,6 +879,8 @@ def execute(ir: CircuitIR) -> RunResult:
     return replace(result, branches=survivors)
 
 
+# A preparation's (sub-ket, amplitude) terms on the modes it lists, as ``_inject`` needs them:
+# distinct tuples of non-negative ints and Python complex numbers.
 Factor = tuple[tuple[tuple[int, ...], complex], ...]
 
 # Each Bell kind's factor on its four listed modes, built once: every ``bell`` of
@@ -862,24 +891,21 @@ _BELL_FACTORS = {
 }
 
 
-def _preparation(ir: CircuitIR, element: Element) -> Factor:
-    """A preparation's (sub-ket, amplitude) terms on the modes it lists, checked once.
 
-    The sub-kets are distinct tuples of non-negative ints and the amplitudes
-    Python complex numbers, as ``_inject`` needs: ``PrepareKet`` terms, the
-    only kets a caller gives, pass through the public ``FockState`` constructor.
-    """
-    if isinstance(element, PrepareKet):
-        return tuple(FockState(ir.mode_count, element.terms).terms.items())
-    if isinstance(element, PrepareDualRail):
-        amps = (as_amplitude(a, "dualrail amplitude") for a in (element.a0, element.a1))
-        # A zero amplitude's term would be pruned after it was written, and bounded before.
-        return tuple((k, a) for k, a in zip(rails.RAIL_KETS, amps) if a)
-    return _BELL_FACTORS[element.kind]
+def _ket_factor(mode_count: int, terms: Iterable[tuple[Sequence[int], complex]]) -> Factor:
+    """``ket`` terms, the only kets a caller gives, through the public ``FockState`` constructor."""
+    return tuple(FockState(mode_count, terms).terms.items())
+
+
+def _dualrail_factor(a0: complex, a1: complex) -> Factor:
+    """A dual-rail qubit's factor on its (rail1, rail0) pair."""
+    amps = (as_amplitude(a, "dualrail amplitude") for a in (a0, a1))
+    # A zero amplitude's term would be pruned after it was written, and bounded before.
+    return tuple((k, a) for k, a in zip(rails.RAIL_KETS, amps) if a)
 
 
 def _inject(state: FockState, place: Callable, factor: Factor) -> FockState:
-    """Write a factor from ``_preparation`` onto vacuum modes (the rule pass checks) by their ``place``.
+    """Write a preparation's factor onto vacuum modes (the rule pass checks) by their ``place``.
 
     State terms form the outer loop; each amplitude is ``0j +`` the state's
     times the factor's, in that order. The target modes are vacuum in every

@@ -13,9 +13,9 @@ heralded decides the correction picked up by the teleported rail:
   gate burning the encoded copy; the surviving half of the register carries
   the control out.
 
-Each gate is a circuit program for the engine in ``circuits``, built, checked
-and planned once per policy and copy count by the rule pass; a call binds its
-checked input amplitudes into the program's preparations and runs the plan.
+Each gate is a circuit program for the engine in ``circuits``: a ``CircuitIR``,
+checked and planned when it is made, once per policy and copy count. A call
+runs its plan with the factors of its checked inputs in place of the program's.
 
 Detectors herald success: the singlet component maps to exactly one photon
 on D1 and none on D2. With the beam splitter convention of ``optics`` and
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import string
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable
@@ -46,8 +47,8 @@ from .circuits import (
     PrepareDualRail,
     PrepareKet,
     RunResult,
-    _compile,
-    _Plan,
+    _dualrail_factor,
+    _ket_factor,
     _run_checked,
 )
 from .fock import as_amplitude, as_int
@@ -407,18 +408,16 @@ def _destructive_program(policy: str) -> CircuitIR:
 
 
 def _encoder_program(policy: str, n: int) -> CircuitIR:
-    zero, one = rails.RAIL_KETS
-    kets = [r + q for r in (zero * n, one * n) for q in rails.RAIL_KETS]
-    labels = [f"{_pair_letter(i)}{r}" for i in range(n) for r in (1, 2)] + ["1", "2"]
-    product = PrepareKet(tuple(zip(kets, _product_amps(*_UNBOUND))))
+    labels = [f"{string.ascii_lowercase[i % 26]}{r}" for i in range(n) for r in (1, 2)] + ["1", "2"]
+    product = PrepareKet(tuple(_encoder_terms(n, *_UNBOUND)))
     return CircuitIR(2 * n + 2, tuple(labels), (product, *_encoder_stage(n, policy)))
 
 
-def _product_amps(a0: complex, a1: complex) -> list[complex]:
-    """The amplitudes of the register (|0101...01> - |1010...10>)/sqrt2 times the
-    input a0|0>_L + a1|1>_L, register term by input term, as the encoder's kets list them."""
+def _encoder_terms(n: int, a0: complex, a1: complex) -> list[tuple[tuple[int, ...], complex]]:
+    """The ket terms of the register (|0101...01> - |1010...10>)/sqrt2 times the input a0|0>_L + a1|1>_L."""
+    zero, one = rails.RAIL_KETS
     s = 1.0 / math.sqrt(2.0)
-    return [ra * qa for ra in (s, -s) for qa in (a0, a1)]
+    return [(r + q, ra * qa) for r, ra in ((zero * n, s), (one * n, -s)) for q, qa in zip(rails.RAIL_KETS, (a0, a1))]
 
 
 def _nondestructive_program(policy: str) -> CircuitIR:
@@ -437,42 +436,24 @@ def _nondestructive_program(policy: str) -> CircuitIR:
     )
 
 
-# Each gate's program and its plan per (builder, policy, copy count). The gates
-# check the policy and copy count first, so at most 2 + 2 + 2 * 19 = 42 are stored.
-_PROGRAMS: dict[tuple, tuple[CircuitIR, _Plan]] = {}
+# Each gate's program per (builder, policy, copy count). The gates check the policy
+# and copy count first, so at most 2 + 2 + 2 * 19 = 42 are stored.
+_PROGRAMS: dict[tuple, CircuitIR] = {}
 
 
-def _program(build: Callable[..., CircuitIR], policy: str, *shape: int) -> tuple[CircuitIR, _Plan]:
-    """``build(policy, *shape)`` and its plan, checked and planned on its first call only."""
+def _program(build: Callable[..., CircuitIR], policy: str, *shape: int) -> CircuitIR:
+    """``build(policy, *shape)``, built on its first call only."""
     key = (build, policy, *shape)
-    program = _PROGRAMS.get(key)
-    if program is None:
-        ir = build(policy, *shape)
-        program = _PROGRAMS[key] = ir, _compile(ir)
-    return program
+    ir = _PROGRAMS.get(key)
+    if ir is None:
+        ir = _PROGRAMS[key] = build(policy, *shape)
+    return ir
 
 
-def _bind(ir: CircuitIR, *amplitudes) -> CircuitIR:
-    """``ir`` with ``amplitudes`` in its preparations, in program order: a pair (a0, a1)
-    per ``PrepareDualRail``, one per term per ``PrepareKet``. The bound program skips
-    the rule pass, so the gate checks them first with ``rails.require_normalized``."""
-    given = iter(amplitudes)
-    elements = []
-    for e in ir.elements:
-        if type(e) is PrepareDualRail:
-            e = PrepareDualRail(*next(given), e.rail1, e.rail0)
-        elif type(e) is PrepareKet:
-            e = PrepareKet(tuple(zip([ket for ket, _ in e.terms], next(given))))
-        elements.append(e)
-    return CircuitIR(ir.mode_count, ir.labels, tuple(elements))
-
-
-def _run_gate(
-    ir: CircuitIR, plan: _Plan, amplitudes: tuple, pairs: list[DualRailQubit], reference: np.ndarray | None
-) -> RunResult:
-    """Run a gate's plan with ``amplitudes`` bound into its program ``ir``; decode the accepted
-    residuals on ``pairs``, which must agree up to global phase, and align the first to ``reference``."""
-    result = _run_checked(_bind(ir, *amplitudes), plan)
+def _run_gate(ir: CircuitIR, factors: tuple, pairs: list[DualRailQubit], reference: np.ndarray | None) -> RunResult:
+    """Run a gate's program ``ir`` with its inputs' ``factors``; decode the accepted residuals
+    on ``pairs``, which must agree up to global phase, and align the first to ``reference``."""
+    result = _run_checked(ir._plan, factors)
     decoded = [rails.decode_register(b.residual, pairs) for b in result.branches if b.accepted]
     if decoded:
         first = decoded[0]
@@ -496,23 +477,18 @@ def run_destructive_csign(
     teleports the target onto (1', 4) up to a Bell-outcome correction. The
     strict policy keeps only the D1=1, D2=0 herald (probability 1/4 for a
     basis-state control); feed-forward also keeps D1=0, D2=1 and repairs it
-    with a Z, doubling the acceptance. The program, checked once per policy,
-    takes both qubits' amplitudes once they are numbers of unit norm.
+    with a Z, doubling the acceptance. The program is checked once per policy.
     """
     _check_policy(policy)
     # Before the reference, which numpy would compute with a warning, and in place of
-    # the rule pass, which the bound program skips.
+    # the rule pass, which the kept plan skips.
     rails.require_normalized(control)
     rails.require_normalized(target)
     expected = control.a0 * target.as_array() + control.a1 * (_Z @ target.as_array())
     norm = float(np.linalg.norm(expected))
     reference = expected / norm if norm > 1e-12 else None
-    amplitudes = (control.a0, control.a1), (target.a0, target.a1)
-    return _run_gate(*_program(_destructive_program, policy), amplitudes, [DualRailQubit(0, 1)], reference)
-
-
-def _pair_letter(i: int) -> str:
-    return "abcdefghijklmnopqrstuvwxyz"[i % 26]
+    factors = _dualrail_factor(control.a0, control.a1), _dualrail_factor(target.a0, target.a1)
+    return _run_gate(_program(_destructive_program, policy), factors, [DualRailQubit(0, 1)], reference)
 
 
 def run_quantum_encoder(
@@ -525,9 +501,7 @@ def run_quantum_encoder(
     herald (one photon on Da1, none on Da2) leaves
     a1|0...0>_L + a2|1...1>_L on the n encoded qubits, the last of which is
     carried by the surviving register rail and the input's second rail.
-    The program, checked once per policy and copy count, takes the product
-    amplitudes into its one ``PrepareKet`` once the qubit's are numbers of
-    unit norm.
+    The program is checked once per policy and copy count.
     """
     _check_policy(policy)
     rails.require_normalized(qubit)
@@ -540,8 +514,8 @@ def run_quantum_encoder(
     reference[0] = qubit.a0
     reference[-1] = qubit.a1
     pairs = [DualRailQubit(2 * i, 2 * i + 1) for i in range(n)]
-    amplitudes = (_product_amps(qubit.a0, qubit.a1),)
-    return _run_gate(*_program(_encoder_program, policy, n), amplitudes, pairs, reference)
+    factors = (_ket_factor(2 * n + 2, _encoder_terms(n, qubit.a0, qubit.a1)),)
+    return _run_gate(_program(_encoder_program, policy, n), factors, pairs, reference)
 
 
 # One label per mode: the register's b1 rail, which the stage-1 correction
@@ -558,17 +532,16 @@ def run_nondestructive_csign(
     destructive gate then consumes the (b1, 2) copy against the target. The
     surviving output is the two-qubit state on (a1, a2) and (1', 4), compared
     against the reference conditional sign flip. The same acceptance policy
-    is applied at both heralding stages. The program, checked once per
-    policy, takes both qubits' amplitudes once they are numbers of unit norm.
+    is applied at both heralding stages. The program is checked once per policy.
     """
     _check_policy(policy)
     rails.require_normalized(control)
     rails.require_normalized(target)
     # The products np.kron takes, in its order, without its reshaping.
     reference = _CSIGN @ np.multiply.outer(control.as_array(), target.as_array()).ravel()
-    amplitudes = (control.a0, control.a1), (target.a0, target.a1)
+    factors = _dualrail_factor(control.a0, control.a1), _dualrail_factor(target.a0, target.a1)
     pairs = [DualRailQubit(0, 1), DualRailQubit(2, 3)]
-    result = _run_gate(*_program(_nondestructive_program, policy), amplitudes, pairs, reference)
+    result = _run_gate(_program(_nondestructive_program, policy), factors, pairs, reference)
     for b in result.branches:
         b.corrections = tuple(_STAGE1_CORRECTION.get(c, c) for c in b.corrections)
     return result

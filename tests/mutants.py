@@ -181,8 +181,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        'amps = (as_amplitude(a, "dualrail amplitude") for a in (element.a0, element.a1))',
-        "amps = (element.a0, element.a1)",
+        'amps = (as_amplitude(a, "dualrail amplitude") for a in (a0, a1))',
+        "amps = (a0, a1)",
         "injected dual-rail amplitudes stay numpy scalars instead of Python complex",
     ),
     Mutant(
@@ -193,8 +193,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "tuple(FockState(ir.mode_count, element.terms).terms.items())",
-        "element.terms",
+        "tuple(FockState(mode_count, terms).terms.items())",
+        "tuple(terms)",
         "hand-built ket terms are injected without the public check: no duplicate sum, no ket check",
     ),
     Mutant(
@@ -271,9 +271,9 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "    _compile(ir)\n    named = [",
-        "    named = [",
-        "format writes an invalid hand-built program instead of raising",
+        "            element = ApplyBS(tuple(element.modes), m if m is None else tuple(m))\n",
+        "",
+        "a bs keeps its caller's mode and matrix sequences, so format writes a program the rule pass never saw",
     ),
     Mutant(
         "src/dualrail/protocols.py",
@@ -498,10 +498,10 @@ MUTANTS = [
         "format writes a bool mode count as modes True, which parse rejects",
     ),
     Mutant(
-        "src/dualrail/protocols.py",
-        "given = iter(amplitudes)",
-        "given = iter(amplitudes[::-1])",
-        "a gate binds the target's amplitudes into the control's preparation and the control's into the target's",
+        "src/dualrail/circuits.py",
+        "for k, factor in zip(plan.inputs, factors):",
+        "for k, factor in zip(plan.inputs[::-1], factors):",
+        "a gate binds the target's factor into the control's preparation and the control's into the target's",
     ),
     Mutant(
         "src/dualrail/protocols.py",
@@ -517,9 +517,9 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/protocols.py",
-        "result = _run_checked(_bind(ir, *amplitudes), plan)",
-        "result = _run_checked(ir, plan)",
-        "each preparation of a gate reads the unbound program's amplitudes, logical |0>, not the caller's",
+        "result = _run_checked(ir._plan, factors)",
+        "result = _run_checked(ir._plan, ())",
+        "each preparation of a gate writes the program's own factor, logical |0>, not the caller's",
     ),
     Mutant(
         "src/dualrail/circuits.py",
@@ -529,15 +529,15 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "    rules.advance()\n    output_labels",
-        "    output_labels",
+        "        self.advance()\n        labels = ",
+        "        labels = ",
         "a program that ends on a joint detection keeps its detected modes live, so output_labels lists them",
     ),
     Mutant(
         "src/dualrail/protocols.py",
-        "program = _PROGRAMS[key] = ir, _compile(ir)",
-        "program = ir, _compile(ir)",
-        "the program memo keeps nothing, so every gate call checks and plans its program again",
+        "ir = _PROGRAMS[key] = build(policy, *shape)",
+        "ir = build(policy, *shape)",
+        "the program memo keeps nothing, so every gate call builds, checks and plans its program again",
     ),
     Mutant(
         "src/dualrail/rails.py",
@@ -577,7 +577,7 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "_limit_terms(name, len(terms) * sum(",
+        "_limit_terms(name, len(factor) * sum(",
         "_limit_terms(name, sum(",
         "a preparation is bounded by the terms it is given, not by the terms it writes",
     ),
@@ -589,8 +589,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "return _BELL_FACTORS[element.kind]",
-        'return _BELL_FACTORS["phi+"]',
+        "at, _BELL_FACTORS[element.kind])",
+        'at, _BELL_FACTORS["phi+"])',
         "every bell prepares the phi+ factor built at import",
     ),
     Mutant(
@@ -601,9 +601,22 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        'for i, element in enumerate(_sequence(ir.elements, "program", "elements")):',
-        "for i, element in enumerate(ir.elements):",
+        'for element in _sequence(ir.elements, "program", "elements"):',
+        "for element in ir.elements:",
         "a program whose elements are not a sequence raises a bare TypeError from the rule pass",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        '            at = self.touch("bell", element.modes, "Bell modes must be distinct", prepares=True)\n',
+        '            at = self.touch("bell", element.modes, "Bell modes must be distinct", prepares=True)\n'
+        "            self.inputs.append(len(self.steps))\n",
+        "a bell counts as a gate input, so the nondestructive gate binds the control's factor into its Bell step",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "    b.flush()\n    return CircuitIR._planned(b.rules)\n",
+        "    ir = CircuitIR._planned(b.rules)\n    b.flush()\n    return ir\n",
+        "parse takes its plan before its final flush, so a ket-only program runs without its ket",
     ),
 ]
 

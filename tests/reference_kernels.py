@@ -196,10 +196,11 @@ def predicate_holds(predicate: Predicate, counts: dict[str, int]) -> bool:
     return any(all(counts.get(name) == value for name, value in clause) for clause in predicate)
 
 
-def preparation(ir: CircuitIR, element: Element) -> tuple[Iterable[int], Iterable]:
-    """The modes a preparation writes and its (sub-ket, amplitude) terms, as given."""
+def preparation(mode_count: int, element: Element) -> tuple[Iterable[int], Iterable]:
+    """The modes a preparation in a program of ``mode_count`` modes writes and its
+    (sub-ket, amplitude) terms, as given."""
     if isinstance(element, PrepareKet):
-        return range(ir.mode_count), element.terms
+        return range(mode_count), element.terms
     if isinstance(element, PrepareDualRail):
         rails.require_normalized(LogicalAmplitudes(element.a0, element.a1))
         return (element.rail1, element.rail0), (((0, 1), element.a0), ((1, 0), element.a1))

@@ -1,6 +1,8 @@
+import copy
 import math
 import re
-from unittest import mock
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -176,7 +178,7 @@ ONE_PHOTON = PrepareKet((((1, 0), 1.0 + 0j),))
 
 
 class TestHandBuiltPrograms:
-    """``run_branches`` validates a ``CircuitIR`` that ``parse`` never saw."""
+    """``CircuitIR`` checks a program that ``parse`` never saw, when it is made."""
 
     @pytest.mark.parametrize(
         "elements, message",
@@ -192,7 +194,7 @@ class TestHandBuiltPrograms:
     )
     def test_each_fault_raises_a_circuit_error(self, elements, message):
         with pytest.raises(CircuitError, match=message):
-            circuits.run_branches(circuits.CircuitIR(2, None, elements))
+            circuits.CircuitIR(2, None, elements)
 
     @pytest.mark.parametrize(
         "element, message",
@@ -205,7 +207,7 @@ class TestHandBuiltPrograms:
     )
     def test_each_element_arity_fault_raises_a_circuit_error(self, element, message):
         with pytest.raises(CircuitError, match=message):
-            circuits.run_branches(circuits.CircuitIR(3, None, (element,)))
+            circuits.CircuitIR(3, None, (element,))
 
     @pytest.mark.parametrize(
         "mode_count, labels, elements, message",
@@ -280,11 +282,10 @@ class TestHandBuiltPrograms:
     def test_each_program_fault_raises_before_run_and_format(self, mode_count, labels, elements, message):
         """Unchecked, each raises AttributeError, IndexError, OverflowError,
         TypeError or ValueError, or runs (an unnormalized ket with accepted
-        probability 4) and formats to text that ``parse`` rejects."""
-        ir = circuits.CircuitIR(mode_count, labels, elements)
-        for call in (circuits.run_branches, circuits.execute, circuits.format):
-            with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
-                call(ir)
+        probability 4) and formats to text that ``parse`` rejects. Checked
+        when the program is made, there is no program to run or format."""
+        with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
+            circuits.CircuitIR(mode_count, labels, elements)
 
     def test_numpy_integer_modes_run_and_round_trip(self):
         # numpy and bool modes, occupations and counts, and a numpy amplitude,
@@ -302,36 +303,77 @@ class TestHandBuiltPrograms:
         class Splitter(ApplyBS):
             pass
 
-        ir = circuits.CircuitIR(2, None, (ONE_PHOTON, Splitter((0, 1), None)))
         with pytest.raises(CircuitError, match=r"^unknown program element .*Splitter\(modes=\(0, 1\), matrix=None\)$"):
-            circuits.run_branches(ir)
+            circuits.CircuitIR(2, None, (ONE_PHOTON, Splitter((0, 1), None)))
+
+    @pytest.mark.parametrize(
+        "mode_count, labels, elements",
+        [
+            (2, ["a", "b"], (PrepareKet((((1, 0), 1),)),)),
+            (2, None, [ONE_PHOTON, ApplyBS([0, 1], None)]),
+            (2, None, (PrepareKet([[[1, 0], 0.6], [[0, 1], 0.8]]),)),
+            (2, None, (ONE_PHOTON, ApplyBS((0, 1), np.array([1, 0, 0, 1])))),
+            (3, None, (PrepareKet((((1, 0, 1), 1),)), Detect(2, "a"), PostSelect([[["a", 1]]]), CorrectZ(0, 1, [[("a", 0)]]))),
+            (4, None, (PrepareBell("phi+", [0, 1, 2, 3]),)),
+        ],
+        ids=["list-labels", "list-elements", "list-ket-terms", "array-matrix", "list-predicates", "list-bell-modes"],
+    )
+    def test_list_and_array_fields_compare_and_round_trip(self, mode_count, labels, elements):
+        # The IR keeps its sequences as tuples, so it equals and hashes as the
+        # program parse reads back, and as itself built again from copies.
+        ir = circuits.CircuitIR(mode_count, labels, elements)
+        parsed = parse(circuits.format(ir))
+        assert parsed == ir and hash(parsed) == hash(ir)
+        assert circuits.CircuitIR(*copy.deepcopy((mode_count, labels, elements))) == ir
+        assert branch_bits(circuits.run_branches(ir)) == branch_bits(circuits.run_branches(parsed))
+
+    def test_a_program_keeps_none_of_the_lists_it_was_built_from(self):
+        ket, labels, modes = [[[1, 0], 0.6], [[0, 1], 0.8]], ["p", "q"], [0, 1]
+        predicate = [[["a", 1]]]
+        ir = circuits.CircuitIR(2, labels, [PrepareKet(ket), ApplyBS(modes, None), Detect(0, "a"), PostSelect(predicate)])
+        before = branch_bits(circuits.run_branches(ir)), circuits.format(ir)
+        ket[0][1], labels[0], predicate[0][0][1], modes[0] = 0.8, "r", 0, 1
+        assert (branch_bits(circuits.run_branches(ir)), circuits.format(ir)) == before
 
 
-def gate_ir(call) -> circuits.CircuitIR:
-    """The bound ``CircuitIR`` a gate function hands to the engine's run step."""
-    seen = []
+class TestCheckedOnce:
+    """A program is checked and planned once, when it is made, and runs and formats by what it keeps."""
 
-    def record(ir, plan):
-        seen.append(ir)
-        return circuits._run_checked(ir, plan)
+    def test_construction_compiles_and_running_or_formatting_does_not(self, monkeypatch):
+        compiled = []
+        compile_ = circuits._compile
+        monkeypatch.setattr(circuits, "_compile", lambda ir: compiled.append(ir) or compile_(ir))
+        elements = (ONE_PHOTON, ApplyBS((0, 1), None), Detect(0, "x"), PostSelect(((("x", 1),),)))
+        ir = circuits.CircuitIR(2, ("a", "b"), elements)
+        assert compiled == [ir]
+        circuits.run_branches(ir), circuits.execute(ir), circuits.format(ir)
+        assert compiled == [ir]
 
-    with mock.patch.object(protocols, "_run_checked", record):
-        call()
-    (ir,) = seen
-    return ir
+    def test_parse_makes_one_rule_walk(self, monkeypatch):
+        checked = []
+        check = circuits._Rules.check
+        monkeypatch.setattr(circuits, "_compile", None)  # a call would raise
+        monkeypatch.setattr(circuits._Rules, "check", lambda rules, e: checked.append(e) or check(rules, e))
+        ir = parse(dualrail.data_path("fig2.loc").read_text())
+        circuits.execute(ir)
+        assert checked == list(ir.elements)
+
+    def test_a_ket_only_program_runs_its_ket(self):
+        result = circuits.run_branches(parse(f"modes 2\nket |1,0> amp {S} 0\nket |0,1> amp 0 {S}\n"))
+        assert list(result.branches[0].residual.terms.items()) == [((1, 0), S + 0j), ((0, 1), S * 1j)]
 
 
 class TestFormatNames:
     """``format`` writes only labels and outcome names that ``parse`` reads back."""
 
     @pytest.mark.parametrize(
-        "gate, accepted",
-        [(run_destructive_csign, 0.5), (run_nondestructive_csign, 0.25)],
+        "build, accepted",
+        [(protocols._destructive_program, 0.5), (protocols._nondestructive_program, 0.25)],
         ids=["destructive", "nondestructive"],
     )
-    def test_the_gates_labels_run_but_do_not_format(self, gate, accepted):
+    def test_the_gates_labels_run_but_do_not_format(self, build, accepted):
         # Both gates label the arm that carries the teleported target 1'.
-        ir = gate_ir(lambda: gate(LogicalAmplitudes.one(), LogicalAmplitudes(S, S), "feedforward"))
+        ir = build("feedforward")
         assert circuits.run_branches(ir).accepted_probability == pytest.approx(accepted)
         with pytest.raises(CircuitError, match=r"""^label "1'" is not a \.loc name$"""):
             circuits.format(ir)
@@ -617,15 +659,15 @@ def test_every_exported_name_resolves():
 # ---------------------------------------------------------------------------
 
 
-def plant(ir: circuits.CircuitIR, fault: str) -> circuits.CircuitIR:
-    """``ir`` with one fault planted where no other rule breaks first."""
+def plant(ir: circuits.CircuitIR, fault: str) -> tuple:
+    """The fields of ``ir`` with one fault planted where no other rule breaks first."""
     first = (1,) + (0,) * (ir.mode_count - 1)
     if fault == "zero-modes":
-        return circuits.CircuitIR(0, None, ir.elements)
+        return 0, None, ir.elements
     if fault == "too-many-modes":
-        return circuits.CircuitIR(circuits.MAX_MODES + 1, None, ir.elements)
+        return circuits.MAX_MODES + 1, None, ir.elements
     if fault == "bad-label":
-        return circuits.CircuitIR(ir.mode_count, tuple(f"{m}'" for m in range(ir.mode_count)), ir.elements)
+        return ir.mode_count, tuple(f"{m}'" for m in range(ir.mode_count)), ir.elements
     element = {
         "ket-norm": PrepareKet(((first, 2 + 0j),)),
         "ket-inf": PrepareKet(((first, complex("inf")),)),
@@ -648,7 +690,7 @@ def plant(ir: circuits.CircuitIR, fault: str) -> circuits.CircuitIR:
         "long-ket-term": PrepareKet(((first, 1 + 0j, 0),)),
         "int-bell-modes": PrepareBell("phi+", 5),
     }[fault]
-    return circuits.CircuitIR(ir.mode_count, ir.labels, (element, *ir.elements))
+    return ir.mode_count, ir.labels, (element, *ir.elements)
 
 
 FAULTS = ["zero-modes", "too-many-modes", "ket-norm", "ket-inf", "ket-photons", "dualrail-norm",
@@ -661,10 +703,10 @@ FAULTS = ["zero-modes", "too-many-modes", "ket-norm", "ket-inf", "ket-photons", 
 LEAKING = "outside the dual-rail subspace"
 
 
-def outcome(call, ir):
-    """What ``call(ir)`` returns, or the message of the ``CircuitError`` it raises."""
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the message of the ``CircuitError`` it raises."""
     try:
-        return call(ir), None
+        return call(*args), None
     except CircuitError as exc:
         return None, str(exc)
 
@@ -681,23 +723,25 @@ def branch_bits(result: circuits.RunResult) -> list:
 @given(seed=st.integers(0, 2**32 - 1), fault=st.sampled_from([None, "bad-label", *FAULTS]))
 @settings(max_examples=200, deadline=None)
 def test_run_and_format_agree_and_every_formatted_program_round_trips(seed, fault):
-    """``run_branches`` raises the rule's ``CircuitError`` exactly when
-    ``format`` raises for a reason other than names; otherwise the formatted
-    text parses back to the same program, which runs to bit-identical
-    branches (or to the same run-time error, such as a leaking ``correct``)."""
+    """``CircuitIR`` raises the rule's ``CircuitError`` exactly when a rule
+    fault is planted; ``format`` then raises only for names; otherwise the
+    formatted text parses back to the same program, which runs to
+    bit-identical branches (or to the same run-time error, such as a leaking
+    ``correct``)."""
     ir = random_program(np.random.default_rng(seed))
-    if fault is not None:
-        ir = plant(ir, fault)
+    fields = (ir.mode_count, ir.labels, ir.elements) if fault is None else plant(ir, fault)
+    ir, error = outcome(circuits.CircuitIR, *fields)
+    assert (error is None) == (fault in (None, "bad-label"))
+    if error is not None:
+        return
     result, run_error = outcome(circuits.run_branches, ir)
     text, format_error = outcome(circuits.format, ir)
     ran = run_error is None or LEAKING in run_error  # a leaking correct is a fault of the run
-    if format_error is not None and format_error.endswith("is not a .loc name"):
+    if format_error is not None:
+        assert format_error.endswith("is not a .loc name")
         assert fault == "bad-label" and ran
         return
-    assert (format_error is None) == (fault is None)
-    if format_error is not None:
-        assert run_error == format_error
-        return
+    assert fault is None
     parsed = parse(text)
     assert parsed == ir, text
     assert ran
@@ -711,3 +755,52 @@ for _fault in [None, "bad-label", *FAULTS]:
     test_run_and_format_agree_and_every_formatted_program_round_trips = example(seed=7340, fault=_fault)(
         test_run_and_format_agree_and_every_formatted_program_round_trips
     )
+
+
+def relabelled(ir: circuits.CircuitIR, sigma: list[int]) -> circuits.CircuitIR:
+    """``ir`` with circuit mode m moved to mode ``sigma[m]`` in every element, the
+    ket occupations included, and each mode keeping its label."""
+    def ket(occ):
+        moved = [0] * ir.mode_count
+        for m, count in enumerate(occ):
+            moved[sigma[m]] = count
+        return tuple(moved)
+
+    def move(e):
+        if isinstance(e, PrepareKet):
+            return PrepareKet(tuple((ket(occ), amp) for occ, amp in e.terms))
+        if isinstance(e, (PrepareDualRail, CorrectZ)):
+            return replace(e, rail1=sigma[e.rail1], rail0=sigma[e.rail0])
+        if isinstance(e, (PrepareBell, ApplyBS)):
+            return replace(e, modes=tuple(sigma[m] for m in e.modes))
+        if isinstance(e, Detect):
+            return replace(e, mode=sigma[e.mode])
+        return e
+
+    labels = [""] * ir.mode_count
+    for m in range(ir.mode_count):
+        labels[sigma[m]] = ir.label_of(m)
+    return circuits.CircuitIR(ir.mode_count, tuple(labels), tuple(map(move, ir.elements)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), shuffle=st.integers(0, 2**32 - 1))
+@example(seed=7340, shuffle=0)
+@settings(max_examples=60, deadline=None)
+def test_relabelling_the_modes_moves_only_the_residual_kets(seed, shuffle):
+    """Branch probabilities are bit-identical under a permutation of the modes, and
+    each residual is too, term by term in the same order, once its kets are mapped back
+    by the output labels: the plan's live positions follow the modes."""
+    ir = random_program(np.random.default_rng(seed))
+    sigma = [int(m) for m in np.random.default_rng(shuffle).permutation(ir.mode_count)]
+    result, error = outcome(circuits.run_branches, ir)
+    moved, moved_error = outcome(circuits.run_branches, relabelled(ir, sigma))
+    assert (error is None) == (moved_error is None)
+    if error is not None:
+        assert LEAKING in error and error.split(":")[0] == moved_error.split(":")[0]
+        return
+    back = [moved.output_labels.index(label) for label in result.output_labels]
+    for b in moved.branches:
+        if b.residual is not None:
+            b.residual = SimpleNamespace(terms={tuple(k[j] for j in back): v for k, v in b.residual.terms.items()})
+    moved.output_labels = tuple(moved.output_labels[j] for j in back)
+    assert branch_bits(moved) == branch_bits(result)

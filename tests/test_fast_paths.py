@@ -10,7 +10,7 @@ bare ``OverflowError``). So must ``FockState._trusted`` and the public construct
 every state the package builds with the former, and the dual-rail layer
 built on ``rails.RAIL_KETS`` and ``fock.layout`` and the one it replaced, and
 the planned circuit engine and the inline one, on random programs and on
-every gate's bound program run by its kept plan.
+every gate's kept plan run with its inputs' factors.
 """
 
 import ast
@@ -39,7 +39,7 @@ from dualrail.rails import BELL_KINDS, DualRailQubit, LogicalAmplitudes, pauli_c
 
 from conftest import random_qubit, random_unitary
 from test_circuits import branch_bits, random_program
-from test_protocols import GATES, qubits
+from test_protocols import GATES, bound_program, qubits
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -432,15 +432,19 @@ def assert_same_injection(state: FockState, element) -> None:
     Every amplitude must also be a Python complex, as the public constructor
     makes it: a numpy scalar would render differently.
     """
-    ir = circuits.CircuitIR(state.mode_count, None, (element,))
-
     def run(preparation, inject):
-        modes, factor = preparation(ir, element)
+        modes, factor = preparation(state.mode_count, element)
         return inject(state, list(modes), factor)
 
-    def planned(ir, element):
-        # The engine's factor with the modes its plan lists, as the reference's.
-        return ref.preparation(ir, element)[0], circuits._preparation(ir, element)
+    def planned(mode_count, element):
+        # The factor the rule pass builds, with the modes its plan lists, as the reference's.
+        if isinstance(element, PrepareKet):
+            factor = circuits._ket_factor(mode_count, element.terms)
+        elif isinstance(element, PrepareDualRail):
+            factor = circuits._dualrail_factor(element.a0, element.a1)
+        else:
+            factor = circuits._BELL_FACTORS[element.kind]
+        return ref.preparation(mode_count, element)[0], factor
 
     def place(state, positions, factor):
         return circuits._inject(state, fock.layout(state.mode_count, positions).place, factor)
@@ -636,22 +640,21 @@ def test_gate_outputs_match_the_reference(seed):
     ]
     run_gate, run_checked = protocols._run_gate, protocols._run_checked
     for case in cases:
-        calls, programs = [], []
+        calls, runs = [], []
 
-        def record(ir, plan, amplitudes, pairs, reference):
+        def record(ir, factors, pairs, reference):
             calls.append((pairs, reference))
-            return run_gate(ir, plan, amplitudes, pairs, reference)
+            return run_gate(ir, factors, pairs, reference)
 
-        def record_program(ir, plan):
-            programs.append(ir)
-            return run_checked(ir, plan)
+        def record_run(plan, factors):
+            runs.append(run_checked(plan, factors))
+            return runs[-1]
 
         with mock.patch.object(protocols, "_run_gate", record):
-            with mock.patch.object(protocols, "_run_checked", record_program):
+            with mock.patch.object(protocols, "_run_checked", record_run):
                 fast = case()
         (pairs, reference), = calls
-        (ir,) = programs
-        result = circuits.run_branches(ir)
+        (result,) = runs
         decoded = [ref.decode_register(b.residual, pairs) for b in result.branches if b.accepted]
         out, fidelity = ref.collect_output(decoded, reference)
         assert (fast.output_logical is None) == (out is None)
@@ -683,17 +686,19 @@ def test_a_planned_program_runs_as_the_inline_engine(seed):
 @given(control=qubits(), target=qubits())
 @settings(max_examples=10, deadline=None)
 def test_a_gate_runs_its_memoized_plan_as_the_inline_engine(gate, n, policy, control, target):
-    programs = []
+    # The kept plan with the call's input factors, against the program built here with its inputs.
+    runs = []
     run_checked = circuits._run_checked
 
-    def record(ir, plan):
-        programs.append((ir, plan))
-        return run_checked(ir, plan)
+    def record(plan, factors):
+        runs.append((plan, factors))
+        return run_checked(plan, factors)
 
     with mock.patch.object(protocols, "_run_checked", record):
         GATES[gate](control, target, policy, n)
-    ((ir, plan),) = programs
-    assert run_bits(circuits._run_checked, ir, plan) == run_bits(ref.run_checked, ir)
+    ((plan, factors),) = runs
+    ir = bound_program(gate, control, target, policy, n)
+    assert run_bits(circuits._run_checked, plan, factors) == run_bits(ref.run_checked, ir)
 
 
 # Where FockState._trusted may be called: each builds a state from another
@@ -707,23 +712,26 @@ TRUSTED_CALLERS = {
 }
 
 # Where a function branches on the kind of a program element: the one walk that
-# checks and plans a program, the formatter, the preparations' factors, the
-# gates' binding of their inputs and parse's check that kets come first.
+# checks and plans a program, the formatter and parse's check that kets come first.
 ELEMENT_KIND_BRANCHES = {
     ("circuits", "check"),
     ("circuits", "format"),
-    ("circuits", "_preparation"),
     ("circuits", "parse"),
-    ("protocols", "_bind"),
 }
 
 
 # Where the engine's run step after the rule pass may be called: the public
-# entry, which runs the pass first, and the gates, whose programs took it once
-# per shape and whose inputs are checked on entry.
+# entry, whose program took the pass when it was made, and the gates, whose
+# programs took it once per shape and whose inputs are checked on entry.
 RUN_CHECKED_CALLERS = {
     ("circuits", "run_branches"),
     ("protocols", "_run_gate"),
+}
+
+# Where a CircuitIR may be made from a rule pass already walked, without a walk of
+# its own: parse, whose walk fed the pass statement by statement.
+PLANNED_CALLERS = {
+    ("circuits", "parse"),
 }
 
 
@@ -771,7 +779,7 @@ AS_AMPLITUDE_CALLERS = {
     ("optics", "__init__"),
     ("rails", "is_normalized"),
     ("circuits", "amplitude"),
-    ("circuits", "_preparation"),
+    ("circuits", "_dualrail_factor"),
     ("circuits", "_fmt_complex"),
     ("rails", "__post_init__"),
     ("protocols", "__post_init__"),
@@ -818,6 +826,10 @@ def test_trusted_construction_is_reached_only_from_internal_states():
 
 def test_the_run_step_after_the_rule_pass_is_reached_only_from_checked_programs():
     assert references("_run_checked") == RUN_CHECKED_CALLERS
+
+
+def test_a_program_skips_its_own_walk_only_in_parse():
+    assert references("_planned") == PLANNED_CALLERS
 
 
 def peak_bytes(apply, state: FockState, u: ModeUnitary) -> int:

@@ -296,23 +296,24 @@ def test_no_preparation_holds_more_than_max_terms(source):
     """The terms each preparation writes, summed over the live branches, stay within
     ``MAX_TERMS``: past it, the run raises the limit's ``CircuitError`` first."""
     written: list[int | None] = []  # per element: the terms its states were built on
-    trusted, preparation, detect = FockState._trusted, circuits._preparation, circuits._detect
+    trusted, prepare, detect = FockState._trusted, circuits._prepare, circuits._detect
 
     def record_state(mode_count, terms):
         if written and written[-1] is not None:
             written[-1] += len(terms)
         return trusted(mode_count, terms)
 
-    def record_preparation(ir, element):
+    def record_preparation(branches, *args):
         written.append(0)
-        return preparation(ir, element)
+        return prepare(branches, *args)
 
-    def record_detection(ir, branches, names, positions):
+    def record_detection(branches, names, positions):
         written.append(None)  # a detection splits the terms it is given
-        return detect(ir, branches, names, positions)
+        return detect(branches, names, positions)
 
+    # Patched before parse, which plans each step with the handler it finds.
     with mock.patch.object(FockState, "_trusted", record_state), mock.patch.object(
-        circuits, "_preparation", record_preparation
+        circuits, "_prepare", record_preparation
     ), mock.patch.object(circuits, "_detect", record_detection):
         try:
             circuits.run_branches(circuits.parse(source))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import dualrail
-from dualrail import circuits, protocols
+from dualrail import circuits
 from dualrail.circuits import (
     ApplyBS,
     CorrectZ,
@@ -27,16 +27,12 @@ from dualrail.circuits import (
     PrepareDualRail,
     PrepareKet,
 )
-from dualrail.protocols import (
-    csign_reference,
-    run_destructive_csign,
-    run_nondestructive_csign,
-    run_quantum_encoder,
-)
+from dualrail.protocols import csign_reference
 from dualrail.rails import LogicalAmplitudes
 
 from conftest import random_qubit
 from reference_kernels import oracle_amplitude, sector
+from test_protocols import bound_program
 
 S = 1.0 / math.sqrt(2.0)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -133,44 +129,28 @@ def check_claims(ir, reference: np.ndarray, probability: float) -> None:
         assert abs(abs(np.vdot(reference, r)) ** 2 / np.vdot(r, r).real - 1.0) <= 1e-12
 
 
-@pytest.fixture
-def gate_programs(monkeypatch) -> list:
-    """The ``CircuitIR`` of each gate run, in call order."""
-    programs = []
-
-    def record(ir, plan):
-        programs.append(ir)
-        return circuits._run_checked(ir, plan)
-
-    monkeypatch.setattr(protocols, "_run_checked", record)
-    return programs
-
-
 @pytest.mark.parametrize("policy, probability", [("strict", 1 / 4), ("feedforward", 1 / 2)])
-def test_destructive_gate(gate_programs, rng, policy, probability):
+def test_destructive_gate(rng, policy, probability):
     for control in (LogicalAmplitudes.zero(), LogicalAmplitudes.one()):
         target = random_qubit(rng)
-        run_destructive_csign(control, target, policy)
         reference = control.a0 * target.as_array() + control.a1 * (Z @ target.as_array())
-        check_claims(gate_programs.pop(), reference, probability)
+        check_claims(bound_program("destructive", control, target, policy, 2), reference, probability)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("policy, probability", [("strict", 1 / 4), ("feedforward", 1 / 2)])
-def test_quantum_encoder(gate_programs, rng, n, policy, probability):
+def test_quantum_encoder(rng, n, policy, probability):
     qubit = random_qubit(rng)
-    run_quantum_encoder(qubit, n, policy)
     reference = np.zeros(2**n, dtype=complex)
     reference[0], reference[-1] = qubit.a0, qubit.a1
-    check_claims(gate_programs.pop(), reference, probability)
+    check_claims(bound_program("encoder", qubit, None, policy, n), reference, probability)
 
 
 @pytest.mark.parametrize("policy, probability", [("strict", 1 / 16), ("feedforward", 1 / 4)])
-def test_nondestructive_gate(gate_programs, rng, policy, probability):
+def test_nondestructive_gate(rng, policy, probability):
     control, target = random_qubit(rng), random_qubit(rng)
-    run_nondestructive_csign(control, target, policy)
     reference = csign_reference() @ np.kron(control.as_array(), target.as_array())
-    check_claims(gate_programs.pop(), reference, probability)
+    check_claims(bound_program("nondestructive", control, target, policy, 2), reference, probability)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrail import circuits, protocols
+from dualrail.circuits import PrepareDualRail, PrepareKet
 from dualrail.fock import FockState, equal_up_to_global_phase
 from dualrail.optics import apply_mode_unitary, hadamard_bs
 from dualrail.protocols import (
@@ -27,7 +28,7 @@ from dualrail.measure import outcome_distribution
 from dualrail.rails import DualRailQubit, LogicalAmplitudes, decode_register, encode, pauli_correction
 
 from conftest import random_qubit
-from test_circuits import branch_bits, gate_ir
+from test_circuits import branch_bits
 from reference_kernels import project_onto_state, teleport_outcome_branches, tensor
 
 S = 1.0 / math.sqrt(2.0)
@@ -472,6 +473,27 @@ GATES = {
 }
 
 
+def bound_program(gate: str, control, target, policy: str, n: int) -> circuits.CircuitIR:
+    """The program ``GATES[gate]`` runs, built here with the inputs' amplitudes in its
+    preparations, in program order: a pair per ``dualrail``, the encoder's product terms
+    as its ``ket``."""
+    if gate == "encoder":
+        program = protocols._encoder_program(policy, n)
+        given = iter([tuple(protocols._encoder_terms(n, control.a0, control.a1))])
+    else:
+        build = protocols._destructive_program if gate == "destructive" else protocols._nondestructive_program
+        program = build(policy)
+        given = iter([(control.a0, control.a1), (target.a0, target.a1)])
+    elements = []
+    for e in program.elements:
+        if type(e) is PrepareDualRail:
+            e = PrepareDualRail(*next(given), e.rail1, e.rail0)
+        elif type(e) is PrepareKet:
+            e = PrepareKet(next(given))
+        elements.append(e)
+    return circuits.CircuitIR(program.mode_count, program.labels, tuple(elements))
+
+
 @st.composite
 def qubits(draw):
     """Random unit qubits as Python complex, numpy complex128 or real numpy float64
@@ -498,9 +520,8 @@ def qubits(draw):
 )
 @settings(max_examples=150, deadline=None)
 def test_bound_programs_pass_the_rule_pass_and_run_as_run_branches(gate, policy, n, control, target):
-    ir = gate_ir(lambda: GATES[gate](control, target, policy, n))
+    ir = bound_program(gate, control, target, policy, n)
     result = GATES[gate](control, target, policy, n)
-    circuits._compile(ir)
     expected = circuits.run_branches(ir)
     if gate == "nondestructive":
         for b in expected.branches:
@@ -526,7 +547,7 @@ def test_the_memo_stores_only_valid_keys_and_frozen_programs():
             run_quantum_encoder(q, n, policy)
     programs = dict(protocols._PROGRAMS)
     assert len(programs) == 42
-    assert all(type(ir) is circuits.CircuitIR for ir, plan in programs.values())
+    assert all(type(ir) is circuits.CircuitIR for ir in programs.values())
     for call in (
         lambda: run_destructive_csign(q, q, "lenient"),
         lambda: run_nondestructive_csign(q, q, "lenient"),
@@ -543,7 +564,7 @@ def test_the_memo_stores_only_valid_keys_and_frozen_programs():
 def test_a_program_is_planned_once_per_shape():
     protocols._PROGRAMS.clear()
     q = LogicalAmplitudes(0.6, 0.8)
-    with mock.patch.object(protocols, "_compile", wraps=circuits._compile) as plan:
+    with mock.patch.object(circuits, "_compile", wraps=circuits._compile) as plan:
         for policy in POLICIES:
             for _ in range(10):
                 run_destructive_csign(q, q, policy)
@@ -559,9 +580,9 @@ def test_the_nondestructive_reference_is_the_kron_product_bit_for_bit():
     inputs, references = [], []
     run_gate = protocols._run_gate
 
-    def record(ir, plan, amplitudes, pairs, reference):
+    def record(ir, factors, pairs, reference):
         references.append(reference)
-        return run_gate(ir, plan, amplitudes, pairs, reference)
+        return run_gate(ir, factors, pairs, reference)
 
     with mock.patch.object(protocols, "_run_gate", record):
         for _ in range(500):
@@ -575,8 +596,24 @@ def test_the_nondestructive_reference_is_the_kron_product_bit_for_bit():
 def test_a_program_is_checked_on_its_first_call_only():
     protocols._PROGRAMS.clear()
     q = LogicalAmplitudes(0.6, 0.8)
-    with mock.patch.object(protocols, "_compile", wraps=circuits._compile) as check:
+    with mock.patch.object(circuits, "_compile", wraps=circuits._compile) as check:
         for _ in range(3):
             run_destructive_csign(q, q, "strict")
             run_quantum_encoder(q, 3, "strict")
     assert check.call_count == 2
+
+
+def test_a_gate_call_builds_no_program():
+    q = LogicalAmplitudes(0.6, 0.8)
+
+    def calls():
+        for policy in POLICIES:
+            run_destructive_csign(q, q, policy)
+            run_quantum_encoder(q, 3, policy)
+            run_nondestructive_csign(q, q, policy)
+
+    calls()  # each program is built on its first call
+    fail = mock.Mock(side_effect=AssertionError("a gate call built a CircuitIR"))
+    with mock.patch.object(circuits.CircuitIR, "__init__", fail), mock.patch.object(circuits.CircuitIR, "_planned", fail):
+        calls()
+    assert fail.call_count == 0
