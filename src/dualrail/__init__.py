@@ -6,6 +6,9 @@ the heralded conditional sign-flip constructions built on teleportation:
 a destructive gate, a quantum encoder, and the encoder-backed
 nondestructive gate. A small circuit language (``.loc`` files) expresses
 the same optical layouts as data.
+
+The gates' names from ``protocols``, which imports numpy, load on first use
+through a module ``__getattr__`` (PEP 562), so ``import dualrail`` loads no numpy.
 """
 
 from importlib import resources
@@ -14,15 +17,6 @@ from .circuits import CircuitIR, ParseError, RunResult, execute, parse
 from .fock import FockState, PhaseMatch, equal_up_to_global_phase
 from .measure import BranchResult, outcome_distribution, project_detection
 from .optics import ModeUnitary, apply_mode_unitary, hadamard_bs
-from .protocols import (
-    BellAmplitudes,
-    csign_reference,
-    run_destructive_csign,
-    run_nondestructive_csign,
-    run_quantum_encoder,
-    teleport_gate_table,
-    verify_a_matrix,
-)
 from .rails import (
     DualRailQubit,
     LeakageError,
@@ -73,3 +67,10 @@ __all__ = [
 def data_path(name: str):
     """Filesystem path of a shipped data file (e.g. ``fig1.loc``)."""
     return resources.files(__package__).joinpath("data", name)
+
+
+def __getattr__(name: str):
+    if name in __all__:  # only the names from ``protocols`` are not bound at import
+        from . import protocols
+        return getattr(protocols, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -54,8 +54,6 @@ from dataclasses import dataclass, field, replace
 from operator import index, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-import numpy as np
-
 from . import measure, rails
 from .fock import FockState, as_amplitude, as_int, as_ints, layout
 from .optics import ModeUnitary, apply_mode_unitary, hadamard_bs
@@ -78,6 +76,12 @@ MAX_PHOTONS = 64
 # stays below 100, and perfbench's wide-states inputs hold up to 1,716 terms.
 MAX_TERMS = 2**16
 
+# The gates' policies and copy limit, kept here so the command line reads them without
+# loading ``protocols``. Dense 2^n vectors back the encoder's reference and decoded
+# register; 2^20 amplitudes are 16 MB each.
+POLICIES = ("strict", "feedforward")
+MAX_ENCODER_COPIES = 20
+
 # A predicate in disjunctive normal form: OR over tuples of (name, count)
 # equalities that are ANDed together.
 Predicate = tuple[tuple[tuple[str, int], ...], ...]
@@ -97,6 +101,10 @@ class ParseError(Exception):
 
 class CircuitError(Exception):
     """Semantic error in an otherwise well-formed program."""
+
+
+class SimulationInvariantError(RuntimeError):
+    """An internal consistency check failed; indicates a bug, not bad input."""
 
 
 # --------------------------------------------------------------------------
@@ -342,48 +350,52 @@ class _Rules:
                 for z in _sized(m, 4, "bs matrix", "entries"):
                     self.amplitude("bs matrix", z)
                 u = _checked(ModeUnitary, [[m[0], m[1]], [m[2], m[3]]])
-            pq = self.touch("bs", element.modes, "beam splitter modes must be distinct")
-            element = ApplyBS(tuple(element.modes), m if m is None else tuple(m))
+            modes, pq = self.touch("bs", element.modes, "beam splitter modes must be distinct")
+            element = ApplyBS(modes, m if m is None else tuple(m))
             step = _splitter, (self.named("bs", pq), pq, u, layout(len(self.live), pq).local_of)
         elif kind is Detect:
-            (p,) = self.touch("detect", (element.mode,))
+            (mode,), (p,) = self.touch("detect", (element.mode,))
             if _name(element.name, "outcome name") in self.bound:
                 raise CircuitError(f"outcome name {element.name!r} bound twice")
             self.bound.add(element.name)
+            element = Detect(mode, element.name)
             names, positions = self.steps.pop()[1] if self.joint else ((), ())
             step = _detect, (names + (element.name,), positions + (p,))
             self.joint += (self.live[p],)
         elif kind is PrepareDualRail:
-            pair = (element.rail1, element.rail0)
-            at = self.touch("dualrail", pair, "rail modes must be distinct", prepares=True)
+            pair, at = self.touch("dualrail", (element.rail1, element.rail0), "rail modes must be distinct", True)
             amps = [self.amplitude("dualrail", a) for a in (element.a0, element.a1)]
             if not is_normalized(amps):
                 raise CircuitError("dualrail amplitudes are not normalized")
+            element = PrepareDualRail(element.a0, element.a1, *pair)
             self.inputs.append(len(self.steps))
             step = self.prepare(self.named("dualrail on", at), at, _dualrail_factor(element.a0, element.a1))
         elif kind is PostSelect:
             element = PostSelect(self.predicate("postselect", element.predicate))
             step = _postselect, (_matcher(element.predicate),)
         elif kind is CorrectZ:
-            pair = self.touch("correct", (element.rail1, element.rail0), "rail modes must be distinct")
-            element = CorrectZ(element.rail1, element.rail0, self.predicate("correct", element.condition))
-            r1, r0 = (self.label[self.live[p]] for p in pair)
-            step = _correct, (_matcher(element.condition), DualRailQubit(*pair), r1, r0)
+            pair, at = self.touch("correct", (element.rail1, element.rail0), "rail modes must be distinct")
+            element = CorrectZ(*pair, self.predicate("correct", element.condition))
+            r1, r0 = (self.label[m] for m in pair)
+            step = _correct, (_matcher(element.condition), DualRailQubit(*at), r1, r0)
         elif kind is PrepareBell:
             self.bell_kind(element.kind)
-            element = PrepareBell(element.kind, tuple(_sized(element.modes, 4, "bell", "modes")))
-            at = self.touch("bell", element.modes, "Bell modes must be distinct", prepares=True)
+            modes = _sized(element.modes, 4, "bell", "modes")
+            modes, at = self.touch("bell", modes, "Bell modes must be distinct", prepares=True)
+            element = PrepareBell(element.kind, modes)
             step = self.prepare(self.named(f"bell {element.kind} on", at), at, _BELL_FACTORS[element.kind])
         elif kind is PrepareKet:
             summed: dict[tuple[int, ...], complex] = {}  # equal kets add up before the norm check
+            terms = []  # the occupations as read, which may come from one-shot iterators
             for term in _sequence(element.terms, "ket", "terms"):
                 occ, amp = _sized(term, 2, "ket term", "entries")
                 occ = self.occupation(occ)
                 summed[occ] = summed.get(occ, 0j) + self.amplitude("ket", amp)
+                terms.append((occ, amp))
             if not is_normalized(summed.values()):
                 raise CircuitError("ket amplitudes are not normalized")
-            element = PrepareKet(tuple((tuple(occ), amp) for occ, amp in element.terms))
-            at = self.touch("ket", range(self.mode_count), prepares=True)
+            element = PrepareKet(tuple(terms))
+            _, at = self.touch("ket", range(self.mode_count), prepares=True)
             self.inputs.append(len(self.steps))
             step = self.prepare("ket", at, _ket_factor(self.mode_count, element.terms))
         else:
@@ -403,7 +415,7 @@ class _Rules:
     def touch(self, what: str, modes: Sequence[int], distinct: str = "", prepares: bool = False) -> tuple:
         """Check ``what`` on ``modes``, then record it: integers in range, none twice
         given ``distinct``, none used before if it ``prepares`` them, else none detected.
-        Returns their positions among the live modes."""
+        Returns the modes as ints, to keep, and their positions among the live modes."""
         listed = [self.mode(_checked(as_int, m, f"{what} mode")) for m in modes]
         if distinct and len(set(listed)) != len(listed):
             raise CircuitError(distinct)
@@ -416,7 +428,7 @@ class _Rules:
         if prepares:
             self.prepared.update(listed)
         self.used.update(listed)
-        return tuple(map(self.live.index, listed))
+        return tuple(listed), tuple(map(self.live.index, listed))
 
     def advance(self) -> None:
         """End the open joint detection, if any: its modes leave ``live``."""
@@ -670,7 +682,7 @@ def format(ir: CircuitIR) -> str:
     for element in ir.elements:
         if isinstance(element, PrepareKet):
             for occ, amp in element.terms:
-                lines.append(f"ket |{','.join(map(str, map(index, occ)))}> amp {_fmt_complex(amp)}")
+                lines.append(f"ket |{','.join(map(str, occ))}> amp {_fmt_complex(amp)}")
         elif isinstance(element, PrepareDualRail):
             amps = f"{_fmt_complex(element.a0)} {_fmt_complex(element.a1)}"
             lines.append(f"dualrail {amps} on {ref(element.rail1)} {ref(element.rail0)}")

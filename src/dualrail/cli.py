@@ -13,7 +13,7 @@ import sys
 import time
 from typing import Callable, NoReturn
 
-from . import circuits, protocols, reports, verify
+from . import circuits, reports
 from .rails import LeakageError, LogicalAmplitudes
 
 EXIT_OK = 0
@@ -124,16 +124,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("csign-destructive", help="run the control-consuming gate")
     _add_qubit_args(p, "control", "0,0,1,0")
     _add_qubit_args(p, "target", f"{_SQRT_HALF},0,{_SQRT_HALF},0")
-    p.add_argument("--policy", choices=protocols.POLICIES, default="strict")
+    p.add_argument("--policy", choices=circuits.POLICIES, default="strict")
     p.add_argument("--json", action="store_true", help="emit the schema'd JSON report")
-    p.set_defaults(func=cmd_csign, gate=protocols.run_destructive_csign)
+    p.set_defaults(func=cmd_csign, gate="run_destructive_csign")
 
     p = sub.add_parser("csign-nondestructive", help="run the encoder-backed gate")
     _add_qubit_args(p, "control", "0,0,1,0")
     _add_qubit_args(p, "target", f"{_SQRT_HALF},0,{_SQRT_HALF},0")
-    p.add_argument("--policy", choices=protocols.POLICIES, default="strict")
+    p.add_argument("--policy", choices=circuits.POLICIES, default="strict")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_csign, gate=protocols.run_nondestructive_csign)
+    p.set_defaults(func=cmd_csign, gate="run_nondestructive_csign")
 
     p = sub.add_parser("encoder", help="copy a qubit's basis states onto n qubits")
     _add_qubit_args(p, "input", f"{_SQRT_HALF},0,{_SQRT_HALF},0")
@@ -141,9 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--n",
         type=int,
         default=2,
-        help=f"number of encoded copies (2 to {protocols.MAX_ENCODER_COPIES})",
+        help=f"number of encoded copies (2 to {circuits.MAX_ENCODER_COPIES})",
     )
-    p.add_argument("--policy", choices=protocols.POLICIES, default="strict")
+    p.add_argument("--policy", choices=circuits.POLICIES, default="strict")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_encoder)
 
@@ -177,15 +177,17 @@ def cmd_csign(args: argparse.Namespace) -> int:
         "target": _qubit_json(target),
         "policy": args.policy,
     }
-    return _report(args, inputs, lambda: args.gate(control, target, args.policy))
+    from . import protocols
+    return _report(args, inputs, lambda: getattr(protocols, args.gate)(control, target, args.policy))
 
 
 def cmd_encoder(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise UsageError("--n must be at least 2")
-    if args.n > protocols.MAX_ENCODER_COPIES:
-        raise UsageError(f"--n must be at most {protocols.MAX_ENCODER_COPIES}")
+    if args.n > circuits.MAX_ENCODER_COPIES:
+        raise UsageError(f"--n must be at most {circuits.MAX_ENCODER_COPIES}")
     (qubit,) = _qubit_options(args, "input")
+    from . import protocols
     inputs = {"input": _qubit_json(qubit), "n": args.n, "policy": args.policy}
     return _report(args, inputs, lambda: protocols.run_quantum_encoder(qubit, args.n, args.policy))
 
@@ -204,6 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--seed must be non-negative")
     if args.samples <= 0:
         raise UsageError("--samples must be positive")
+    from . import verify
     report = verify.run_verification(args.seed, args.samples)
     sys.stdout.write(report.to_text())
     return EXIT_OK if report.all_passed else EXIT_INTERNAL
@@ -220,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     except (circuits.ParseError, circuits.CircuitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (LeakageError, protocols.SimulationInvariantError) as exc:
+    except (LeakageError, circuits.SimulationInvariantError) as exc:
         # LeakageError subclasses ValueError, so this arm must come first.
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

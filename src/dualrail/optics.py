@@ -36,12 +36,12 @@ the k listed modes; a bound above ``MAX_EXPANSION_TERMS`` raises a one-line
 ``ValueError`` at once.
 
 Setup that depends only on the element, the listed modes or a ket's local
-occupation is done once, not per call or per branch. ``ModeUnitary`` keeps a
-read-only copy of its matrix and works out at construction its columns as
-Python complex numbers and whether it takes the closed form. The listed
-modes' getters come from ``fock.layout``, and ``_pair_plan`` memoizes the
-closed form's sqrt(a! b!) and output scales per local occupation (a, b),
-256 entries.
+occupation is done once, not per call or per branch. ``ModeUnitary`` checks
+its matrix and works out its columns as Python complex numbers, and whether it
+takes the closed form, at construction, without numpy; its read-only numpy
+``matrix`` is built on first read. The listed modes' getters come from
+``fock.layout``, and ``_pair_plan`` memoizes the closed form's sqrt(a! b!)
+and output scales per local occupation (a, b), 256 entries.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ import collections
 import functools
 import math
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .fock import FockState, as_amplitude, layout
 
@@ -65,27 +63,39 @@ MAX_EXPANSION_TERMS = 2**20
 class ModeUnitary:
     """Unitary matrix of a linear-optical element on ``dim`` modes.
 
-    ``matrix`` is a read-only copy of the given matrix, so the caller's array
-    stays writable and the columns and closed-form test worked out here from
-    it cannot drift from it.
+    It is checked in plain Python, each entry read as ``complex(z)``, the bits
+    ``np.array(matrix, dtype=complex)`` gives it. ``matrix`` is a read-only
+    numpy copy, built on first read and kept, so the caller's array stays
+    writable and the columns and closed-form test cannot drift from it.
     """
 
-    __slots__ = ("matrix", "_columns", "_closed_form")
-
     def __init__(self, matrix) -> None:
-        for z in np.array(matrix, dtype=object).flat:  # np.array(dtype=complex) parses a string
-            as_amplitude(z, "unitary entry")
-        m = np.array(matrix, dtype=complex)  # not the entries read, which drop -1j's -0.0 real part
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):  # inf/nan entries
-            defect = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
-        if not defect <= UNITARY_TOL:  # also rejects a nan defect
+        try:  # a square sequence of rows of numbers
+            n = len(matrix)
+            if not n or any(len(row) != n for row in matrix):
+                raise TypeError
+            rows = [[_entry(z) for z in row] for row in matrix]
+        except (TypeError, ValueError):  # numpy reads anything else, for its first non-number or its shape
+            import numpy as np
+            entries = np.array(matrix, dtype=object)
+            for z in entries.flat:
+                _entry(z)
+            raise ValueError(f"expected a square matrix, got shape {entries.shape}") from None
+        # U U^H - I (rows are distinct lists: ``a is b`` on the diagonal), then its largest
+        # modulus, nan if any is nan as np.max gives it; hypot overflows to inf.
+        gram = (sum(x * y.conjugate() for x, y in zip(a, b)) - (a is b) for a in rows for b in rows)
+        defect = max((math.hypot(g.real, g.imag) for g in gram), key=lambda d: (d != d, d))
+        if not defect <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+        self._columns = [list(col) for col in zip(*rows)]  # column j of U
+        self._closed_form = n == 2 and all(map(all, self._columns))
+
+    @functools.cached_property
+    def matrix(self):
+        import numpy as np
+        m = np.array(list(zip(*self._columns)), dtype=complex)
         m.flags.writeable = False
-        self.matrix = m
-        self._columns = m.T.tolist()  # column j of U, as Python complex
-        self._closed_form = len(self._columns) == 2 and all(map(all, self._columns))
+        return m
 
     @property
     def dim(self) -> int:
@@ -93,6 +103,11 @@ class ModeUnitary:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ModeUnitary({self.matrix.tolist()})"
+
+
+def _entry(z) -> complex:
+    as_amplitude(z, "unitary entry")  # complex() alone would parse a string
+    return complex(z)  # not as_amplitude's value, which drops -1j's -0.0 real part
 
 
 def hadamard_bs() -> ModeUnitary:

@@ -36,7 +36,9 @@ from typing import Callable
 import numpy as np
 
 from . import rails
-from .circuits import (
+from .circuits import (  # POLICIES, MAX_ENCODER_COPIES and SimulationInvariantError are re-exported
+    MAX_ENCODER_COPIES,
+    POLICIES,
     ApplyBS,
     CircuitIR,
     CorrectZ,
@@ -47,18 +49,13 @@ from .circuits import (
     PrepareDualRail,
     PrepareKet,
     RunResult,
+    SimulationInvariantError,
     _dualrail_factor,
     _ket_factor,
     _run_checked,
 )
 from .fock import as_amplitude, as_int
 from .rails import DualRailQubit, LogicalAmplitudes
-
-POLICIES = ("strict", "feedforward")
-
-# Dense 2^n vectors back the encoder's reference and decoded register; 2^20
-# amplitudes are 16 MB per vector.
-MAX_ENCODER_COPIES = 20
 
 # Bell states ordered to match the ancilla-amplitude indices 0, z, x, y.
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
@@ -104,10 +101,6 @@ LITERATURE_COEFFICIENTS = _read_only(
         dtype=complex,
     )
 )
-
-
-class SimulationInvariantError(RuntimeError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
 
 
 def _check_policy(policy: str) -> None:

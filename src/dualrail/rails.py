@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .fock import FockState, _checked_mode_count, as_amplitude, layout
 
 # Weight outside the one-photon-per-pair subspace above this is reported as
@@ -82,6 +80,7 @@ class LogicalAmplitudes:
         return cls(math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0))
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([self.a0, self.a1], dtype=complex)
 
     def norm_squared(self) -> float:
@@ -131,6 +130,7 @@ def decode_register(state: FockState, pairs: Sequence[DualRailQubit]) -> np.ndar
     nothing anywhere else; offending weight raises ``LeakageError``. The
     first pair is the most significant bit of the returned index.
     """
+    import numpy as np
     _, local_of, _, rest_of, _ = layout(state.mode_count, [m for p in pairs for m in p.modes])
     amps = np.zeros(2 ** len(pairs), dtype=complex)
     leakage = 0.0

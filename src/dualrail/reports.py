@@ -23,8 +23,6 @@ from json.encoder import encode_basestring_ascii
 from operator import is_not
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
 from .circuits import Branch, RunResult
 
 SCHEMA_VERSION = 1
@@ -208,6 +206,7 @@ _ZERO_PAIR = (0.0, 0.0)
 
 
 def _complex_pairs(vec: np.ndarray) -> list[tuple[float, float]]:
+    import numpy as np
     # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is;
     # flatnonzero counts nan as nonzero.
     pairs = [_ZERO_PAIR] * len(vec)
@@ -235,7 +234,7 @@ def from_run(
     """The report of a gate or ``.loc`` run; only a gate's has an output block."""
     output = None
     if result.output_logical is not None:
-        n_qubits = int(np.log2(len(result.output_logical)))
+        n_qubits = len(result.output_logical).bit_length() - 1
         output = {
             "basis": _basis_labels(n_qubits),
             "amplitudes": _complex_pairs(result.output_logical),

@@ -127,9 +127,9 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "m = np.array(matrix, dtype=complex)",
-        "m = np.asarray(matrix, dtype=complex)",
-        "ModeUnitary freezes the caller's complex array instead of a copy",
+        "        m.flags.writeable = False\n",
+        "",
+        "ModeUnitary hands out a writable matrix, whose writes its columns never see",
     ),
     Mutant(
         "src/dualrail/optics.py",
@@ -271,7 +271,7 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "            element = ApplyBS(tuple(element.modes), m if m is None else tuple(m))\n",
+        "            element = ApplyBS(modes, m if m is None else tuple(m))\n",
         "",
         "a bs keeps its caller's mode and matrix sequences, so format writes a program the rule pass never saw",
     ),
@@ -475,12 +475,6 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "map(str, map(index, occ))",
-        "map(str, occ)",
-        "format writes a bool occupation as True, which parse rejects",
-    ),
-    Mutant(
-        "src/dualrail/circuits.py",
         "{name} == {index(count)}",
         "{name} == {count}",
         "format writes a bool predicate count as True, which parse rejects",
@@ -565,9 +559,9 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        '            as_amplitude(z, "unitary entry")\n',
-        "            pass\n",
-        "ModeUnitary parses a string entry through np.array and raises a bare TypeError on None",
+        '    as_amplitude(z, "unitary entry")  # complex() alone would parse a string\n',
+        "",
+        "ModeUnitary parses a string entry through complex()",
     ),
     Mutant(
         "src/dualrail/circuits.py",
@@ -607,8 +601,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        '            at = self.touch("bell", element.modes, "Bell modes must be distinct", prepares=True)\n',
-        '            at = self.touch("bell", element.modes, "Bell modes must be distinct", prepares=True)\n'
+        '            modes, at = self.touch("bell", modes, "Bell modes must be distinct", prepares=True)\n',
+        '            modes, at = self.touch("bell", modes, "Bell modes must be distinct", prepares=True)\n'
         "            self.inputs.append(len(self.steps))\n",
         "a bell counts as a gate input, so the nondestructive gate binds the control's factor into its Bell step",
     ),
@@ -617,6 +611,48 @@ MUTANTS = [
         "    b.flush()\n    return CircuitIR._planned(b.rules)\n",
         "    ir = CircuitIR._planned(b.rules)\n    b.flush()\n    return ir\n",
         "parse takes its plan before its final flush, so a ket-only program runs without its ket",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "x * y.conjugate()",
+        "x * y",
+        "ModeUnitary checks U U^T, not U U^H, and rejects every unitary with a complex entry",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "if not defect <= UNITARY_TOL:",
+        "if not defect < UNITARY_TOL:",
+        "ModeUnitary rejects a matrix whose defect is exactly UNITARY_TOL",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        ", key=lambda d: (d != d, d))",
+        ")",
+        "ModeUnitary's max keeps a 0 defect ahead of a later nan, and accepts a nan entry off the first position",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "    @functools.cached_property\n    def matrix(self):",
+        "    @property\n    def matrix(self):",
+        "ModeUnitary builds a new matrix on every read",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "from . import measure, rails\n",
+        "from . import measure, rails\nimport numpy as np\n",
+        "circuits imports numpy at import, so every .loc run and usage error loads it",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "            element = Detect(mode, element.name)\n",
+        "",
+        "a detect keeps its caller's mode, so a 0-d numpy array mode leaves the program unhashable",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "            element = PrepareKet(tuple(terms))\n",
+        "            element = PrepareKet(tuple((tuple(occ), amp) for occ, amp in element.terms))\n",
+        "a ket reads its caller's terms twice, so an iterator occupation reaches the engine empty",
     ),
 ]
 

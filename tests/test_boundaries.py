@@ -24,6 +24,13 @@ def test_mode_unitary_accepts_a_defect_of_1e_14_and_rejects_1e_6():
         ModeUnitary(np.diag([1 + 5e-7, 1.0]))
 
 
+def test_mode_unitary_accepts_a_defect_of_exactly_its_tolerance():
+    # U U^H - I is [[e^2, e], [e, 0]], and 1 + e^2 rounds to 1: the defect is e itself.
+    ModeUnitary([[1, 1e-12], [0, 1]])
+    with pytest.raises(ValueError, match=r"not unitary \(defect 2\.000e-12\)"):
+        ModeUnitary([[1, 2e-12], [0, 1]])
+
+
 def test_decode_register_keeps_1e_12_leaked_weight_and_rejects_1e_4():
     def leaky(weight):  # the qubit's |0>_L plus a two-photon term of that weight
         return FockState(2, {(0, 1): math.sqrt(1 - weight), (1, 1): math.sqrt(weight)})

@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -336,6 +337,44 @@ class TestHandBuiltPrograms:
         assert (branch_bits(circuits.run_branches(ir)), circuits.format(ir)) == before
 
 
+    @pytest.mark.parametrize(
+        "mode_count, program",
+        [
+            (2, lambda m: (ONE_PHOTON, Detect(m(0), "a"))),
+            (2, lambda m: (ONE_PHOTON, ApplyBS((m(0), m(1)), None))),
+            (2, lambda m: (PrepareDualRail(1, 0, m(0), m(1)),)),
+            (3, lambda m: (PrepareKet((((1, 0, 1), 1),)), Detect(2, "a"), CorrectZ(m(0), m(1), ((("a", 1),),)))),
+            (4, lambda m: (PrepareBell("phi+", tuple(map(m, range(4)))),)),
+        ],
+        ids=["detect", "bs", "dualrail", "correct", "bell"],
+    )
+    def test_zero_d_array_modes_are_kept_as_ints(self, mode_count, program):
+        # operator.index reads a 0-d integer array; kept as given, it would leave
+        # the program unhashable, and a later write would move format but not the plan.
+        arrays = []
+
+        def array(m):
+            arrays.append(np.array(m))
+            return arrays[-1]
+
+        ir = circuits.CircuitIR(mode_count, None, program(array))
+        twin = circuits.CircuitIR(mode_count, None, program(int))
+        assert ir == twin and hash(ir) == hash(twin)
+        before = circuits.format(ir), branch_bits(circuits.run_branches(ir))
+        for a in arrays:
+            a[()] = mode_count - 1 - a
+        assert (circuits.format(ir), branch_bits(circuits.run_branches(ir))) == before
+
+    def test_an_iterator_occupation_runs_as_its_tuple(self):
+        # The rule pass reads the occupation once; the kept ket is what it read.
+        def program(occupation):
+            return circuits.CircuitIR(2, None, (PrepareKet(((occupation, 1),)), ApplyBS((0, 1), None), Detect(0, "a")))
+
+        ir, twin = program(iter([1, 0])), program((1, 0))
+        assert ir == twin and circuits.format(ir) == circuits.format(twin)
+        assert branch_bits(circuits.run_branches(ir)) == branch_bits(circuits.run_branches(twin))
+
+
 class TestCheckedOnce:
     """A program is checked and planned once, when it is made, and runs and formats by what it keeps."""
 
@@ -652,6 +691,19 @@ def test_shipped_files_roundtrip():
 def test_every_exported_name_resolves():
     missing = [name for name in dualrail.__all__ if not hasattr(dualrail, name)]
     assert missing == []
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    # The gates' names load on first use, through the package's __getattr__.
+    for name in dualrail.__all__:
+        value = getattr(dualrail, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+    assert dualrail.run_destructive_csign is protocols.run_destructive_csign
+    namespace: dict = {}
+    exec("from dualrail import *", namespace)
+    assert all(namespace[name] is getattr(dualrail, name) for name in dualrail.__all__)
+    with pytest.raises(AttributeError, match=r"^module 'dualrail' has no attribute 'run_csign'$"):
+        dualrail.run_csign
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -341,6 +344,46 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# A child process imports the command line and runs each argv in turn, then
+# prints its exit code and which of numpy and the gate modules it has loaded.
+CHILD = """
+import contextlib, io, json, sys
+import dualrail.circuits
+from dualrail import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(code, [m for m in ("numpy", "dualrail.protocols", "dualrail.verify") if m in sys.modules])
+"""
+
+
+def test_run_and_every_usage_or_parse_error_start_without_numpy(tmp_path):
+    # numpy's import is about half of a small command's time, and only the
+    # gate and verify commands compute with it.
+    bad = tmp_path / "bad.loc"
+    bad.write_text("modes 2\nket |1,0>\nbs 1 2 matrix 1 0 0 0 0 0 2 0\n")
+    argvs = [
+        ["run", str(dualrail.data_path("fig1.loc"))],
+        ["run", str(dualrail.data_path("fig2.loc")), "--json"],
+        ["run", str(bad)],
+        ["encoder", "--n", "1"],
+        ["csign-destructive", "--control", "1,0"],
+        ["no-such-command"],
+    ]
+    src = Path(dualrail.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines() == ["0 []", "0 []", "3 []", "2 []", "2 []", "2 []"]
 
 
 def test_fig1_reproduces_the_destructive_defaults(capsys):

@@ -728,6 +728,11 @@ RUN_CHECKED_CALLERS = {
     ("protocols", "_run_gate"),
 }
 
+# The only modules that import numpy when they are imported. Every other module
+# imports it in the function that computes with it, so a .loc run and every
+# usage or parse error start without it.
+NUMPY_AT_IMPORT = {"protocols", "verify"}
+
 # Where a CircuitIR may be made from a rule pass already walked, without a walk of
 # its own: parse, whose walk fed the pass statement by statement.
 PLANNED_CALLERS = {
@@ -759,9 +764,11 @@ def references(name: str) -> set:
 
 # Where complex is called or passed as a function: each builds a number from
 # two floats the package parsed or drew, or turns one of its own numpy values
-# into a Python complex, apart from the reader itself.
+# into a Python complex, apart from the reader itself and the unitary's entry,
+# which the reader has accepted and complex() keeps with its signed zeros.
 COMPLEX_CALLS = {
     ("fock", "as_amplitude"),
+    ("optics", "_entry"),
     ("circuits", "parse"),
     ("cli", "_parse_amplitudes"),
     ("protocols", "csign_reference"),
@@ -776,7 +783,7 @@ COMPLEX_CALLS = {
 AS_AMPLITUDE_CALLERS = {
     ("fock", "__init__"),
     ("fock", "scaled"),
-    ("optics", "__init__"),
+    ("optics", "_entry"),
     ("rails", "is_normalized"),
     ("circuits", "amplitude"),
     ("circuits", "_dualrail_factor"),
@@ -784,6 +791,28 @@ AS_AMPLITUDE_CALLERS = {
     ("rails", "__post_init__"),
     ("protocols", "__post_init__"),
 }
+
+
+def numpy_at_import() -> set:
+    """Each module in ``src`` with an ``import numpy`` that runs when it is imported:
+    outside every function and every ``if TYPE_CHECKING:`` block."""
+    found = set()
+
+    def visit(node, module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            return
+        if isinstance(node, ast.Import):
+            found.update(module for alias in node.names if alias.name.split(".")[0] == "numpy")
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.add(module)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module)
+
+    for path in Path(dualrail.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
 
 
 def complex_calls() -> set:
@@ -818,6 +847,10 @@ def test_only_the_listed_functions_branch_on_element_kinds():
 def test_a_callers_number_is_read_only_by_as_amplitude():
     assert complex_calls() == COMPLEX_CALLS
     assert references("as_amplitude") == AS_AMPLITUDE_CALLERS
+
+
+def test_only_the_gate_modules_import_numpy_at_import():
+    assert numpy_at_import() == NUMPY_AT_IMPORT
 
 
 def test_trusted_construction_is_reached_only_from_internal_states():

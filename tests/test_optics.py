@@ -18,6 +18,11 @@ from reference_kernels import distance, oracle_amplitude, permanent, sector
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
+def bits_of(rows) -> list:
+    """Each complex entry's parts as hex, so equal means bit-identical, signed zeros included."""
+    return [[(z.real.hex(), z.imag.hex()) for z in row] for row in rows]
+
+
 def oracle_apply(u: np.ndarray, state: FockState, modes) -> FockState:
     k = len(modes)
     out = {}
@@ -68,6 +73,63 @@ class TestModeUnitary:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             ModeUnitary([[1, 0, 0], [0, 1, 0]])
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[1, 0], [0]], "expected a number as unitary entry, got [1, 0]"),
+            ([1, 0], "expected a square matrix, got shape (2,)"),
+            ([[[1, 0], [0, 1]], [[1, 0], [0, 1]]], "expected a square matrix, got shape (2, 2, 2)"),
+            ([[[1], [0]], [[0], [1]]], "expected a square matrix, got shape (2, 2, 1)"),
+            ([], "expected a square matrix, got shape (0,)"),
+            ([[]], "expected a square matrix, got shape (1, 0)"),
+            (1, "expected a square matrix, got shape ()"),
+            (None, "expected a number as unitary entry, got None"),
+            ([[1, "0"], [0, 1]], "expected a number as unitary entry, got '0'"),
+            ([[np.array([1, 0]), 0], [0, 1]], "expected a number as unitary entry, got array([1, 0])"),
+            ([[math.nan, 0], [0, 1]], "matrix is not unitary (defect nan)"),
+            ([[1, 0], [0, math.nan]], "matrix is not unitary (defect nan)"),
+            ([[math.inf, 0], [0, 1]], "matrix is not unitary (defect nan)"),
+            ([[complex(0, -math.inf)]], "matrix is not unitary (defect inf)"),
+            ([[1e200, 0], [0, 1]], "matrix is not unitary (defect inf)"),
+            (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+            (np.array([[1.0, 1.0], [0.0, 1.0]]), "matrix is not unitary (defect 1.000e+00)"),
+            ([[1, 1], [0, 1]], "matrix is not unitary (defect 1.000e+00)"),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 2]], "matrix is not unitary (defect 3.000e+00)"),
+        ],
+        ids=["ragged", "1-D", "3-D", "3-D-square-rows", "empty", "empty-row", "0-d", "None", "str-entry",
+             "array-entry", "nan-first", "nan-last", "inf-first", "inf-1x1", "overflow", "numpy-2x3",
+             "numpy-non-unitary", "non-unitary-2x2", "non-unitary-3x3"],
+    )
+    def test_each_refusal_is_one_exact_line(self, matrix, message):
+        # The messages of the numpy-backed check that the plain-Python one replaced.
+        with pytest.raises(ValueError) as err:
+            ModeUnitary(matrix)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.inf), complex(math.nan, 1)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_non_finite_entry_is_refused_at_every_position(self, n, bad):
+        # max() over moduli keeps the first of a nan and a number, so a nan
+        # defect after a 0 would read as 0 unless nan is ranked above all.
+        for position in range(n * n):
+            matrix = np.eye(n).tolist()
+            matrix[position // n][position % n] = bad
+            with pytest.raises(ValueError, match=r"^matrix is not unitary \(defect (nan|inf)\)$"):
+                ModeUnitary(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1, 0], [0, -1j]], [[0, -1j], [1j, 0]], [[-0.0, 1], [1, complex(-0.0, -0.0)]],
+         np.array([[0, 1], [1, 0]], dtype=np.complex64), [[SQRT_HALF, SQRT_HALF], [-SQRT_HALF, SQRT_HALF]]],
+        ids=["phase", "pauli-y", "signed-zeros", "complex64", "hadamard"],
+    )
+    def test_the_matrix_is_one_read_only_copy_with_the_bits_of_np_array(self, matrix):
+        u = ModeUnitary(matrix)
+        m = u.matrix
+        assert m is u.matrix and not m.flags.writeable
+        assert m.tobytes() == np.array(matrix, dtype=complex).tobytes()
+        assert bits_of(u._columns) == bits_of(np.array(matrix, dtype=complex).T.tolist())
 
 
 class TestApply:
