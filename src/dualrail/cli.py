@@ -195,7 +195,7 @@ def cmd_encoder(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         ir = circuits.load(args.path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return _report(args, {"path": args.path}, lambda: circuits.execute(ir))

@@ -16,7 +16,9 @@ A 2-mode unitary with no zero entry (every default ``bs``, the gates' splitters
 and a random 2 x 2) is expanded in closed form: with (f0, f1) its column j,
 each creation operator takes the coefficients c of the monomials (m - i, i)
 to 0j + c[0]*f0, then 0j + c[i-1]*f1 + c[i]*f0, then 0j + c[-1]*f1, the
-sums the direct expansion runs on those monomials.
+sums the direct expansion runs on those monomials. A ket (a, b) runs its a + b
+operators in one loop, mode 0's first; a ket with no photon on the pair is
+its own output, 0j + amp, as no other ket has its rest and none on the pair.
 
 Every other element (k = 1, k >= 3, or a 2-mode unitary with a zero entry)
 is expanded directly: each ket's monomials are kept in a dict, keyed by the
@@ -40,8 +42,8 @@ occupation is done once, not per call or per branch. ``ModeUnitary`` checks
 its matrix and works out its columns as Python complex numbers, and whether it
 takes the closed form, at construction, without numpy; its read-only numpy
 ``matrix`` is built on first read. The listed modes' getters come from
-``fock.layout``, and ``_pair_plan`` memoizes the closed form's sqrt(a! b!)
-and output scales per local occupation (a, b), 256 entries.
+``fock.layout``, and ``_pair_plan`` memoizes the closed form's sqrt(a! b!),
+output scales and operator columns per local occupation (a, b), 256 entries.
 """
 
 from __future__ import annotations
@@ -157,16 +159,18 @@ def _check_output_bound(terms: dict, local_of: Callable, k: int) -> None:
 
 
 @functools.lru_cache(maxsize=256)
-def _pair_plan(local: tuple[int, int]) -> tuple[float, tuple]:
-    """(sqrt(a! b!), ((mono, sqrt(mono[0]! mono[1]!)), ...)) of the local occupation (a, b).
+def _pair_plan(local: tuple[int, int]) -> tuple[float, tuple, tuple]:
+    """(sqrt(a! b!), ((mono, sqrt(mono[0]! mono[1]!)), ...), steps) of the local occupation (a, b).
 
-    The monomials are (a + b - i, i) for i = 0 .. a + b, in that order.
+    The monomials are (a + b - i, i) for i = 0 .. a + b, in that order; steps
+    is the column of each creation operator in turn, a zeros then b ones.
     """
     a, b = local
     monos = [(a + b - i, i) for i in range(a + b + 1)]
     return (
         math.sqrt(math.factorial(a) * math.factorial(b)),
         tuple((mono, math.sqrt(math.factorial(mono[0]) * math.factorial(mono[1]))) for mono in monos),
+        (0,) * a + (1,) * b,
     )
 
 
@@ -174,17 +178,20 @@ def _expand_pairs(terms: dict, locals_: Iterable, columns: list, place: Callable
     """Each ket's expansion, summed, in closed form (a 2-mode unitary, no zero entry)."""
     out: dict[tuple[int, ...], complex] = {}
     for (ket, amp), local in zip(terms.items(), locals_):
-        norm, outputs = _pair_plan(local)
+        if local == (0, 0):  # its own output, which no other ket (same rest, no photon here) reaches
+            out[ket] = 0j + amp
+            continue
+        norm, outputs, steps = _pair_plan(local)
         coeffs = [amp / norm]
-        for (f0, f1), count in zip(columns, local):
-            for _ in range(count):
-                x = coeffs[0]
-                grown = [0j + x * f0]
-                for y in coeffs[1:]:  # x, y = c[i-1], c[i]
-                    grown.append(0j + x * f1 + y * f0)
-                    x = y
-                grown.append(0j + x * f1)
-                coeffs = grown
+        for j in steps:
+            f0, f1 = columns[j]
+            x = coeffs[0]
+            grown = [0j + x * f0]
+            for y in coeffs[1:]:  # x, y = c[i-1], c[i]
+                grown.append(0j + x * f1 + y * f0)
+                x = y
+            grown.append(0j + x * f1)
+            coeffs = grown
         for (mono, scale), coeff in zip(outputs, coeffs):
             key = place(ket + mono)
             out[key] = out.get(key, 0j) + coeff * scale

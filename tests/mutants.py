@@ -15,6 +15,14 @@ must pass. Run from the repository root::
 It prints one line per mutant and the kill rate, and exits 1 if a mutant
 survived. ``test_boundaries.py`` checks in tier-1 that every snippet still
 occurs exactly once in its file, so the list cannot silently go stale.
+
+Source paths, relative to the repository root, narrow the run to the mutants
+of those files; the unmutated copy still runs first::
+
+    python tests/mutants.py src/dualrail/optics.py
+
+Mutants keep their numbers in the whole list, and the kill rate counts only
+those run. With no path, every mutant runs.
 """
 
 from __future__ import annotations
@@ -91,8 +99,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "for (f0, f1), count in zip(columns, local):",
-        "for (f1, f0), count in zip(columns, local):",
+        "f0, f1 = columns[j]",
+        "f1, f0 = columns[j]",
         "the closed form applies the transposed splitter",
     ),
     Mutant(
@@ -121,8 +129,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "norm, outputs = _pair_plan(local)",
-        "norm, outputs = _pair_plan((sum(local), 0))",
+        "norm, outputs, steps = _pair_plan(local)",
+        "norm, outputs, steps = _pair_plan((sum(local), 0))",
         "the plan memo is keyed on the photon total, not the local occupation",
     ),
     Mutant(
@@ -654,6 +662,18 @@ MUTANTS = [
         "            element = PrepareKet(tuple((tuple(occ), amp) for occ, amp in element.terms))\n",
         "a ket reads its caller's terms twice, so an iterator occupation reaches the engine empty",
     ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "            out[ket] = 0j + amp\n            continue\n",
+        "            out[ket] = 0j + amp\n",
+        "a ket with no photon on the pair is also expanded, so its amplitude is added twice",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "(0,) * a + (1,) * b,",
+        "(1,) * b + (0,) * a,",
+        "the closed form grows mode 1's operators before mode 0's, changing amplitude bits",
+    ),
 ]
 
 
@@ -691,7 +711,12 @@ def run_tier1(mutant: Mutant | None) -> tuple[str | None, float]:
     return (failed or [f"pytest exit code {done.returncode}"])[0], seconds
 
 
-def main() -> int:
+def main(paths: list[str]) -> int:
+    paths = [Path(p).as_posix() for p in paths]  # "./src/x.py" names "src/x.py"
+    chosen = [(n, m) for n, m in enumerate(MUTANTS, 1) if not paths or m.path in paths]
+    if not chosen:
+        print(f"no mutant in {', '.join(paths)}; the mutated files are {', '.join(sorted({m.path for m in MUTANTS}))}")
+        return 2
     start = time.perf_counter()
     failed, seconds = run_tier1(None)
     print(f"baseline    {seconds:6.1f} s  {failed or 'passed'}", flush=True)
@@ -699,14 +724,14 @@ def main() -> int:
         print("the unmutated copy fails tier-1; no mutant can be judged")
         return 2
     killed = 0
-    for number, mutant in enumerate(MUTANTS, 1):
+    for number, mutant in chosen:
         failed, seconds = run_tier1(mutant)
         killed += failed is not None
         print(f"{number:>2} {'KILLED' if failed else 'SURVIVED':<8} {seconds:6.1f} s  {mutant.path}: {mutant.breaks}")
         print(f"   {failed or 'every test passed'}", flush=True)
-    print(f"kill rate {killed}/{len(MUTANTS)} ({100 * killed / len(MUTANTS):.0f} %) in {time.perf_counter() - start:.0f} s")
-    return 0 if killed == len(MUTANTS) else 1
+    print(f"kill rate {killed}/{len(chosen)} ({100 * killed / len(chosen):.0f} %) in {time.perf_counter() - start:.0f} s")
+    return 0 if killed == len(chosen) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -183,6 +183,15 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "/nonexistent/file.loc")
         assert code == 2 and "cannot read" in err
 
+    def test_a_file_that_is_not_utf8_names_its_path(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.loc"
+        bad.write_bytes(b"\xffmodes 2\n")
+        code, out, err = run_cli(capsys, "run", str(bad))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+
     def test_parse_error_exits_3_with_position(self, capsys, tmp_path):
         bad = tmp_path / "bad.loc"
         bad.write_text("modes 2\nbs 1 nope\n")

@@ -295,6 +295,23 @@ def test_two_mode_closed_form_matches_the_reference_on_every_occupation(photons)
             assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
 
 
+@pytest.mark.parametrize("modes, photons", [(10, 4), (8, 6)])
+def test_closed_form_matches_the_reference_on_a_dense_sector(modes, photons):
+    # Every ket of the sector: 46 % (10 modes) and 27 % (8 modes) have no
+    # photon on a listed pair and pass through; the rest grow over up to six
+    # creation operators.
+    rng = np.random.default_rng(modes * 10 + photons)
+    kets = [
+        tuple(map(picked.count, range(modes)))
+        for picked in itertools.combinations_with_replacement(range(modes), photons)
+    ]
+    state = FockState(modes, {k: complex(rng.normal(), rng.normal()) for k in kets})
+    for u in (hadamard_bs(), ModeUnitary(random_unitary(rng, 2))):
+        for listed in ([0, 1], [3, modes - 1], [modes - 2, 2]):
+            fast = apply_mode_unitary(state, listed, u)
+            assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
+
+
 @pytest.mark.parametrize("photons", range(7))
 def test_direct_expansion_matches_the_reference_on_every_occupation(photons):
     # Every local occupation up to 6 photons of a 3-mode sector, through each

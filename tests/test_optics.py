@@ -332,3 +332,53 @@ def test_every_transition_amplitude_matches_the_permanent(transition):
     assert set(got.terms) <= set(expected)
     for out, amp in expected.items():
         assert abs(got.amplitude(out) - amp) <= 1e-12
+
+
+@st.composite
+def splitter_cases(draw):
+    """A normalized sparse or dense state of 2-7 modes, a listed pair and a splitter on it.
+
+    Dense states hold a whole sector of up to 6 photons; sparse ones up to 12
+    kets of 0-6 photons each, many of them vacuum on the pair. The splitter is
+    the Hadamard or a random 2 x 2, both in the closed form.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = draw(st.integers(2, 7))
+    photons = draw(st.integers(0, 6))
+    if draw(st.booleans()) and math.comb(modes + photons - 1, photons) <= 210:
+        kets = sector(modes, photons)
+    else:
+        kets = {
+            tuple(int(n) for n in rng.multinomial(int(rng.integers(0, photons + 1)), [1 / modes] * modes))
+            for _ in range(draw(st.integers(1, 12)))
+        }
+    state = FockState(modes, {k: complex(rng.normal(), rng.normal()) for k in kets}).normalized()
+    pair = [int(m) for m in rng.permutation(modes)[:2]]
+    u = hadamard_bs().matrix if draw(st.booleans()) else random_unitary(rng, 2)
+    return state, pair, u, rng
+
+
+def max_difference(a: FockState, b: FockState) -> float:
+    return max(abs(a.amplitude(k) - b.amplitude(k)) for k in set(a.terms) | set(b.terms))
+
+
+@given(splitter_cases())
+@settings(max_examples=150, deadline=None)
+def test_a_splitter_then_its_inverse_gives_back_the_state(case):
+    state, pair, u, _ = case
+    there = apply_mode_unitary(state, pair, ModeUnitary(u))
+    back = apply_mode_unitary(there, pair, ModeUnitary(u.conj().T))
+    assert max_difference(back, state) <= 1e-12
+
+
+@given(splitter_cases())
+@settings(max_examples=150, deadline=None)
+def test_a_splitter_factored_in_two_gives_the_same_state(case):
+    # U = W V, with V a random 2 x 2: V's creation operators are substituted
+    # first, so applying V and then W is applying U.
+    state, pair, u, rng = case
+    v = random_unitary(rng, 2)
+    w = u @ v.conj().T
+    whole = apply_mode_unitary(state, pair, ModeUnitary(u))
+    factored = apply_mode_unitary(apply_mode_unitary(state, pair, ModeUnitary(v)), pair, ModeUnitary(w))
+    assert max_difference(factored, whole) <= 1e-12
