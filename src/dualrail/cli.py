@@ -112,6 +112,7 @@ def _add_qubit_args(parser: argparse.ArgumentParser, name: str, default: str) ->
 
 
 _SQRT_HALF = "0.7071067811865476"
+_WRITE_CHARS = 1 << 20
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,7 +167,10 @@ def _report(args: argparse.Namespace, inputs: dict, run: Callable[[], circuits.R
     result = run()
     duration = time.perf_counter() - start
     report = reports.from_run(result, args.command, inputs, duration)
-    sys.stdout.write(report.to_json() if args.json else report.to_table())
+    text = report.to_json() if args.json else report.to_table()
+    # Slices, so that stdout never holds a second, encoded copy of the whole text.
+    for at in range(0, len(text), _WRITE_CHARS):
+        sys.stdout.write(text[at : at + _WRITE_CHARS])
     return EXIT_OK
 
 

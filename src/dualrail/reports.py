@@ -7,21 +7,22 @@ shows the same numbers with the protocol's mode labels.
 
 A decoded register has 2^n entries, most of them zero for the paper's
 circuits (the encoder's a0|0...0> + a1|1...1> has two nonzero entries).
-``from_run`` gives every zero entry one shared ``(0.0, 0.0)`` pair and builds
-a pair only for the nonzero ones. Both renderers format each distinct pair
-object once and lay out the 2^n references to its text in C-level list and
-join steps, so the cost of a report grows with its distinct amplitudes, plus
-one pass over the basis labels and the text itself.
+``from_run`` shares one ``(0.0, 0.0)`` pair among the zero entries and keeps
+the basis labels as their two halves (``_Labels``), not as 2^n strings. Both
+renderers lay out the register with ``_rows``: one text per distinct pair
+object, one repeat per run of an object, one ``str.join`` per high-half
+label, and one join of the whole text.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, fields
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from operator import is_not
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .circuits import Branch, RunResult
 
@@ -40,31 +41,28 @@ class RunReport:
 
     def to_dict(self) -> dict[str, Any]:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.output is not None:
+            data["output"] = {k: list(v) if type(v) is _Labels else v for k, v in self.output.items()}
         return {"schema_version": SCHEMA_VERSION, **data}
 
     def to_json(self) -> str:
         """The report as ``json.dumps(self.to_dict(), indent=2)`` plus a newline.
 
-        The output block, whose register lists grow as 2^n, is rendered as
-        pieces that refer to its basis labels and to one text per distinct
-        ``amplitudes`` pair object (objects, not values, so a hand-built
-        ``[-0.0, 0.0]`` keeps its sign). One join splices them over the
-        document's ``"output": null`` line, which is unique because JSON
-        escapes every newline inside a string. ``basis`` must hold strings
-        and ``amplitudes`` pairs of floats, as ``from_run`` builds them.
+        The output block is spliced over the document's ``"output": null``
+        line, unique because JSON escapes every newline inside a string.
+        ``basis`` must hold strings and ``amplitudes`` pairs of floats, as
+        ``from_run`` builds them.
         """
-        doc = self.to_dict()
-        output = doc["output"]
-        if output is None:
-            return json.dumps(doc, indent=2) + "\n"
-        doc["output"] = None
+        if self.output is None:
+            return json.dumps(self.to_dict(), indent=2) + "\n"
+        doc = replace(self, output=None).to_dict()
         head, _, tail = json.dumps(doc, indent=2).partition(_NULL_OUTPUT_LINE)
-        return "".join([head, '\n  "output": ', *_render_output(output), ",\n", tail, "\n"])
+        return "".join([head, '\n  "output": ', *_render_output(self.output), ",\n", tail, "\n"])
 
     def to_table(self) -> str:
         lines = [f"command: {self.command}"]
         for key, value in self.inputs.items():
-            lines.append(f"  {key}: {_fmt_input(value)}")
+            lines.append(f"  {key}: {json.dumps(value) if isinstance(value, list) else value}")
         lines.append("branches:")
         header = f"  {'outcome':28} {'probability':>12}  {'accepted':8} corrections"
         lines.append(header)
@@ -77,24 +75,42 @@ class RunReport:
                 for text in br["residual"]:
                     lines.append(f"      {text}")
         lines.append(f"accepted probability: {self.accepted_probability:.12f}")
+        rows: list[str] = []
         if self.output is not None:
             carriers = self.output.get("mode_labels")
             suffix = f" on modes {', '.join(carriers)}" if carriers else ""
             lines.append(f"decoded output (logical basis){suffix}:")
-            # One row per basis label with a pair, as zip pairs them: a
-            # "\n  |" piece, the label and the pair's text.
+            # One row per basis label with a pair, as zip pairs them.
             basis, pairs = self.output["basis"], self.output["amplitudes"]
-            count = min(len(basis), len(pairs))
-            if count:
-                rows = ["\n  |"] * (3 * count)
-                rows[0] = "  |"
-                rows[1::3] = basis[:count]
-                rows[2::3] = _texts_by_object(pairs[:count], _table_pair)
-                lines.append("".join(rows))
+            rows = _rows(_runs(pairs, _table_pair), "\n  |", "\n  |", basis)
+        end = [f"duration: {self.duration_seconds:.3f} s"]
         if self.fidelity_vs_reference is not None:
-            lines.append(f"fidelity vs reference: {self.fidelity_vs_reference:.12f}")
-        lines.append(f"duration: {self.duration_seconds:.3f} s")
-        return "\n".join(lines) + "\n"
+            end.insert(0, f"fidelity vs reference: {self.fidelity_vs_reference:.12f}")
+        return "".join(["\n".join(lines), *rows, "\n", "\n".join(end), "\n"])
+
+
+class _Labels(Sequence):
+    """The basis labels ``format(i, f"0{n}b")`` for i < 2^n, in order, held
+    as their halves: label i is ``high[i // len(low)] + low[i % len(low)]``."""
+
+    def __init__(self, n_qubits: int) -> None:
+        self.high, self.low = (
+            list(map("".join, itertools.product("01", repeat=k)))
+            for k in (n_qubits // 2, n_qubits - n_qubits // 2)
+        )
+
+    def __len__(self) -> int:
+        return len(self.high) * len(self.low)
+
+    def __getitem__(self, index: int) -> str:
+        row, col = divmod(range(len(self))[index], len(self.low))
+        return self.high[row] + self.low[col]
+
+    def __iter__(self):
+        return (h + l for h in self.high for l in self.low)
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, _Labels)) else NotImplemented
 
 
 def _table_pair(pair: list[float]) -> str:
@@ -102,10 +118,9 @@ def _table_pair(pair: list[float]) -> str:
     return f">: ({re:+.12f}, {im:+.12f})"
 
 
-def _fmt_input(value: Any) -> str:
-    if isinstance(value, list):
-        return json.dumps(value)
-    return str(value)
+def _json_pair(pair: list[float]) -> str:
+    re, im = (_NONFINITE.get(text, text) for text in map(float.__repr__, pair))
+    return f"[\n        {re},\n        {im}\n      ]"
 
 
 def _branch_dict(br: Branch) -> dict[str, Any]:
@@ -123,77 +138,68 @@ _NULL_OUTPUT_LINE = '\n  "output": null,\n'
 # json spells the non-finite floats this way; float.__repr__ gives the keys.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# The ASCII characters json writes as they are: all printable ones but '"' and '\\'.
-_UNESCAPED = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+# Rows per piece of a run without labels: a long run is one chunk repeated by reference.
+_CHUNK_ROWS = 4096
 
 
-def _json_floats(values: Iterable[float]) -> list[str]:
-    texts = list(map(float.__repr__, values))
-    return list(map(_NONFINITE.get, texts, texts))
-
-
-def _json_block(items: list[str], depth: int, quote: str = "") -> list[str]:
-    """Pieces that join to the already-encoded ``items``, each wrapped in
-    ``quote``, laid out as ``json.dumps(indent=2)`` lays out a list at
-    nesting ``depth``. The pieces refer to the items rather than copy them."""
+def _runs(items: list[Any], render: Callable[[Any], str]) -> list[tuple[int, str]]:
+    """``(end, render(item))`` for each run of one object in ``items``, in order;
+    objects are told apart by identity (so ``[-0.0, 0.0]`` keeps its sign)."""
     if not items:
-        return ["[]"]
-    pad = "\n" + "  " * (depth + 1)
-    pieces = [quote + "," + pad + quote] * (2 * len(items) + 1)
-    pieces[1::2] = items
-    pieces[0] = "[" + pad + quote
-    pieces[-1] = quote + "\n" + "  " * depth + "]"
-    return pieces
-
-
-def _json_strings(items: list[str], depth: int) -> list[str]:
-    """``_json_block`` of the JSON strings of ``items``. When no item holds a
-    character json escapes, which one pass over their concatenation shows,
-    each item is its own JSON text between quotes."""
-    joined = "".join(items)
-    if joined.isascii() and not joined.encode("ascii").translate(None, _UNESCAPED):
-        return _json_block(items, depth, quote='"')
-    return _json_block(list(map(encode_basestring_ascii, items)), depth)
-
-
-def _texts_by_object(items: list[Any], render: Callable[[Any], str]) -> list[str]:
-    """``render(item)`` for every item, called once per distinct object.
-
-    Objects are told apart by identity, never by value. A run of one object
-    costs one list repeat, so a register of a few nonzero pairs among shared
-    zero pairs is laid out in a few C-level steps.
-    """
+        return []
     ends = [*itertools.compress(range(1, len(items)), map(is_not, items[1:], items)), len(items)]
     texts: dict[int, str] = {}
-    out: list[str] = []
-    start = 0
-    for end in ends:
-        item = items[start]
+    runs = []
+    for end, item in zip(ends, map(items.__getitem__, [0, *ends[:-1]])):
         text = texts.get(id(item))
         if text is None:
             text = texts[id(item)] = render(item)
-        out += [text] * (end - start)
-        start = end
-    return out
+        runs.append((end, text))
+    return runs
 
 
-def _render_pair(pair: list[float]) -> str:
-    return "".join(_json_block(_json_floats(pair), 3))
+def _rows(
+    runs: list[tuple[int, str]], first: str, lead: str, labels: Sequence[str] | None = None
+) -> list[str]:
+    """Pieces that join to one row per index i, up to the end of the runs or
+    of the labels: ``first`` (for i = 0) or ``lead``, then ``labels[i]`` if
+    any, then the text of the run holding i. A stretch of one run under one
+    high-half label costs one ``str.join``, or without labels one repeat."""
+    high, low = (labels.high, labels.low) if type(labels) is _Labels else ([""], labels)
+    width = len(low) if low is not None else runs[-1][0] if runs else 0
+    pieces: list[str] = []
+    start = 0
+    for end, text in runs:
+        end = min(end, width * len(high))
+        while start < end:
+            row, col = divmod(start, width)
+            stop = min(end, start - col + width) if start else 1
+            sep = (lead if start else first) + high[row]
+            if low is not None:
+                pieces += [sep, (text + sep).join(low[col : col + stop - start]), text]
+            else:
+                whole, part = divmod(stop - start, _CHUNK_ROWS)
+                pieces += [(sep + text) * _CHUNK_ROWS] * whole if whole else []
+                pieces.append((sep + text) * part)
+            start = stop
+    return pieces
 
 
 def _render_output(output: dict[str, Any]) -> list[str]:
     """Pieces that join to ``output`` as ``json.dumps(indent=2)`` renders it
-    one level deep."""
+    one level deep. ``_Labels`` hold binary digits, which json writes as they
+    are; the labels of a plain list are escaped one by one."""
     pieces: list[str] = []
     for key, value in output.items():
-        if key == "basis":
-            block = _json_strings(value, 2)
-        elif key == "amplitudes":
-            block = _json_block(_texts_by_object(value, _render_pair), 2)
+        if key == "basis" and value:
+            if type(value) is not _Labels:
+                value = [encode_basestring_ascii(label)[1:-1] for label in value]
+            block = [*_rows([(len(value), '"')], '[\n      "', ',\n      "', value), "\n    ]"]
+        elif key == "amplitudes" and value:
+            block = [*_rows(_runs(value, _json_pair), "[\n      ", ",\n      "), "\n    ]"]
         else:
             block = [json.dumps(value, indent=2).replace("\n", "\n    ")]
-        pieces += [",\n    ", encode_basestring_ascii(key), ": "]
-        pieces += block
+        pieces += [",\n    ", encode_basestring_ascii(key), ": ", *block]
     if not pieces:
         return ["{}"]
     pieces[0] = "{\n    "
@@ -218,16 +224,6 @@ def _complex_pairs(vec: np.ndarray) -> list[tuple[float, float]]:
     return pairs
 
 
-def _basis_labels(n_qubits: int) -> list[str]:
-    """``format(i, f"0{n_qubits}b")`` for every i, in order: each label is a
-    high-half label followed by a low-half one."""
-    high, low = (
-        list(map("".join, itertools.product("01", repeat=k)))
-        for k in (n_qubits // 2, n_qubits - n_qubits // 2)
-    )
-    return [h + l for h in high for l in low]
-
-
 def from_run(
     result: RunResult, command: str, inputs: dict[str, Any], duration: float
 ) -> RunReport:
@@ -236,7 +232,7 @@ def from_run(
     if result.output_logical is not None:
         n_qubits = len(result.output_logical).bit_length() - 1
         output = {
-            "basis": _basis_labels(n_qubits),
+            "basis": _Labels(n_qubits),
             "amplitudes": _complex_pairs(result.output_logical),
             "mode_labels": list(result.output_labels),
         }

@@ -674,6 +674,48 @@ MUTANTS = [
         "(1,) * b + (0,) * a,",
         "the closed form grows mode 1's operators before mode 0's, changing amplitude bits",
     ),
+    Mutant(
+        "src/dualrail/reports.py",
+        "row, col = divmod(range(len(self))[index], len(self.low))",
+        "row, col = divmod(range(len(self))[index], len(self.high))",
+        "a basis label is looked up with its halves split the other way, wrong for odd n",
+    ),
+    Mutant(
+        "src/dualrail/reports.py",
+        "width = len(low) if low is not None",
+        "width = len(high) if low is not None",
+        "register rows are cut into label blocks by the high half's width, so odd n gets wrong labels",
+    ),
+    Mutant(
+        "src/dualrail/reports.py",
+        "pieces.append((sep + text) * part)",
+        "pieces.append((sep + text) * (part - 1))",
+        "a run of one pair object is rendered one entry short",
+    ),
+    Mutant(
+        "src/dualrail/reports.py",
+        "[(sep + text) * _CHUNK_ROWS] * whole if whole",
+        "[(sep + text) * _CHUNK_ROWS] * (whole - 1) if whole",
+        "a run longer than one chunk loses 4,096 rows",
+    ),
+    Mutant(
+        "src/dualrail/reports.py",
+        "list(v) if type(v) is _Labels else v",
+        "v",
+        "to_dict hands the label sequence to json.dumps, which cannot encode it",
+    ),
+    Mutant(
+        "src/dualrail/cli.py",
+        "sys.stdout.write(text[at : at + _WRITE_CHARS])",
+        "sys.stdout.write(text[at : at + _WRITE_CHARS - 1])",
+        "each write slice drops its last character",
+    ),
+    Mutant(
+        "src/dualrail/cli.py",
+        "_WRITE_CHARS = 1 << 20",
+        "_WRITE_CHARS = 1 << 23",
+        "a 4 MB report goes to stdout in one write, which encodes a second copy of it",
+    ),
 ]
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,7 +12,7 @@ import jsonschema
 import pytest
 
 import dualrail
-from dualrail import circuits, cli
+from dualrail import circuits, cli, reports
 from dualrail.verify import run_verification
 
 import cli_corpus
@@ -347,6 +349,39 @@ def test_unexpected_exception_exits_4_with_one_line(capsys, monkeypatch, exc):
     assert err.count("\n") == 1
     assert err.startswith(f"internal error: {type(exc).__name__}: ")
     assert "Traceback" not in err
+
+
+class RecordedStdout(io.StringIO):
+    """A stdout that keeps the text of every ``write`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("render", ["to_json", "to_table"])
+def test_a_large_report_reaches_stdout_in_bounded_writes(monkeypatch, render):
+    # encoder --n 16 renders 4.46 MB of JSON or 3.74 MB of table; one write
+    # would make stdout encode a second copy of all of it.
+    rendered = []
+    method = getattr(reports.RunReport, render)
+
+    def recorded(report):
+        rendered.append(method(report))
+        return rendered[-1]
+
+    monkeypatch.setattr(reports.RunReport, render, recorded)
+    out = RecordedStdout()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["encoder", "--n", "16", *(["--json"] if render == "to_json" else [])]) == 0
+    assert len(rendered) == 1 and len(rendered[0]) > 3 << 20
+    joined_as_rendered = "".join(out.writes) == rendered[0]  # no pytest diff of 4 MB texts
+    assert joined_as_rendered
+    assert max(map(len, out.writes)) <= 1 << 20
 
 
 def test_usage_error_exit_code():
