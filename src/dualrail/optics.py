@@ -17,8 +17,12 @@ and a random 2 x 2) is expanded in closed form: with (f0, f1) its column j,
 each creation operator takes the coefficients c of the monomials (m - i, i)
 to 0j + c[0]*f0, then 0j + c[i-1]*f1 + c[i]*f0, then 0j + c[-1]*f1, the
 sums the direct expansion runs on those monomials. A ket (a, b) runs its a + b
-operators in one loop, mode 0's first; a ket with no photon on the pair is
-its own output, 0j + amp, as no other ket has its rest and none on the pair.
+operators, mode 0's first: up to ``KERNEL_PHOTONS`` (8) as one function per
+(a, b), generated from the loop's operations in its order as straight-line code
+of integers and fixed names, its monomials and scales bound in its namespace;
+above that in the loop, as a kernel's text grows as (a + b)**2 (at 64 photons
+its compile peaks at 8.6 MB). A ket with no photon on the pair is its own
+output, 0j + amp, as no other ket has its rest and none on the pair.
 
 Every other element (k = 1, k >= 3, or a 2-mode unitary with a zero entry)
 is expanded directly: each ket's monomials are kept in a dict, keyed by the
@@ -42,8 +46,8 @@ occupation is done once, not per call or per branch. ``ModeUnitary`` checks
 its matrix and works out its columns as Python complex numbers, and whether it
 takes the closed form, at construction, without numpy; its read-only numpy
 ``matrix`` is built on first read. The listed modes' getters come from
-``fock.layout``, and ``_pair_plan`` memoizes the closed form's sqrt(a! b!),
-output scales and operator columns per local occupation (a, b), 256 entries.
+``fock.layout``, and ``_pair_plan`` memoizes the closed form's sqrt(a! b!) and
+kernel, generated or the loop, per local occupation (a, b), 256 entries.
 """
 
 from __future__ import annotations
@@ -60,6 +64,8 @@ UNITARY_TOL = 1e-12
 # the input kets. An output term holds about 200 bytes, so the limit keeps an
 # expansion near 220 MB.
 MAX_EXPANSION_TERMS = 2**20
+# Most photons on a pair whose closed form runs as generated straight-line code.
+KERNEL_PHOTONS = 8
 
 
 class ModeUnitary:
@@ -159,19 +165,50 @@ def _check_output_bound(terms: dict, local_of: Callable, k: int) -> None:
 
 
 @functools.lru_cache(maxsize=256)
-def _pair_plan(local: tuple[int, int]) -> tuple[float, tuple, tuple]:
-    """(sqrt(a! b!), ((mono, sqrt(mono[0]! mono[1]!)), ...), steps) of the local occupation (a, b).
-
-    The monomials are (a + b - i, i) for i = 0 .. a + b, in that order; steps
-    is the column of each creation operator in turn, a zeros then b ones.
-    """
+def _pair_plan(local: tuple[int, int]) -> tuple[float, Callable]:
+    """(sqrt(a! b!), kernel) of the local occupation (a, b): ``kernel(out, ket, place, x, columns)``
+    adds to ``out`` x = amp / sqrt(a! b!) grown over steps, the column of each creation operator in
+    turn (a zeros, then b ones), times sqrt(i! j!) per monomial (i, j) = (a + b - k, k), k = 0 .. a + b."""
     a, b = local
-    monos = [(a + b - i, i) for i in range(a + b + 1)]
-    return (
-        math.sqrt(math.factorial(a) * math.factorial(b)),
-        tuple((mono, math.sqrt(math.factorial(mono[0]) * math.factorial(mono[1]))) for mono in monos),
-        (0,) * a + (1,) * b,
-    )
+    outputs = tuple(((a + b - k, k), math.sqrt(math.factorial(a + b - k) * math.factorial(k))) for k in range(a + b + 1))
+    steps = (0,) * a + (1,) * b
+    return math.sqrt(math.factorial(a) * math.factorial(b)), _pair_kernel(outputs, steps)
+
+
+def _grow_pairs(outputs: tuple, steps: tuple, out: dict, ket: tuple, place: Callable, x: complex, columns: list):
+    """The closed form of one ket as a loop: the kernel above ``KERNEL_PHOTONS`` photons."""
+    coeffs = [x]
+    for j in steps:
+        f0, f1 = columns[j]
+        x = coeffs[0]
+        grown = [0j + x * f0]
+        for y in coeffs[1:]:  # x, y = c[i-1], c[i]
+            grown.append(0j + x * f1 + y * f0)
+            x = y
+        grown.append(0j + x * f1)
+        coeffs = grown
+    for (mono, scale), coeff in zip(outputs, coeffs):
+        key = place(ket + mono)
+        out[key] = out.get(key, 0j) + coeff * scale
+
+
+def _pair_kernel(outputs: tuple, steps: tuple) -> Callable:
+    """``_grow_pairs`` on ``outputs`` and ``steps`` as straight-line code, where c{s}_{i} is c[i]
+    after s creation operators and monomial i and its scale are the names m{i} and s{i}; above
+    ``KERNEL_PHOTONS`` photons, whose text would grow as their square, the loop itself."""
+    if len(steps) > KERNEL_PHOTONS:
+        return functools.partial(_grow_pairs, outputs, steps)
+    lines = ["def kernel(out, ket, place, c0_0, columns):"]
+    for s, j in enumerate(steps, 1):
+        lines += (f" f0, f1 = columns[{j}]", f" c{s}_0 = 0j + c{s - 1}_0 * f0")
+        lines += (f" c{s}_{i} = 0j + c{s - 1}_{i - 1} * f1 + c{s - 1}_{i} * f0" for i in range(1, s))
+        lines.append(f" c{s}_{s} = 0j + c{s - 1}_{s - 1} * f1")
+    for i in range(len(outputs)):
+        lines += (f" key = place(ket + m{i})", f" out[key] = out.get(key, 0j) + c{len(steps)}_{i} * s{i}")
+    namespace = {f"m{i}": mono for i, (mono, _) in enumerate(outputs)}
+    namespace.update((f"s{i}", scale) for i, (_, scale) in enumerate(outputs))
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
 
 
 def _expand_pairs(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict:
@@ -181,20 +218,8 @@ def _expand_pairs(terms: dict, locals_: Iterable, columns: list, place: Callable
         if local == (0, 0):  # its own output, which no other ket (same rest, no photon here) reaches
             out[ket] = 0j + amp
             continue
-        norm, outputs, steps = _pair_plan(local)
-        coeffs = [amp / norm]
-        for j in steps:
-            f0, f1 = columns[j]
-            x = coeffs[0]
-            grown = [0j + x * f0]
-            for y in coeffs[1:]:  # x, y = c[i-1], c[i]
-                grown.append(0j + x * f1 + y * f0)
-                x = y
-            grown.append(0j + x * f1)
-            coeffs = grown
-        for (mono, scale), coeff in zip(outputs, coeffs):
-            key = place(ket + mono)
-            out[key] = out.get(key, 0j) + coeff * scale
+        norm, kernel = _pair_plan(local)
+        kernel(out, ket, place, amp / norm, columns)
     return out
 
 

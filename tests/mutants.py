@@ -4,7 +4,10 @@ Each mutant replaces one exact snippet of a source file. For each, the script
 copies ``src``, ``tests``, ``perfbench`` and ``pyproject.toml`` to a temporary
 directory, applies the replacement there, and runs tier-1 with ``pytest -x``.
 A failing run KILLED the mutant, and the first failing test is named; a
-passing run means it SURVIVED. The tier-1 check of this list itself is left
+passing run means it SURVIVED. A run still going after ``TIME_LIMIT`` times the
+unmutated run's seconds is stopped, with every process it started, and counts as
+KILLED, printed TIMEOUT: a fault that makes a test hang, or pytest diff two texts
+of megabytes, is caught. The tier-1 check of this list itself is left
 out, since it fails on any mutated copy. The runs fix ``--hypothesis-seed=0``,
 so a mutant that only a ``@given`` test catches gets the same verdict on every
 run; tier-1 itself keeps drawing fresh examples. The unmutated copy runs first and
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -39,6 +43,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ["src", "tests", "perfbench", "pyproject.toml"]
 LIST_CHECK = "tests/test_boundaries.py::test_every_mutant_snippet_occurs_exactly_once"
+TIME_LIMIT = 10  # times the unmutated run
 
 
 class Mutant(NamedTuple):
@@ -101,7 +106,7 @@ MUTANTS = [
         "src/dualrail/optics.py",
         "f0, f1 = columns[j]",
         "f1, f0 = columns[j]",
-        "the closed form applies the transposed splitter",
+        "the closed form's loop, above KERNEL_PHOTONS, applies the transposed splitter",
     ),
     Mutant(
         "src/dualrail/optics.py",
@@ -129,8 +134,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "norm, outputs, steps = _pair_plan(local)",
-        "norm, outputs, steps = _pair_plan((sum(local), 0))",
+        "norm, kernel = _pair_plan(local)",
+        "norm, kernel = _pair_plan((sum(local), 0))",
         "the plan memo is keyed on the photon total, not the local occupation",
     ),
     Mutant(
@@ -143,7 +148,7 @@ MUTANTS = [
         "src/dualrail/optics.py",
         "grown.append(0j + x * f1 + y * f0)",
         "grown.append(0j + x * f0 + y * f1)",
-        "the closed form's middle sums take f0 and f1 swapped",
+        "the closed form's loop, above KERNEL_PHOTONS, takes f0 and f1 swapped in its middle sums",
     ),
     Mutant(
         "src/dualrail/protocols.py",
@@ -670,8 +675,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "(0,) * a + (1,) * b,",
-        "(1,) * b + (0,) * a,",
+        "steps = (0,) * a + (1,) * b",
+        "steps = (1,) * b + (0,) * a",
         "the closed form grows mode 1's operators before mode 0's, changing amplitude bits",
     ),
     Mutant(
@@ -716,11 +721,30 @@ MUTANTS = [
         "_WRITE_CHARS = 1 << 23",
         "a 4 MB report goes to stdout in one write, which encodes a second copy of it",
     ),
+    Mutant(
+        "src/dualrail/optics.py",
+        'f" c{s}_{i} = 0j + c{s - 1}_{i - 1} * f1 + c{s - 1}_{i} * f0"',
+        'f" c{s}_{i} = 0j + c{s - 1}_{i - 1} * f0 + c{s - 1}_{i} * f1"',
+        "the generated kernels take f0 and f1 swapped in their middle sums",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        'namespace.update((f"s{i}", scale) for i, (_, scale) in enumerate(outputs))',
+        'namespace.update((f"s{i}", scale) for i, (_, scale) in enumerate(outputs[1:] + outputs[:1]))',
+        "a generated kernel scales each monomial by the next one's sqrt(q0! q1!)",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "if len(steps) > KERNEL_PHOTONS:",
+        "if len(steps) >= KERNEL_PHOTONS:",
+        "an occupation of exactly KERNEL_PHOTONS photons runs the loop, not a generated kernel",
+    ),
 ]
 
 
-def run_tier1(mutant: Mutant | None) -> tuple[str | None, float]:
-    """The first test that fails on a copy with ``mutant`` applied, and the seconds taken."""
+def run_tier1(mutant: Mutant | None, limit: float | None = None) -> tuple[str | None, float]:
+    """The first test that fails on a copy with ``mutant`` applied, or "TIMEOUT" if
+    the run lasts more than ``limit`` seconds, and the seconds taken."""
     with tempfile.TemporaryDirectory(prefix="dualrail-mutant-") as tmp:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
         for name in COPIED:
@@ -736,21 +760,29 @@ def run_tier1(mutant: Mutant | None) -> tuple[str | None, float]:
                 raise SystemExit(f"snippet does not occur exactly once in {mutant.path}: {mutant.snippet!r}")
             target.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
         start = time.perf_counter()
-        done = subprocess.run(
+        child = subprocess.Popen(
             [
                 sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                 "--hypothesis-seed=0", "--deselect", LIST_CHECK,
             ],
             cwd=tmp,
             env={**os.environ, "PYTHONPATH": str(Path(tmp, "src"))},
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
             text=True,
+            start_new_session=True,  # its own process group, so a timeout stops its children too
         )
+        try:
+            stdout = child.communicate(timeout=limit)[0]
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            return "TIMEOUT", time.perf_counter() - start
         seconds = time.perf_counter() - start
-    if done.returncode == 0:
+    if child.returncode == 0:
         return None, seconds
-    failed = [line.split(" - ")[0] for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
-    return (failed or [f"pytest exit code {done.returncode}"])[0], seconds
+    failed = [line.split(" - ")[0] for line in stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return (failed or [f"pytest exit code {child.returncode}"])[0], seconds
 
 
 def main(paths: list[str]) -> int:
@@ -765,11 +797,14 @@ def main(paths: list[str]) -> int:
     if failed:
         print("the unmutated copy fails tier-1; no mutant can be judged")
         return 2
-    killed = 0
+    killed, limit = 0, TIME_LIMIT * seconds
     for number, mutant in chosen:
-        failed, seconds = run_tier1(mutant)
+        failed, seconds = run_tier1(mutant, limit)
         killed += failed is not None
-        print(f"{number:>2} {'KILLED' if failed else 'SURVIVED':<8} {seconds:6.1f} s  {mutant.path}: {mutant.breaks}")
+        verdict = "TIMEOUT" if failed == "TIMEOUT" else "KILLED" if failed else "SURVIVED"
+        print(f"{number:>2} {verdict:<8} {seconds:6.1f} s  {mutant.path}: {mutant.breaks}")
+        if failed == "TIMEOUT":
+            failed = f"stopped after {limit:.0f} s, {TIME_LIMIT} times the unmutated run"
         print(f"   {failed or 'every test passed'}", flush=True)
     print(f"kill rate {killed}/{len(chosen)} ({100 * killed / len(chosen):.0f} %) in {time.perf_counter() - start:.0f} s")
     return 0 if killed == len(chosen) else 1

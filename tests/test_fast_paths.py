@@ -15,6 +15,7 @@ every gate's kept plan run with its inputs' factors.
 
 import ast
 import cmath
+import functools
 import itertools
 import math
 import struct
@@ -282,10 +283,11 @@ def test_an_overflowing_splitter_output_is_still_rejected():
         assert str(info.value) == "non-finite amplitude (inf+nanj) for ket (1, 0)"
 
 
-@pytest.mark.parametrize("photons", range(9))
+@pytest.mark.parametrize("photons", range(optics.KERNEL_PHOTONS + 2))
 def test_two_mode_closed_form_matches_the_reference_on_every_occupation(photons):
-    # Every local occupation up to 8 photons, with a spectator mode, so each
-    # sqrt(a! b!) and each monomial scale of the closed form is exercised.
+    # Every local occupation up to one photon past the generated kernels' cap,
+    # with a spectator mode, so each sqrt(a! b!), each monomial scale and each
+    # generated kernel of the closed form is exercised, and the loop past it.
     rng = np.random.default_rng(photons)
     kets = sector(3, photons)
     state = FockState(3, {k: complex(rng.normal(), rng.normal()) for k in kets})
@@ -293,6 +295,28 @@ def test_two_mode_closed_form_matches_the_reference_on_every_occupation(photons)
         for listed in ([0, 1], [2, 0]):
             fast = apply_mode_unitary(state, listed, u)
             assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
+    kernels = [optics._pair_plan((a, photons - a))[1] for a in range(photons + 1)]
+    looped = [isinstance(kernel, functools.partial) for kernel in kernels]
+    assert looped == [photons > optics.KERNEL_PHOTONS] * (photons + 1)
+
+
+def test_a_pair_of_max_photons_expands_through_the_loop_and_compiles_nothing():
+    # A generated kernel's text grows as the square of its photons: compiling
+    # one for 64 peaks at 8.6 MB, where the loop's whole expansion, its plan
+    # included, peaks near 0.1 MB. The bits are the reference's.
+    local = (40, circuits.MAX_PHOTONS - 40)
+    state = FockState(3, {(*local, 0): 0.6, (1, 1, 1): 0.8j})
+    u = ModeUnitary(random_unitary(np.random.default_rng(64), 2))
+    optics._pair_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        fast = apply_mode_unitary(state, [0, 1], u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert isinstance(optics._pair_plan(local)[1], functools.partial)
+    assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, [0, 1], u).terms)
 
 
 @pytest.mark.parametrize("modes, photons", [(10, 4), (8, 6)])
