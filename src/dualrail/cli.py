@@ -2,13 +2,17 @@
 
 Exit codes: 0 success, 2 usage or input validation error, 3 circuit parse or
 validation error, 4 internal invariant violation or any other unexpected
-error (one line on stderr, no traceback).
+error (one line on stderr, no traceback). The output side has three more:
+74 (sysexits' EX_IOERR) for a closed or failing stdout, with one ``error:``
+line; 130 for an interrupt, with one line; and 141, with no line, when
+stdout's reader has gone, as a shell reports a command that SIGPIPE ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from typing import Callable, NoReturn
@@ -20,10 +24,17 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_INTERNAL = 4
+EXIT_OUTPUT = 74
+EXIT_INTERRUPT = 130
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """stdout is closed or refuses a write."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,11 +178,27 @@ def _report(args: argparse.Namespace, inputs: dict, run: Callable[[], circuits.R
     result = run()
     duration = time.perf_counter() - start
     report = reports.from_run(result, args.command, inputs, duration)
-    text = report.to_json() if args.json else report.to_table()
-    # Slices, so that stdout never holds a second, encoded copy of the whole text.
-    for at in range(0, len(text), _WRITE_CHARS):
-        sys.stdout.write(text[at : at + _WRITE_CHARS])
+    _write(report.to_json() if args.json else report.to_table())
     return EXIT_OK
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout in slices, so that stdout never holds a second, encoded copy
+    of the whole text, and flush, so that a closed, full or broken stdout fails here."""
+    if sys.stdout is None:  # the command started with its stdout closed
+        raise OutputError("stdout is closed")
+    try:
+        for at in range(0, len(text), _WRITE_CHARS):
+            sys.stdout.write(text[at : at + _WRITE_CHARS])
+        sys.stdout.flush()
+    except OSError as exc:
+        # What stdout still holds goes to os.devnull, so the interpreter's last flush cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise OutputError(f"cannot write to stdout: {exc.strerror or exc}") from None
 
 
 def cmd_csign(args: argparse.Namespace) -> int:
@@ -212,7 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--samples must be positive")
     from . import verify
     report = verify.run_verification(args.seed, args.samples)
-    sys.stdout.write(report.to_text())
+    _write(report.to_text())
     return EXIT_OK if report.all_passed else EXIT_INTERNAL
 
 
@@ -221,6 +248,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # stdout's reader has gone: stop quietly (the signal module's note on SIGPIPE)
+        return EXIT_BROKEN_PIPE
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

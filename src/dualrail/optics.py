@@ -7,8 +7,8 @@ photon ordered like the listed modes, this makes the one-photon sector
 transform as c -> U c, so the logical-gate picture and the Fock picture
 agree by construction.
 
-``apply_mode_unitary`` takes one of two paths, chosen by the unitary, and
-both give output keys, their order and every amplitude bit equal to a direct
+``apply_mode_unitary`` takes one of three paths, chosen by the unitary, and
+each gives output keys, their order and every amplitude bit equal to a direct
 creation-operator expansion's (amp / sqrt(prod n!), then 0j + ... sums, then
 * sqrt(prod q!), scattered in input-ket order).
 
@@ -17,20 +17,33 @@ and a random 2 x 2) is expanded in closed form: with (f0, f1) its column j,
 each creation operator takes the coefficients c of the monomials (m - i, i)
 to 0j + c[0]*f0, then 0j + c[i-1]*f1 + c[i]*f0, then 0j + c[-1]*f1, the
 sums the direct expansion runs on those monomials. A ket (a, b) runs its a + b
-operators, mode 0's first: up to ``KERNEL_PHOTONS`` (8) as one function per
-(a, b), generated from the loop's operations in its order as straight-line code
-of integers and fixed names, its monomials and scales bound in its namespace;
-above that in the loop, as a kernel's text grows as (a + b)**2 (at 64 photons
-its compile peaks at 8.6 MB). A ket with no photon on the pair is its own
+operators, mode 0's first, as one function per (a, b) generated from those
+operations as straight-line code of integers and fixed names, its monomials
+and scales bound in its namespace. A ket with no photon on the pair is its own
 output, 0j + amp, as no other ket has its rest and none on the pair.
 
-Every other element (k = 1, k >= 3, or a 2-mode unitary with a zero entry)
-is expanded directly: each ket's monomials are kept in a dict, keyed by the
-int code sum q_r * base**r of output occupation q (base: one more than the
-most photons a ket holds on the listed modes), and grown one creation operator
-at a time over the nonzero entries of its column; each code is decoded once.
+A unitary on k >= 3 modes with no zero entry runs one function per (k, N), N
+the photons a ket holds on the listed modes, generated by replaying the direct
+expansion's growth once on monomials: with no zero entry, which products each
+coefficient sums, in which order, depends on (k, N) alone. Each is written as
+0j + v*e_r + ... in the loop's order, each output as acc[i] += v_i * s_i. The
+kets of one rest and one N all reach every monomial of degree N, so they sum
+into one list in ket order, written out after the last ket: the sums and the
+order of first appearance are the loop's.
 
-If some sqrt(prod n!) passes the float range, either path raises a one-line
+Each kind of kernel has a cap, one constant: ``KERNEL_PHOTONS`` (8) photons on
+a pair, as a pair kernel's text grows as (a + b)**2 (at 64 photons its compile
+peaks at 8.6 MB), and ``KERNEL_TERMS`` (840) growth terms, k C(N + k - 1, k),
+for a dense one ((6, 4) holds 504, compiles in 4 ms and peaks near 1.3 MB under
+``tracemalloc``). A state with a ket past its cap is expanded directly, whole.
+
+Every other element (k = 1, or a unitary with a zero entry) is expanded
+directly: each ket's monomials are kept in a dict, keyed by the int code
+sum q_r * base**r of output occupation q (base: one more than the most
+photons a ket holds on the listed modes), and grown one creation operator at
+a time over the nonzero entries of its column; each code is decoded once.
+
+If some sqrt(prod n!) passes the float range, the expansion raises a one-line
 ``ValueError``. That needs more than 170 photons on the listed modes, and
 from 171 photons it always happens for a 2-mode unitary with no zero entry,
 whose outputs include (171, 0); a sparse element such as a phase may still
@@ -43,11 +56,12 @@ the k listed modes; a bound above ``MAX_EXPANSION_TERMS`` raises a one-line
 
 Setup that depends only on the element, the listed modes or a ket's local
 occupation is done once, not per call or per branch. ``ModeUnitary`` checks
-its matrix and works out its columns as Python complex numbers, and whether it
-takes the closed form, at construction, without numpy; its read-only numpy
+its matrix and works out its columns as Python complex numbers, and which
+path it takes, at construction, without numpy; its read-only numpy
 ``matrix`` is built on first read. The listed modes' getters come from
-``fock.layout``, and ``_pair_plan`` memoizes the closed form's sqrt(a! b!) and
-kernel, generated or the loop, per local occupation (a, b), 256 entries.
+``fock.layout``; ``_pair_plan`` memoizes the closed form's sqrt(a! b!) and
+kernel per local occupation (a, b), 256 entries, and ``_dense_kernel`` each
+dense kernel and its monomials per (k, N), 64 entries.
 """
 
 from __future__ import annotations
@@ -66,6 +80,8 @@ UNITARY_TOL = 1e-12
 MAX_EXPANSION_TERMS = 2**20
 # Most photons on a pair whose closed form runs as generated straight-line code.
 KERNEL_PHOTONS = 8
+# Most growth terms, k C(N + k - 1, k) for N photons on k >= 3 modes, of a generated dense kernel.
+KERNEL_TERMS = 840
 
 
 class ModeUnitary:
@@ -96,7 +112,8 @@ class ModeUnitary:
         if not defect <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         self._columns = [list(col) for col in zip(*rows)]  # column j of U
-        self._closed_form = n == 2 and all(map(all, self._columns))
+        dense = all(map(all, self._columns))  # no zero entry
+        self._closed_form, self._dense = dense and n == 2, dense and n >= 3
 
     @functools.cached_property
     def matrix(self):
@@ -142,9 +159,11 @@ def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -
         raise ValueError(f"unitary is {u.dim}-mode but {len(modes)} modes were listed")
     if u.dim >= 3:
         _check_output_bound(state.terms, local_of, u.dim)
-    expand = _expand_pairs if u._closed_form else _expand_direct
+    expand = _expand_pairs if u._closed_form else _expand_dense if u._dense else _expand_direct
     try:
         terms = expand(state.terms, map(local_of, state.terms), u._columns, place)
+        if terms is None:  # a ket past its kernel's cap
+            terms = _expand_direct(state.terms, map(local_of, state.terms), u._columns, place)
     except OverflowError:  # math.sqrt of an int prod n! past the float range
         raise ValueError("more than 170 photons on the listed modes: sqrt(n!) overflows a float") from None
     return FockState._trusted(state.mode_count, terms)
@@ -165,39 +184,22 @@ def _check_output_bound(terms: dict, local_of: Callable, k: int) -> None:
 
 
 @functools.lru_cache(maxsize=256)
-def _pair_plan(local: tuple[int, int]) -> tuple[float, Callable]:
-    """(sqrt(a! b!), kernel) of the local occupation (a, b): ``kernel(out, ket, place, x, columns)``
-    adds to ``out`` x = amp / sqrt(a! b!) grown over steps, the column of each creation operator in
-    turn (a zeros, then b ones), times sqrt(i! j!) per monomial (i, j) = (a + b - k, k), k = 0 .. a + b."""
+def _pair_plan(local: tuple[int, int]) -> tuple[float | None, Callable | None]:
+    """(sqrt(a! b!), kernel) of the local occupation (a, b), (None, None) past ``KERNEL_PHOTONS``:
+    ``kernel(out, ket, place, x, columns)`` adds to ``out`` x = amp / sqrt(a! b!) grown over steps,
+    the column of each creation operator in turn (a zeros, then b ones), times sqrt(i! j!) per
+    monomial (i, j) = (a + b - k, k), k = 0 .. a + b."""
     a, b = local
+    if a + b > KERNEL_PHOTONS:
+        return None, None
     outputs = tuple(((a + b - k, k), math.sqrt(math.factorial(a + b - k) * math.factorial(k))) for k in range(a + b + 1))
     steps = (0,) * a + (1,) * b
     return math.sqrt(math.factorial(a) * math.factorial(b)), _pair_kernel(outputs, steps)
 
 
-def _grow_pairs(outputs: tuple, steps: tuple, out: dict, ket: tuple, place: Callable, x: complex, columns: list):
-    """The closed form of one ket as a loop: the kernel above ``KERNEL_PHOTONS`` photons."""
-    coeffs = [x]
-    for j in steps:
-        f0, f1 = columns[j]
-        x = coeffs[0]
-        grown = [0j + x * f0]
-        for y in coeffs[1:]:  # x, y = c[i-1], c[i]
-            grown.append(0j + x * f1 + y * f0)
-            x = y
-        grown.append(0j + x * f1)
-        coeffs = grown
-    for (mono, scale), coeff in zip(outputs, coeffs):
-        key = place(ket + mono)
-        out[key] = out.get(key, 0j) + coeff * scale
-
-
 def _pair_kernel(outputs: tuple, steps: tuple) -> Callable:
-    """``_grow_pairs`` on ``outputs`` and ``steps`` as straight-line code, where c{s}_{i} is c[i]
-    after s creation operators and monomial i and its scale are the names m{i} and s{i}; above
-    ``KERNEL_PHOTONS`` photons, whose text would grow as their square, the loop itself."""
-    if len(steps) > KERNEL_PHOTONS:
-        return functools.partial(_grow_pairs, outputs, steps)
+    """The closed form of one ket as straight-line code, where c{s}_{i} is c[i] after s creation
+    operators and monomial i and its scale are the names m{i} and s{i}."""
     lines = ["def kernel(out, ket, place, c0_0, columns):"]
     for s, j in enumerate(steps, 1):
         lines += (f" f0, f1 = columns[{j}]", f" c{s}_0 = 0j + c{s - 1}_0 * f0")
@@ -211,16 +213,55 @@ def _pair_kernel(outputs: tuple, steps: tuple) -> Callable:
     return namespace["kernel"]
 
 
-def _expand_pairs(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict:
-    """Each ket's expansion, summed, in closed form (a 2-mode unitary, no zero entry)."""
+def _expand_pairs(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict | None:
+    """Each ket's expansion, summed, in closed form (a 2-mode unitary, no zero entry); None past the cap."""
     out: dict[tuple[int, ...], complex] = {}
     for (ket, amp), local in zip(terms.items(), locals_):
         if local == (0, 0):  # its own output, which no other ket (same rest, no photon here) reaches
             out[ket] = 0j + amp
             continue
         norm, kernel = _pair_plan(local)
+        if kernel is None:
+            return None
         kernel(out, ket, place, amp / norm, columns)
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _dense_kernel(k: int, n: int) -> tuple[Callable, tuple] | None:
+    """(kernel, monomials) of n photons on k modes, None past ``KERNEL_TERMS`` growth terms:
+    ``kernel(acc, x, seq)`` grows x over ``seq``, the columns of the n operators, none with a zero
+    entry, as ``_expand_direct`` does, and adds output i times its sqrt(prod q!) to acc[i]."""
+    if k * math.comb(n + k - 1, k) > KERNEL_TERMS:
+        return None
+    names, lines = {(0,) * k: "x"}, ["def kernel(acc, x, seq):"]
+    for s in range(n):
+        lines.append(" " + ", ".join(f"e{r}" for r in range(k)) + f" = seq[{s}]")
+        grown: dict[tuple[int, ...], str] = {}  # each monomial's sum, in the order the loop adds to it
+        for mono, name in names.items():
+            for r in range(k):
+                key = mono[:r] + (mono[r] + 1,) + mono[r + 1 :]
+                grown[key] = grown.get(key, "0j") + f" + {name} * e{r}"
+        names = {mono: f"v{s}_{i}" for i, mono in enumerate(grown)}
+        lines += (f" {names[mono]} = {total}" for mono, total in grown.items())
+    lines += (f" acc[{i}] += {name} * s{i}" for i, name in enumerate(names.values()))
+    namespace = {f"s{i}": math.sqrt(math.prod(map(math.factorial, mono))) for i, mono in enumerate(names)}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"], tuple(names)
+
+
+def _expand_dense(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict | None:
+    """Each ket's expansion by the kernel of its (k, N), summed per group of kets with one rest and
+    N photons on the k >= 3 listed modes (no zero entry); None if a kernel would pass the cap."""
+    k, groups = len(columns), {}
+    for (ket, amp), local in zip(terms.items(), locals_):
+        if (group := groups.get(key := (place(ket + (0,) * k), sum(local)))) is None:
+            if (plan := _dense_kernel(k, key[1])) is None:
+                return None
+            group = groups[key] = (*plan, [0j] * len(plan[1]))
+        x = amp / math.sqrt(math.prod(map(math.factorial, local)))
+        group[0](group[2], x, [column for column, m in zip(columns, local) for _ in range(m)])
+    return {place(rest + q): c for (rest, _), (_, monos, acc) in groups.items() for q, c in zip(monos, acc)}
 
 
 def _expand_direct(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict:

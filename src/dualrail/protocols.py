@@ -254,7 +254,7 @@ class CoefficientComparison:
     component: str
     derived: complex
     literature: complex
-    status: str  # "match" | "match_up_to_row_phase" | "mismatch"
+    status: str  # "match" | "mismatch"
 
 
 @dataclass
@@ -295,28 +295,17 @@ def _fmt_unit(z: complex) -> str:
 def verify_a_matrix() -> CoefficientReport:
     """Compare the derived coefficient table against the literature one.
 
-    Each entry is classified as an exact match, a match after the row's best
-    global phase (phases are unobservable per measurement outcome), or a
-    mismatch. The derived table is authoritative either way.
+    Each entry is a match or a mismatch; the derived table is authoritative.
+    No phase or label choice reconciles them: the literature table breaks the
+    orthogonality of distinct ancilla components that the Bell-basis rewrite
+    needs (``tests/test_teleport.py``).
     """
     derived = derive_teleport_coefficients()
     literature = LITERATURE_COEFFICIENTS
     entries = []
     for r, outcome in enumerate(BELL_LABELS):
-        candidates = (1, -1, 1j, -1j)
-        best = max(
-            candidates,
-            key=lambda lam: sum(
-                1 for c in range(4) if abs(lam * derived[r, c] - literature[r, c]) < 1e-9
-            ),
-        )
         for c, component in enumerate(COMPONENT_LABELS):
-            if abs(derived[r, c] - literature[r, c]) < 1e-9:
-                status = "match"
-            elif abs(best * derived[r, c] - literature[r, c]) < 1e-9 and best != 1:
-                status = "match_up_to_row_phase"
-            else:
-                status = "mismatch"
+            status = "match" if abs(derived[r, c] - literature[r, c]) < 1e-9 else "mismatch"
             entries.append(
                 CoefficientComparison(
                     outcome, component, complex(derived[r, c]), complex(literature[r, c]), status

@@ -104,12 +104,6 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "f0, f1 = columns[j]",
-        "f1, f0 = columns[j]",
-        "the closed form's loop, above KERNEL_PHOTONS, applies the transposed splitter",
-    ),
-    Mutant(
-        "src/dualrail/optics.py",
         "except OverflowError:  # math.sqrt of an int prod n! past the float range",
         "except ZeroDivisionError:",
         "more than 170 photons raise a bare OverflowError",
@@ -143,12 +137,6 @@ MUTANTS = [
         "        m.flags.writeable = False\n",
         "",
         "ModeUnitary hands out a writable matrix, whose writes its columns never see",
-    ),
-    Mutant(
-        "src/dualrail/optics.py",
-        "grown.append(0j + x * f1 + y * f0)",
-        "grown.append(0j + x * f0 + y * f1)",
-        "the closed form's loop, above KERNEL_PHOTONS, takes f0 and f1 swapped in its middle sums",
     ),
     Mutant(
         "src/dualrail/protocols.py",
@@ -735,9 +723,69 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "if len(steps) > KERNEL_PHOTONS:",
-        "if len(steps) >= KERNEL_PHOTONS:",
-        "an occupation of exactly KERNEL_PHOTONS photons runs the loop, not a generated kernel",
+        "if a + b > KERNEL_PHOTONS:",
+        "if a + b >= KERNEL_PHOTONS:",
+        "an occupation of exactly KERNEL_PHOTONS photons expands directly, not by a generated kernel",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "key := (place(ket + (0,) * k), sum(local))",
+        "key := (place(ket + (0,) * k), 0)",
+        "kets with one rest and different photon totals share one dense kernel and sum",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "dense = all(map(all, self._columns))",
+        "dense = sum(not z for col in self._columns for z in col) <= 1",
+        "a unitary with one zero entry runs the dense kernel, which emits monomials only the zero reaches",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "for i, mono in enumerate(names)}",
+        "for i, mono in enumerate([*names][1:] + [*names][:1])}",
+        "a dense kernel scales each output monomial by the next one's sqrt(prod q!)",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "if k * math.comb(n + k - 1, k) > KERNEL_TERMS:",
+        "if k * math.comb(n + k - 1, k) >= KERNEL_TERMS:",
+        "a (k, N) of exactly KERNEL_TERMS growth terms expands directly, not by a generated kernel",
+    ),
+    Mutant(
+        "src/dualrail/cli.py",
+        "        os.dup2(devnull, sys.stdout.fileno())\n",
+        "",
+        "a failed stdout keeps what it holds, so the interpreter's last flush fails again after the error",
+    ),
+    Mutant(
+        "src/dualrail/cli.py",
+        "if sys.stdout is None:",
+        "if False:",
+        "a command started with stdout closed ends in an internal error",
+    ),
+    Mutant(
+        "src/dualrail/cli.py",
+        "        sys.stdout.flush()\n",
+        "",
+        "a short report to a full stdout fails only at the interpreter's last flush",
+    ),
+    Mutant(
+        "src/dualrail/cli.py",
+        "if isinstance(exc, BrokenPipeError):",
+        "if False:",
+        "a reader that leaves early gets an error line and exit 74, not a quiet 141",
+    ),
+    Mutant(
+        "src/dualrail/cli.py",
+        "except BrokenPipeError:",
+        "except ConnectionResetError:",
+        "a reader that leaves early ends the command in an internal error",
+    ),
+    Mutant(
+        "src/dualrail/cli.py",
+        "except KeyboardInterrupt:",
+        "except InterruptedError:",
+        "an interrupt prints a traceback",
     ),
 ]
 

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -382,6 +384,56 @@ def test_a_large_report_reaches_stdout_in_bounded_writes(monkeypatch, render):
     joined_as_rendered = "".join(out.writes) == rendered[0]  # no pytest diff of 4 MB texts
     assert joined_as_rendered
     assert max(map(len, out.writes)) <= 1 << 20
+
+
+def cli_env() -> dict:
+    """The environment of a CLI child: this checkout's package, and stdout buffered, as
+    a command starts by default (PYTHONUNBUFFERED would make each write go straight out)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(dualrail.__file__).parents[1])}
+
+
+def start_cli(*argv, **popen) -> subprocess.Popen:
+    """``python -m dualrail.cli`` in a child, its stderr piped."""
+    return subprocess.Popen([sys.executable, "-m", "dualrail.cli", *argv], env=cli_env(), stderr=subprocess.PIPE, **popen)
+
+
+def test_a_reader_that_leaves_early_ends_the_command_quietly():
+    # encoder --n 12 writes 264 KB, past what a pipe holds, so the child is
+    # still writing when the reader (| head -c 1) closes its end.
+    with start_cli("encoder", "--n", "12", "--json", stdout=subprocess.PIPE) as child:
+        assert os.read(child.stdout.fileno(), 1) == b"{"
+        child.stdout.close()
+        assert (child.wait(timeout=60), child.stderr.read()) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv", [["csign-destructive"], ["encoder", "--n", "12", "--json"]], ids=["flush", "write"])
+def test_a_full_stdout_is_one_error_line(argv):
+    # A short report fails at its flush, a long one at a write.
+    with open("/dev/full", "wb") as full, start_cli(*argv, stdout=full) as child:
+        err = child.communicate(timeout=60)[1]
+    assert (child.returncode, err) == (cli.EXIT_OUTPUT, b"error: cannot write to stdout: No space left on device\n")
+
+
+def test_a_closed_stdout_is_one_error_line():
+    done = subprocess.run(
+        f"{shlex.quote(sys.executable)} -m dualrail.cli csign-destructive >&-",
+        shell=True,
+        env=cli_env(),
+        stderr=subprocess.PIPE,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (cli.EXIT_OUTPUT, b"error: stdout is closed\n")
+
+
+def test_an_interrupt_is_one_line_and_exit_130():
+    # After its first write the child blocks on a full pipe until it is read.
+    with start_cli("encoder", "--n", "12", "--json", stdout=subprocess.PIPE) as child:
+        assert os.read(child.stdout.fileno(), 1) == b"{"
+        child.send_signal(signal.SIGINT)
+        err = child.communicate(timeout=60)[1]
+    assert (child.returncode, err) == (cli.EXIT_INTERRUPT, b"interrupted\n")
 
 
 def test_usage_error_exit_code():

@@ -15,7 +15,7 @@ every gate's kept plan run with its inputs' factors.
 
 import ast
 import cmath
-import functools
+import contextlib
 import itertools
 import math
 import struct
@@ -72,6 +72,16 @@ def outcome(fn, *args):
 
 def sector(modes: int, photons: int) -> list:
     return [k for k in itertools.product(range(photons + 1), repeat=modes) if sum(k) == photons]
+
+
+def sparse_unitary(rng: np.random.Generator, k: int) -> ModeUnitary:
+    """A random k-mode unitary whose row 0 is zero past its first two entries: k - 2 zero
+    entries, so it expands directly, not by a dense kernel."""
+    a = np.eye(k, dtype=complex)
+    a[1:, 1:] = random_unitary(rng, k - 1)
+    b = np.eye(k, dtype=complex)
+    b[:2, :2] = random_unitary(rng, 2)
+    return ModeUnitary(a @ b)
 
 
 @st.composite
@@ -287,7 +297,7 @@ def test_an_overflowing_splitter_output_is_still_rejected():
 def test_two_mode_closed_form_matches_the_reference_on_every_occupation(photons):
     # Every local occupation up to one photon past the generated kernels' cap,
     # with a spectator mode, so each sqrt(a! b!), each monomial scale and each
-    # generated kernel of the closed form is exercised, and the loop past it.
+    # generated kernel of the closed form is exercised, and the direct loop past it.
     rng = np.random.default_rng(photons)
     kets = sector(3, photons)
     state = FockState(3, {k: complex(rng.normal(), rng.normal()) for k in kets})
@@ -296,14 +306,14 @@ def test_two_mode_closed_form_matches_the_reference_on_every_occupation(photons)
             fast = apply_mode_unitary(state, listed, u)
             assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
     kernels = [optics._pair_plan((a, photons - a))[1] for a in range(photons + 1)]
-    looped = [isinstance(kernel, functools.partial) for kernel in kernels]
-    assert looped == [photons > optics.KERNEL_PHOTONS] * (photons + 1)
+    direct = [kernel is None for kernel in kernels]
+    assert direct == [photons > optics.KERNEL_PHOTONS] * (photons + 1)
 
 
 def test_a_pair_of_max_photons_expands_through_the_loop_and_compiles_nothing():
     # A generated kernel's text grows as the square of its photons: compiling
-    # one for 64 peaks at 8.6 MB, where the loop's whole expansion, its plan
-    # included, peaks near 0.1 MB. The bits are the reference's.
+    # one for 64 peaks at 8.6 MB, where the direct loop's whole expansion
+    # peaks near 0.1 MB. The bits are the reference's.
     local = (40, circuits.MAX_PHOTONS - 40)
     state = FockState(3, {(*local, 0): 0.6, (1, 1, 1): 0.8j})
     u = ModeUnitary(random_unitary(np.random.default_rng(64), 2))
@@ -315,7 +325,7 @@ def test_a_pair_of_max_photons_expands_through_the_loop_and_compiles_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert isinstance(optics._pair_plan(local)[1], functools.partial)
+    assert optics._pair_plan(local) == (None, None)
     assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, [0, 1], u).terms)
 
 
@@ -340,7 +350,8 @@ def test_closed_form_matches_the_reference_on_a_dense_sector(modes, photons):
 def test_direct_expansion_matches_the_reference_on_every_occupation(photons):
     # Every local occupation up to 6 photons of a 3-mode sector, through each
     # kind of element the closed form leaves out, so each sqrt(prod n!) and
-    # each monomial scale of the direct expansion is exercised.
+    # each monomial scale of the direct expansion is exercised (the dense
+    # 3-mode unitary runs a dense kernel, the sparse one the direct loop).
     rng = np.random.default_rng(photons)
     kets = sector(3, photons)
     state = FockState(3, {k: complex(rng.normal(), rng.normal()) for k in kets})
@@ -348,6 +359,7 @@ def test_direct_expansion_matches_the_reference_on_every_occupation(photons):
         ([2, 0], ModeUnitary([[0, 1j], [-1, 0]])),
         ([1], ModeUnitary([[1j]])),
         ([2, 0, 1], ModeUnitary(random_unitary(rng, 3))),
+        ([1, 2, 0], sparse_unitary(rng, 3)),
     ]:
         fast = apply_mode_unitary(state, listed, u)
         assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
@@ -368,25 +380,76 @@ def test_direct_expansion_codes_decode_to_the_listed_occupations(terms, listed):
     # code as (0, 1, 0) in base N; base N + 1 keeps them apart. On an asymmetric
     # ket, digits decoded in reverse would put its photons on the wrong modes.
     state = FockState(4, terms)
-    u = ModeUnitary(random_unitary(np.random.default_rng(3), 3))
-    fast = apply_mode_unitary(state, listed, u)
-    assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
+    rng = np.random.default_rng(3)
+    for u in (ModeUnitary(random_unitary(rng, 3)), sparse_unitary(rng, 3)):
+        fast = apply_mode_unitary(state, listed, u)
+        assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
 
 
 def test_only_elements_outside_the_closed_form_expand_directly():
+    # A unitary with no zero entry takes the closed form on 2 modes and the
+    # dense kernels on 3 or more; every other element, the direct loop.
     state = FockState(3, {(2, 1, 0): 0.6, (1, 1, 1): 0.8j})
     rng = np.random.default_rng(2)
-    closed_form = [([0, 1], hadamard_bs()), ([0, 1], ModeUnitary(random_unitary(rng, 2)))]
-    direct = [
-        ([0, 1], ModeUnitary([[0, 1j], [-1, 0]])),
-        ([0, 1], ModeUnitary([[1, 0], [0, -1]])),
-        ([2], ModeUnitary([[1j]])),
-        ([0, 1, 2], ModeUnitary(random_unitary(rng, 3))),
+    paths = [
+        ("_expand_pairs", [0, 1], hadamard_bs()),
+        ("_expand_pairs", [0, 1], ModeUnitary(random_unitary(rng, 2))),
+        ("_expand_dense", [0, 1, 2], ModeUnitary(random_unitary(rng, 3))),
+        ("_expand_direct", [0, 1], ModeUnitary([[0, 1j], [-1, 0]])),
+        ("_expand_direct", [0, 1], ModeUnitary([[1, 0], [0, -1]])),
+        ("_expand_direct", [2], ModeUnitary([[1j]])),
+        ("_expand_direct", [0, 1, 2], sparse_unitary(rng, 3)),
     ]
-    for (listed, u), expands in [(e, False) for e in closed_form] + [(e, True) for e in direct]:
-        with mock.patch.object(optics, "_expand_direct", wraps=optics._expand_direct) as spy:
+    names = ("_expand_pairs", "_expand_dense", "_expand_direct")
+    for path, listed, u in paths:
+        with contextlib.ExitStack() as stack:
+            spies = [stack.enter_context(mock.patch.object(optics, n, wraps=getattr(optics, n))) for n in names]
             apply_mode_unitary(state, listed, u)
-        assert spy.called is expands
+        assert [n for n, spy in zip(names, spies) if spy.called] == [path]
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_dense_kernels_match_the_reference_on_mixed_photon_totals(k):
+    # Listings of every mode (one rest, every total its own group) and of k
+    # modes out of k + 2 (many rests), kets of up to 4 and 3 photons in a
+    # shuffled order: each group sums in ket order and its keys come out in
+    # the direct loop's order of first appearance.
+    rng = np.random.default_rng(k)
+    for modes, photons in ((k, 4), (k + 2, 3)):
+        kets = [ket for n in range(photons + 1) for ket in sector(modes, n)]
+        rng.shuffle(kets)
+        state = FockState(modes, {ket: complex(rng.normal(), rng.normal()) for ket in kets})
+        u = ModeUnitary(random_unitary(rng, k))
+        for listed in (list(range(k)), [int(m) for m in rng.permutation(modes)[:k]]):
+            fast = apply_mode_unitary(state, listed, u)
+            assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
+
+
+@pytest.mark.parametrize("k, photons", [(3, 10), (3, 11), (7, 4), (7, 5), (8, 4)])
+def test_dense_kernels_stop_at_the_growth_term_cap(k, photons):
+    # A kernel for N photons on k modes holds k C(N + k - 1, k) growth terms;
+    # 7 modes and 4 photons hold exactly KERNEL_TERMS = 840.
+    assert 7 * math.comb(10, 7) == optics.KERNEL_TERMS
+    compiled = k * math.comb(photons + k - 1, k) <= optics.KERNEL_TERMS
+    assert (optics._dense_kernel(k, photons) is not None) is compiled
+
+
+def test_a_dense_state_past_the_kernel_cap_expands_directly_and_compiles_nothing():
+    # 30 photons on 4 modes would take a kernel of 4 C(33, 4) = 163,680 growth
+    # terms, whose text and compile would run to hundreds of MB; the direct
+    # loop's whole expansion peaks near 2 MB. The bits are the reference's.
+    state = FockState(5, {(30, 0, 0, 0, 0): 0.6, (1, 1, 0, 0, 1): 0.8j})
+    u = ModeUnitary(random_unitary(np.random.default_rng(30), 4))
+    optics._dense_kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        fast = apply_mode_unitary(state, [0, 1, 2, 3], u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert optics._dense_kernel(4, 30) is None
+    assert peak < 4 << 20
+    assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, [0, 1, 2, 3], u).terms)
 
 
 def test_detection_memos_are_bounded_and_do_not_keep_errors():
@@ -406,6 +469,7 @@ def test_detection_memos_are_bounded_and_do_not_keep_errors():
 
 def test_element_and_outcome_memos_are_bounded_and_do_not_keep_errors():
     assert optics._pair_plan.cache_info().maxsize == 256
+    assert optics._dense_kernel.cache_info().maxsize == 64
     state = FockState(2, {(1, 0): 1.0})
     for call, args, message in [
         (apply_mode_unitary, (state, [0, 5], hadamard_bs()), "mode 5 out of range for 2 modes"),
@@ -933,5 +997,6 @@ def test_direct_expansion_keeps_no_table_of_every_degree():
     # C(34, 4) = 46,376 monomials of every degree up to 30; a table of those,
     # or of every layer, would show as a peak many times the reference's.
     state = FockState(4, {(30, 0, 0, 0): 1.0})
-    u = ModeUnitary(random_unitary(np.random.default_rng(30), 4))
-    assert peak_bytes(apply_mode_unitary, state, u) <= 2 * peak_bytes(ref.apply_mode_unitary, state, u)
+    rng = np.random.default_rng(30)
+    for u in (ModeUnitary(random_unitary(rng, 4)), sparse_unitary(rng, 4)):
+        assert peak_bytes(apply_mode_unitary, state, u) <= 2 * peak_bytes(ref.apply_mode_unitary, state, u)

@@ -211,6 +211,28 @@ class TestCoefficientReport:
             teleport_gate_table(BellAmplitudes(1.0, 1.0, 0.0, 0.0), LogicalAmplitudes.zero())
 
 
+@pytest.mark.parametrize(
+    "table, defect", [(derive_teleport_coefficients(), 0.0), (LITERATURE_COEFFICIENTS, 2.0)], ids=["derived", "literature"]
+)
+def test_only_the_derived_table_keeps_ancilla_components_orthogonal(table, defect):
+    # The rewrite M_{b,i} = (a[b,i]/2) sigma_b sigma_i keeps the norm only if
+    # sum_b conj(a[b,i]) a[b,j] (sigma_b sigma_i)^dag sigma_b sigma_j = 4 delta_ij I.
+    # The literature table misses it by 2, so no phase or label choice makes it
+    # a coefficient table of this rewrite.
+    worst = max(
+        np.abs(
+            sum(
+                np.conj(table[b, i]) * table[b, j] * PAULI_PRODUCTS[row, ci].conj().T @ PAULI_PRODUCTS[row, cj]
+                for b, row in enumerate(BELL_LABELS)
+            )
+            - 4 * (i == j) * np.eye(2)
+        ).max()
+        for i, ci in enumerate(COMPONENT_LABELS)
+        for j, cj in enumerate(COMPONENT_LABELS)
+    )
+    assert worst == defect
+
+
 class TestCachedTable:
     """The table is derived once per process; the uncached derivation is the oracle."""
 
