@@ -183,13 +183,23 @@ def _report(args: argparse.Namespace, inputs: dict, run: Callable[[], circuits.R
 
 
 def _write(text: str) -> None:
-    """Write ``text`` to stdout in slices, so that stdout never holds a second, encoded copy
-    of the whole text, and flush, so that a closed, full or broken stdout fails here."""
+    """Write ``text`` to stdout in slices, each encoded once, so that stdout never holds a second,
+    encoded copy of the whole text, and flush, so that a closed, full or broken stdout fails here.
+    A slice goes to stdout's binary layer, when it has one, until all of it is written: unbuffered
+    (``python -u``), that layer is the raw file, whose write may take only part of a slice."""
     if sys.stdout is None:  # the command started with its stdout closed
         raise OutputError("stdout is closed")
+    binary = getattr(sys.stdout, "buffer", None)  # none on a text stream such as io.StringIO
     try:
+        sys.stdout.flush()  # so no text written earlier can follow the slices
         for at in range(0, len(text), _WRITE_CHARS):
-            sys.stdout.write(text[at : at + _WRITE_CHARS])
+            piece = text[at : at + _WRITE_CHARS]
+            if binary is None:
+                sys.stdout.write(piece)
+            else:
+                data = memoryview(piece.encode(sys.stdout.encoding, sys.stdout.errors))
+                while data:
+                    data = data[binary.write(data) :]
         sys.stdout.flush()
     except OSError as exc:
         # What stdout still holds goes to os.devnull, so the interpreter's last flush cannot fail too.

@@ -17,10 +17,11 @@ and a random 2 x 2) is expanded in closed form: with (f0, f1) its column j,
 each creation operator takes the coefficients c of the monomials (m - i, i)
 to 0j + c[0]*f0, then 0j + c[i-1]*f1 + c[i]*f0, then 0j + c[-1]*f1, the
 sums the direct expansion runs on those monomials. A ket (a, b) runs its a + b
-operators, mode 0's first, as one function per (a, b) generated from those
-operations as straight-line code of integers and fixed names, its monomials
-and scales bound in its namespace. A ket with no photon on the pair is its own
-output, 0j + amp, as no other ket has its rest and none on the pair.
+operators, mode 0's first, as one function per (a, b) generated as straight-line
+code of integers and fixed names, its scales bound in its namespace; it writes
+output (x, y) by position into one list of the ket, key[p] = x and key[q] = y for
+the listed modes p, q, and adds it at tuple(key). A ket with no photon on the
+pair is its own output, 0j + amp, as no other ket has its rest and none on it.
 
 A unitary on k >= 3 modes with no zero entry runs one function per (k, N), N
 the photons a ket holds on the listed modes, generated by replaying the direct
@@ -161,7 +162,7 @@ def apply_mode_unitary(state: FockState, modes: Sequence[int], u: ModeUnitary) -
         _check_output_bound(state.terms, local_of, u.dim)
     expand = _expand_pairs if u._closed_form else _expand_dense if u._dense else _expand_direct
     try:
-        terms = expand(state.terms, map(local_of, state.terms), u._columns, place)
+        terms = expand(state.terms, map(local_of, state.terms), u._columns, modes if u._closed_form else place)
         if terms is None:  # a ket past its kernel's cap
             terms = _expand_direct(state.terms, map(local_of, state.terms), u._columns, place)
     except OverflowError:  # math.sqrt of an int prod n! past the float range
@@ -186,9 +187,9 @@ def _check_output_bound(terms: dict, local_of: Callable, k: int) -> None:
 @functools.lru_cache(maxsize=256)
 def _pair_plan(local: tuple[int, int]) -> tuple[float | None, Callable | None]:
     """(sqrt(a! b!), kernel) of the local occupation (a, b), (None, None) past ``KERNEL_PHOTONS``:
-    ``kernel(out, ket, place, x, columns)`` adds to ``out`` x = amp / sqrt(a! b!) grown over steps,
-    the column of each creation operator in turn (a zeros, then b ones), times sqrt(i! j!) per
-    monomial (i, j) = (a + b - k, k), k = 0 .. a + b."""
+    ``kernel(out, key, p, q, x, columns)`` grows x = amp / sqrt(a! b!) over steps, the column of each
+    creation operator in turn (a zeros, then b ones), and adds to ``out`` each monomial (i, j) =
+    (a + b - k, k), k = 0 .. a + b, times sqrt(i! j!), at ``key`` (a list of the ket) with i at p, j at q."""
     a, b = local
     if a + b > KERNEL_PHOTONS:
         return None, None
@@ -198,23 +199,22 @@ def _pair_plan(local: tuple[int, int]) -> tuple[float | None, Callable | None]:
 
 
 def _pair_kernel(outputs: tuple, steps: tuple) -> Callable:
-    """The closed form of one ket as straight-line code, where c{s}_{i} is c[i] after s creation
-    operators and monomial i and its scale are the names m{i} and s{i}."""
-    lines = ["def kernel(out, ket, place, c0_0, columns):"]
+    """One ket's closed form as straight-line code: c{s}_{i} is c[i] after s creation operators."""
+    lines = ["def kernel(out, key, p, q, c0_0, columns):"]
     for s, j in enumerate(steps, 1):
         lines += (f" f0, f1 = columns[{j}]", f" c{s}_0 = 0j + c{s - 1}_0 * f0")
         lines += (f" c{s}_{i} = 0j + c{s - 1}_{i - 1} * f1 + c{s - 1}_{i} * f0" for i in range(1, s))
         lines.append(f" c{s}_{s} = 0j + c{s - 1}_{s - 1} * f1")
-    for i in range(len(outputs)):
-        lines += (f" key = place(ket + m{i})", f" out[key] = out.get(key, 0j) + c{len(steps)}_{i} * s{i}")
-    namespace = {f"m{i}": mono for i, (mono, _) in enumerate(outputs)}
-    namespace.update((f"s{i}", scale) for i, (_, scale) in enumerate(outputs))
+    for i, ((x, y), _) in enumerate(outputs):
+        lines += (f" key[p] = {x}", f" key[q] = {y}", " k = tuple(key)", f" out[k] = out.get(k, 0j) + c{len(steps)}_{i} * s{i}")
+    namespace = {f"s{i}": scale for i, (_, scale) in enumerate(outputs)}
     exec("\n".join(lines), namespace)
     return namespace["kernel"]
 
 
-def _expand_pairs(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict | None:
+def _expand_pairs(terms: dict, locals_: Iterable, columns: list, modes: tuple[int, int]) -> dict | None:
     """Each ket's expansion, summed, in closed form (a 2-mode unitary, no zero entry); None past the cap."""
+    p, q = modes
     out: dict[tuple[int, ...], complex] = {}
     for (ket, amp), local in zip(terms.items(), locals_):
         if local == (0, 0):  # its own output, which no other ket (same rest, no photon here) reaches
@@ -223,7 +223,7 @@ def _expand_pairs(terms: dict, locals_: Iterable, columns: list, place: Callable
         norm, kernel = _pair_plan(local)
         if kernel is None:
             return None
-        kernel(out, ket, place, amp / norm, columns)
+        kernel(out, list(ket), p, q, amp / norm, columns)
     return out
 
 

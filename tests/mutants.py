@@ -699,8 +699,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/cli.py",
-        "sys.stdout.write(text[at : at + _WRITE_CHARS])",
-        "sys.stdout.write(text[at : at + _WRITE_CHARS - 1])",
+        "piece = text[at : at + _WRITE_CHARS]",
+        "piece = text[at : at + _WRITE_CHARS - 1]",
         "each write slice drops its last character",
     ),
     Mutant(
@@ -717,8 +717,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        'namespace.update((f"s{i}", scale) for i, (_, scale) in enumerate(outputs))',
-        'namespace.update((f"s{i}", scale) for i, (_, scale) in enumerate(outputs[1:] + outputs[:1]))',
+        '{f"s{i}": scale for i, (_, scale) in enumerate(outputs)}',
+        '{f"s{i}": scale for i, (_, scale) in enumerate(outputs[1:] + outputs[:1])}',
         "a generated kernel scales each monomial by the next one's sqrt(q0! q1!)",
     ),
     Mutant(
@@ -786,6 +786,36 @@ MUTANTS = [
         "except KeyboardInterrupt:",
         "except InterruptedError:",
         "an interrupt prints a traceback",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "kernel(out, list(ket), p, q, amp / norm, columns)",
+        'kernel(out, key if "key" in locals() else (key := list(ket)), p, q, amp / norm, columns)',
+        "the pair kernels write every ket's outputs onto the first ket's list, keeping its other counts",
+    ),
+    Mutant(
+        "src/dualrail/optics.py",
+        "p, q = modes",
+        "q, p = modes",
+        "the pair kernels write each monomial's counts onto the listed modes swapped",
+    ),
+    Mutant(
+        "src/dualrail/cli.py",
+        "while data:",
+        "if data:",
+        "an unbuffered stdout's short write drops the rest of its slice, and a reader that leaves exits 0",
+    ),
+    Mutant(
+        "src/dualrail/cli.py",
+        'binary = getattr(sys.stdout, "buffer", None)',
+        "binary = None",
+        "every slice goes through the text layer, which ignores a raw stdout's short writes",
+    ),
+    Mutant(
+        "src/dualrail/cli.py",
+        "        sys.stdout.flush()  # so no text written earlier can follow the slices\n",
+        "",
+        "text still pending in stdout's text layer comes out after the slices written past it",
     ),
 ]
 

@@ -25,6 +25,7 @@ from dualrail.circuits import (
     parse,
 )
 from dualrail.fock import equal_up_to_global_phase
+from dualrail.optics import hadamard_bs
 from dualrail.protocols import run_destructive_csign, run_nondestructive_csign
 from dualrail.rails import LogicalAmplitudes
 
@@ -856,3 +857,73 @@ def test_relabelling_the_modes_moves_only_the_residual_kets(seed, shuffle):
             b.residual = SimpleNamespace(terms={tuple(k[j] for j in back): v for k, v in b.residual.terms.items()})
     moved.output_labels = tuple(moved.output_labels[j] for j in back)
     assert branch_bits(moved) == branch_bits(result)
+
+
+def splitter_sites(ir: circuits.CircuitIR) -> list[tuple[int, list[int]]]:
+    """Each index before which a ``bs`` may go, with the circuit modes live there: past the
+    preparations, not inside a run of ``detect`` lines (one joint detection), two modes live."""
+    live, sites = list(range(ir.mode_count)), []
+    for at, element in enumerate((*ir.elements, None)):
+        prepares = isinstance(element, (PrepareKet, PrepareDualRail, PrepareBell))
+        joint = at > 0 and isinstance(ir.elements[at - 1], Detect) and isinstance(element, Detect)
+        if not prepares and not joint and len(live) >= 2:
+            sites.append((at, list(live)))
+        if isinstance(element, Detect):
+            live.remove(element.mode)
+    return sites
+
+
+def with_splitters(ir: circuits.CircuitIR, at: int, pair: tuple[int, int], matrices: list) -> circuits.CircuitIR:
+    """``ir`` with one ``bs`` on ``pair`` per matrix, in order, before element ``at``."""
+    added = tuple(ApplyBS(pair, tuple(complex(z) for z in m.flat)) for m in matrices)
+    return circuits.CircuitIR(ir.mode_count, ir.labels, ir.elements[:at] + added + ir.elements[at:])
+
+
+def unnormalized(result: circuits.RunResult) -> dict:
+    """Each branch by its counts: its flags, its probability, and its residual's amplitudes
+    times sqrt(probability), the state its detections left before it was renormalized."""
+    return {
+        tuple(sorted(b.counts.items())): (
+            (b.accepted, b.corrections),
+            b.probability,
+            {} if b.residual is None else {k: v * math.sqrt(b.probability) for k, v in b.residual.terms.items()},
+        )
+        for b in result.branches
+    }
+
+
+@given(seed=st.integers(0, 2**32 - 1), draw=st.integers(0, 2**32 - 1), relation=st.sampled_from(["split", "undone"]))
+@example(seed=7340, draw=0, relation="split")
+@example(seed=7340, draw=0, relation="undone")
+@settings(max_examples=150, deadline=None)
+def test_a_splitter_factored_in_two_or_undone_by_its_inverse_leaves_the_branches(seed, draw, relation):
+    """A ``bs`` of matrix U equals a ``bs`` of A followed by one of U A^H, and U followed
+    by U^H equals no ``bs`` at all: the runs give the same branches, flags and labels,
+    probabilities and unnormalized residuals to 1e-12. Placed after any detections, the
+    splitters reach the kernels through the plan's live positions."""
+    ir = random_program(np.random.default_rng(seed))
+    rng = np.random.default_rng(draw)
+    sites = splitter_sites(ir)
+    at, live = sites[int(rng.integers(len(sites)))]
+    pair = tuple(int(m) for m in rng.choice(live, size=2, replace=False))
+    u = hadamard_bs().matrix if rng.random() < 0.5 else random_unitary(rng, 2)
+    if relation == "split":
+        a = random_unitary(rng, 2)
+        one, two = with_splitters(ir, at, pair, [u]), with_splitters(ir, at, pair, [a, u @ a.conj().T])
+    else:
+        one, two = ir, with_splitters(ir, at, pair, [u, u.conj().T])
+    (first, error), (second, second_error) = outcome(circuits.run_branches, one), outcome(circuits.run_branches, two)
+    assert (error is None) == (second_error is None)
+    if error is not None:
+        assert LEAKING in error and error.split(":")[0] == second_error.split(":")[0]
+        return
+    assert first.output_labels == second.output_labels
+    assert math.isclose(first.accepted_probability, second.accepted_probability, rel_tol=0, abs_tol=1e-12)
+    assert math.isclose(first.rejected_probability, second.rejected_probability, rel_tol=0, abs_tol=1e-12)
+    left, right = unnormalized(first), unnormalized(second)
+    for counts in left.keys() | right.keys():
+        flags, p, terms = left.get(counts, (None, 0.0, {}))
+        other_flags, other_p, other_terms = right.get(counts, (None, 0.0, {}))
+        assert None in (flags, other_flags) or flags == other_flags
+        assert abs(p - other_p) <= 1e-12
+        assert all(abs(terms.get(k, 0j) - other_terms.get(k, 0j)) <= 1e-12 for k in terms.keys() | other_terms.keys())

@@ -386,32 +386,77 @@ def test_a_large_report_reaches_stdout_in_bounded_writes(monkeypatch, render):
     assert max(map(len, out.writes)) <= 1 << 20
 
 
-def cli_env() -> dict:
-    """The environment of a CLI child: this checkout's package, and stdout buffered, as
-    a command starts by default (PYTHONUNBUFFERED would make each write go straight out)."""
+def cli_env(unbuffered: bool = False) -> dict:
+    """The environment of a CLI child: this checkout's package, and stdout buffered, as a
+    command starts by default, or unbuffered, as under ``python -u``, where each write goes
+    straight to the raw file, which may take only part of it."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return {**env, "PYTHONPATH": str(Path(dualrail.__file__).parents[1])}
 
 
-def start_cli(*argv, **popen) -> subprocess.Popen:
+def start_cli(*argv, unbuffered: bool = False, **popen) -> subprocess.Popen:
     """``python -m dualrail.cli`` in a child, its stderr piped."""
-    return subprocess.Popen([sys.executable, "-m", "dualrail.cli", *argv], env=cli_env(), stderr=subprocess.PIPE, **popen)
+    env = cli_env(unbuffered)
+    return subprocess.Popen([sys.executable, "-m", "dualrail.cli", *argv], env=env, stderr=subprocess.PIPE, **popen)
 
 
-def test_a_reader_that_leaves_early_ends_the_command_quietly():
+class PartialWrites(io.RawIOBase):
+    """A raw binary file that takes at most 1,000 bytes of each write, as a pipe may."""
+
+    def __init__(self):
+        super().__init__()
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.data += data[:1000]
+        return min(len(data), 1000)
+
+
+def test_every_byte_reaches_a_raw_stdout_that_takes_part_of_each_write(monkeypatch):
+    # Unbuffered, stdout's binary layer is the raw file itself; text written
+    # before the report must come out before it.
+    raw = PartialWrites()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+    monkeypatch.setattr(cli, "_WRITE_CHARS", 4096)
+    text = "".join(f"{i}: |0,1> é\n" for i in range(2000))
+    sys.stdout.write("first\n")
+    cli._write(text)
+    assert raw.data.decode("utf-8") == "first\n" + text
+
+
+def leave_after_one_byte(unbuffered: bool) -> None:
     # encoder --n 12 writes 264 KB, past what a pipe holds, so the child is
     # still writing when the reader (| head -c 1) closes its end.
-    with start_cli("encoder", "--n", "12", "--json", stdout=subprocess.PIPE) as child:
+    with start_cli("encoder", "--n", "12", "--json", unbuffered=unbuffered, stdout=subprocess.PIPE) as child:
         assert os.read(child.stdout.fileno(), 1) == b"{"
         child.stdout.close()
         assert (child.wait(timeout=60), child.stderr.read()) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
+def test_a_reader_that_leaves_early_ends_the_command_quietly():
+    leave_after_one_byte(unbuffered=False)
+
+
+def test_a_reader_that_leaves_an_unbuffered_stdout_early_ends_the_command_quietly():
+    # The raw write returns the part of the slice the pipe took; the next one
+    # fails, where one write of the slice would end the command with 0.
+    leave_after_one_byte(unbuffered=True)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
-@pytest.mark.parametrize("argv", [["csign-destructive"], ["encoder", "--n", "12", "--json"]], ids=["flush", "write"])
-def test_a_full_stdout_is_one_error_line(argv):
-    # A short report fails at its flush, a long one at a write.
-    with open("/dev/full", "wb") as full, start_cli(*argv, stdout=full) as child:
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [(argv, unbuffered) for unbuffered in (False, True) for argv in (["csign-destructive"], ["encoder", "--n", "12", "--json"])],
+    ids=["flush", "write", "unbuffered-short", "unbuffered-long"],
+)
+def test_a_full_stdout_is_one_error_line(argv, unbuffered):
+    # A short report fails at its flush, a long one at a write; unbuffered, both at a write.
+    with open("/dev/full", "wb") as full, start_cli(*argv, unbuffered=unbuffered, stdout=full) as child:
         err = child.communicate(timeout=60)[1]
     assert (child.returncode, err) == (cli.EXIT_OUTPUT, b"error: cannot write to stdout: No space left on device\n")
 

@@ -346,6 +346,42 @@ def test_closed_form_matches_the_reference_on_a_dense_sector(modes, photons):
             assert bits(fast.terms) == bits(ref.apply_mode_unitary(state, listed, u).terms)
 
 
+@st.composite
+def paired_states(draw):
+    """A sparse state on 2-12 modes, a pair of them, adjacent or the farthest apart, listed in
+    either order, and a splitter: its kets hold up to ``top`` photons on the pair, one of them
+    exactly ``top``, 0 to one past ``KERNEL_PHOTONS``, and up to two on every other mode."""
+    modes = draw(st.integers(2, 12))
+    first = draw(st.integers(0, modes - 2))
+    listed = draw(st.permutations([first, draw(st.sampled_from([first + 1, modes - 1]))]))
+    top = draw(st.integers(0, optics.KERNEL_PHOTONS + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kets = {}
+    for i in range(draw(st.integers(1, 12))):
+        ket = [int(n) for n in rng.integers(0, 3, size=modes)]
+        on_pair = top if i == 0 else int(rng.integers(0, top + 1))
+        ket[listed[0]] = int(rng.integers(0, on_pair + 1))
+        ket[listed[1]] = on_pair - ket[listed[0]]
+        kets[tuple(ket)] = complex(rng.normal(), rng.normal())
+    u = hadamard_bs() if draw(st.booleans()) else ModeUnitary(random_unitary(rng, 2))
+    return FockState(modes, kets), listed, u
+
+
+@given(case=paired_states())
+@settings(max_examples=100, deadline=1000)
+def test_positional_writes_match_the_reference(case):
+    # The pair kernels write each output onto a list of its ket at the listed
+    # positions; a ket past KERNEL_PHOTONS sends the whole state to the loop.
+    state, listed, u = case
+    modes, local_of, *_ = fock.layout(state.mode_count, listed)
+    out = optics._expand_pairs(state.terms, map(local_of, state.terms), u._columns, modes)
+    slow = ref.apply_mode_unitary(state, listed, u)
+    assert (out is None) == (max(map(sum, map(local_of, state.terms))) > optics.KERNEL_PHOTONS)
+    if out is not None:
+        assert bits(FockState._trusted(state.mode_count, out).terms) == bits(slow.terms)
+    assert bits(apply_mode_unitary(state, listed, u).terms) == bits(slow.terms)
+
+
 @pytest.mark.parametrize("photons", range(7))
 def test_direct_expansion_matches_the_reference_on_every_occupation(photons):
     # Every local occupation up to 6 photons of a 3-mode sector, through each
