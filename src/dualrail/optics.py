@@ -8,41 +8,34 @@ transform as c -> U c, so the logical-gate picture and the Fock picture
 agree by construction.
 
 ``apply_mode_unitary`` takes one of three paths, chosen by the unitary, and
-each gives output keys, their order and every amplitude bit equal to a direct
-creation-operator expansion's (amp / sqrt(prod n!), then 0j + ... sums, then
-* sqrt(prod q!), scattered in input-ket order).
+each gives output keys, their order and every amplitude bit equal to the
+direct creation-operator expansion's: x = amp / sqrt(prod n!) grown one
+operator at a time, mode 0's first, each monomial's coefficient summed as
+0j + ... over the nonzero entries of the operator's column, then each output
+times sqrt(prod q!), scattered in input-ket order.
 
-A 2-mode unitary with no zero entry (every default ``bs``, the gates' splitters
-and a random 2 x 2) is expanded in closed form: with (f0, f1) its column j,
-each creation operator takes the coefficients c of the monomials (m - i, i)
-to 0j + c[0]*f0, then 0j + c[i-1]*f1 + c[i]*f0, then 0j + c[-1]*f1, the
-sums the direct expansion runs on those monomials. A ket (a, b) runs its a + b
-operators, mode 0's first, as one function per (a, b) generated as straight-line
-code of integers and fixed names, its scales bound in its namespace; it writes
-output (x, y) by position into one list of the ket, key[p] = x and key[q] = y for
-the listed modes p, q, and adds it at tuple(key). A ket with no photon on the
-pair is its own output, 0j + amp, as no other ket has its rest and none on it.
-
-A unitary on k >= 3 modes with no zero entry runs one function per (k, N), N
-the photons a ket holds on the listed modes, generated by replaying the direct
-expansion's growth once on monomials: with no zero entry, which products each
-coefficient sums, in which order, depends on (k, N) alone. Each is written as
-0j + v*e_r + ... in the loop's order, each output as acc[i] += v_i * s_i. The
-kets of one rest and one N all reach every monomial of degree N, so they sum
-into one list in ket order, written out after the last ket: the sums and the
-order of first appearance are the loop's.
+With no zero entry, which products each coefficient sums, in which order,
+depends on the operators' modes alone. So a unitary with no zero entry runs
+that growth as straight-line code, replayed once on monomials (``_growth``)
+and compiled once (``_compiled``), with one writer per kind of kernel:
+- on 2 modes (every default ``bs``, the gates' splitters), one kernel per
+  local occupation (a, b) writes each output (x, y) by position into one list
+  of its ket, key[p] = x and key[q] = y for the listed modes p, q, and adds it
+  at tuple(key); a ket with no photon on the pair is its own output, 0j + amp,
+  as no other ket has its rest and none on it;
+- on k >= 3 modes, one kernel per (k, N), N the photons a ket holds on the
+  listed modes, adds output i to acc[i] += v_i * s_i. The kets of one rest and
+  one N all reach every monomial of degree N, so they sum into one list in ket
+  order, written out after the last ket: the loop's sums and its order of
+  first appearance.
 
 Each kind of kernel has a cap, one constant: ``KERNEL_PHOTONS`` (8) photons on
 a pair, as a pair kernel's text grows as (a + b)**2 (at 64 photons its compile
 peaks at 8.6 MB), and ``KERNEL_TERMS`` (840) growth terms, k C(N + k - 1, k),
 for a dense one ((6, 4) holds 504, compiles in 4 ms and peaks near 1.3 MB under
-``tracemalloc``). A state with a ket past its cap is expanded directly, whole.
-
-Every other element (k = 1, or a unitary with a zero entry) is expanded
-directly: each ket's monomials are kept in a dict, keyed by the int code
-sum q_r * base**r of output occupation q (base: one more than the most
-photons a ket holds on the listed modes), and grown one creation operator at
-a time over the nonzero entries of its column; each code is decoded once.
+``tracemalloc``). A state with a ket past its cap is expanded directly, whole,
+and so is every other element (k = 1, or a unitary with a zero entry): the
+loop itself, on occupation tuples, each output's sqrt(prod q!) taken once.
 
 If some sqrt(prod n!) passes the float range, the expansion raises a one-line
 ``ValueError``. That needs more than 170 photons on the listed modes, and
@@ -184,32 +177,44 @@ def _check_output_bound(terms: dict, local_of: Callable, k: int) -> None:
         )
 
 
+def _growth(k: int, reads: Sequence[str]) -> tuple[list[str], dict[tuple[int, ...], str]]:
+    """The direct expansion's growth of x over one creation operator per read, replayed on the
+    monomials of k modes with no zero entry: a read is the text of its column, unpacked into
+    e0 .. e{k-1}, and each monomial's sum runs 0j + v * e_r + ... in the loop's order. Returns
+    the lines and each output monomial's name, in the loop's order of first appearance."""
+    names, lines = {(0,) * k: "x"}, []
+    for s, read in enumerate(reads):
+        lines.append(" " + ", ".join(f"e{r}" for r in range(k)) + f" = {read}")
+        grown: dict[tuple[int, ...], str] = {}
+        for mono, name in names.items():
+            for r in range(k):
+                key = mono[:r] + (mono[r] + 1,) + mono[r + 1 :]
+                grown[key] = grown.get(key, "0j") + f" + {name} * e{r}"
+        names = {mono: f"v{s}_{i}" for i, mono in enumerate(grown)}
+        lines += (f" {names[mono]} = {total}" for mono, total in grown.items())
+    return lines, names
+
+
+def _compiled(head: str, lines: list[str], monomials: Iterable[tuple[int, ...]]) -> Callable:
+    """The function ``kernel{head}`` with body ``lines``, output i's sqrt(prod q!) bound as s{i}."""
+    namespace = {f"s{i}": math.sqrt(math.prod(map(math.factorial, mono))) for i, mono in enumerate(monomials)}
+    exec("\n".join([f"def kernel{head}:", *lines]), namespace)
+    return namespace["kernel"]
+
+
 @functools.lru_cache(maxsize=256)
 def _pair_plan(local: tuple[int, int]) -> tuple[float | None, Callable | None]:
     """(sqrt(a! b!), kernel) of the local occupation (a, b), (None, None) past ``KERNEL_PHOTONS``:
-    ``kernel(out, key, p, q, x, columns)`` grows x = amp / sqrt(a! b!) over steps, the column of each
-    creation operator in turn (a zeros, then b ones), and adds to ``out`` each monomial (i, j) =
-    (a + b - k, k), k = 0 .. a + b, times sqrt(i! j!), at ``key`` (a list of the ket) with i at p, j at q."""
+    ``kernel(out, key, p, q, x, columns)`` grows x = amp / sqrt(a! b!) over columns[j] for each
+    creation operator in turn (a zeros, then b ones), and adds to ``out`` each monomial (i, j)
+    times sqrt(i! j!), at ``key`` (a list of the ket) with i at p, j at q."""
     a, b = local
     if a + b > KERNEL_PHOTONS:
         return None, None
-    outputs = tuple(((a + b - k, k), math.sqrt(math.factorial(a + b - k) * math.factorial(k))) for k in range(a + b + 1))
-    steps = (0,) * a + (1,) * b
-    return math.sqrt(math.factorial(a) * math.factorial(b)), _pair_kernel(outputs, steps)
-
-
-def _pair_kernel(outputs: tuple, steps: tuple) -> Callable:
-    """One ket's closed form as straight-line code: c{s}_{i} is c[i] after s creation operators."""
-    lines = ["def kernel(out, key, p, q, c0_0, columns):"]
-    for s, j in enumerate(steps, 1):
-        lines += (f" f0, f1 = columns[{j}]", f" c{s}_0 = 0j + c{s - 1}_0 * f0")
-        lines += (f" c{s}_{i} = 0j + c{s - 1}_{i - 1} * f1 + c{s - 1}_{i} * f0" for i in range(1, s))
-        lines.append(f" c{s}_{s} = 0j + c{s - 1}_{s - 1} * f1")
-    for i, ((x, y), _) in enumerate(outputs):
-        lines += (f" key[p] = {x}", f" key[q] = {y}", " k = tuple(key)", f" out[k] = out.get(k, 0j) + c{len(steps)}_{i} * s{i}")
-    namespace = {f"s{i}": scale for i, (_, scale) in enumerate(outputs)}
-    exec("\n".join(lines), namespace)
-    return namespace["kernel"]
+    lines, names = _growth(2, [f"columns[{j}]" for j in (0,) * a + (1,) * b])
+    for i, ((x, y), name) in enumerate(names.items()):
+        lines += (f" key[p] = {x}", f" key[q] = {y}", " k = tuple(key)", f" out[k] = out.get(k, 0j) + {name} * s{i}")
+    return math.sqrt(math.factorial(a) * math.factorial(b)), _compiled("(out, key, p, q, x, columns)", lines, names)
 
 
 def _expand_pairs(terms: dict, locals_: Iterable, columns: list, modes: tuple[int, int]) -> dict | None:
@@ -234,20 +239,9 @@ def _dense_kernel(k: int, n: int) -> tuple[Callable, tuple] | None:
     entry, as ``_expand_direct`` does, and adds output i times its sqrt(prod q!) to acc[i]."""
     if k * math.comb(n + k - 1, k) > KERNEL_TERMS:
         return None
-    names, lines = {(0,) * k: "x"}, ["def kernel(acc, x, seq):"]
-    for s in range(n):
-        lines.append(" " + ", ".join(f"e{r}" for r in range(k)) + f" = seq[{s}]")
-        grown: dict[tuple[int, ...], str] = {}  # each monomial's sum, in the order the loop adds to it
-        for mono, name in names.items():
-            for r in range(k):
-                key = mono[:r] + (mono[r] + 1,) + mono[r + 1 :]
-                grown[key] = grown.get(key, "0j") + f" + {name} * e{r}"
-        names = {mono: f"v{s}_{i}" for i, mono in enumerate(grown)}
-        lines += (f" {names[mono]} = {total}" for mono, total in grown.items())
+    lines, names = _growth(k, [f"seq[{s}]" for s in range(n)])
     lines += (f" acc[{i}] += {name} * s{i}" for i, name in enumerate(names.values()))
-    namespace = {f"s{i}": math.sqrt(math.prod(map(math.factorial, mono))) for i, mono in enumerate(names)}
-    exec("\n".join(lines), namespace)
-    return namespace["kernel"], tuple(names)
+    return _compiled("(acc, x, seq)", lines, names), tuple(names)
 
 
 def _expand_dense(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict | None:
@@ -265,28 +259,23 @@ def _expand_dense(terms: dict, locals_: Iterable, columns: list, place: Callable
 
 
 def _expand_direct(terms: dict, locals_: Iterable, columns: list, place: Callable) -> dict:
-    """Each ket's expansion, summed, one creation operator at a time, on int monomial codes."""
-    locals_ = list(locals_)
-    base = 1 + max(map(sum, locals_))  # so no digit q_r of a code carries
-    # Column j of U as the code steps base**r of its nonzero rows r and entries U[r, j].
-    columns = [[(base**r, c) for r, c in enumerate(col) if c != 0] for col in columns]
-    decoded: dict[int, tuple[tuple[int, ...], float]] = {}
+    """Each ket's expansion, summed, one creation operator at a time over the nonzero entries of its column."""
+    columns = [[(r, c) for r, c in enumerate(col) if c != 0] for col in columns]  # (row r, U[r, j])
+    scales: dict[tuple[int, ...], float] = {}
     out: dict[tuple[int, ...], complex] = {}
     for (ket, amp), local in zip(terms.items(), locals_):
-        monos = {0: amp / math.sqrt(math.prod(map(math.factorial, local)))}
+        monos = {(0,) * len(local): amp / math.sqrt(math.prod(map(math.factorial, local)))}
         for column, count in zip(columns, local):
             for _ in range(count):
-                grown: dict[int, complex] = {}
-                for code, coeff in monos.items():
-                    for step, c in column:
-                        key = code + step
+                grown: dict[tuple[int, ...], complex] = {}
+                for mono, coeff in monos.items():
+                    for r, c in column:
+                        key = mono[:r] + (mono[r] + 1,) + mono[r + 1 :]
                         grown[key] = grown.get(key, 0j) + coeff * c
                 monos = grown
-        for code, coeff in monos.items():
-            if code not in decoded:
-                mono = tuple(code // base**r % base for r in range(len(columns)))
-                decoded[code] = mono, math.sqrt(math.prod(map(math.factorial, mono)))
-            mono, scale = decoded[code]
+        for mono, coeff in monos.items():
+            if (scale := scales.get(mono)) is None:
+                scale = scales[mono] = math.sqrt(math.prod(map(math.factorial, mono)))
             key = place(ket + mono)
             out[key] = out.get(key, 0j) + coeff * scale
     return out

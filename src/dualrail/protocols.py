@@ -31,7 +31,6 @@ import math
 import string
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable
 
 import numpy as np
 
@@ -377,6 +376,9 @@ def _encoder_stage(n: int, policy: str) -> tuple[Element, ...]:
 _UNBOUND = (1.0, 0.0)
 
 
+# Each gate's program, built on its first call per key. The gates check the policy
+# and copy count first, so at most 2 + 2 + 2 * 19 = 42 are kept.
+@functools.cache
 def _destructive_program(policy: str) -> CircuitIR:
     return CircuitIR(
         4,
@@ -389,6 +391,7 @@ def _destructive_program(policy: str) -> CircuitIR:
     )
 
 
+@functools.cache
 def _encoder_program(policy: str, n: int) -> CircuitIR:
     labels = [f"{string.ascii_lowercase[i % 26]}{r}" for i in range(n) for r in (1, 2)] + ["1", "2"]
     product = PrepareKet(tuple(_encoder_terms(n, *_UNBOUND)))
@@ -402,6 +405,7 @@ def _encoder_terms(n: int, a0: complex, a1: complex) -> list[tuple[tuple[int, ..
     return [(r + q, ra * qa) for r, ra in ((zero * n, s), (one * n, -s)) for q, qa in zip(rails.RAIL_KETS, (a0, a1))]
 
 
+@functools.cache
 def _nondestructive_program(policy: str) -> CircuitIR:
     return CircuitIR(
         8,
@@ -416,20 +420,6 @@ def _nondestructive_program(policy: str) -> CircuitIR:
             *_destructive_stage(DualRailQubit(2, 5), DualRailQubit(6, 7), policy),
         ),
     )
-
-
-# Each gate's program per (builder, policy, copy count). The gates check the policy
-# and copy count first, so at most 2 + 2 + 2 * 19 = 42 are stored.
-_PROGRAMS: dict[tuple, CircuitIR] = {}
-
-
-def _program(build: Callable[..., CircuitIR], policy: str, *shape: int) -> CircuitIR:
-    """``build(policy, *shape)``, built on its first call only."""
-    key = (build, policy, *shape)
-    ir = _PROGRAMS.get(key)
-    if ir is None:
-        ir = _PROGRAMS[key] = build(policy, *shape)
-    return ir
 
 
 def _run_gate(ir: CircuitIR, factors: tuple, pairs: list[DualRailQubit], reference: np.ndarray | None) -> RunResult:
@@ -470,7 +460,7 @@ def run_destructive_csign(
     norm = float(np.linalg.norm(expected))
     reference = expected / norm if norm > 1e-12 else None
     factors = _dualrail_factor(control.a0, control.a1), _dualrail_factor(target.a0, target.a1)
-    return _run_gate(_program(_destructive_program, policy), factors, [DualRailQubit(0, 1)], reference)
+    return _run_gate(_destructive_program(policy), factors, [DualRailQubit(0, 1)], reference)
 
 
 def run_quantum_encoder(
@@ -497,7 +487,7 @@ def run_quantum_encoder(
     reference[-1] = qubit.a1
     pairs = [DualRailQubit(2 * i, 2 * i + 1) for i in range(n)]
     factors = (_ket_factor(2 * n + 2, _encoder_terms(n, qubit.a0, qubit.a1)),)
-    return _run_gate(_program(_encoder_program, policy, n), factors, pairs, reference)
+    return _run_gate(_encoder_program(policy, n), factors, pairs, reference)
 
 
 # One label per mode: the register's b1 rail, which the stage-1 correction
@@ -523,7 +513,7 @@ def run_nondestructive_csign(
     reference = _CSIGN @ np.multiply.outer(control.as_array(), target.as_array()).ravel()
     factors = _dualrail_factor(control.a0, control.a1), _dualrail_factor(target.a0, target.a1)
     pairs = [DualRailQubit(0, 1), DualRailQubit(2, 3)]
-    result = _run_gate(_program(_nondestructive_program, policy), factors, pairs, reference)
+    result = _run_gate(_nondestructive_program(policy), factors, pairs, reference)
     for b in result.branches:
         b.corrections = tuple(_STAGE1_CORRECTION.get(c, c) for c in b.corrections)
     return result

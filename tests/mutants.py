@@ -86,21 +86,21 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "decoded[code] = mono, math.sqrt(math.prod(map(math.factorial, mono)))",
-        "decoded[code] = mono, math.prod(map(math.sqrt, map(math.factorial, mono)))",
+        "scale = scales[mono] = math.sqrt(math.prod(map(math.factorial, mono)))",
+        "scale = scales[mono] = math.prod(map(math.sqrt, map(math.factorial, mono)))",
         "the direct expansion scales by prod sqrt(q!), changing amplitude bits",
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "base = 1 + max(map(sum, locals_))",
-        "base = max(map(sum, locals_))",
-        "the direct expansion's codes carry: (N, 0, ...) aliases (0, 1, ...)",
+        "columns = [[(r, c) for r, c in enumerate(col) if c != 0] for col in columns]",
+        "columns = [[((r + 1) % len(col), c) for r, c in enumerate(col) if c != 0] for col in columns]",
+        "the direct expansion writes each creation operator's step at row r + 1 (mod k), not r",
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "code // base**r % base for r in range(len(columns))",
-        "code // base**r % base for r in reversed(range(len(columns)))",
-        "the direct expansion decodes each output monomial's digits in reverse order",
+        'grown[key] = grown.get(key, "0j") + f" + {name} * e{r}"',
+        'grown[key] = f"0j + {name} * e{r}" + grown.get(key, "0j")[2:]',
+        "the generated kernels prepend each product to a monomial's sum, so it runs in the reverse of the loop's order",
     ),
     Mutant(
         "src/dualrail/optics.py",
@@ -500,15 +500,15 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/protocols.py",
-        "key = (build, policy, *shape)",
-        "key = (build, *shape)",
-        "the program memo is keyed without the policy, so a gate runs the first policy it was called with",
+        "_run_gate(_destructive_program(policy),",
+        '_run_gate(_destructive_program("strict"),',
+        "the destructive gate fetches its program without the policy, so it runs the strict one under either",
     ),
     Mutant(
         "src/dualrail/protocols.py",
-        "key = (build, policy, *shape)",
-        "key = (build, policy)",
-        "the program memo is keyed without the copy count, so the encoder runs the first count it was called with",
+        "_run_gate(_encoder_program(policy, n),",
+        "_run_gate(_encoder_program(policy, 2),",
+        "the encoder fetches its program without the copy count, so it runs the 2-copy one for every count",
     ),
     Mutant(
         "src/dualrail/protocols.py",
@@ -530,8 +530,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/protocols.py",
-        "ir = _PROGRAMS[key] = build(policy, *shape)",
-        "ir = build(policy, *shape)",
+        "@functools.cache\ndef _destructive_program",
+        "def _destructive_program",
         "the program memo keeps nothing, so every gate call builds, checks and plans its program again",
     ),
     Mutant(
@@ -663,8 +663,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        "steps = (0,) * a + (1,) * b",
-        "steps = (1,) * b + (0,) * a",
+        "for j in (0,) * a + (1,) * b",
+        "for j in (1,) * b + (0,) * a",
         "the closed form grows mode 1's operators before mode 0's, changing amplitude bits",
     ),
     Mutant(
@@ -711,15 +711,15 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/optics.py",
-        'f" c{s}_{i} = 0j + c{s - 1}_{i - 1} * f1 + c{s - 1}_{i} * f0"',
-        'f" c{s}_{i} = 0j + c{s - 1}_{i - 1} * f0 + c{s - 1}_{i} * f1"',
-        "the generated kernels take f0 and f1 swapped in their middle sums",
+        'f" + {name} * e{r}"',
+        'f" + {name} * e{k - 1 - r}"',
+        "the generated kernels read each product's column entry for the mirrored mode, e{k-1-r} for e{r}",
     ),
     Mutant(
         "src/dualrail/optics.py",
-        '{f"s{i}": scale for i, (_, scale) in enumerate(outputs)}',
-        '{f"s{i}": scale for i, (_, scale) in enumerate(outputs[1:] + outputs[:1])}',
-        "a generated kernel scales each monomial by the next one's sqrt(q0! q1!)",
+        "for i, mono in enumerate(monomials)}",
+        "for i, mono in enumerate([*monomials][1:] + [*monomials][:1])}",
+        "a generated kernel scales each output monomial by the next one's sqrt(prod q!)",
     ),
     Mutant(
         "src/dualrail/optics.py",
@@ -738,12 +738,6 @@ MUTANTS = [
         "dense = all(map(all, self._columns))",
         "dense = sum(not z for col in self._columns for z in col) <= 1",
         "a unitary with one zero entry runs the dense kernel, which emits monomials only the zero reaches",
-    ),
-    Mutant(
-        "src/dualrail/optics.py",
-        "for i, mono in enumerate(names)}",
-        "for i, mono in enumerate([*names][1:] + [*names][:1])}",
-        "a dense kernel scales each output monomial by the next one's sqrt(prod q!)",
     ),
     Mutant(
         "src/dualrail/optics.py",

@@ -927,3 +927,67 @@ def test_a_splitter_factored_in_two_or_undone_by_its_inverse_leaves_the_branches
         assert None in (flags, other_flags) or flags == other_flags
         assert abs(p - other_p) <= 1e-12
         assert all(abs(terms.get(k, 0j) - other_terms.get(k, 0j)) <= 1e-12 for k in terms.keys() | other_terms.keys())
+
+
+def joint_detections(ir: circuits.CircuitIR) -> list[tuple[int, int]]:
+    """Each joint detection of two or more ``detect`` lines, as its (start, stop) element indices."""
+    runs, start = [], None
+    for at, element in enumerate((*ir.elements, None)):
+        if isinstance(element, Detect):
+            start = at if start is None else start
+            continue
+        if start is not None and at - start >= 2:
+            runs.append((start, at))
+        start = None
+    return runs
+
+
+def by_counts(result: circuits.RunResult) -> dict:
+    """Each branch, keyed by its counts in name order, with every other field as bits."""
+    return {tuple(sorted(b.counts.items())): row for b, row in zip(result.branches, branch_bits(result)[0])}
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=7340)
+@settings(max_examples=100, deadline=None)
+def test_reordering_the_detect_lines_of_a_joint_detection_permutes_only_the_counts(seed):
+    """One joint detection's ``detect`` lines in another order give the same branches, bit
+    for bit, each keyed by its counts: only the order of the names in each branch's counts,
+    and of the branches, follows the lines. Summed over branches in another order, the
+    accepted and rejected weights agree to 1e-12."""
+    rng = np.random.default_rng(seed)
+    while not (runs := joint_detections(ir := random_program(rng))):
+        pass
+    start, stop = runs[int(rng.integers(len(runs)))]
+    lines = ir.elements[start:stop]
+    lines = tuple(lines[int(i)] for i in rng.permutation(len(lines)))
+    moved = circuits.CircuitIR(ir.mode_count, ir.labels, ir.elements[:start] + lines + ir.elements[stop:])
+    (result, error), (other, other_error) = outcome(circuits.run_branches, ir), outcome(circuits.run_branches, moved)
+    assert (error is None) == (other_error is None)
+    if error is not None:
+        assert LEAKING in error and error.split(":")[0] == other_error.split(":")[0]
+        return
+    names = [e.name for e in moved.elements if isinstance(e, Detect)]
+    assert all(list(b.counts) == names for b in other.branches)
+    assert len(other.branches) == len(result.branches) and by_counts(other) == by_counts(result)
+    assert other.output_labels == result.output_labels
+    assert math.isclose(other.accepted_probability, result.accepted_probability, rel_tol=0, abs_tol=1e-12)
+    assert math.isclose(other.rejected_probability, result.rejected_probability, rel_tol=0, abs_tol=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=7340)
+@settings(max_examples=100, deadline=None)
+def test_execute_is_run_branches_filtered_and_sorted(seed):
+    """``execute`` keeps exactly the accepted branches of ``run_branches``, bit for bit, each
+    with its counts in name order, listed in increasing order of those counts, and the same
+    accepted and rejected weights and labels."""
+    ir = random_program(np.random.default_rng(seed))
+    (result, error), (kept, kept_error) = outcome(circuits.run_branches, ir), outcome(circuits.execute, ir)
+    assert error == kept_error
+    if error is not None:
+        return
+    keys = [tuple(b.counts.items()) for b in kept.branches]
+    assert keys == sorted(tuple(sorted(b.counts.items())) for b in result.branches if b.accepted)
+    assert by_counts(kept) == {key: row for key, row in by_counts(result).items() if row[-1]}
+    assert branch_bits(kept)[1:] == branch_bits(result)[1:]

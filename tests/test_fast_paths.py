@@ -411,10 +411,10 @@ def test_direct_expansion_matches_the_reference_on_every_occupation(photons):
     ],
     ids=["one-photon-on-one-mode", "two-on-one-mode", "five-on-one-mode", "asymmetric"],
 )
-def test_direct_expansion_codes_decode_to_the_listed_occupations(terms, listed):
-    # With every photon of a ket on one listed mode, the output (N, 0, 0) would
-    # code as (0, 1, 0) in base N; base N + 1 keeps them apart. On an asymmetric
-    # ket, digits decoded in reverse would put its photons on the wrong modes.
+def test_direct_expansion_puts_each_photon_on_its_listed_mode(terms, listed):
+    # Every photon of a ket on one listed mode, or an asymmetric ket: a step
+    # written at the wrong position of an occupation tuple, or an output
+    # tuple read in the wrong order, puts photons on the wrong modes.
     state = FockState(4, terms)
     rng = np.random.default_rng(3)
     for u in (ModeUnitary(random_unitary(rng, 3)), sparse_unitary(rng, 3)):

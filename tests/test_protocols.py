@@ -538,6 +538,23 @@ def test_the_policy_is_part_of_the_program_key():
     assert accepted == pytest.approx([1 / 4, 1 / 2, 1 / 4], abs=1e-12)
 
 
+# The functools caches that keep each gate's program per policy and copy count.
+PROGRAM_BUILDERS = (protocols._destructive_program, protocols._encoder_program, protocols._nondestructive_program)
+
+
+def program_calls():
+    """Every program the caches may keep, read through them."""
+    for policy in POLICIES:
+        yield protocols._destructive_program(policy)
+        yield protocols._nondestructive_program(policy)
+        yield from (protocols._encoder_program(policy, n) for n in range(2, MAX_ENCODER_COPIES + 1))
+
+
+def clear_programs() -> None:
+    for build in PROGRAM_BUILDERS:
+        build.cache_clear()
+
+
 def test_the_memo_stores_only_valid_keys_and_frozen_programs():
     q = LogicalAmplitudes.zero()
     for policy in POLICIES:
@@ -545,9 +562,9 @@ def test_the_memo_stores_only_valid_keys_and_frozen_programs():
         run_nondestructive_csign(q, q, policy)
         for n in range(2, MAX_ENCODER_COPIES + 1):
             run_quantum_encoder(q, n, policy)
-    programs = dict(protocols._PROGRAMS)
-    assert len(programs) == 42
-    assert all(type(ir) is circuits.CircuitIR for ir in programs.values())
+    assert sum(build.cache_info().currsize for build in PROGRAM_BUILDERS) == 42
+    assert all(type(ir) is circuits.CircuitIR for ir in program_calls())
+    stored = [build.cache_info() for build in PROGRAM_BUILDERS]
     for call in (
         lambda: run_destructive_csign(q, q, "lenient"),
         lambda: run_nondestructive_csign(q, q, "lenient"),
@@ -558,11 +575,11 @@ def test_the_memo_stores_only_valid_keys_and_frozen_programs():
     ):
         with pytest.raises(ValueError):
             call()
-    assert protocols._PROGRAMS == programs
+    assert [build.cache_info() for build in PROGRAM_BUILDERS] == stored
 
 
 def test_a_program_is_planned_once_per_shape():
-    protocols._PROGRAMS.clear()
+    clear_programs()
     q = LogicalAmplitudes(0.6, 0.8)
     with mock.patch.object(circuits, "_compile", wraps=circuits._compile) as plan:
         for policy in POLICIES:
@@ -594,7 +611,7 @@ def test_the_nondestructive_reference_is_the_kron_product_bit_for_bit():
 
 
 def test_a_program_is_checked_on_its_first_call_only():
-    protocols._PROGRAMS.clear()
+    clear_programs()
     q = LogicalAmplitudes(0.6, 0.8)
     with mock.patch.object(circuits, "_compile", wraps=circuits._compile) as check:
         for _ in range(3):

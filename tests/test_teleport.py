@@ -17,14 +17,17 @@ from dualrail.protocols import (
     LITERATURE_COEFFICIENTS,
     PAULI,
     PAULI_PRODUCTS,
+    POLICIES,
     _CSIGN,
     BellAmplitudes,
     _bell_vector,
     derive_teleport_coefficients,
+    run_destructive_csign,
+    run_nondestructive_csign,
     teleport_gate_table,
     verify_a_matrix,
 )
-from dualrail.rails import LogicalAmplitudes
+from dualrail.rails import DualRailQubit, LogicalAmplitudes, decode_register
 from dualrail.verify import run_verification
 
 from conftest import random_qubit
@@ -185,6 +188,55 @@ def test_sign_flip_mechanism(rng):
     assert np.allclose(operators["z"], np.eye(2))
     probabilities = {r.component: abs(r.coefficient) ** 2 for r in rows}
     assert sum(probabilities.values()) == pytest.approx(0.25, abs=1e-12)
+
+
+def table_clicks(control: LogicalAmplitudes, target: LogicalAmplitudes) -> dict[tuple[int, int], np.ndarray]:
+    """The destructive gate's accepted clicks (D1, D2) as the table predicts them.
+
+    The control's Hadamard leaves a1 psi+ + a0 psi- on its arms (1', 2'), the
+    ancilla BellAmplitudes(a1, a0, 0, 0), and the mixer with D1 and D2 reads
+    (2', 3) in the Bell basis: the D1 click is the sum of the psi- rows, and the
+    D2 click, after its Z, is Z times the sum of the psi+ rows.
+    """
+    rows = teleport_gate_table(BellAmplitudes(control.a1, control.a0, 0, 0), target)
+
+    def rows_of(outcome):
+        return sum(r.coefficient * (r.operator @ target.as_array()) for r in rows if r.outcome == outcome)
+
+    return {(1, 0): rows_of("psi-"), (0, 1): PAULI["z"] @ rows_of("psi+")}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_each_destructive_click_is_the_sum_of_its_table_rows(policy, rng):
+    # Amplitudes, not just directions: sqrt(p) times the decoded branch on
+    # (1', 4) is the rows' sum, with one phase for every branch of a run.
+    for _ in range(50):
+        control, target = random_qubit(rng), random_qubit(rng)
+        clicks = table_clicks(control, target)
+        phase = None
+        for b in run_destructive_csign(control, target, policy).branches:
+            if b.accepted:
+                got = math.sqrt(b.probability) * decode_register(b.residual, [DualRailQubit(0, 1)])
+                want = clicks[b.counts["D1"], b.counts["D2"]]
+                if phase is None:
+                    phase = np.vdot(want, got) / abs(np.vdot(want, got))
+                assert np.abs(got - phase * want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("control", [LogicalAmplitudes.zero(), LogicalAmplitudes.one()], ids=["0", "1"])
+def test_each_nondestructive_branch_keeps_a_basis_control_beside_the_table_sum(policy, control, rng):
+    # Each accepted branch decodes on (a1, a2), (1', 4) to |b> (x) the D1
+    # click's sum, normalized, up to its own phase.
+    for _ in range(25):
+        target = random_qubit(rng)
+        want = np.kron(control.as_array(), table_clicks(control, target)[1, 0])
+        want /= np.linalg.norm(want)
+        for b in run_nondestructive_csign(control, target, policy).branches:
+            if b.accepted:
+                got = decode_register(b.residual, [DualRailQubit(0, 1), DualRailQubit(2, 3)])
+                overlap = np.vdot(want, got)
+                assert np.abs(got - overlap / abs(overlap) * want).max() <= 1e-12
 
 
 class TestCoefficientReport:
