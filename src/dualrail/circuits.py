@@ -51,7 +51,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass, field, replace
-from operator import index, itemgetter
+from operator import index
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from . import measure, rails
@@ -372,12 +372,12 @@ class _Rules:
             step = self.prepare(self.named("dualrail on", at), at, _dualrail_factor(element.a0, element.a1))
         elif kind is PostSelect:
             element = PostSelect(self.predicate("postselect", element.predicate))
-            step = _postselect, (_matcher(element.predicate),)
+            step = _postselect, (element.predicate,)
         elif kind is CorrectZ:
             pair, at = self.touch("correct", (element.rail1, element.rail0), "rail modes must be distinct")
             element = CorrectZ(*pair, self.predicate("correct", element.condition))
             r1, r0 = (self.label[m] for m in pair)
-            step = _correct, (_matcher(element.condition), DualRailQubit(*at), r1, r0)
+            step = _correct, (element.condition, DualRailQubit(*at), r1, r0)
         elif kind is PrepareBell:
             self.bell_kind(element.kind)
             modes = _sized(element.modes, 4, "bell", "modes")
@@ -753,25 +753,19 @@ class RunResult:
         return self.accepted_probability
 
 
-def _matcher(predicate: Predicate) -> Callable[[dict[str, int]], bool]:
-    """``predicate`` as a test of a branch's counts, one ``itemgetter`` per clause.
+def _holds(predicate: Predicate, counts: dict[str, int]) -> bool:
+    """True when some clause of ``predicate`` has every ``(name, count)`` equality holding.
 
     The counts must bind every name it reads, and every clause must hold an
     equality, as the rule pass checks.
     """
-    clauses = []
     for clause in predicate:
-        names, values = zip(*clause)
-        # itemgetter returns a bare value for one name and a tuple for more.
-        clauses.append((itemgetter(*names), values if len(values) > 1 else values[0]))
-
-    def holds(counts: dict[str, int]) -> bool:
-        for read, wanted in clauses:
-            if read(counts) == wanted:
-                return True
-        return False
-
-    return holds
+        for name, count in clause:
+            if counts[name] != count:
+                break
+        else:
+            return True
+    return False
 
 
 def run_branches(ir: CircuitIR) -> RunResult:
@@ -833,15 +827,15 @@ def _detect(branches: list[Branch], names: Sequence[str], positions: Sequence[in
     return grown
 
 
-def _postselect(branches: list[Branch], holds: Callable):
+def _postselect(branches: list[Branch], predicate: Predicate):
     for b in branches:
-        b.accepted = b.accepted and holds(b.counts)
+        b.accepted = b.accepted and _holds(predicate, b.counts)
     return branches
 
 
-def _correct(branches: list[Branch], holds: Callable, pair: DualRailQubit, r1: str, r0: str):
+def _correct(branches: list[Branch], predicate: Predicate, pair: DualRailQubit, r1: str, r0: str):
     for b in branches:
-        if b.accepted and holds(b.counts):
+        if b.accepted and _holds(predicate, b.counts):
             try:
                 b.residual = rails.pauli_correction(b.residual, pair, "Z")
             except rails.LeakageError as exc:

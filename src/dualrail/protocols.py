@@ -158,21 +158,6 @@ def _bell_vector(label: str) -> np.ndarray:
     return rails.decode_register(rails.bell_state(label, *pairs, 4), pairs)
 
 
-def _projected_operator(outcome: str, component: str) -> np.ndarray:
-    """Operator M with <outcome_12 | (|q>_1 |component_23>) = M |q>_3.
-
-    Derived by feeding the two basis inputs through the exact three-qubit
-    state and projecting qubits (1,2) on the outcome Bell state.
-    """
-    bell_out = _bell_vector(outcome)
-    bell_anc = _bell_vector(BELL_LABELS[COMPONENT_LABELS.index(component)])
-    cols = []
-    for basis in (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)):
-        full = np.kron(basis, bell_anc)  # qubits (1, 2, 3)
-        cols.append(bell_out.conj() @ full.reshape(4, 2))
-    return np.array(cols, dtype=complex).T
-
-
 @functools.cache
 def derive_teleport_coefficients() -> np.ndarray:
     """First-principles 4x4 coefficient table a[b, i].
@@ -180,15 +165,18 @@ def derive_teleport_coefficients() -> np.ndarray:
     Row b runs over measurement outcomes (psi+, psi-, phi+, phi-) mapped to
     Pauli labels (I, z, x, y); column i over ancilla components. Defined by
     M_{b,i} = (a[b,i]/2) * sigma_b sigma_i, which the derivation also checks
-    holds exactly.
+    holds exactly. M_{b,i} is the operator with <b|_12 (|q>_1 |i>_23) =
+    M_{b,i} |q>_3, the one 2x2 contraction
+    M[q3, q1] = sum_q2 <b|q1 q2> <q2 q3|i>.
 
     The table is derived once per process, on the first call; every call
     returns that same read-only array.
     """
     table = np.zeros((4, 4), dtype=complex)
+    bells = [_bell_vector(label).reshape(2, 2) for label in BELL_LABELS]  # [q1, q2] or [q2, q3]
     for r, outcome in enumerate(BELL_LABELS):
         for c, component in enumerate(COMPONENT_LABELS):
-            m = _projected_operator(outcome, component)
+            m = (bells[r].conj() @ bells[c]).T
             pauli_product = PAULI_PRODUCTS[outcome, component]
             a = np.trace(pauli_product.conj().T @ m)
             if not np.allclose(m, (a / 2.0) * pauli_product, atol=1e-12):

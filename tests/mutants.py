@@ -188,9 +188,9 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/circuits.py",
-        "names, values = zip(*clause)",
-        "names, values = zip(*clause[:1])",
-        "a compiled postselect or correct clause reads only its first name",
+        "for name, count in clause:",
+        "for name, count in clause[:1]:",
+        "a postselect or correct clause reads only its first name",
     ),
     Mutant(
         "src/dualrail/circuits.py",
@@ -810,6 +810,18 @@ MUTANTS = [
         "        sys.stdout.flush()  # so no text written earlier can follow the slices\n",
         "",
         "text still pending in stdout's text layer comes out after the slices written past it",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "            if counts[name] != count:\n                break\n",
+        "            if counts[name] != count:\n                continue\n",
+        "a failed equality no longer ends its clause, so every postselect and correct predicate holds",
+    ),
+    Mutant(
+        "src/dualrail/protocols.py",
+        "m = (bells[r].conj() @ bells[c]).T",
+        "m = bells[r].conj() @ bells[c]",
+        "the table's projected operator is read transposed, M[q1, q3] for M[q3, q1]",
     ),
 ]
 

@@ -29,6 +29,7 @@ from dualrail.optics import hadamard_bs
 from dualrail.protocols import run_destructive_csign, run_nondestructive_csign
 from dualrail.rails import LogicalAmplitudes
 
+import reference_kernels as ref
 from conftest import random_unitary
 
 S = 1.0 / math.sqrt(2.0)
@@ -991,3 +992,57 @@ def test_execute_is_run_branches_filtered_and_sorted(seed):
     assert keys == sorted(tuple(sorted(b.counts.items())) for b in result.branches if b.accepted)
     assert by_counts(kept) == {key: row for key, row in by_counts(result).items() if row[-1]}
     assert branch_bits(kept)[1:] == branch_bits(result)[1:]
+
+
+RAIL_PREPARATIONS = (PrepareDualRail, PrepareBell)
+
+
+def with_one_ket(ir: circuits.CircuitIR) -> circuits.CircuitIR:
+    """``ir`` with its ``dualrail`` and ``bell`` lines, which open it, replaced by one ``ket``
+    of their product: each line's terms as ``reference_kernels.preparation`` gives them,
+    on the vacuum of every mode no line prepares."""
+    count = sum(isinstance(e, RAIL_PREPARATIONS) for e in ir.elements)
+    assert all(isinstance(e, RAIL_PREPARATIONS) for e in ir.elements[:count])
+    product = {(0,) * ir.mode_count: 1.0 + 0j}
+    for element in ir.elements[:count]:
+        modes, terms = ref.preparation(ir.mode_count, element)
+        grown = {}
+        for ket, amp in product.items():
+            for sub, z in terms:
+                occ = list(ket)
+                for m, n in zip(modes, sub):
+                    occ[m] = n
+                grown[tuple(occ)] = amp * z
+        product = grown
+    return circuits.CircuitIR(ir.mode_count, ir.labels, (PrepareKet(tuple(product.items())),) + ir.elements[count:])
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=7340)
+@settings(max_examples=100, deadline=None)
+def test_dualrail_and_bell_lines_run_as_the_ket_of_their_product(seed):
+    """A program's ``dualrail`` and ``bell`` lines and the one ``ket`` that spells their
+    product prepare the same state, so the runs give the same branches, in the same order,
+    with the same counts, flags and labels, and probabilities and residual amplitudes to
+    1e-15 (or the same run-time error)."""
+    rng = np.random.default_rng(seed)
+    ir = random_program(rng)
+    while not ir.elements or not isinstance(ir.elements[0], RAIL_PREPARATIONS):
+        ir = random_program(rng)
+    result, error = outcome(circuits.run_branches, ir)
+    other, other_error = outcome(circuits.run_branches, with_one_ket(ir))
+    assert error == other_error
+    if error is not None:
+        return
+    assert [(b.counts, b.accepted, b.corrections) for b in other.branches] == [
+        (b.counts, b.accepted, b.corrections) for b in result.branches
+    ]
+    assert other.output_labels == result.output_labels
+    assert abs(result.accepted_probability - other.accepted_probability) <= 1e-15
+    assert abs(result.rejected_probability - other.rejected_probability) <= 1e-15
+    for b, c in zip(result.branches, other.branches):
+        assert abs(b.probability - c.probability) <= 1e-15
+        assert (b.residual is None) == (c.residual is None)
+        if b.residual is not None:
+            assert b.residual.terms.keys() == c.residual.terms.keys()
+            assert all(abs(v - c.residual.terms[k]) <= 1e-15 for k, v in b.residual.terms.items())

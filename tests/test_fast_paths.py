@@ -561,10 +561,10 @@ OUTCOME_NAMES = ("a", "b", "c")
 @example(predicate=((("a", 1), ("b", 0)),), counts={"a": 1, "b": 1, "c": 0})  # the second name decides
 @example(predicate=(), counts={"a": 0, "b": 0, "c": 0})  # no clause holds
 @settings(max_examples=300, deadline=None)
-def test_compiled_predicate_matches_the_reference(predicate, counts):
+def test_holds_matches_the_reference(predicate, counts):
     # Clauses of 1-3 names, a name repeated within a clause included; the
-    # rule pass rejects an empty clause before a predicate is compiled.
-    assert circuits._matcher(predicate)(counts) is ref.predicate_holds(predicate, counts)
+    # rule pass rejects an empty clause before a predicate is kept.
+    assert circuits._holds(predicate, counts) is ref.predicate_holds(predicate, counts)
 
 
 def assert_same_injection(state: FockState, element) -> None:

@@ -13,7 +13,8 @@ import math
 import re
 from unittest import mock
 
-from hypothesis import HealthCheck, example, given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings, target
 from hypothesis import strategies as st
 
 from dualrail import circuits, protocols
@@ -261,63 +262,111 @@ def test_valid_programs_run_or_exit_3_and_account_for_all_weight(tmp_path_factor
 # Long runs of preparations, which grow the state
 # --------------------------------------------------------------------------
 
-S = repr(math.sqrt(0.5))
-SUPERPOSED_DUALRAILS = "modes 48\n" + "".join(
-    f"dualrail {S} 0 {S} 0 on {2 * i + 1} {2 * i + 2}\n" for i in range(24)
-)
+S = math.sqrt(0.5)
+
+# The search runs under a term limit of 2**10, patched in as the unit tests of the limit
+# do, so that a step near it costs milliseconds, not the ~0.3 s of a 2**16-term state;
+# ``_limit_terms`` reads the limit when it runs. Reaching it takes 11 doublings, out of at
+# most 18 lines on 48 modes, as reaching ``MAX_TERMS`` takes 17 out of 24 on 64 modes.
+SEARCH_LIMIT, GROWTH_LINES, GROWTH_MODES = 2**10, 18, 48
+
+
+PREPARATIONS = {
+    "superposed": ("dualrail", (S, S), 2),
+    "zero": ("dualrail", (1.0, 0.0), 2),
+    "one": ("dualrail", (0.0, 1.0), 2),
+    **{kind: ("bell", kind, 4) for kind in ("phi+", "phi-", "psi+", "psi-")},
+}
 
 
 @st.composite
-def growing_program(draw):
-    """Up to 24 ``dualrail`` and ``bell`` lines on fresh modes of 64, each dualrail
-    superposed (doubling the terms) or a basis state, some followed by the
-    detection of a mode they prepared, which splits the run into branches."""
-    lines, free = ["modes 64"], list(range(1, 65))
-    for _ in range(draw(st.integers(1, 24))):
-        if len(free) >= 4 and draw(st.booleans()):
-            kind = draw(st.sampled_from(["phi+", "phi-", "psi+", "psi-"]))
-            prepared, free = free[:4], free[4:]
-            lines.append(f"bell {kind} on {' '.join(map(str, prepared))}")
+def growing_lines(draw):
+    """Up to ``GROWTH_LINES`` ``dualrail`` and ``bell`` lines on fresh modes of
+    ``GROWTH_MODES``, each dualrail superposed (doubling the terms) or a basis state,
+    some followed by the detection of a mode they prepared, which splits the run into
+    branches. A line is ``(kind, argument, modes)``, its modes counted from 0. Each line
+    is one choice of the drawn list, which the search can change on its own."""
+    lines, free = [], list(range(GROWTH_MODES))
+    choices = st.tuples(st.sampled_from(sorted(PREPARATIONS)), st.booleans())
+    for name, detected in draw(st.lists(choices, min_size=1, max_size=GROWTH_LINES)):
+        kind, arg, width = PREPARATIONS[name]
+        if width > len(free):
+            continue
+        prepared, free = free[:width], free[width:]
+        lines.append((kind, arg, prepared))
+        if detected:
+            lines.append(("detect", f"d{len(lines)}", prepared[:1]))
+    return lines
+
+
+def as_loc(lines) -> str:
+    text = [f"modes {GROWTH_MODES}"]
+    for kind, arg, modes in lines:
+        on = " ".join(str(m + 1) for m in modes)
+        if kind == "bell":
+            text.append(f"bell {arg} on {on}")
+        elif kind == "dualrail":
+            text.append(f"dualrail {arg[0]!r} 0 {arg[1]!r} 0 on {on}")
         else:
-            a0, a1 = draw(st.sampled_from([(S, S), (S, S), ("1", "0"), ("0", "1")]))
-            prepared, free = free[:2], free[2:]
-            lines.append(f"dualrail {a0} 0 {a1} 0 on {prepared[0]} {prepared[1]}")
-        if draw(st.integers(0, 3)) == 0:
-            lines.append(f"detect {prepared[0]} as d{len(lines)}")
-        if len(free) < 2:
-            break
-    return "\n".join(lines) + "\n"
+            text.append(f"detect {on} as {arg}")
+    return "\n".join(text) + "\n"
 
 
-@given(source=growing_program())
-@example(source=SUPERPOSED_DUALRAILS)
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_no_preparation_holds_more_than_max_terms(source):
-    """The terms each preparation writes, summed over the live branches, stay within
-    ``MAX_TERMS``: past it, the run raises the limit's ``CircuitError`` first."""
-    written: list[int | None] = []  # per element: the terms its states were built on
-    trusted, prepare, detect = FockState._trusted, circuits._prepare, circuits._detect
+def as_built(lines) -> circuits.CircuitIR:
+    elements = []
+    for kind, arg, modes in lines:
+        if kind == "bell":
+            elements.append(circuits.PrepareBell(arg, tuple(modes)))
+        elif kind == "dualrail":
+            elements.append(circuits.PrepareDualRail(*arg, *modes))
+        else:
+            elements.append(circuits.Detect(modes[0], arg))
+    return circuits.CircuitIR(GROWTH_MODES, None, tuple(elements))
+
+
+def most_terms_a_step_writes(make_ir) -> int:
+    """Make a program with ``make_ir`` and run it, counting through ``FockState._trusted``
+    the terms each step writes, summed over the live branches; a detection, which splits
+    the terms it is given, counts none. A step past ``circuits.MAX_TERMS`` fails at once,
+    before a missing bound lets the run grow on; a refusal must be the limit's one
+    ``CircuitError``."""
+    written: list[int | None] = [0]
+    trusted, limit = FockState._trusted, circuits.MAX_TERMS
 
     def record_state(mode_count, terms):
-        if written and written[-1] is not None:
+        if written[-1] is not None:
             written[-1] += len(terms)
+            assert written[-1] <= limit, f"a step wrote {written[-1]} terms"
         return trusted(mode_count, terms)
 
-    def record_preparation(branches, *args):
-        written.append(0)
-        return prepare(branches, *args)
+    def step(handler, counted: bool):
+        def run(branches, *args):
+            written.append(0 if counted else None)
+            return handler(branches, *args)
 
-    def record_detection(branches, names, positions):
-        written.append(None)  # a detection splits the terms it is given
-        return detect(branches, names, positions)
+        return run
 
-    # Patched before parse, which plans each step with the handler it finds.
-    with mock.patch.object(FockState, "_trusted", record_state), mock.patch.object(
-        circuits, "_prepare", record_preparation
-    ), mock.patch.object(circuits, "_detect", record_detection):
+    handlers = {
+        name: step(getattr(circuits, name), name != "_detect")
+        for name in ("_prepare", "_splitter", "_detect", "_postselect", "_correct")
+    }
+    # Patched before the program is made, which plans each step with the handler it finds.
+    with mock.patch.object(FockState, "_trusted", record_state), mock.patch.multiple(circuits, **handlers):
         try:
-            circuits.run_branches(circuits.parse(source))
+            circuits.run_branches(make_ir())
         except circuits.CircuitError as exc:
-            limit = rf"^(dualrail|bell \S+) on [\d ]+ could output \d+ terms, above the limit of {circuits.MAX_TERMS}$"
-            assert re.match(limit, str(exc)), exc
-    assert max(n for n in written if n is not None) <= circuits.MAX_TERMS, source
+            refusal = rf"^(dualrail|bell \S+) on [\d ]+ could output \d+ terms, above the limit of {limit}$"
+            assert re.match(refusal, str(exc)), exc
+    return max(n for n in written if n is not None)
+
+
+@pytest.mark.parametrize("form", ["loc", "built"])
+@given(lines=growing_lines())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_no_step_writes_more_than_the_term_limit(form, lines):
+    """The search steers towards the program whose steps write the most terms: past the
+    limit, the run must raise the limit's ``CircuitError`` first."""
+    make_ir = (lambda: circuits.parse(as_loc(lines))) if form == "loc" else (lambda: as_built(lines))
+    with mock.patch.object(circuits, "MAX_TERMS", SEARCH_LIMIT):
+        most = most_terms_a_step_writes(make_ir)
+    target(most / SEARCH_LIMIT, label="most terms a step writes / the term limit")
