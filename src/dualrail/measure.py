@@ -51,27 +51,23 @@ def project_detection(state: FockState, modes: Sequence[int], counts: Sequence[i
         raise ValueError(f"{len(counts)} photon counts given for {len(modes)} detector modes")
     if min(counts) < 0:
         raise ValueError(f"negative photon count in {counts}")
-    residual_terms: dict[tuple[int, ...], complex] = {}
+    matched = {}  # kets of one count pattern differ in their rest: one entry each
     weight = 0.0
     try:
         for ket, amp in state.terms.items():
-            if counts_of(ket) != counts:
-                continue
-            weight += abs(amp) ** 2
-            rest = rest_of(ket)
-            residual_terms[rest] = residual_terms.get(rest, 0j) + amp
+            if counts_of(ket) == counts:
+                weight += abs(amp) ** 2
+                matched[rest_of(ket)] = amp
     except OverflowError:
         raise ValueError("branch probability overflows a float") from None
 
-    if weight == 0.0 or not residual_terms:
-        return BranchResult(counts, 0.0, None, kept)
-    if not kept:
-        # Whole state measured: the branch keeps its probability, nothing remains.
+    if weight == 0.0 or not kept:
+        # No ket matched, or the whole state was measured: nothing remains.
         return BranchResult(counts, weight, None, kept)
     scale = 1.0 / math.sqrt(weight)
     # + 0j turns the -0.0 a product can underflow to into 0.0, as the public
     # constructor's sum does, so every stored zero is positive.
-    residual = FockState._trusted(len(kept), {k: v * scale + 0j for k, v in residual_terms.items()})
+    residual = FockState._trusted(len(kept), {rest: amp * scale + 0j for rest, amp in matched.items()})
     return BranchResult(counts, weight, residual, kept)
 
 

@@ -67,13 +67,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_I = _read_only(np.eye(2, dtype=complex))
-_X = _read_only(np.array([[0, 1], [1, 0]], dtype=complex))
-_Y = _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
-_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=complex))
-PAULI = MappingProxyType(
-    {"0": _I, "I": _I, "z": _Z, "Z": _Z, "x": _X, "X": _X, "y": _Y, "Y": _Y}
-)
+_I, _X, _Y, _Z = (_read_only(np.array(rails.PAULIS[p], dtype=complex)) for p in "IXYZ")
+PAULI = MappingProxyType({"0": _I, "I": _I, "z": _Z, "Z": _Z, "x": _X, "X": _X, "y": _Y, "Y": _Y})
 
 # sigma_b @ sigma_i for every (outcome, component) pair of the gate table,
 # with sigma_b the Pauli labelled like the outcome's row.

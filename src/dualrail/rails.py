@@ -4,7 +4,7 @@ A qubit lives on two spatial modes: a photon in the first rail means logical
 |1>, in the second rail logical |0> (so |1>_L is the Fock ket |10> on the
 pair and |0>_L is |01>), written once as ``RAIL_KETS``. This module
 translates between logical amplitudes and Fock kets, builds Bell pairs, and
-applies Pauli corrections on a pair.
+applies Pauli corrections on a pair, with the Paulis written once as ``PAULIS``.
 
 ``is_normalized``, the one normalization check, reads each amplitude through
 ``fock.as_amplitude``, for a gate's entry check and the circuit rule pass alike.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .fock import FockState, _checked_mode_count, as_amplitude, layout
@@ -30,6 +31,11 @@ BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 # The counts on a pair listed (rail1, rail0) for logical 0 and 1, and back.
 RAIL_KETS = ((0, 1), (1, 0))
 _BIT_OF = {ket: bit for bit, ket in enumerate(RAIL_KETS)}
+
+# The package's one Pauli definition, on (|0>_L, |1>_L): [row][column] is <row|P|column>.
+PAULIS = MappingProxyType(
+    {"I": ((1, 0), (0, 1)), "X": ((0, 1), (1, 0)), "Y": ((0, -1j), (1j, 0)), "Z": ((1, 0), (0, -1))}
+)
 
 
 class LeakageError(ValueError):
@@ -182,35 +188,28 @@ def bell_state(
 
 
 def pauli_correction(state: FockState, placement: DualRailQubit, which: str) -> FockState:
-    """Apply I, X, Z or Y on one dual-rail pair; other modes ride along.
+    """Apply ``PAULIS[which]`` on one dual-rail pair; other modes ride along.
 
-    Restricted to the pair, every term must hold exactly one photon; Y is
-    [[0,-i],[i,0]] on (|0>_L, |1>_L), i.e. i X Z.
+    Restricted to the pair, every term must hold exactly one photon. Each ket goes to
+    one ket: X and Y swap the pair's counts, rail1 holding one photon picks the column's
+    phase, and 0j + leaves every zero positive, as the public constructor's sum does.
     """
-    if which not in ("I", "X", "Z", "Y"):
+    if which not in tuple(PAULIS):  # a tuple, so an unhashable label is unknown too
         raise ValueError(f"unknown Pauli label {which!r}")
+    matrix = PAULIS[which]
+    swap = matrix[0][0] == 0
+    phases = (matrix[swap][0], matrix[not swap][1])  # each column's entry in the row it goes to
     _, local_of, _, _, place = layout(state.mode_count, placement.modes)
+    out: dict[tuple[int, ...], complex] = {}
+    leakage = 0.0
     try:
-        leakage = sum(
-            abs(amp) ** 2 for ket, amp in state.terms.items() if local_of(ket) not in RAIL_KETS
-        )
+        for ket, amp in state.terms.items():
+            local = local_of(ket)
+            if local not in RAIL_KETS:
+                leakage += abs(amp) ** 2
+            out[place(ket + local[::-1]) if swap else ket] = 0j + phases[local[0] == 1] * amp
     except OverflowError:  # a finite amplitude squared past the float range
         leakage = math.inf
     if leakage > LEAK_TOL:
         raise LeakageError("Pauli correction outside the dual-rail subspace", leakage)
-    if which == "I":
-        return state
-
-    out: dict[tuple[int, ...], complex] = {}
-    for ket, amp in state.terms.items():
-        local = local_of(ket)
-        is_one = local[0] == 1
-        if which == "Z":
-            out[ket] = out.get(ket, 0j) + (-amp if is_one else amp)
-            continue
-        key = place(ket + local[::-1])
-        if which == "X":
-            out[key] = out.get(key, 0j) + amp
-        else:  # Y: |0>_L -> i|1>_L, |1>_L -> -i|0>_L
-            out[key] = out.get(key, 0j) + (-1j * amp if is_one else 1j * amp)
     return FockState._trusted(state.mode_count, out)

@@ -823,6 +823,48 @@ MUTANTS = [
         "m = bells[r].conj() @ bells[c]",
         "the table's projected operator is read transposed, M[q1, q3] for M[q3, q1]",
     ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "            if local not in RAIL_KETS:\n                leakage += abs(amp) ** 2\n",
+        "            if local not in RAIL_KETS:\n                leakage += abs(amp) ** 2\n                continue\n",
+        "a Pauli correction drops the leaking kets that LEAK_TOL lets through",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "phases[local[0] == 1]",
+        "phases[local[1] == 1]",
+        "a Pauli correction picks the phase by rail0's photon, so each dual-rail ket takes the other column's",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        '"X": ((0, 1), (1, 0))',
+        '"X": ((1, 0), (0, 1))',
+        "X in PAULIS does not swap the pair, for the Pauli correction and the teleportation table alike",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "phases = (matrix[swap][0], matrix[not swap][1])",
+        "phases = (matrix[0][swap], matrix[1][not swap])",
+        "a Pauli correction reads each column's phase from the transposed matrix, so Y is -Y",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "= 0j + phases[local[0] == 1] * amp",
+        "= phases[local[0] == 1] * amp",
+        "a Pauli correction stores the -0.0 a sign flip leaves, which the public constructor's sum turns into 0.0",
+    ),
+    Mutant(
+        "src/dualrail/measure.py",
+        "            if counts_of(ket) == counts:\n                weight += abs(amp) ** 2\n",
+        "            weight += abs(amp) ** 2\n            if counts_of(ket) == counts:\n",
+        "a detection's weight sums every ket of the state, not only those that match its counts",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "if which not in tuple(PAULIS):",
+        "if which not in PAULIS:",
+        "an unhashable Pauli label raises a bare TypeError, not the unknown-label ValueError",
+    ),
 ]
 
 

@@ -12,7 +12,9 @@ messages. The same holds for the dense register report: one list per entry
 of the decoded register, every float formatted where it stands; and for the
 dual-rail layer as it was before its kets were written once, in
 ``rails.RAIL_KETS``: the mode-list check of its own, Bell states placed bit
-by bit, registers decoded pair by pair and a gate's decodes merged. The
+by bit, registers decoded pair by pair and a gate's decodes merged; and for
+the Pauli correction as it was before the Paulis were written once, in
+``rails.PAULIS``: one arm per label and a leakage pass of its own. The
 circuit engine's run step is kept as it was before programs were planned,
 working out each element's positions, unitary, predicate, labels and
 layout inline on every call; a planned run must match it branch for branch.
@@ -367,6 +369,38 @@ def decode_register(state: FockState, pairs: Sequence[DualRailQubit]) -> np.ndar
     if leakage > LEAK_TOL:
         raise LeakageError("state leaks outside the dual-rail subspace", leakage)
     return amps
+
+
+def pauli_correction(state: FockState, placement: DualRailQubit, which: str) -> FockState:
+    """``rails.pauli_correction`` with one arm per Pauli label: a separate leakage pass, I
+    returned as given, and each output summed into its dict entry."""
+    if which not in ("I", "X", "Z", "Y"):
+        raise ValueError(f"unknown Pauli label {which!r}")
+    _, local_of, _, _, place = layout(state.mode_count, placement.modes)
+    try:
+        leakage = sum(
+            abs(amp) ** 2 for ket, amp in state.terms.items() if local_of(ket) not in rails.RAIL_KETS
+        )
+    except OverflowError:  # a finite amplitude squared past the float range
+        leakage = math.inf
+    if leakage > LEAK_TOL:
+        raise LeakageError("Pauli correction outside the dual-rail subspace", leakage)
+    if which == "I":
+        return state
+
+    out: dict[tuple[int, ...], complex] = {}
+    for ket, amp in state.terms.items():
+        local = local_of(ket)
+        is_one = local[0] == 1
+        if which == "Z":
+            out[ket] = out.get(ket, 0j) + (-amp if is_one else amp)
+            continue
+        key = place(ket + local[::-1])
+        if which == "X":
+            out[key] = out.get(key, 0j) + amp
+        else:  # Y: |0>_L -> i|1>_L, |1>_L -> -i|0>_L
+            out[key] = out.get(key, 0j) + (-1j * amp if is_one else 1j * amp)
+    return FockState._trusted(state.mode_count, out)
 
 
 def collect_output(

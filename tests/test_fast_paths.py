@@ -8,9 +8,11 @@ bit of every amplitude and probability, and on every exception type and
 message (except past 170 photons, where the reference's sqrt(n!) raises a
 bare ``OverflowError``). So must ``FockState._trusted`` and the public constructor, on
 every state the package builds with the former, and the dual-rail layer
-built on ``rails.RAIL_KETS`` and ``fock.layout`` and the one it replaced, and
-the planned circuit engine and the inline one, on random programs and on
-every gate's kept plan run with its inputs' factors.
+built on ``rails.RAIL_KETS`` and ``fock.layout`` and the one it replaced, the
+Pauli correction read from ``rails.PAULIS`` and its four-arm original (or, on a
+refused state, the error and its leakage weight), and the planned circuit
+engine and the inline one, on random programs and on every gate's kept plan
+run with its inputs' factors.
 """
 
 import ast
@@ -41,6 +43,7 @@ from dualrail.rails import BELL_KINDS, DualRailQubit, LogicalAmplitudes, pauli_c
 from conftest import random_qubit, random_unitary
 from test_circuits import branch_bits, random_program
 from test_protocols import GATES, bound_program, qubits
+from test_rails import TOLERATED_LEAK
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -764,6 +767,52 @@ def test_decode_register_matches_the_reference(case):
         return
     assert fast.dtype == slow.dtype and fast.shape == slow.shape
     assert fast.tobytes() == slow.tobytes()
+
+
+# Counts on a pair: logical 0 and 1, or a leak of no photon, one on each rail or two on one.
+PAULI_LOCALS = st.sampled_from([(0, 1), (1, 0), (0, 1), (1, 0), (0, 0), (1, 1), (2, 0), (0, 2)])
+
+
+@st.composite
+def pauli_cases(draw):
+    """A state and a pair on it, whose kets are dual-rail on the pair or leak there.
+
+    A dual-rail ket may carry a 1e200 amplitude; a leaking ket's weight lies
+    below ``LEAK_TOL``, above it, or overflows when squared.
+    """
+    mode_count = draw(st.integers(2, 5))
+    rail1, rail0 = draw(st.permutations(range(mode_count)))[:2]
+    plain = st.sampled_from([0.0, 0.6, -0.6, 0.8j, 1e-6, 1e200, -1e200])
+    leaked = st.sampled_from([0.0, 1e-6, -1e-6, 2e-6j, 2e-5, 0.6, 1e200])
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        ket = [draw(st.integers(0, 2)) for _ in range(mode_count)]
+        ket[rail1], ket[rail0] = local = draw(PAULI_LOCALS)
+        part = plain if local in rails.RAIL_KETS else leaked
+        terms[tuple(ket)] = draw(part) + draw(part) * 1j
+    built = outcome(FockState, mode_count, terms)
+    assume(not isinstance(built, tuple))  # every term pruned
+    return built, DualRailQubit(rail1, rail0)
+
+
+def pauli_outcome(fn, state, pair, which):
+    """The bits a Pauli correction writes, or the type, message and leakage weight it raises."""
+    try:
+        out = fn(state, pair, which)
+    except rails.LeakageError as exc:
+        return type(exc), str(exc), struct.pack("<d", exc.leakage)
+    return out.mode_count, bits(out.terms)
+
+
+@given(case=pauli_cases())
+@example(case=(TOLERATED_LEAK, DualRailQubit(0, 1)))
+@settings(max_examples=300, deadline=None)
+def test_pauli_correction_matches_the_reference(case):
+    state, pair = case
+    for which in "IXYZ":
+        assert pauli_outcome(pauli_correction, state, pair, which) == pauli_outcome(
+            ref.pauli_correction, state, pair, which
+        )
 
 
 @pytest.mark.parametrize("seed", range(6))

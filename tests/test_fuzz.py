@@ -17,10 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, target
 from hypothesis import strategies as st
 
+import dualrail
 from dualrail import circuits, protocols
 from dualrail.fock import FockState
 
-from cli_corpus import run
+from cli_corpus import PROGRAMS, run
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -86,6 +87,91 @@ def assert_documented_failure(code: int, err: str, codes=EXIT_CODES) -> None:
 @settings(max_examples=200, deadline=None)
 def test_gate_argv_fails_with_one_documented_line(argv):
     code, _, err = run(argv)
+    assert_documented_failure(code, err)
+
+
+def at_most(limit: int):
+    """Whether ``int()``, as argparse reads a count, refuses a text or reads at most ``limit``."""
+
+    def check(text: str) -> bool:
+        try:
+            return int(text) <= limit
+        except ValueError:
+            return True
+
+    return check
+
+
+# Every command's own options, and values for each; the CLI accepts --n and --samples
+# only while cheap, up to 6 copies and 2 samples, whichever option's values they take.
+COMMAND_OPTIONS = {
+    "csign-destructive": ["--control", "--control-bloch", "--target", "--target-bloch", "--policy"],
+    "csign-nondestructive": ["--control", "--control-bloch", "--target", "--target-bloch", "--policy"],
+    "encoder": ["--input", "--input-bloch", "--n", "--policy"],
+    "run": [],
+    "verify": ["--seed", "--samples"],
+}
+ARGV_OPTIONS = {
+    "--policy": policy_values,
+    "--n": n_values,
+    "--seed": st.one_of(st.integers(-2, 2**70).map(str), free_text),
+    "--samples": st.one_of(
+        st.integers(-2, 2).map(str), st.sampled_from(["-" + "9" * 30, "1.0", "0x2"]), free_text
+    ),
+    **{f"--{name}": qubit_values for name in ("control", "target", "input")},
+    **{f"--{name}-bloch": bloch_values for name in ("control", "target", "input")},
+}
+CAPS = {"--n": at_most(6), "--samples": at_most(2)}
+# Stray tokens never start with '-', so none can name an option by a prefix and take the next.
+stray_text = free_text.filter(lambda text: not text.startswith("-"))
+
+
+@st.composite
+def any_argv(draw, paths: list[str]):
+    """A command or stray text, then in any order options, mostly the command's own, with
+    values mostly drawn for them, paths, flags and stray text."""
+    commands = st.sampled_from(sorted(COMMAND_OPTIONS))
+    command = draw(commands if draw(st.integers(0, 4)) else stray_text)
+    own = COMMAND_OPTIONS.get(command)
+    argv = [command]
+    if command == "run" and draw(st.integers(0, 3)):
+        argv.append(draw(st.sampled_from(paths)))
+    kinds = ["option"] * (4 if own else 1) + ["path", "flag", "text"]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "option":
+            option = draw(st.sampled_from(own if own and draw(st.integers(0, 3)) else sorted(ARGV_OPTIONS)))
+            drawn_for = option if draw(st.integers(0, 3)) else draw(st.sampled_from(sorted(ARGV_OPTIONS)))
+            values = ARGV_OPTIONS[drawn_for]
+            value = draw(values.filter(CAPS[option]) if option in CAPS else values)
+            argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+        elif kind == "path":
+            argv.append(draw(st.sampled_from(paths)))
+        elif kind == "flag":
+            argv.append(draw(st.sampled_from(["--json", "--json", "-h", "--", "--bogus"])))
+        else:
+            argv.append(draw(stray_text))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory) -> list[str]:
+    """Files a ``run`` may name: programs that run, refuse or fail to parse, an empty file and
+    undecodable bytes, all written here; a missing path and a directory. No device file."""
+    root = tmp_path_factory.mktemp("argv")
+    fig1 = dualrail.data_path("fig1.loc").read_text(encoding="utf-8")
+    sources = {**PROGRAMS, "fig1.loc": fig1, "empty.loc": ""}
+    for name, source in sources.items():
+        (root / name).write_text(source, encoding="utf-8")
+    (root / "latin1.loc").write_bytes(b"modes 2\n# caf\xe9\n")
+    return [str(root / name) for name in [*sources, "latin1.loc", "missing.loc"]] + [str(root)]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+def test_any_argv_exits_with_a_documented_code_and_at_most_one_line(argv_paths, data):
+    # In process through cli.main, so a search of hundreds of argvs fits tier-1.
+    code, _, err = run(data.draw(any_argv(argv_paths), label="argv"))
     assert_documented_failure(code, err)
 
 

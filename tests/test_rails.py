@@ -22,6 +22,8 @@ from conftest import random_qubit
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 PAIR = DualRailQubit(0, 1)
+# Leaking kets of weight 5e-12 in all, below LEAK_TOL, so a Pauli correction goes through.
+TOLERATED_LEAK = FockState(3, {(1, 0, 0): 0.6, (0, 1, 0): 0.8, (2, 0, 0): 1e-6, (1, 1, 0): 2e-6j})
 
 
 class TestEncodeDecode:
@@ -181,9 +183,24 @@ class TestPauli:
         out = pauli_correction(s, DualRailQubit(2, 0), which)
         assert list(out.terms.items()) == expected
 
-    def test_unknown_label_rejected(self):
+    @pytest.mark.parametrize(
+        "which, written",
+        [
+            ("X", {(0, 2, 0): 1e-6, (1, 1, 0): 2e-6j}),
+            ("Y", {(0, 2, 0): 1e-6j, (1, 1, 0): 2e-6}),
+            ("Z", {(1, 1, 0): -2e-6j, (2, 0, 0): 1e-6}),
+        ],
+    )
+    def test_a_tolerated_leak_rides_through(self, which, written):
+        # X and Y swap a leaking ket's counts too, and rail1 holding one photon
+        # picks logical 1's phase: (1, 1) takes it, (2, 0) takes logical 0's.
+        out = pauli_correction(TOLERATED_LEAK, PAIR, which)
+        assert {k: out.terms[k] for k in written} == written
+
+    @pytest.mark.parametrize("which", ["Q", ["X"]])  # an unhashable label is unknown too
+    def test_unknown_label_rejected(self, which):
         with pytest.raises(ValueError, match="Pauli"):
-            pauli_correction(FockState.ket((0, 1)), PAIR, "Q")
+            pauli_correction(FockState.ket((0, 1)), PAIR, which)
 
 
 def test_bloch_parametrization():
