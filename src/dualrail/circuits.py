@@ -76,6 +76,9 @@ MAX_PHOTONS = 64
 # stays below 100, and perfbench's wide-states inputs hold up to 1,716 terms.
 MAX_TERMS = 2**16
 
+# The most bytes ``load`` reads of a ``.loc`` file: it bounds what ``dualrail run`` holds.
+MAX_SOURCE_BYTES = 1 << 20
+
 # The gates' policies and copy limit, kept here so the command line reads them without
 # loading ``protocols``. Dense 2^n vectors back the encoder's reference and decoded
 # register; 2^20 amplitudes are 16 MB each.
@@ -926,6 +929,9 @@ def _inject(state: FockState, place: Callable, factor: Factor) -> FockState:
 
 
 def load(path: str) -> CircuitIR:
-    """Parse a ``.loc`` file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    """Parse a ``.loc`` file of UTF-8 text; one of more than ``MAX_SOURCE_BYTES`` is a ``ValueError``."""
+    with open(path, "rb") as fh:
+        source = fh.read(MAX_SOURCE_BYTES + 1)
+    if len(source) > MAX_SOURCE_BYTES:
+        raise ValueError(f"cannot read {path}: more than {MAX_SOURCE_BYTES} bytes")
+    return parse(source.decode("utf-8"))

@@ -153,15 +153,15 @@ class FockState:
     ``PRUNE_TOL``. A state with no surviving term (e.g. exact cancellation of
     all inputs) is rejected.
 
-    The package's one internal constructor, ``_trusted``, builds the states
-    it derives from another valid state: linear-optical outputs, detection
-    residuals, per-outcome sub-states, Pauli corrections and a circuit's
-    state with a preparation injected onto its vacuum modes, whose factor
-    was checked once where it entered. Their kets are tuples of
-    non-negative ints of the right length, each listed once, with complex
-    amplitudes, so it skips the ket conversion, the length and sign checks
-    and the duplicate sum. Both end in the same finiteness check and prune,
-    ``_checked_terms``, so they give the same state or the same error.
+    The internal constructor ``_trusted`` builds the states the package
+    derives from another valid state: linear-optical outputs, detection
+    residuals, Pauli corrections and a circuit's state with a preparation
+    injected onto its vacuum modes, whose factor was checked once where it
+    entered. Their kets are tuples of non-negative ints of the right length,
+    each listed once, with complex amplitudes, so it skips the ket conversion,
+    the length and sign checks and the duplicate sum, but ends in the same
+    check and prune, ``_checked_terms``: same state or same error. ``_subset``
+    checks nothing; it builds ``measure``'s per-outcome parts of a valid state.
     """
 
     __slots__ = ("mode_count", "terms")
@@ -201,8 +201,14 @@ class FockState:
         for a non-finite amplitude or for a state whose terms all prune away.
         """
         state = cls.__new__(cls)
-        state.mode_count = mode_count
-        state.terms = _checked_terms(terms)
+        state.mode_count, state.terms = mode_count, _checked_terms(terms)
+        return state
+
+    @classmethod
+    def _subset(cls, mode_count: int, terms: dict[Occupation, complex]) -> FockState:
+        """A state that takes ``terms`` unchecked: they must be a non-empty part of a valid state's terms."""
+        state = cls.__new__(cls)
+        state.mode_count, state.terms = mode_count, terms
         return state
 
     @classmethod

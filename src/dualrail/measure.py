@@ -80,9 +80,9 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
 
     One pass groups the kets by their counts on the listed modes, keeping
     the state's ket order within each group. Each outcome is then projected
-    from its own group's sub-state, which holds exactly the kets a
-    projection of the whole state would keep, in the same order, so every
-    sum runs in the same order and each branch is bit for bit the one
+    from its group as a ``FockState._subset``, unchecked: the valid state's
+    kets a projection of the whole state would keep, in the same order. So
+    every sum runs in the same order, and each branch is bit for bit the one
     ``project_detection(state, modes, counts)`` gives, or the error it raises.
     """
     modes, counts_of, _, _, _ = layout(state.mode_count, detector_modes)
@@ -90,6 +90,6 @@ def outcome_distribution(state: FockState, detector_modes: Sequence[int]) -> lis
     for counts, (ket, amp) in zip(map(counts_of, state.terms), state.terms.items()):
         groups.setdefault(counts, {})[ket] = amp
     return [
-        project_detection(FockState._trusted(state.mode_count, groups[counts]), modes, counts)
+        project_detection(FockState._subset(state.mode_count, groups[counts]), modes, counts)
         for counts in sorted(groups)
     ]

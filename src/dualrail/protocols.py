@@ -60,6 +60,9 @@ from .rails import DualRailQubit, LogicalAmplitudes
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 COMPONENT_LABELS = ("0", "z", "x", "y")
 
+# The register pairs (0, 1), (2, 3), ..., built once: the gates decode their first n.
+_REGISTER = tuple(DualRailQubit(2 * i, 2 * i + 1) for i in range(MAX_ENCODER_COPIES))
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """Freeze a shared module array; one in-place write would corrupt later gates."""
@@ -149,7 +152,7 @@ class TeleportRow:
 
 def _bell_vector(label: str) -> np.ndarray:
     """``rails.bell_state(label)`` decoded to 4 logical amplitudes, the left qubit first."""
-    pairs = [DualRailQubit(0, 1), DualRailQubit(2, 3)]
+    pairs = _REGISTER[:2]
     return rails.decode_register(rails.bell_state(label, *pairs, 4), pairs)
 
 
@@ -405,7 +408,7 @@ def _nondestructive_program(policy: str) -> CircuitIR:
     )
 
 
-def _run_gate(ir: CircuitIR, factors: tuple, pairs: list[DualRailQubit], reference: np.ndarray | None) -> RunResult:
+def _run_gate(ir: CircuitIR, factors: tuple, pairs: tuple[DualRailQubit, ...], reference: np.ndarray | None) -> RunResult:
     """Run a gate's program ``ir`` with its inputs' ``factors``; decode the accepted residuals
     on ``pairs``, which must agree up to global phase, and align the first to ``reference``."""
     result = _run_checked(ir._plan, factors)
@@ -443,7 +446,7 @@ def run_destructive_csign(
     norm = float(np.linalg.norm(expected))
     reference = expected / norm if norm > 1e-12 else None
     factors = _dualrail_factor(control.a0, control.a1), _dualrail_factor(target.a0, target.a1)
-    return _run_gate(_destructive_program(policy), factors, [DualRailQubit(0, 1)], reference)
+    return _run_gate(_destructive_program(policy), factors, _REGISTER[:1], reference)
 
 
 def run_quantum_encoder(
@@ -468,9 +471,8 @@ def run_quantum_encoder(
     reference = np.zeros(2**n, dtype=complex)
     reference[0] = qubit.a0
     reference[-1] = qubit.a1
-    pairs = [DualRailQubit(2 * i, 2 * i + 1) for i in range(n)]
     factors = (_ket_factor(2 * n + 2, _encoder_terms(n, qubit.a0, qubit.a1)),)
-    return _run_gate(_encoder_program(policy, n), factors, pairs, reference)
+    return _run_gate(_encoder_program(policy, n), factors, _REGISTER[:n], reference)
 
 
 # One label per mode: the register's b1 rail, which the stage-1 correction
@@ -495,8 +497,7 @@ def run_nondestructive_csign(
     # The products np.kron takes, in its order, without its reshaping.
     reference = _CSIGN @ np.multiply.outer(control.as_array(), target.as_array()).ravel()
     factors = _dualrail_factor(control.a0, control.a1), _dualrail_factor(target.a0, target.a1)
-    pairs = [DualRailQubit(0, 1), DualRailQubit(2, 3)]
-    result = _run_gate(_nondestructive_program(policy), factors, pairs, reference)
+    result = _run_gate(_nondestructive_program(policy), factors, _REGISTER[:2], reference)
     for b in result.branches:
         b.corrections = tuple(_STAGE1_CORRECTION.get(c, c) for c in b.corrections)
     return result

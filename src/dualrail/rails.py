@@ -13,6 +13,7 @@ applies Pauli corrections on a pair, with the Paulis written once as ``PAULIS``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -133,8 +134,8 @@ def decode_register(state: FockState, pairs: Sequence[DualRailQubit]) -> np.ndar
     """Read a register of dual-rail qubits back into 2^n logical amplitudes.
 
     Every stored ket must carry one of the ``RAIL_KETS`` on each pair and
-    nothing anywhere else; offending weight raises ``LeakageError``. The
-    first pair is the most significant bit of the returned index.
+    nothing anywhere else; offending weight raises ``LeakageError``. The first
+    pair is the most significant bit of the index, which the memo ``_index_of`` reads.
     """
     import numpy as np
     _, local_of, _, rest_of, _ = layout(state.mode_count, [m for p in pairs for m in p.modes])
@@ -142,20 +143,28 @@ def decode_register(state: FockState, pairs: Sequence[DualRailQubit]) -> np.ndar
     leakage = 0.0
     try:
         for ket, amp in state.terms.items():
-            local = local_of(ket)
-            bits = [_BIT_OF.get(pair) for pair in zip(local[::2], local[1::2])]
-            if None in bits or any(rest_of(ket)):
+            index = _index_of(local_of(ket))
+            if index is None or any(rest_of(ket)):
                 leakage += abs(amp) ** 2
                 continue
-            index = 0
-            for bit in bits:
-                index = index * 2 + bit
             amps[index] += amp
     except OverflowError:  # a finite amplitude squared past the float range
         leakage = math.inf
     if leakage > LEAK_TOL:
         raise LeakageError("state leaks outside the dual-rail subspace", leakage)
     return amps
+
+
+@functools.lru_cache(maxsize=256)
+def _index_of(local: tuple[int, ...]) -> int | None:
+    """The register index of counts listed pair by pair, or None if a pair holds no ``RAIL_KETS``."""
+    index = 0
+    for pair in zip(local[::2], local[1::2]):
+        bit = _BIT_OF.get(pair)
+        if bit is None:
+            return None
+        index = index * 2 + bit
+    return index
 
 
 def decode(state: FockState, placement: DualRailQubit) -> LogicalAmplitudes:

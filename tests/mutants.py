@@ -224,9 +224,9 @@ MUTANTS = [
     ),
     Mutant(
         "src/dualrail/rails.py",
-        "bits = [_BIT_OF.get(pair) for pair",
-        "bits = [_BIT_OF.get(pair, pair[0]) for pair",
-        "decode_register reads a (0,0) or (1,1) pair as a logical bit instead of leakage",
+        "bit = _BIT_OF.get(pair)",
+        "bit = _BIT_OF.get(pair, pair[0])",
+        "the decode memo reads a (0,0) or (1,1) pair as a logical bit instead of leakage",
     ),
     Mutant(
         "src/dualrail/fock.py",
@@ -864,6 +864,36 @@ MUTANTS = [
         "if which not in tuple(PAULIS):",
         "if which not in PAULIS:",
         "an unhashable Pauli label raises a bare TypeError, not the unknown-label ValueError",
+    ),
+    Mutant(
+        "src/dualrail/rails.py",
+        "@functools.lru_cache(maxsize=256)\ndef _index_of",
+        "@functools.lru_cache(maxsize=None)\ndef _index_of",
+        "the decode memo keeps every local occupation it has seen, without bound",
+    ),
+    Mutant(
+        "src/dualrail/protocols.py",
+        "for i in range(MAX_ENCODER_COPIES))",
+        "for i in range(MAX_ENCODER_COPIES - 1))",
+        "the shared register holds one pair too few, so the encoder at its copy limit decodes 19 pairs",
+    ),
+    Mutant(
+        "src/dualrail/measure.py",
+        "residual = FockState._trusted(",
+        "residual = FockState._subset(",
+        "a detection residual skips the check, so a term its rescaling takes below PRUNE_TOL is kept",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "source = fh.read(MAX_SOURCE_BYTES + 1)",
+        "source = fh.read(MAX_SOURCE_BYTES)",
+        "load reads no byte past the bound, so a file one byte too large is cut short and run",
+    ),
+    Mutant(
+        "src/dualrail/circuits.py",
+        "if len(source) > MAX_SOURCE_BYTES:",
+        "if len(source) > MAX_SOURCE_BYTES + 1:",
+        "load accepts a file one byte past the bound",
     ),
 ]
 

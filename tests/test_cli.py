@@ -196,6 +196,18 @@ class TestRunCommand:
             f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
         )
 
+    def test_a_file_of_the_size_bound_runs_and_one_byte_more_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "long.loc"
+        program = dualrail.data_path("fig1.loc").read_bytes()
+        path.write_bytes(program + b"#" * (circuits.MAX_SOURCE_BYTES - len(program) - 1) + b"\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert (code, err) == (0, "") and "accepted probability: 0.250000000000\n" in out
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {path}: more than {circuits.MAX_SOURCE_BYTES} bytes\n"
+
     def test_parse_error_exits_3_with_position(self, capsys, tmp_path):
         bad = tmp_path / "bad.loc"
         bad.write_text("modes 2\nbs 1 nope\n")
@@ -459,6 +471,16 @@ def test_a_full_stdout_is_one_error_line(argv, unbuffered):
     with open("/dev/full", "wb") as full, start_cli(*argv, unbuffered=unbuffered, stdout=full) as child:
         err = child.communicate(timeout=60)[1]
     assert (child.returncode, err) == (cli.EXIT_OUTPUT, b"error: cannot write to stdout: No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this platform")
+def test_an_endless_source_is_one_error_line():
+    # /dev/zero never ends: load stops one byte past the bound, where a whole read would run out of memory.
+    done = subprocess.run(
+        [sys.executable, "-m", "dualrail.cli", "run", "/dev/zero"], env=cli_env(), capture_output=True, timeout=5
+    )
+    assert (done.returncode, done.stdout) == (cli.EXIT_USAGE, b"")
+    assert done.stderr == f"error: cannot read /dev/zero: more than {circuits.MAX_SOURCE_BYTES} bytes\n".encode()
 
 
 def test_a_closed_stdout_is_one_error_line():

@@ -251,14 +251,19 @@ def extreme_states(draw):
 @given(state=extreme_states(), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_trusted_construction_matches_the_public_constructor(state, data):
-    # Every state the package builds through _trusted, rebuilt by both
-    # constructors: same keys in the same order, same bits, same errors.
-    trusted = FockState._trusted
-    built = []
+    # Every state the package builds through _trusted or _subset, rebuilt by
+    # both constructors: same keys in the same order, same bits, same errors.
+    # No sub-state _subset takes unchecked may fail the check.
+    trusted, subset = FockState._trusted, FockState._subset
+    built, subsets = [], []
 
     def record(mode_count, terms):
         built.append((mode_count, dict(terms)))
         return trusted(mode_count, terms)
+
+    def record_subset(mode_count, terms):
+        subsets.append((mode_count, dict(terms)))
+        return subset(mode_count, terms)
 
     listed, u = data.draw(elements(state.mode_count))
     if data.draw(st.booleans()):  # unitary to 1e-12, but takes the largest float to inf
@@ -268,7 +273,7 @@ def test_trusted_construction_matches_the_public_constructor(state, data):
     # A qubit on modes 0 and 1 ahead of the state, so every ket is dual-rail there.
     qubit = FockState(2, {(0, 1): data.draw(st.sampled_from([S, 1.0, 1e200])), (1, 0): -S})
     register = outcome(ref.tensor, qubit, state)
-    with mock.patch.object(FockState, "_trusted", record):
+    with mock.patch.object(FockState, "_trusted", record), mock.patch.object(FockState, "_subset", record_subset):
         outcome(apply_mode_unitary, state, listed, u)
         outcome(measure.project_detection, state, detectors, counts)
         outcome(measure.outcome_distribution, state, detectors)
@@ -283,6 +288,19 @@ def test_trusted_construction_matches_the_public_constructor(state, data):
         else:
             assert type(fast) is FockState and fast.mode_count == slow.mode_count
             assert bits(fast.terms) == bits(slow.terms)
+    assert subsets
+    for mode_count, terms in subsets:
+        assert bits(FockState(mode_count, terms).terms) == bits(terms)
+
+
+def test_a_residual_term_rescaled_below_the_prune_floor_is_dropped():
+    # Every term of the state passed the check; the weight 100 scales the
+    # residual by 0.1, taking 1.5e-14 below PRUNE_TOL, so the residual's own
+    # check must prune it, on both ways to a branch.
+    state = FockState(3, {(0, 1, 0): 10.0, (0, 0, 1): 1.5e-14})
+    branches = [measure.project_detection(state, [0], [0]), *measure.outcome_distribution(state, [0])]
+    assert [list(b.residual.terms) for b in branches] == [[(1, 0)], [(1, 0)]]
+    assert_same_branches(branches[1:], ref.outcome_distribution(state, [0]))
 
 
 def test_an_overflowing_splitter_output_is_still_rejected():
@@ -769,6 +787,37 @@ def test_decode_register_matches_the_reference(case):
     assert fast.tobytes() == slow.tobytes()
 
 
+@pytest.mark.parametrize("n_pairs", [9, 10])
+def test_decode_register_matches_the_reference_past_the_memo(n_pairs):
+    # 2^n dual-rail kets on pairs in shuffled modes, plus kets that leak on a
+    # random pair: more local occupations than the memo's 256 entries, so it
+    # evicts while decoding. Leaks below LEAK_TOL decode; the others raise.
+    rng = np.random.default_rng(n_pairs)
+    modes = [int(m) for m in rng.permutation(2 * n_pairs)]
+    pairs = [DualRailQubit(modes[2 * i], modes[2 * i + 1]) for i in range(n_pairs)]
+    dense = {}
+    for index in range(2**n_pairs):
+        ket = [0] * (2 * n_pairs)
+        for i, pair in enumerate(pairs):
+            ket[pair.rail1], ket[pair.rail0] = rails.RAIL_KETS[index >> (n_pairs - 1 - i) & 1]
+        dense[tuple(ket)] = complex(rng.normal(), rng.normal())
+    for leak in (0.0, 1e-7, 1e-3):
+        terms = dict(dense)
+        for ket in rng.choice(list(dense), 40, replace=False):
+            leaked = list(map(int, ket))
+            pair = pairs[int(rng.integers(n_pairs))]
+            leaked[pair.rail1], leaked[pair.rail0] = [(0, 0), (1, 1), (2, 0)][int(rng.integers(3))]
+            terms[tuple(leaked)] = complex(leak * rng.normal(), leak)
+        state = FockState(2 * n_pairs, terms)
+        fast = outcome(rails.decode_register, state, pairs)
+        slow = outcome(ref.decode_register, state, pairs)
+        if isinstance(slow, tuple):
+            assert leak and fast == slow
+        else:
+            assert leak < 1e-3 and fast.tobytes() == slow.tobytes()
+    assert rails._index_of.cache_info().currsize == rails._index_of.cache_info().maxsize == 256
+
+
 # Counts on a pair: logical 0 and 1, or a leak of no photon, one on each rail or two on one.
 PAULI_LOCALS = st.sampled_from([(0, 1), (1, 0), (0, 1), (1, 0), (0, 0), (1, 1), (2, 0), (0, 2)])
 
@@ -897,8 +946,13 @@ TRUSTED_CALLERS = {
     ("circuits", "_inject"),
     ("optics", "apply_mode_unitary"),
     ("measure", "project_detection"),
-    ("measure", "outcome_distribution"),
     ("rails", "pauli_correction"),
+}
+
+# Where FockState._subset, which checks nothing, may be called: each outcome's
+# sub-state is a non-empty part of the terms of a state already built.
+SUBSET_CALLERS = {
+    ("measure", "outcome_distribution"),
 }
 
 # Where a function branches on the kind of a program element: the one walk that
@@ -1045,6 +1099,7 @@ def test_only_the_gate_modules_import_numpy_at_import():
 
 def test_trusted_construction_is_reached_only_from_internal_states():
     assert references("_trusted") == TRUSTED_CALLERS
+    assert references("_subset") == SUBSET_CALLERS
 
 
 def test_the_run_step_after_the_rule_pass_is_reached_only_from_checked_programs():
